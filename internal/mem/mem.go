@@ -9,6 +9,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -75,7 +76,9 @@ func (k AccessKind) String() string {
 	return "unknown"
 }
 
-// Fault describes a memory access violation.
+// Fault describes a memory access violation. An access whose range
+// wraps past the top of the address space faults at its own address
+// with Mapped false: its tail lies on no page.
 type Fault struct {
 	Addr   uint64
 	Kind   AccessKind
@@ -133,9 +136,26 @@ type Injector interface {
 	WriteTear(addr uint64, n int) (tear int, err error)
 }
 
-// Memory is a sparse paged address space.
+// pageCacheSlots is the size of Memory's direct-mapped page cache, a
+// power of two so the slot is the page number's low bits.
+const pageCacheSlots = 64
+
+// cachedPage is one page-cache slot; pg is nil while the slot is empty.
+type cachedPage struct {
+	pn uint64
+	pg *page
+}
+
+// Memory is a sparse paged address space. It is not safe for
+// concurrent use: even a load may fill the page cache.
 type Memory struct {
 	pages map[uint64]*page // keyed by page number (addr >> PageShift)
+
+	// cache fronts pages with the recently resolved pages, so a guest
+	// load or store skips the map. It holds only mapped pages, and
+	// protection and version are read through the cached *page, so
+	// only Unmap and ImportPages, which drop pages, clear it.
+	cache [pageCacheSlots]cachedPage
 
 	// WXExclusive enforces strict W^X: Map and Protect reject any
 	// protection with both Write and Exec set.
@@ -165,6 +185,10 @@ func (m *Memory) checkWX(prot Prot) error {
 	return nil
 }
 
+// wraps reports whether the n-byte range at addr runs past the top of
+// the address space.
+func wraps(addr, n uint64) bool { return n > 0 && addr+n-1 < addr }
+
 // Map creates pages covering [addr, addr+length) with the given
 // protection. addr and length must be page-aligned, and the range must
 // not overlap an existing mapping.
@@ -174,6 +198,9 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 	}
 	if length == 0 {
 		return fmt.Errorf("mem: Map with zero length")
+	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Map(%#x, %#x) wraps past the top of the address space", addr, length)
 	}
 	if err := m.checkWX(prot); err != nil {
 		return err
@@ -201,6 +228,9 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	if length == 0 {
 		return fmt.Errorf("mem: Unmap with zero length")
 	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Unmap(%#x, %#x) wraps past the top of the address space", addr, length)
+	}
 	first := addr >> PageShift
 	n := length >> PageShift
 	for i := uint64(0); i < n; i++ {
@@ -212,6 +242,7 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(m.pages, first+i)
 	}
+	m.cache = [pageCacheSlots]cachedPage{}
 	return nil
 }
 
@@ -224,6 +255,9 @@ func (m *Memory) Unmap(addr, length uint64) error {
 func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 	if length == 0 {
 		return fmt.Errorf("mem: Protect with zero length")
+	}
+	if wraps(addr, length) {
+		return fmt.Errorf("mem: Protect(%#x, %#x) wraps past the top of the address space", addr, length)
 	}
 	if err := m.checkWX(prot); err != nil {
 		return err
@@ -255,10 +289,29 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 	return nil
 }
 
+// pageAt returns the page containing addr when it is mapped and its
+// protection grants need, else nil. Every accessor resolves its pages
+// here, through the page cache.
+func (m *Memory) pageAt(addr uint64, need Prot) *page {
+	pn := addr >> PageShift
+	slot := &m.cache[pn%pageCacheSlots]
+	pg := slot.pg
+	if pg == nil || slot.pn != pn {
+		if pg = m.pages[pn]; pg == nil {
+			return nil
+		}
+		slot.pn, slot.pg = pn, pg
+	}
+	if pg.prot&need != need {
+		return nil
+	}
+	return pg
+}
+
 // ProtOf returns the protection of the page containing addr.
 func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
-	p, ok := m.pages[addr>>PageShift]
-	if !ok {
+	p := m.pageAt(addr, 0)
+	if p == nil {
 		return 0, false
 	}
 	return p.prot, true
@@ -268,41 +321,50 @@ func (m *Memory) ProtOf(addr uint64) (Prot, bool) {
 // addr. It is incremented on every store to the page; the CPU's
 // instruction cache uses it to detect (un)flushed code modification.
 func (m *Memory) PageVersion(addr uint64) (uint64, bool) {
-	p, ok := m.pages[addr>>PageShift]
-	if !ok {
+	p := m.pageAt(addr, 0)
+	if p == nil {
 		return 0, false
 	}
 	return p.version, true
 }
 
 func (m *Memory) fault(addr uint64, kind AccessKind) error {
-	p, ok := m.pages[addr>>PageShift]
-	f := &Fault{Addr: addr, Kind: kind, Mapped: ok}
-	if ok {
-		f.Prot = p.prot
-	}
-	return f
+	prot, mapped := m.ProtOf(addr)
+	return &Fault{Addr: addr, Kind: kind, Prot: prot, Mapped: mapped}
 }
 
-// access walks the pages covering [addr, addr+len(buf)) and calls f
-// once per page with the in-page slice.
-func (m *Memory) access(addr uint64, n int, kind AccessKind, need Prot, f func(pg *page, off int, slice []byte)) error {
+// check returns the fault of an n-byte access at addr, or nil when the
+// range stays below the top of the address space and every page it
+// touches is mapped with need. It changes nothing, so a store that
+// checks first lands all of its bytes or none, like an MMU's.
+func (m *Memory) check(addr uint64, n int, kind AccessKind, need Prot) error {
 	if n == 0 {
 		return nil
 	}
-	for n > 0 {
-		pg, ok := m.pages[addr>>PageShift]
-		if !ok || pg.prot&need != need {
-			return m.fault(addr, kind)
+	if wraps(addr, uint64(n)) {
+		return &Fault{Addr: addr, Kind: kind}
+	}
+	last := (addr + uint64(n) - 1) >> PageShift
+	for a := addr; ; a = (a | (PageSize - 1)) + 1 {
+		if m.pageAt(a, need) == nil {
+			return m.fault(a, kind)
 		}
-		off := int(addr & (PageSize - 1))
-		chunk := PageSize - off
-		if chunk > n {
-			chunk = n
+		if a>>PageShift == last {
+			return nil
 		}
-		f(pg, off, pg.data[off:off+chunk])
-		addr += uint64(chunk)
-		n -= chunk
+	}
+}
+
+// load copies the bytes at [addr, addr+len(buf)) into buf once check
+// has passed them.
+func (m *Memory) load(addr uint64, buf []byte, kind AccessKind, need Prot) error {
+	if err := m.check(addr, len(buf), kind, need); err != nil {
+		return err
+	}
+	for len(buf) > 0 {
+		n := copy(buf, m.pageAt(addr, 0).data[addr&(PageSize-1):])
+		buf = buf[n:]
+		addr += uint64(n)
 	}
 	return nil
 }
@@ -310,22 +372,38 @@ func (m *Memory) access(addr uint64, n int, kind AccessKind, need Prot, f func(p
 // Read copies len(buf) bytes starting at addr into buf, checking the
 // Read permission.
 func (m *Memory) Read(addr uint64, buf []byte) error {
-	pos := 0
-	return m.access(addr, len(buf), AccessRead, Read, func(pg *page, off int, slice []byte) {
-		copy(buf[pos:], slice)
-		pos += len(slice)
-	})
+	return m.load(addr, buf, AccessRead, Read)
+}
+
+// Fetch copies len(buf) instruction bytes starting at addr into buf,
+// checking the Exec permission.
+func (m *Memory) Fetch(addr uint64, buf []byte) error {
+	return m.load(addr, buf, AccessExec, Exec)
 }
 
 // Write copies buf to addr, checking the Write permission and bumping
-// the page version counters.
+// the page version counters. A faulting write changes nothing.
 func (m *Memory) Write(addr uint64, buf []byte) error {
+	return m.store(addr, buf, Write)
+}
+
+// WriteForce copies buf to addr ignoring page protection (but still
+// requiring the pages to be mapped). It models the kernel-mode port of
+// the runtime library, which patches text through the direct mapping
+// instead of calling mprotect. Page versions are bumped as usual.
+func (m *Memory) WriteForce(addr uint64, buf []byte) error {
+	return m.store(addr, buf, 0)
+}
+
+// store is the shared path of Write and WriteForce: the injector, when
+// attached, may tear the write first.
+func (m *Memory) store(addr uint64, buf []byte, need Prot) error {
 	if m.Inject != nil {
-		if err := m.tornWrite(addr, buf, Write); err != nil {
+		if err := m.tornWrite(addr, buf, need); err != nil {
 			return err
 		}
 	}
-	return m.writeBytes(addr, buf, Write)
+	return m.writeBytes(addr, buf, need)
 }
 
 // tornWrite consults the injector before a write; when a tear fires it
@@ -351,64 +429,78 @@ func (m *Memory) tornWrite(addr uint64, buf []byte, need Prot) error {
 	return err
 }
 
-// writeBytes is the shared store path of Write and WriteForce.
+// writeBytes copies buf to addr once check has passed every page,
+// bumping each page's version.
 func (m *Memory) writeBytes(addr uint64, buf []byte, need Prot) error {
-	pos := 0
-	return m.access(addr, len(buf), AccessWrite, need, func(pg *page, off int, slice []byte) {
-		copy(slice, buf[pos:])
-		pos += len(slice)
+	if err := m.check(addr, len(buf), AccessWrite, need); err != nil {
+		return err
+	}
+	for len(buf) > 0 {
+		pg := m.pageAt(addr, 0)
+		n := copy(pg.data[addr&(PageSize-1):], buf)
 		pg.version++
-	})
-}
-
-// Fetch copies len(buf) instruction bytes starting at addr into buf,
-// checking the Exec permission.
-func (m *Memory) Fetch(addr uint64, buf []byte) error {
-	pos := 0
-	return m.access(addr, len(buf), AccessExec, Exec, func(pg *page, off int, slice []byte) {
-		copy(buf[pos:], slice)
-		pos += len(slice)
-	})
-}
-
-// WriteForce copies buf to addr ignoring page protection (but still
-// requiring the pages to be mapped). It models the kernel-mode port of
-// the runtime library, which patches text through the direct mapping
-// instead of calling mprotect. Page versions are bumped as usual.
-func (m *Memory) WriteForce(addr uint64, buf []byte) error {
-	if m.Inject != nil {
-		if err := m.tornWrite(addr, buf, 0); err != nil {
-			return err
-		}
+		buf = buf[n:]
+		addr += uint64(n)
 	}
-	return m.writeBytes(addr, buf, 0)
-}
-
-func le(b []byte) uint64 {
-	var v uint64
-	for i := len(b) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
+	return nil
 }
 
 // ReadUint reads a little-endian unsigned integer of the given size
-// (1, 2, 4 or 8 bytes) at addr.
+// (1, 2, 4 or 8 bytes; at most 8) at addr. A 1-, 2-, 4- or 8-byte
+// access within one page decodes in place; other sizes and
+// page-straddling or faulting accesses take the byte path, Read.
 func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
+	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize {
+		if pg := m.pageAt(addr, Read); pg != nil {
+			b := pg.data[off:]
+			switch size {
+			case 8:
+				return binary.LittleEndian.Uint64(b), nil
+			case 4:
+				return uint64(binary.LittleEndian.Uint32(b)), nil
+			case 2:
+				return uint64(binary.LittleEndian.Uint16(b)), nil
+			case 1:
+				return uint64(b[0]), nil
+			}
+		}
+	}
 	var buf [8]byte
 	if err := m.Read(addr, buf[:size]); err != nil {
 		return 0, err
 	}
-	return le(buf[:size]), nil
+	return binary.LittleEndian.Uint64(buf[:]), nil
 }
 
 // WriteUint writes a little-endian unsigned integer of the given size
-// (1, 2, 4 or 8 bytes) at addr.
+// (1, 2, 4 or 8 bytes; at most 8) at addr. A non-empty access within
+// one page encodes in place; page-straddling or faulting accesses take
+// the byte path, Write, as does every access while an injector is
+// attached, since it must see each write first.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) error {
-	var buf [8]byte
-	for i := 0; i < size; i++ {
-		buf[i] = byte(v >> (8 * i))
+	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize && size > 0 && m.Inject == nil {
+		if pg := m.pageAt(addr, Write); pg != nil {
+			b := pg.data[off:]
+			switch size {
+			case 8:
+				binary.LittleEndian.PutUint64(b, v)
+			case 4:
+				binary.LittleEndian.PutUint32(b, uint32(v))
+			case 2:
+				binary.LittleEndian.PutUint16(b, uint16(v))
+			case 1:
+				b[0] = byte(v)
+			default:
+				for i := range b[:size] {
+					b[i] = byte(v >> (8 * i))
+				}
+			}
+			pg.version++
+			return nil
+		}
 	}
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
 	return m.Write(addr, buf[:size])
 }
 

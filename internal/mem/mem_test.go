@@ -343,3 +343,130 @@ func TestProtString(t *testing.T) {
 		}
 	}
 }
+
+// tearInjector tears every write after its first tear bytes.
+type tearInjector struct{ tear int }
+
+var errTear = errors.New("injected tear")
+
+func (tearInjector) ProtectFault(uint64, uint64, Prot) error { return nil }
+
+func (in tearInjector) WriteTear(uint64, int) (int, error) { return in.tear, errTear }
+
+// TestFaultingStraddleCommitsNothing stores 8 bytes across the end of
+// writable page 0 into a page the store may not touch: like an MMU,
+// the store must fault at page 1 without landing its first half.
+func TestFaultingStraddleCommitsNothing(t *testing.T) {
+	const v = 0x1122334455667788
+	le := []byte{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11}
+	cases := []struct {
+		name  string
+		prot1 Prot // page 1's protection; 0 leaves it unmapped
+		store func(m *Memory) error
+	}{
+		{"WriteUint", Read, func(m *Memory) error { return m.WriteUint(0xFFC, 8, v) }},
+		{"Write", Read, func(m *Memory) error { return m.Write(0xFFC, le) }},
+		{"WriteForce", 0, func(m *Memory) error { return m.WriteForce(0xFFC, le) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			mustMap(t, m, 0, PageSize, RW)
+			if tc.prot1 != 0 {
+				mustMap(t, m, PageSize, PageSize, tc.prot1)
+			}
+			err := tc.store(m)
+			var f *Fault
+			if !errors.As(err, &f) || f.Addr != PageSize || f.Kind != AccessWrite || f.Mapped != (tc.prot1 != 0) {
+				t.Fatalf("err = %v, want a write fault at %#x", err, PageSize)
+			}
+			got := make([]byte, 4)
+			if err := m.Read(0xFFC, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, make([]byte, 4)) {
+				t.Errorf("page 0 tail = % x after the faulting store, want zeros", got)
+			}
+			if ver, _ := m.PageVersion(0); ver != 0 {
+				t.Errorf("page 0 version = %d after the faulting store, want 0", ver)
+			}
+		})
+	}
+
+	// An injected tear still lands its deliberate prefix.
+	m := New()
+	mustMap(t, m, 0, PageSize, RW)
+	mustMap(t, m, PageSize, PageSize, Read)
+	m.Inject = tearInjector{tear: 2}
+	if err := m.WriteUint(0xFFC, 8, v); !errors.Is(err, errTear) {
+		t.Fatalf("err = %v, want the injected tear", err)
+	}
+	got := make([]byte, 4)
+	if err := m.Read(0xFFC, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0x88, 0x77, 0, 0}; !bytes.Equal(got, want) {
+		t.Errorf("page 0 tail = % x after a 2-byte tear, want % x", got, want)
+	}
+	if ver, _ := m.PageVersion(0); ver != 1 {
+		t.Errorf("page 0 version = %d after a torn store, want 1", ver)
+	}
+}
+
+// TestRangesWrappingPastTopAreRejected runs ranges that start on the
+// last page and run past 2^64. Page 0, where a wrapped access would
+// land, is mapped; nothing may change anywhere.
+func TestRangesWrappingPastTopAreRejected(t *testing.T) {
+	const top = 0xFFFFFFFFFFFFF000 // the last page
+	const tail = 0xFFFFFFFFFFFFFFFC
+	cases := []struct {
+		name   string
+		mapTop bool
+		call   func(m *Memory) error
+		fault  bool // the error must be a *Fault
+	}{
+		{"Protect unmapped", false, func(m *Memory) error { return m.Protect(top, 2*PageSize, RX) }, false},
+		{"Protect mapped", true, func(m *Memory) error { return m.Protect(top, 2*PageSize, RX) }, false},
+		{"ReadUint", true, func(m *Memory) error { _, err := m.ReadUint(tail, 8); return err }, true},
+		{"WriteUint", true, func(m *Memory) error { return m.WriteUint(tail, 8, ^uint64(0)) }, true},
+		{"Write", true, func(m *Memory) error { return m.Write(tail, make([]byte, 8)) }, true},
+		{"Map", false, func(m *Memory) error { return m.Map(top, 2*PageSize, RW) }, false},
+		{"Unmap", true, func(m *Memory) error { return m.Unmap(top, 2*PageSize) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			mustMap(t, m, 0, PageSize, RW)
+			if tc.mapTop {
+				mustMap(t, m, top, PageSize, RW)
+			}
+			err := tc.call(m)
+			if err == nil {
+				t.Fatal("a range wrapping past the top of the address space was accepted")
+			}
+			var f *Fault
+			if tc.fault && !errors.As(err, &f) {
+				t.Fatalf("err = %v (%T), want *Fault", err, err)
+			}
+			wantPages := 1
+			if tc.mapTop {
+				wantPages = 2
+				if prot, ok := m.ProtOf(top); !ok || prot != RW {
+					t.Errorf("last page prot = %v (mapped %v), want RW", prot, ok)
+				}
+				if ver, _ := m.PageVersion(top); ver != 0 {
+					t.Errorf("last page version = %d, want 0", ver)
+				}
+			}
+			if len(m.pages) != wantPages {
+				t.Errorf("%d pages mapped, want %d", len(m.pages), wantPages)
+			}
+			if got, _ := m.ReadUint(0, 8); got != 0 {
+				t.Errorf("page 0 starts with %#x, want 0", got)
+			}
+			if ver, _ := m.PageVersion(0); ver != 0 || m.Stats.ProtectCalls != 0 {
+				t.Errorf("page 0 version = %d, ProtectCalls = %d; want 0, 0", ver, m.Stats.ProtectCalls)
+			}
+		})
+	}
+}

@@ -67,6 +67,7 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		}
 	}
 	m.pages = fresh
+	m.cache = [pageCacheSlots]cachedPage{}
 	return nil
 }
 

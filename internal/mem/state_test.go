@@ -18,6 +18,7 @@ func TestMemoryFieldsClassifiedForSnapshot(t *testing.T) {
 		"WXExclusive": true, // policy chosen at construction, not state
 		"Tracer":      true, // observability hook
 		"Inject":      true, // fault-injection wiring
+		"cache":       true, // page cache over pages, refilled on demand
 	}
 	typ := reflect.TypeOf(Memory{})
 	for i := 0; i < typ.NumField(); i++ {
