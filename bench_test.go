@@ -17,9 +17,11 @@ import (
 	"repro/internal/grepsim"
 	"repro/internal/isa"
 	"repro/internal/kernelsim"
+	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/muslsim"
 	"repro/internal/pysim"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -307,6 +309,99 @@ func measureInsts(b *testing.B, c *cpu.CPU, entry, sp uint64) {
 		insts += n
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/sec")
+}
+
+// snapshotSrc is a request server shaped like a fleet machine's guest:
+// a multiverse switch, a multiversed handler and per-tenant state.
+// machine.New maps its few image pages and the 64-page stack.
+const snapshotSrc = `
+	multiverse int mode;
+	ulong requests;
+	ulong tenant_state[16];
+	multiverse ulong serve(ulong v) {
+		if (mode) { v = v ^ (v >> 13); }
+		tenant_state[v & 15] = tenant_state[v & 15] + v;
+		requests = requests + 1;
+		return v;
+	}
+	ulong serve_batch(ulong n, ulong seed) {
+		ulong x = seed;
+		ulong i;
+		for (i = 0; i < n; i++) {
+			x = x * 6364136223846793005 + 1442695040888963407;
+			serve(x);
+		}
+		return requests;
+	}
+`
+
+// BenchmarkSnapshot measures the snapshot layer on a fleet-shaped
+// machine that has committed and served requests: capture into a
+// sealed container; restore (Decode, a fresh machine.New and
+// NewRuntime, Apply); and the container's digest. MB/s is container
+// bytes per second.
+func BenchmarkSnapshot(b *testing.B) {
+	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "server.mvc", Text: snapshotSrc})
+	if err != nil {
+		b.Fatal(err)
+	}
+	boot := func() (*machine.Machine, *core.Runtime) {
+		m, err := machine.New(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m, rt
+	}
+	m, rt := boot()
+	if err := m.WriteGlobal("mode", 4, 1); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := rt.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.CallNamed("serve_batch", 64, 1); err != nil {
+		b.Fatal(err)
+	}
+	data, err := snapshot.Capture(m, rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("capture", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if data, err = snapshot.Capture(m, rt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			snap, err := snapshot.Decode(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fresh, freshRT := boot()
+			if err := snapshot.Apply(snap, fresh, freshRT); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("digest", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := snapshot.Digest(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- E5: grep end-to-end ---

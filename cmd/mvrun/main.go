@@ -152,11 +152,10 @@ func run(path string) (err error) {
 	// is called: between block dispatches (RunUntil) or right after a
 	// completed commit.
 	saveSnapshot := func(label string) error {
-		snap, serr := snapshot.Capture(m, rt)
+		enc, serr := snapshot.Capture(m, rt)
 		if serr != nil {
 			return fmt.Errorf("checkpoint: %w", serr)
 		}
-		enc := snap.Encode()
 		digest, derr := snapshot.Digest(enc)
 		if derr != nil {
 			return derr
@@ -165,7 +164,7 @@ func run(path string) (err error) {
 			return werr
 		}
 		fmt.Fprintf(os.Stderr, "mvrun: checkpoint (%s) cycle %d digest %s -> %s\n",
-			label, snap.SimCycles, digest, ckptPath)
+			label, m.CPU.Cycles(), digest, ckptPath)
 		return nil
 	}
 
@@ -190,9 +189,9 @@ func run(path string) (err error) {
 			// capture is safe here.
 			snapPath := *flightOut + ".snap"
 			rec.OnFailure = func(reason string, d *trace.FlightDump) {
-				snap, serr := snapshot.Capture(m, rt)
+				enc, serr := snapshot.Capture(m, rt)
 				if serr == nil {
-					serr = snapshot.WriteFile(snapPath, snap)
+					serr = os.WriteFile(snapPath, enc, 0o644)
 				}
 				if serr != nil {
 					fmt.Fprintf(os.Stderr, "mvrun: flight snapshot: %v\n", serr)
@@ -301,14 +300,18 @@ func run(path string) (err error) {
 	// embodies the committed configuration).
 	var restored *snapshot.Snapshot
 	if *restorePath != "" {
-		snap, rerr := snapshot.ReadFile(*restorePath)
+		data, rerr := os.ReadFile(*restorePath)
 		if rerr != nil {
 			return rerr
+		}
+		snap, derr := snapshot.Decode(data)
+		if derr != nil {
+			return fmt.Errorf("%s: %w", *restorePath, derr)
 		}
 		if aerr := snapshot.Apply(snap, m, rt); aerr != nil {
 			return fmt.Errorf("restore %s: %w", *restorePath, aerr)
 		}
-		digest, derr := snapshot.Digest(snap.Encode())
+		digest, derr := snapshot.Digest(data)
 		if derr != nil {
 			return derr
 		}

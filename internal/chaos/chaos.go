@@ -278,11 +278,10 @@ func (r *runner) quiesce(op int) error {
 // plan's progress and the workload's semantic model. Only the latest
 // pin is kept, so on failure it names the op preceding the violation.
 func (r *runner) captureReplay(op int) error {
-	snap, err := snapshot.Capture(r.m, r.rt)
+	data, err := snapshot.Capture(r.m, r.rt)
 	if err != nil {
 		return fmt.Errorf("chaos: replay capture at op %d: %w", op, err)
 	}
-	data := snap.Encode()
 	digest, err := snapshot.Digest(data)
 	if err != nil {
 		return fmt.Errorf("chaos: replay capture at op %d: %w", op, err)

@@ -199,7 +199,7 @@ func (s *Session) Digest() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return snapshot.Digest(snap.Encode())
+	return snapshot.Digest(snap)
 }
 
 func (s *Session) keyframe(pos int) error {
@@ -207,7 +207,7 @@ func (s *Session) keyframe(pos int) error {
 	if err != nil {
 		return fmt.Errorf("keyframe: %w", err)
 	}
-	s.keyframes[pos] = snap.Encode()
+	s.keyframes[pos] = snap
 	return nil
 }
 

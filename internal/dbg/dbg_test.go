@@ -331,7 +331,7 @@ func TestOpenAtSnapshot(t *testing.T) {
 	mustRun(t, a, 700)
 	wantCycle, wantDigest := a.Cycles(), mustDigest(t, a)
 
-	b, err := New(img, Options{Snapshot: snap.Encode()})
+	b, err := New(img, Options{Snapshot: snap})
 	if err != nil {
 		t.Fatalf("New with snapshot: %v", err)
 	}
@@ -375,7 +375,7 @@ func TestOpenAtSnapshotWrongImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildImage: %v", err)
 	}
-	if _, err := New(other, Options{Snapshot: snap.Encode()}); err == nil {
+	if _, err := New(other, Options{Snapshot: snap}); err == nil {
 		t.Fatalf("snapshot from a different image accepted")
 	}
 }

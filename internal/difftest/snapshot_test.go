@@ -61,7 +61,7 @@ func finish(t *testing.T, sys *core.System) runOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := snapshot.Digest(snap.Encode())
+	digest, err := snapshot.Digest(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,10 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, configure func(*core.
 	if sysB.Machine.CPU.Halted() {
 		t.Fatalf("run finished before the checkpoint cycle %d — raise the iteration count", midC)
 	}
-	snap, err := snapshot.Capture(sysB.Machine, sysB.RT)
+	enc, err := snapshot.Capture(sysB.Machine, sysB.RT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := snap.Encode()
 	b := finish(t, sysB)
 	if a != b {
 		t.Fatalf("pausing to snapshot perturbed the run:\nuninterrupted %+v\npaused        %+v", a, b)

@@ -483,7 +483,7 @@ func (fl *Fleet) report() (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("fleet: machine %d final capture: %w", mb.id, err)
 				}
-				if mr.Digest, err = snapshot.Digest(snap.Encode()); err != nil {
+				if mr.Digest, err = snapshot.Digest(snap); err != nil {
 					return nil, fmt.Errorf("fleet: machine %d digest: %w", mb.id, err)
 				}
 			}

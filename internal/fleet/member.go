@@ -82,11 +82,10 @@ type member struct {
 	lastCycles      uint64 // CPU cycle watermark for the shard ledger
 
 	// Deterministic per-member tallies (reported, compared across runs).
-	restarts    int
-	killsTaken  int
-	snapSkipped int
-	lastFault   error // most recent recoverable fault, for diagnostics
-	err         error // first unexpected (non-recoverable) error
+	restarts   int
+	killsTaken int
+	lastFault  error // most recent recoverable fault, for diagnostics
+	err        error // first unexpected (non-recoverable) error
 }
 
 // boot constructs the first incarnation and takes the round-0
@@ -440,13 +439,12 @@ func (mb *member) probe() bool {
 func (mb *member) checkpoint(round int) error {
 	snap, err := snapshot.Capture(mb.m, mb.rt)
 	if errors.Is(err, snapshot.ErrNotQuiesced) {
-		mb.snapSkipped++
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d checkpoint: %w", mb.id, err)
 	}
-	ck := &checkpoint{round: round, snap: snap.Encode(), parked: mb.parked}
+	ck := &checkpoint{round: round, snap: snap, parked: mb.parked}
 	if mb.plan != nil {
 		ck.plan = mb.plan.Export()
 	}

@@ -21,8 +21,9 @@ type PageState struct {
 	Data    []byte // PageSize long
 }
 
-// ExportPages returns every mapped page in page-number order. The
-// result shares no memory with the address space.
+// ExportPages returns every mapped page in page-number order. Each
+// Data is a view of the live page, not a copy, valid until the address
+// space next changes; a caller that keeps it longer must copy it.
 func (m *Memory) ExportPages() []PageState {
 	pns := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
@@ -32,12 +33,7 @@ func (m *Memory) ExportPages() []PageState {
 	out := make([]PageState, 0, len(pns))
 	for _, pn := range pns {
 		p := m.pages[pn]
-		out = append(out, PageState{
-			PN:      pn,
-			Prot:    p.prot,
-			Version: p.version,
-			Data:    append([]byte(nil), p.data...),
-		})
+		out = append(out, PageState{PN: pn, Prot: p.prot, Version: p.version, Data: p.data})
 	}
 	return out
 }
@@ -45,8 +41,12 @@ func (m *Memory) ExportPages() []PageState {
 // ImportPages replaces the entire address space with the given pages —
 // wholesale, so the restored mapping is exactly the exported one
 // regardless of what the caller had mapped before (a freshly loaded
-// image, extra CPU stacks, anything). Stats and policy flags are left
-// untouched; the snapshot layer restores Stats separately.
+// image, extra CPU stacks, anything). Every page is validated before
+// any is written, so a rejected import changes nothing; then a page
+// already mapped at an imported page number is overwritten in place
+// and only the others are allocated. The import copies each page's
+// data and keeps no reference to pages. Stats and policy flags are
+// left untouched; the snapshot layer restores Stats separately.
 func (m *Memory) ImportPages(pages []PageState) error {
 	fresh := make(map[uint64]*page, len(pages))
 	for i := range pages {
@@ -60,11 +60,17 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		if err := m.checkWX(ps.Prot); err != nil {
 			return fmt.Errorf("mem: page %#x: %w", ps.PN, err)
 		}
-		fresh[ps.PN] = &page{
-			data:    append([]byte(nil), ps.Data...),
-			prot:    ps.Prot,
-			version: ps.Version,
+		fresh[ps.PN] = m.pages[ps.PN] // nil when unmapped; allocated below
+	}
+	for i := range pages {
+		ps := &pages[i]
+		pg := fresh[ps.PN]
+		if pg == nil {
+			pg = &page{data: make([]byte, PageSize)}
+			fresh[ps.PN] = pg
 		}
+		copy(pg.data, ps.Data)
+		pg.prot, pg.version = ps.Prot, ps.Version
 	}
 	m.pages = fresh
 	m.cache = [pageCacheSlots]cachedPage{}

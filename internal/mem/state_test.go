@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -90,23 +91,47 @@ func TestExportImportPagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportPagesRejectsMalformed pins that a rejected import changes
+// nothing. Each bad entry comes last, after entries overlapping mapped
+// pages with known bytes, so an import that overwrote pages while it
+// was still validating them would be caught.
 func TestImportPagesRejectsMalformed(t *testing.T) {
 	m := New()
-	short := []PageState{{PN: 1, Prot: RW, Data: make([]byte, PageSize-1)}}
-	if err := m.ImportPages(short); err == nil {
-		t.Error("imported a short page")
+	m.WXExclusive = true
+	if err := m.Map(0x1000, 2*PageSize, RW); err != nil {
+		t.Fatal(err)
 	}
-	dup := []PageState{
-		{PN: 1, Prot: RW, Data: make([]byte, PageSize)},
-		{PN: 1, Prot: RW, Data: make([]byte, PageSize)},
+	if err := m.Write(0x1000, bytes.Repeat([]byte{0x11}, 2*PageSize)); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.ImportPages(dup); err == nil {
-		t.Error("imported duplicate pages")
+	if err := m.Protect(0x2000, PageSize, Read); err != nil {
+		t.Fatal(err)
 	}
-	wx := New()
-	wx.WXExclusive = true
-	bad := []PageState{{PN: 1, Prot: RW | Exec, Data: make([]byte, PageSize)}}
-	if err := wx.ImportPages(bad); err == nil {
-		t.Error("import bypassed the W^X policy")
+	// ExportPages returns views of the live pages: copy them.
+	var before []PageState
+	for _, p := range m.ExportPages() {
+		p.Data = append([]byte(nil), p.Data...)
+		before = append(before, p)
+	}
+
+	page := func(pn uint64, prot Prot, n int) PageState {
+		return PageState{PN: pn, Prot: prot, Version: 99, Data: bytes.Repeat([]byte{0xEE}, n)}
+	}
+	good := []PageState{page(1, RW, PageSize), page(2, RW, PageSize), page(5, RW, PageSize)}
+	for _, tc := range []struct {
+		name string
+		bad  PageState
+	}{
+		{"short page", page(6, RW, PageSize-1)},
+		{"duplicate", page(1, RW, PageSize)},
+		{"W^X", page(6, RW|Exec, PageSize)},
+	} {
+		pages := append(append([]PageState(nil), good...), tc.bad)
+		if err := m.ImportPages(pages); err == nil {
+			t.Errorf("%s: import accepted", tc.name)
+		}
+		if got := m.ExportPages(); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: rejected import changed the address space", tc.name)
+		}
 	}
 }

@@ -43,16 +43,16 @@ const headerLen = 8 + 4 + 4 + 8
 // maxPayload bounds a plausible payload; anything larger is corruption.
 const maxPayload = 1 << 30
 
-// seal wraps a payload in the container: header, payload, CRC.
-func seal(payload []byte) []byte {
-	out := make([]byte, 0, headerLen+len(payload)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, 0) // flags
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	return out
+// seal completes a container in place. buf holds headerLen reserved
+// bytes followed by the payload; seal fills in the header and appends
+// the CRC, within buf's capacity when the encoder reserved room for it.
+func seal(buf []byte) []byte {
+	payload := buf[headerLen:]
+	copy(buf, magic[:])
+	binary.LittleEndian.PutUint32(buf[8:], Version)
+	binary.LittleEndian.PutUint32(buf[12:], 0) // flags
+	binary.LittleEndian.PutUint64(buf[16:], uint64(len(payload)))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // unseal validates the container and returns the payload.
@@ -97,20 +97,63 @@ func Digest(data []byte) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// writer builds a payload. Append-only, infallible.
+// writer builds a payload. Append-only, infallible. A sizing writer
+// appends nothing and only counts the bytes in n, so an encoder can
+// run once to size its buffer and once more to fill it.
 type writer struct {
-	b []byte
+	b      []byte
+	n      int
+	sizing bool
 }
 
-func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *writer) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+// count adds k bytes to the tally and reports whether to append them.
+func (w *writer) count(k int) bool {
+	w.n += k
+	return !w.sizing
+}
+
+func (w *writer) u8(v uint8) {
+	if w.count(1) {
+		w.b = append(w.b, v)
+	}
+}
+
+func (w *writer) u16(v uint16) {
+	if w.count(2) {
+		w.b = binary.LittleEndian.AppendUint16(w.b, v)
+	}
+}
+
+func (w *writer) u32(v uint32) {
+	if w.count(4) {
+		w.b = binary.LittleEndian.AppendUint32(w.b, v)
+	}
+}
+
+func (w *writer) u64(v uint64) {
+	if w.count(8) {
+		w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	}
+}
+
+// raw appends v without a length prefix.
+func (w *writer) raw(v []byte) {
+	if w.count(len(v)) {
+		w.b = append(w.b, v...)
+	}
+}
+
 func (w *writer) bytes(v []byte) {
 	w.u32(uint32(len(v)))
-	w.b = append(w.b, v...)
+	w.raw(v)
 }
-func (w *writer) str(v string) { w.bytes([]byte(v)) }
+
+func (w *writer) str(v string) {
+	w.u32(uint32(len(v)))
+	if w.count(len(v)) {
+		w.b = append(w.b, v...)
+	}
+}
 
 // reader parses a payload with sticky-error bounds checking: once any
 // read runs past the end, every subsequent read returns zero values
@@ -173,6 +216,8 @@ func (r *reader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// bytes returns a length-prefixed byte field as a view of the input,
+// not a copy, capped so appending to it cannot overwrite what follows.
 func (r *reader) bytes() []byte {
 	n := r.u32()
 	if uint64(n) > uint64(len(r.b)) {
@@ -183,7 +228,7 @@ func (r *reader) bytes() []byte {
 	if b == nil {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b[:n:n]
 }
 
 func (r *reader) str() string { return string(r.bytes()) }

@@ -17,7 +17,6 @@ package snapshot
 import (
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"reflect"
 
 	"repro/internal/core"
@@ -28,7 +27,9 @@ import (
 )
 
 // Snapshot is the complete state of a simulated machine at one
-// instant, plus the identity of the image it was loaded from.
+// instant, plus the identity of the image it was loaded from. Callers
+// get one only from Decode, and it aliases the container it was
+// decoded from (see Decode).
 type Snapshot struct {
 	// SimCycles is the primary CPU's cycle counter at capture — the
 	// simulated instant this snapshot names.
@@ -76,14 +77,16 @@ func ImageSum(img *link.Image) [32]byte {
 // treat the machine as corrupt.
 var ErrNotQuiesced = core.ErrNotQuiesced
 
-// Capture exports the machine's complete state. rt may be nil when no
-// runtime is attached; when present it must be commit-quiesced —
+// Capture returns the sealed container holding the machine's complete
+// state. Pages are read straight from the address space and copied
+// once, into a container sized before it is filled. rt may be nil when
+// no runtime is attached; when present it must be commit-quiesced —
 // capturing inside an open transaction fails with ErrNotQuiesced.
-func Capture(m *machine.Machine, rt *core.Runtime) (*Snapshot, error) {
+func Capture(m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 	s := &Snapshot{
 		SimCycles: m.CPU.Cycles(),
 		ImageSum:  ImageSum(m.Image),
-		Console:   append([]byte(nil), m.Console()...),
+		Console:   m.Console(),
 		Pages:     m.Mem.ExportPages(),
 		MemStats:  m.Mem.Stats,
 	}
@@ -97,7 +100,7 @@ func Capture(m *machine.Machine, rt *core.Runtime) (*Snapshot, error) {
 		}
 		s.Runtime = &rs
 	}
-	return s, nil
+	return s.Encode(), nil
 }
 
 // Apply restores a snapshot onto a machine freshly constructed from
@@ -145,11 +148,21 @@ func Apply(s *Snapshot, m *machine.Machine, rt *core.Runtime) error {
 	return nil
 }
 
-// Encode serializes the snapshot into the versioned container.
+// Encode serializes the snapshot into the versioned container. A
+// sizing pass runs the encoder first, so the container is allocated
+// once, at its final size.
 func (s *Snapshot) Encode() []byte {
-	var w writer
+	size := writer{sizing: true}
+	s.put(&size)
+	w := writer{b: make([]byte, headerLen, headerLen+size.n+4)}
+	s.put(&w)
+	return seal(w.b)
+}
+
+// put writes the payload.
+func (s *Snapshot) put(w *writer) {
 	w.u64(s.SimCycles)
-	w.b = append(w.b, s.ImageSum[:]...)
+	w.raw(s.ImageSum[:])
 	w.bytes(s.Console)
 	w.u32(uint32(len(s.Pages)))
 	for i := range s.Pages {
@@ -159,23 +172,25 @@ func (s *Snapshot) Encode() []byte {
 		w.u64(p.Version)
 		w.bytes(p.Data)
 	}
-	putCounters(&w, s.MemStats)
+	putCounters(w, &s.MemStats)
 	w.u32(uint32(len(s.CPUs)))
 	for i := range s.CPUs {
-		putCPU(&w, &s.CPUs[i])
+		putCPU(w, &s.CPUs[i])
 	}
 	if s.Runtime == nil {
 		w.u8(0)
 	} else {
 		w.u8(1)
-		putRuntime(&w, s.Runtime)
+		putRuntime(w, s.Runtime)
 	}
-	return seal(w.b)
 }
 
 // Decode validates the container (magic, version, length, CRC) and
 // parses the payload. Corrupt or truncated input yields an error,
-// never a panic.
+// never a panic. The snapshot aliases data: its byte fields (console,
+// page data, icache line bytes) are views of the input, not copies, so
+// data must stay unchanged while the snapshot is in use. Apply copies
+// everything it keeps, so once Apply returns, data is free again.
 func Decode(data []byte) (*Snapshot, error) {
 	payload, err := unseal(data)
 	if err != nil {
@@ -249,7 +264,7 @@ func putCPU(w *writer, s *cpu.State) {
 		putU16s(w, ls.SBHeads)
 		putU16s(w, ls.SBRject)
 	}
-	putCounters(w, s.Stats)
+	putCounters(w, &s.Stats)
 }
 
 func getCPU(r *reader, s *cpu.State) {
@@ -312,7 +327,7 @@ func putRuntime(w *writer, s *core.RuntimeState) {
 		w.str(d.Name)
 		w.u8(d.Kind)
 	}
-	putCounters(w, s.Stats)
+	putCounters(w, &s.Stats)
 	w.u64(s.OpSeq)
 }
 
@@ -377,12 +392,12 @@ func getBool(r *reader) bool {
 }
 
 // putCounters serializes a flat statistics struct (all int or uint64
-// fields) by reflection, field-count-prefixed: a counter added to
-// cpu.Stats, mem.Stats or core.RuntimeStats is picked up
-// automatically, and a reader built for a different field count
+// fields, passed by pointer) by reflection, field-count-prefixed: a
+// counter added to cpu.Stats, mem.Stats or core.RuntimeStats is picked
+// up automatically, and a reader built for a different field count
 // reports format drift instead of silently misparsing.
 func putCounters(w *writer, v any) {
-	rv := reflect.ValueOf(v)
+	rv := reflect.ValueOf(v).Elem()
 	w.u32(uint32(rv.NumField()))
 	for i := 0; i < rv.NumField(); i++ {
 		f := rv.Field(i)
@@ -416,22 +431,4 @@ func getCounters(r *reader, out any) {
 			f.SetInt(int64(v))
 		}
 	}
-}
-
-// WriteFile encodes the snapshot to path.
-func WriteFile(path string, s *Snapshot) error {
-	return os.WriteFile(path, s.Encode(), 0o644)
-}
-
-// ReadFile reads and decodes a snapshot file.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -92,20 +92,49 @@ func (s *sys) warm(t *testing.T) {
 	s.m.RestoreConsole([]byte("console so far"))
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	a, _ := buildPair(t)
-	a.warm(t)
-	snap, err := Capture(a.m, a.rt)
+// decodeCapture captures m (and rt, when non-nil) and decodes the
+// container, the way every restore starts.
+func decodeCapture(t *testing.T, m *machine.Machine, rt *core.Runtime) *Snapshot {
+	t.Helper()
+	data, err := Capture(m, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := snap.Encode()
+	snap, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	a, _ := buildPair(t)
+	a.warm(t)
+	data, err := Capture(a.m, a.rt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("decode round-trip diverged:\nexported: %+v\ndecoded:  %+v", snap, got)
+	rs, err := a.rt.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Snapshot{
+		SimCycles: a.m.CPU.Cycles(),
+		ImageSum:  ImageSum(a.m.Image),
+		Console:   a.m.Console(),
+		Pages:     a.m.Mem.ExportPages(),
+		MemStats:  a.m.Mem.Stats,
+		Runtime:   &rs,
+	}
+	for _, c := range a.m.CPUs() {
+		want.CPUs = append(want.CPUs, c.ExportState())
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("decode round-trip diverged:\nexported: %+v\ndecoded:  %+v", want, got)
 	}
 	// Decoding must be canonical: re-encoding reproduces the input.
 	if !bytes.Equal(got.Encode(), data) {
@@ -113,18 +142,34 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocatesOnce pins the sizing pass: Encode allocates its
+// container at the final size, so a size computed too small — which
+// would grow the buffer while encoding — shows up as a second
+// allocation.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	a, _ := buildPair(t)
+	a.warm(t)
+	snap := decodeCapture(t, a.m, a.rt)
+	var data []byte
+	if n := testing.AllocsPerRun(20, func() { data = snap.Encode() }); n != 1 {
+		t.Fatalf("Encode made %v allocations, want 1", n)
+	}
+	if len(data) != cap(data) {
+		t.Fatalf("container is %d bytes in a %d-byte buffer, want an exact fit", len(data), cap(data))
+	}
+}
+
 func TestDigestNamesMachineState(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	s1, err := Capture(a.m, a.rt)
+	e1, err := Capture(a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Capture(a.m, a.rt)
+	e2, err := Capture(a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, e2 := s1.Encode(), s2.Encode()
 	if !bytes.Equal(e1, e2) {
 		t.Fatal("two captures of the same instant are not byte-equal")
 	}
@@ -136,11 +181,11 @@ func TestDigestNamesMachineState(t *testing.T) {
 		t.Fatalf("digest %q is not hex SHA-256", d1)
 	}
 	a.call(t, "spin", 1)
-	s3, err := Capture(a.m, a.rt)
+	e3, err := Capture(a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d3, err := Digest(s3.Encode())
+	d3, err := Digest(e3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +198,27 @@ func TestDigestNamesMachineState(t *testing.T) {
 // state captured between calls, applied to a fresh machine from the
 // same image, and both continued identically must agree on every
 // observable — cycles, statistics, state report, console, results.
+// The container is overwritten right after Apply, so the restored
+// machine must not alias it: the decoded snapshot's byte fields are
+// views of the container, and every importer must copy what it keeps.
 // (The full mid-call RunUntil version over E1/E4 lives in
 // internal/difftest.)
 func TestApplyResumesBitIdentical(t *testing.T) {
 	a, b := buildPair(t)
 	a.warm(t)
-	snap, err := Capture(a.m, a.rt)
+	data, err := Capture(a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-
+	snap, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := Apply(snap, b.m, b.rt); err != nil {
 		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xEE
 	}
 
 	// Continue both runs through the same tail, including a revert and
@@ -210,8 +264,8 @@ func TestApplyResumesBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	da, _ := Digest(sa.Encode())
-	db, _ := Digest(sb.Encode())
+	da, _ := Digest(sa)
+	db, _ := Digest(sb)
 	if da != db {
 		t.Fatalf("final digests diverged: %s vs %s", da, db)
 	}
@@ -220,10 +274,7 @@ func TestApplyResumesBitIdentical(t *testing.T) {
 func TestApplyRejectsDifferentImage(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	snap, err := Capture(a.m, a.rt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := decodeCapture(t, a.m, a.rt)
 	other, err := core.BuildSystem(core.GenOptions{}, nil,
 		core.Source{Name: "other.mvc", Text: `long f(void) { return 7; }`})
 	if err != nil {
@@ -237,17 +288,11 @@ func TestApplyRejectsDifferentImage(t *testing.T) {
 func TestApplyRuntimePresenceMustMatch(t *testing.T) {
 	a, b := buildPair(t)
 	a.warm(t)
-	snap, err := Capture(a.m, a.rt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := decodeCapture(t, a.m, a.rt)
 	if err := Apply(snap, b.m, nil); err == nil {
 		t.Fatal("applied runtime-bearing snapshot without a runtime")
 	}
-	bare, err := Capture(a.m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := decodeCapture(t, a.m, nil)
 	if err := Apply(bare, b.m, b.rt); err == nil {
 		t.Fatal("applied runtime-free snapshot onto a runtime")
 	}
@@ -256,11 +301,10 @@ func TestApplyRuntimePresenceMustMatch(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	snap, err := Capture(a.m, a.rt)
+	data, err := Capture(a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := snap.Encode()
 
 	if _, err := Decode(nil); err == nil {
 		t.Error("decoded empty input")
@@ -295,11 +339,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if _, err := s.Machine.CallNamed("spin", 50); err != nil {
 		f.Fatal(err)
 	}
-	snap, err := Capture(s.Machine, s.RT)
+	valid, err := Capture(s.Machine, s.RT)
 	if err != nil {
 		f.Fatal(err)
 	}
-	valid := snap.Encode()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("MVSNAP01"))
