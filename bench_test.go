@@ -12,11 +12,13 @@ package repro_test
 import (
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/grepsim"
 	"repro/internal/isa"
 	"repro/internal/kernelsim"
+	"repro/internal/link"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/muslsim"
@@ -465,6 +467,70 @@ func BenchmarkCommitManyCallsites(b *testing.B) {
 		sites = rep.SitesTouched
 	}
 	b.ReportMetric(float64(sites), "sites/commit")
+}
+
+// BenchmarkCompile measures the compile pipeline phase by phase on the
+// E7 kernel's source (1161 call sites): parse; compile_unit (variant
+// generation, optimization and codegen on a checked unit, re-parsed
+// outside the timer since it rewrites the unit); link of the unit's
+// object; and build_image, the whole pipeline with check. MB/s is
+// source bytes per second.
+func BenchmarkCompile(b *testing.B) {
+	src := kernelsim.ManyCallSitesSource(kernelsim.PaperCallSites)
+	checked := func() *cc.Unit {
+		u, err := cc.Parse(src.Name, src.Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := cc.Check(u); err != nil {
+			b.Fatal(err)
+		}
+		return u
+	}
+	b.Run("parse", func(b *testing.B) {
+		b.SetBytes(int64(len(src.Text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cc.Parse(src.Name, src.Text); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compile_unit", func(b *testing.B) {
+		b.SetBytes(int64(len(src.Text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			u := checked()
+			b.StartTimer()
+			if _, _, err := core.CompileUnit(u, core.GenOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("link", func(b *testing.B) {
+		o, _, err := core.CompileUnit(checked(), core.GenOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(src.Text)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := link.Link(o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("build_image", func(b *testing.B) {
+		b.SetBytes(int64(len(src.Text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := core.BuildImage(core.GenOptions{}, src); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- E8: BTB ablation ---

@@ -1,20 +1,23 @@
 package cc
 
-// Parser builds the AST for one translation unit.
+// Parser builds the AST for one translation unit. It pulls tokens from
+// a Lexer through a three-token window, since the grammar looks at
+// most two tokens past the current one and never backtracks.
 type Parser struct {
-	toks []Token
-	pos  int
-	file string
+	lex  *Lexer
+	win  [3]Token // a ring: win[head] is the current token
+	head int
+	n    int   // tokens buffered in win; at least one
+	err  error // the first lexical error; the window reads EOF after it
 }
 
 // Parse parses MVC source into an (unchecked) unit. Call Check on the
-// result before using it.
+// result before using it. A lexical error anywhere in src wins over a
+// parse error, as if the whole source had been lexed first: the error
+// returned is the one LexAll would report.
 func Parse(file, src string) (*Unit, error) {
-	toks, err := LexAll(file, src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks, file: file}
+	p := &Parser{lex: NewLexer(file, src)}
+	p.fill()
 	u := &Unit{
 		File:    file,
 		Enums:   make(map[string]*EnumDecl),
@@ -23,24 +26,83 @@ func Parse(file, src string) (*Unit, error) {
 	for !p.atEOF() {
 		d, err := p.parseTopLevel(u)
 		if err != nil {
-			return nil, err
+			return nil, p.firstError(err)
 		}
 		if d != nil {
 			u.Decls = append(u.Decls, d)
 		}
 	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	return u, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
+// firstError lexes the rest of the source after the parse error
+// parseErr and returns the first lexical error, if there is one.
+func (p *Parser) firstError(parseErr error) error {
+	for p.err == nil {
+		t, err := p.lex.Next()
+		if err != nil {
+			return err
+		}
+		if t.Kind == TokEOF {
+			return parseErr
+		}
+	}
+	return p.err
+}
+
+// fill lexes one more token into the window. After a lexical error it
+// adds EOF, which ends the parse; Parse then reports the error.
+func (p *Parser) fill() {
+	i := p.head + p.n
+	if i >= len(p.win) {
+		i -= len(p.win)
+	}
+	p.n++
+	if p.err == nil {
+		var err error
+		if p.win[i], err = p.lex.Next(); err == nil {
+			return
+		}
+		p.err = err
+	}
+	p.win[i] = Token{Kind: TokEOF, Pos: p.lex.pos()}
+}
+
+// cur returns the current token. The pointer is valid until the next
+// call to next.
+func (p *Parser) cur() *Token { return &p.win[p.head] }
+
+// peek returns the token k places past the current one (k < 3), with
+// the same validity as cur.
+func (p *Parser) peek(k int) *Token {
+	for p.n <= k {
+		p.fill()
+	}
+	i := p.head + k
+	if i >= len(p.win) {
+		i -= len(p.win)
+	}
+	return &p.win[i]
+}
+
 func (p *Parser) atEOF() bool { return p.cur().Kind == TokEOF }
 
-func (p *Parser) next() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
+// next consumes the current token; EOF is never consumed.
+func (p *Parser) next() {
+	if p.atEOF() {
+		return
 	}
-	return t
+	p.head++
+	if p.head == len(p.win) {
+		p.head = 0
+	}
+	p.n--
+	if p.n == 0 {
+		p.fill()
+	}
 }
 
 func (p *Parser) peekIs(text string) bool {
@@ -56,18 +118,23 @@ func (p *Parser) accept(text string) bool {
 	return false
 }
 
-func (p *Parser) expect(text string) (Token, error) {
+func (p *Parser) expect(text string) error {
 	if !p.peekIs(text) {
-		return Token{}, errf(p.cur().Pos, "expected %q, found %s", text, p.cur())
+		return errf(p.cur().Pos, "expected %q, found %s", text, p.cur())
 	}
-	return p.next(), nil
+	p.next()
+	return nil
 }
 
-func (p *Parser) expectIdent() (Token, error) {
-	if p.cur().Kind != TokIdent {
-		return Token{}, errf(p.cur().Pos, "expected identifier, found %s", p.cur())
+// expectIdent consumes an identifier and returns its text.
+func (p *Parser) expectIdent() (string, error) {
+	t := p.cur()
+	if t.Kind != TokIdent {
+		return "", errf(t.Pos, "expected identifier, found %s", t)
 	}
-	return p.next(), nil
+	name := t.Text
+	p.next()
+	return name, nil
 }
 
 // typeKeywords maps base type keywords to types.
@@ -103,7 +170,7 @@ func (p *Parser) parseTypeSpec() (*Type, error) {
 			if err != nil {
 				return nil, err
 			}
-			return EnumType(name.Text), nil
+			return EnumType(name), nil
 		}
 	}
 	return nil, errf(t.Pos, "expected type, found %s", t)
@@ -139,7 +206,7 @@ func (p *Parser) parseAttrs() (attrs, error) {
 				// bind(...) switch subset (identifiers, for functions).
 				if p.cur().Kind == TokIdent && p.cur().Text == "bind" {
 					p.next()
-					if _, err := p.expect("("); err != nil {
+					if err := p.expect("("); err != nil {
 						return a, err
 					}
 					for {
@@ -147,12 +214,12 @@ func (p *Parser) parseAttrs() (attrs, error) {
 						if err != nil {
 							return a, err
 						}
-						a.bindOnly = append(a.bindOnly, id.Text)
+						a.bindOnly = append(a.bindOnly, id)
 						if !p.accept(",") {
 							break
 						}
 					}
-					if _, err := p.expect(")"); err != nil {
+					if err := p.expect(")"); err != nil {
 						return a, err
 					}
 				} else {
@@ -162,8 +229,8 @@ func (p *Parser) parseAttrs() (attrs, error) {
 						if t.Kind != TokNumber {
 							return a, errf(t.Pos, "expected domain value, found %s", t)
 						}
-						p.next()
 						v := t.Num
+						p.next()
 						if neg {
 							v = -v
 						}
@@ -173,7 +240,7 @@ func (p *Parser) parseAttrs() (attrs, error) {
 						}
 					}
 				}
-				if _, err := p.expect(")"); err != nil {
+				if err := p.expect(")"); err != nil {
 					return a, err
 				}
 			}
@@ -197,8 +264,8 @@ func (p *Parser) parseTopLevel(u *Unit) (Node, error) {
 		return nil, nil
 	}
 	// Enum declaration: enum Name { ... };
-	if p.peekIs("enum") && p.toks[p.pos+1].Kind == TokIdent &&
-		p.toks[p.pos+2].Kind == TokPunct && p.toks[p.pos+2].Text == "{" {
+	if p.peekIs("enum") && p.peek(1).Kind == TokIdent &&
+		p.peek(2).Kind == TokPunct && p.peek(2).Text == "{" {
 		return p.parseEnumDecl(u)
 	}
 
@@ -216,25 +283,25 @@ func (p *Parser) parseTopLevel(u *Unit) (Node, error) {
 	// Function-pointer declarator: T (*name)(params)
 	if p.peekIs("(") {
 		p.next()
-		if _, err := p.expect("*"); err != nil {
+		if err := p.expect("*"); err != nil {
 			return nil, err
 		}
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
 		params, _, err := p.parseParamTypes()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
 		sym := &VarSym{
-			Name:       name.Text,
+			Name:       name,
 			Type:       PointerTo(FuncType(ty, params)),
 			Storage:    storageOf(a),
 			Extern:     a.extern,
@@ -260,11 +327,12 @@ func (p *Parser) parseTopLevel(u *Unit) (Node, error) {
 		if lenTok.Kind != TokNumber {
 			return nil, errf(lenTok.Pos, "expected array length, found %s", lenTok)
 		}
+		n := lenTok.Num
 		p.next()
-		if _, err := p.expect("]"); err != nil {
+		if err := p.expect("]"); err != nil {
 			return nil, err
 		}
-		ty = ArrayOf(ty, lenTok.Num)
+		ty = ArrayOf(ty, n)
 	}
 	var init Expr
 	if p.accept("=") {
@@ -273,14 +341,14 @@ func (p *Parser) parseTopLevel(u *Unit) (Node, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(";"); err != nil {
+	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
 	if len(a.bindOnly) > 0 {
-		return nil, errf(startPos, "bind(...) belongs on a multiverse function, not on variable %q", name.Text)
+		return nil, errf(startPos, "bind(...) belongs on a multiverse function, not on variable %q", name)
 	}
 	sym := &VarSym{
-		Name:       name.Text,
+		Name:       name,
 		Type:       ty,
 		Storage:    storageOf(a),
 		Extern:     a.extern,
@@ -304,10 +372,10 @@ func (p *Parser) parseEnumDecl(u *Unit) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	e := &EnumDecl{P: pos, Name: name.Text}
+	e := &EnumDecl{P: pos, Name: name}
 	next := int64(0)
 	for !p.peekIs("}") {
 		id, err := p.expectIdent()
@@ -320,23 +388,23 @@ func (p *Parser) parseEnumDecl(u *Unit) (Node, error) {
 			if t.Kind != TokNumber {
 				return nil, errf(t.Pos, "expected enumerator value, found %s", t)
 			}
-			p.next()
 			next = t.Num
+			p.next()
 			if neg {
 				next = -next
 			}
 		}
-		e.Names = append(e.Names, id.Text)
+		e.Names = append(e.Names, id)
 		e.Values = append(e.Values, next)
 		next++
 		if !p.accept(",") {
 			break
 		}
 	}
-	if _, err := p.expect("}"); err != nil {
+	if err := p.expect("}"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(";"); err != nil {
+	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
 	if len(e.Names) == 0 {
@@ -351,7 +419,7 @@ func (p *Parser) parseEnumDecl(u *Unit) (Node, error) {
 
 // parseParamTypes parses "(void)" or "(T a, T b, ...)"; names optional.
 func (p *Parser) parseParamTypes() ([]*Type, []string, error) {
-	if _, err := p.expect("("); err != nil {
+	if err := p.expect("("); err != nil {
 		return nil, nil, err
 	}
 	var types []*Type
@@ -359,7 +427,7 @@ func (p *Parser) parseParamTypes() ([]*Type, []string, error) {
 	if p.accept(")") {
 		return nil, nil, nil
 	}
-	if p.peekIs("void") && p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == ")" {
+	if p.peekIs("void") && p.peek(1).Kind == TokPunct && p.peek(1).Text == ")" {
 		p.next()
 		p.next()
 		return nil, nil, nil
@@ -371,8 +439,9 @@ func (p *Parser) parseParamTypes() ([]*Type, []string, error) {
 		}
 		ty := p.parseStars(base)
 		name := ""
-		if p.cur().Kind == TokIdent {
-			name = p.next().Text
+		if t := p.cur(); t.Kind == TokIdent {
+			name = t.Text
+			p.next()
 		}
 		types = append(types, ty)
 		names = append(names, name)
@@ -380,20 +449,20 @@ func (p *Parser) parseParamTypes() ([]*Type, []string, error) {
 			break
 		}
 	}
-	if _, err := p.expect(")"); err != nil {
+	if err := p.expect(")"); err != nil {
 		return nil, nil, err
 	}
 	return types, names, nil
 }
 
-func (p *Parser) parseFunc(a attrs, ret *Type, name Token, pos Pos) (Node, error) {
+func (p *Parser) parseFunc(a attrs, ret *Type, name string, pos Pos) (Node, error) {
 	types, names, err := p.parseParamTypes()
 	if err != nil {
 		return nil, err
 	}
 	fd := &FuncDecl{
 		P:          pos,
-		Name:       name.Text,
+		Name:       name,
 		Ret:        ret,
 		Multiverse: a.multiverse,
 		BindOnly:   a.bindOnly,
@@ -401,7 +470,7 @@ func (p *Parser) parseFunc(a attrs, ret *Type, name Token, pos Pos) (Node, error
 		Static:     a.static,
 	}
 	if len(a.domain) > 0 {
-		return nil, errf(pos, "a value domain belongs on the switch variable, not on function %q", name.Text)
+		return nil, errf(pos, "a value domain belongs on the switch variable, not on function %q", name)
 	}
 	for i, ty := range types {
 		fd.Params = append(fd.Params, &VarSym{
@@ -424,14 +493,14 @@ func (p *Parser) parseFunc(a attrs, ret *Type, name Token, pos Pos) (Node, error
 // ---- Statements ----
 
 func (p *Parser) parseBlock() (*Block, error) {
-	open, err := p.expect("{")
-	if err != nil {
+	pos := p.cur().Pos
+	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
-	b := &Block{stmtBase: stmtBase{P: open.Pos}}
+	b := &Block{stmtBase: stmtBase{P: pos}}
 	for !p.peekIs("}") {
 		if p.atEOF() {
-			return nil, errf(open.Pos, "unterminated block")
+			return nil, errf(pos, "unterminated block")
 		}
 		s, err := p.parseStmt()
 		if err != nil {
@@ -444,25 +513,25 @@ func (p *Parser) parseBlock() (*Block, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
-	t := p.cur()
+	pos := p.cur().Pos
 	switch {
 	case p.peekIs("{"):
 		return p.parseBlock()
 
 	case p.peekIs(";"):
 		p.next()
-		return &Empty{stmtBase{t.Pos}}, nil
+		return &Empty{stmtBase{pos}}, nil
 
 	case p.peekIs("if"):
 		p.next()
-		if _, err := p.expect("("); err != nil {
+		if err := p.expect("("); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
 		then, err := p.parseStmt()
@@ -476,25 +545,25 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		return &If{stmtBase{t.Pos}, cond, then, els}, nil
+		return &If{stmtBase{pos}, cond, then, els}, nil
 
 	case p.peekIs("while"):
 		p.next()
-		if _, err := p.expect("("); err != nil {
+		if err := p.expect("("); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		return &While{stmtBase{t.Pos}, cond, body, 0}, nil
+		return &While{stmtBase{pos}, cond, body, 0}, nil
 
 	case p.peekIs("do"):
 		p.next()
@@ -502,27 +571,27 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect("while"); err != nil {
+		if err := p.expect("while"); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect("("); err != nil {
+		if err := p.expect("("); err != nil {
 			return nil, err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &DoWhile{stmtBase{t.Pos}, body, cond, 0}, nil
+		return &DoWhile{stmtBase{pos}, body, cond, 0}, nil
 
 	case p.peekIs("for"):
 		p.next()
-		if _, err := p.expect("("); err != nil {
+		if err := p.expect("("); err != nil {
 			return nil, err
 		}
 		var init Stmt
@@ -539,7 +608,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 					return nil, err
 				}
 				init = &ExprStmt{stmtBase{x.Pos()}, x}
-				if _, err := p.expect(";"); err != nil {
+				if err := p.expect(";"); err != nil {
 					return nil, err
 				}
 			}
@@ -554,7 +623,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
 		var post Expr
@@ -565,14 +634,14 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(")"); err != nil {
+		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
 		body, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		return &For{stmtBase{t.Pos}, init, cond, post, body, 0}, nil
+		return &For{stmtBase{pos}, init, cond, post, body, 0}, nil
 
 	case p.peekIs("switch"):
 		return p.parseSwitch()
@@ -587,24 +656,24 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &Return{stmtBase{t.Pos}, x}, nil
+		return &Return{stmtBase{pos}, x}, nil
 
 	case p.peekIs("break"):
 		p.next()
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &Break{stmtBase{t.Pos}}, nil
+		return &Break{stmtBase{pos}}, nil
 
 	case p.peekIs("continue"):
 		p.next()
-		if _, err := p.expect(";"); err != nil {
+		if err := p.expect(";"); err != nil {
 			return nil, err
 		}
-		return &Continue{stmtBase{t.Pos}}, nil
+		return &Continue{stmtBase{pos}}, nil
 
 	case p.startsType():
 		return p.parseLocalDecl()
@@ -614,26 +683,26 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(";"); err != nil {
+	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{stmtBase{t.Pos}, x}, nil
+	return &ExprStmt{stmtBase{pos}, x}, nil
 }
 
 func (p *Parser) parseSwitch() (Stmt, error) {
 	pos := p.cur().Pos
 	p.next() // switch
-	if _, err := p.expect("("); err != nil {
+	if err := p.expect("("); err != nil {
 		return nil, err
 	}
 	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(")"); err != nil {
+	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if err := p.expect("{"); err != nil {
 		return nil, err
 	}
 	sw := &Switch{stmtBase: stmtBase{pos}, Cond: cond}
@@ -644,12 +713,13 @@ func (p *Parser) parseSwitch() (Stmt, error) {
 		}
 		switch {
 		case p.peekIs("case"):
-			cp := p.next().Pos
+			cp := p.cur().Pos
+			p.next()
 			val, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(":"); err != nil {
+			if err := p.expect(":"); err != nil {
 				return nil, err
 			}
 			cur = &SwitchCase{P: cp, Stmts: nil}
@@ -659,8 +729,9 @@ func (p *Parser) parseSwitch() (Stmt, error) {
 			cur.Stmts = append(cur.Stmts, &ExprStmt{stmtBase{cp}, val})
 			sw.Cases = append(sw.Cases, cur)
 		case p.peekIs("default"):
-			cp := p.next().Pos
-			if _, err := p.expect(":"); err != nil {
+			cp := p.cur().Pos
+			p.next()
+			if err := p.expect(":"); err != nil {
 				return nil, err
 			}
 			cur = &SwitchCase{P: cp, IsDefault: true}
@@ -699,10 +770,10 @@ func (p *Parser) parseLocalDecl() (Stmt, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(";"); err != nil {
+	if err := p.expect(";"); err != nil {
 		return nil, err
 	}
-	sym := &VarSym{Name: name.Text, Type: ty, Storage: StorageLocal}
+	sym := &VarSym{Name: name, Type: ty, Storage: StorageLocal}
 	return &DeclStmt{stmtBase{pos}, sym, init}, nil
 }
 
@@ -722,12 +793,13 @@ func (p *Parser) parseAssign() (Expr, error) {
 	}
 	t := p.cur()
 	if t.Kind == TokPunct && assignOps[t.Text] {
+		pos, op := t.Pos, t.Text
 		p.next()
 		rhs, err := p.parseAssign()
 		if err != nil {
 			return nil, err
 		}
-		return &Assign{exprBase{P: t.Pos}, t.Text, lhs, rhs}, nil
+		return &Assign{exprBase{P: pos}, op, lhs, rhs}, nil
 	}
 	return lhs, nil
 }
@@ -740,19 +812,20 @@ func (p *Parser) parseTernary() (Expr, error) {
 	if !p.peekIs("?") {
 		return c, nil
 	}
-	q := p.next()
+	pos := p.cur().Pos
+	p.next()
 	tExpr, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(":"); err != nil {
+	if err := p.expect(":"); err != nil {
 		return nil, err
 	}
 	fExpr, err := p.parseTernary()
 	if err != nil {
 		return nil, err
 	}
-	return &Cond{exprBase{P: q.Pos}, c, tExpr, fExpr}, nil
+	return &Cond{exprBase{P: pos}, c, tExpr, fExpr}, nil
 }
 
 // binary operator precedence levels, low to high.
@@ -791,37 +864,39 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 		if !matched {
 			return lhs, nil
 		}
+		pos, op := t.Pos, t.Text
 		p.next()
 		rhs, err := p.parseBinary(level + 1)
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{exprBase{P: t.Pos}, t.Text, lhs, rhs}
+		lhs = &Binary{exprBase{P: pos}, op, lhs, rhs}
 	}
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
 	t := p.cur()
 	if t.Kind == TokPunct {
-		switch t.Text {
+		pos, op := t.Pos, t.Text
+		switch op {
 		case "-", "!", "~", "*", "&":
 			p.next()
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			return &Unary{exprBase{P: t.Pos}, t.Text, x}, nil
+			return &Unary{exprBase{P: pos}, op, x}, nil
 		case "++", "--":
 			p.next()
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			return &IncDec{exprBase{P: t.Pos}, t.Text, x, true}, nil
+			return &IncDec{exprBase{P: pos}, op, x, true}, nil
 		case "(":
 			// Cast: "(" type ")" unary — disambiguate by lookahead.
-			if p.toks[p.pos+1].Kind == TokKeyword {
-				kw := p.toks[p.pos+1].Text
+			if la := p.peek(1); la.Kind == TokKeyword {
+				kw := la.Text
 				if _, isType := typeKeywords[kw]; isType || kw == "enum" {
 					p.next()
 					base, err := p.parseTypeSpec()
@@ -829,14 +904,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 						return nil, err
 					}
 					ty := p.parseStars(base)
-					if _, err := p.expect(")"); err != nil {
+					if err := p.expect(")"); err != nil {
 						return nil, err
 					}
 					x, err := p.parseUnary()
 					if err != nil {
 						return nil, err
 					}
-					return &Cast{exprBase{P: t.Pos}, ty, x}, nil
+					return &Cast{exprBase{P: pos}, ty, x}, nil
 				}
 			}
 		}
@@ -850,7 +925,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		t := p.cur()
+		pos := p.cur().Pos
 		switch {
 		case p.peekIs("("):
 			p.next()
@@ -867,13 +942,13 @@ func (p *Parser) parsePostfix() (Expr, error) {
 					}
 				}
 			}
-			if _, err := p.expect(")"); err != nil {
+			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
 			if vr, ok := x.(*VarRef); ok && builtinNames[vr.Name] {
-				x = &Builtin{exprBase{P: t.Pos}, vr.Name, args}
+				x = &Builtin{exprBase{P: pos}, vr.Name, args}
 			} else {
-				x = &Call{exprBase{P: t.Pos}, x, args, 0}
+				x = &Call{exprBase{P: pos}, x, args, 0}
 			}
 		case p.peekIs("["):
 			p.next()
@@ -881,13 +956,14 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect("]"); err != nil {
+			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			x = &Index{exprBase{P: t.Pos}, x, idx}
+			x = &Index{exprBase{P: pos}, x, idx}
 		case p.peekIs("++"), p.peekIs("--"):
+			op := p.cur().Text
 			p.next()
-			x = &IncDec{exprBase{P: t.Pos}, t.Text, x, false}
+			x = &IncDec{exprBase{P: pos}, op, x, false}
 		default:
 			return x, nil
 		}
@@ -902,24 +978,28 @@ var builtinNames = map[string]bool{
 
 func (p *Parser) parsePrimary() (Expr, error) {
 	t := p.cur()
+	pos := t.Pos
 	switch t.Kind {
 	case TokNumber, TokChar:
+		v := t.Num
 		p.next()
-		return &IntLit{exprBase{P: t.Pos}, t.Num}, nil
+		return &IntLit{exprBase{P: pos}, v}, nil
 	case TokString:
+		str := t.Str
 		p.next()
-		return &StrLit{exprBase{P: t.Pos}, t.Str}, nil
+		return &StrLit{exprBase{P: pos}, str}, nil
 	case TokIdent:
+		name := t.Text
 		p.next()
-		return &VarRef{exprBase: exprBase{P: t.Pos}, Name: t.Text}, nil
+		return &VarRef{exprBase: exprBase{P: pos}, Name: name}, nil
 	case TokKeyword:
 		switch t.Text {
 		case "true":
 			p.next()
-			return &IntLit{exprBase{P: t.Pos}, 1}, nil
+			return &IntLit{exprBase{P: pos}, 1}, nil
 		case "false":
 			p.next()
-			return &IntLit{exprBase{P: t.Pos}, 0}, nil
+			return &IntLit{exprBase{P: pos}, 0}, nil
 		}
 	case TokPunct:
 		if t.Text == "(" {
@@ -928,7 +1008,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(")"); err != nil {
+			if err := p.expect(")"); err != nil {
 				return nil, err
 			}
 			return x, nil

@@ -302,7 +302,7 @@ func (l *Lexer) Next() (Token, error) {
 	}
 
 	for _, p := range puncts {
-		if len(l.src)-l.off >= len(p) && l.src[l.off:l.off+len(p)] == p {
+		if p[0] == b && len(l.src)-l.off >= len(p) && l.src[l.off:l.off+len(p)] == p {
 			for range p {
 				l.advance()
 			}

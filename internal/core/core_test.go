@@ -94,6 +94,63 @@ func TestVariantGenerationMergesFigure2(t *testing.T) {
 	}
 }
 
+// threeSwitchSrc crosses three switches of domain 4 (64 raw variants).
+// Values on one side of a threshold fold to the same body, and B's
+// merged group {0,1,3} is not contiguous, so it needs two guard boxes.
+const threeSwitchSrc = `
+	multiverse(0, 1, 2, 3) int A;
+	multiverse(0, 1, 2, 3) int B;
+	multiverse(0, 1, 2, 3) int C;
+	multiverse long f(long x) {
+		long r = x;
+		if (A > 1) { r = r * 3; } else { r = r + 1; }
+		if (B == 2) { r = r - 7; }
+		if (C > 0 && A == 3) { r = r ^ 5; }
+		return r;
+	}
+	long run(long x) { return f(x); }
+`
+
+func TestVariantMergeThreeSwitches(t *testing.T) {
+	for _, tc := range []struct {
+		opts   GenOptions
+		merged int
+		names  []string
+	}{
+		{GenOptions{}, 6, []string{
+			"f.A=0-1.B=0-1.C=0-3",
+			"f.A=0-1.B=2.C=0-3",
+			"f.A=2-3.B=0-1.C=0",
+			"f.A=2-3.B=2.C=0",
+			"f.A=3.B=0-1.C=1-3",
+			"f.A=3.B=2.C=1-3",
+		}},
+		// Unoptimized bodies still differ in their substituted
+		// constants, so nothing merges.
+		{GenOptions{DisableOptimizer: true}, 64, nil},
+	} {
+		_, rep, err := BuildImage(tc.opts, Source{Name: "three.mvc", Text: threeSwitchSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Functions) != 1 {
+			t.Fatalf("reports = %+v", rep.Functions)
+		}
+		fr := rep.Functions[0]
+		if fr.RawVariants != 64 || fr.MergedVariants != tc.merged {
+			t.Errorf("%+v: raw/merged = %d/%d, want 64/%d", tc.opts, fr.RawVariants, fr.MergedVariants, tc.merged)
+		}
+		if len(fr.VariantSrc) != tc.merged {
+			t.Errorf("%+v: %d variant symbols, want %d", tc.opts, len(fr.VariantSrc), tc.merged)
+		}
+		for _, name := range tc.names {
+			if _, ok := fr.VariantSrc[name]; !ok {
+				t.Errorf("no variant %s", name)
+			}
+		}
+	}
+}
+
 func TestCommitSemantics(t *testing.T) {
 	sys := buildFig2(t)
 

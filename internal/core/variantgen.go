@@ -230,10 +230,12 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 		}
 		warns := mvir.Substitute(clone, sub)
 		report.Warnings = append(report.Warnings, warns...)
-		if !opts.DisableOptimizer {
-			mvir.Optimize(clone)
+		var fp string
+		if opts.DisableOptimizer {
+			fp = mvir.Fingerprint(clone)
+		} else {
+			fp = mvir.Optimize(clone)
 		}
-		fp := mvir.Fingerprint(clone)
 		g, ok := groups[fp]
 		if !ok {
 			g = &group{repr: clone}

@@ -21,6 +21,13 @@ func BuildManyCallSites(n int) (*core.System, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("kernelsim: need at least 2 call sites")
 	}
+	return core.BuildSystem(core.GenOptions{}, nil, ManyCallSitesSource(n))
+}
+
+// ManyCallSitesSource is the source BuildManyCallSites compiles: a
+// multiversed spinlock pair and (n+1)/2 subsystem functions that each
+// take and release the lock once.
+func ManyCallSitesSource(n int) core.Source {
 	var sb strings.Builder
 	sb.WriteString(`
 		multiverse int config_smp;
@@ -43,8 +50,7 @@ func BuildManyCallSites(n int) (*core.System, error) {
 	for i := 0; i < funcs; i++ {
 		fmt.Fprintf(&sb, "void subsys_%d(void) { spin_lock(&lock_word); spin_unlock(&lock_word); }\n", i)
 	}
-	return core.BuildSystem(core.GenOptions{}, nil,
-		core.Source{Name: "bigkernel", Text: sb.String()})
+	return core.Source{Name: "bigkernel", Text: sb.String()}
 }
 
 // PatchReport is the outcome of timing one full commit.

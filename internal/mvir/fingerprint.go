@@ -1,10 +1,8 @@
 package mvir
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strings"
+	"reflect"
+	"strconv"
 
 	"repro/internal/cc"
 )
@@ -16,211 +14,203 @@ import (
 // (paper §3: "merge function bodies that become equal after
 // optimization").
 func Fingerprint(f *cc.FuncDecl) string {
-	p := &printer{locals: make(map[*cc.VarSym]int)}
+	var p printer
+	return string(p.fingerprint(nil, f))
+}
+
+// printer renders fingerprints without fmt, appending to a byte
+// buffer the caller owns. One printer can render many; each clears and
+// reuses the local-numbering map.
+type printer struct {
+	locals map[*cc.VarSym]int64
+}
+
+// fingerprint renders f's fingerprint into dst[:0], growing it as
+// needed, and returns the result.
+func (p *printer) fingerprint(dst []byte, f *cc.FuncDecl) []byte {
+	if p.locals == nil {
+		p.locals = make(map[*cc.VarSym]int64)
+	} else {
+		clear(p.locals)
+	}
 	for _, param := range f.Params {
 		p.localID(param)
 	}
-	fmt.Fprintf(&p.sb, "func(%d)%s{", len(f.Params), typeSig(f.Ret))
+	b := append(dst[:0], "func("...)
+	b = strconv.AppendInt(b, int64(len(f.Params)), 10)
+	b = append(b, ')')
+	b = appendTypeSig(b, f.Ret)
+	b = append(b, '{')
 	if f.Body != nil {
-		p.stmt(f.Body)
+		b = p.stmt(b, f.Body)
 	}
-	p.sb.WriteString("}")
-	return p.sb.String()
+	return append(b, '}')
 }
 
-// FingerprintHash returns a short stable hash of the fingerprint,
-// usable as a map key or symbol suffix.
-func FingerprintHash(f *cc.FuncDecl) string {
-	sum := sha256.Sum256([]byte(Fingerprint(f)))
-	return hex.EncodeToString(sum[:8])
-}
-
-type printer struct {
-	sb     strings.Builder
-	locals map[*cc.VarSym]int
-}
-
-func (p *printer) localID(s *cc.VarSym) int {
+func (p *printer) localID(s *cc.VarSym) int64 {
 	if id, ok := p.locals[s]; ok {
 		return id
 	}
-	id := len(p.locals)
+	id := int64(len(p.locals))
 	p.locals[s] = id
 	return id
 }
 
-func typeSig(t *cc.Type) string {
+func appendTypeSig(b []byte, t *cc.Type) []byte {
 	if t == nil {
-		return "?"
+		return append(b, '?')
 	}
 	switch t.Kind {
 	case cc.KindVoid:
-		return "v"
+		return append(b, 'v')
 	case cc.KindBool:
-		return "b"
+		return append(b, 'b')
 	case cc.KindInt, cc.KindEnum:
-		sign := "u"
 		if t.IsSigned() {
-			sign = "i"
+			b = append(b, 'i')
+		} else {
+			b = append(b, 'u')
 		}
-		return fmt.Sprintf("%s%d", sign, t.ByteSize()*8)
+		return strconv.AppendInt(b, t.ByteSize()*8, 10)
 	case cc.KindPtr:
-		return "p" + typeSig(t.Elem)
+		return appendTypeSig(append(b, 'p'), t.Elem)
 	case cc.KindArray:
-		return fmt.Sprintf("a%d%s", t.ArrayLen, typeSig(t.Elem))
+		b = strconv.AppendInt(append(b, 'a'), t.ArrayLen, 10)
+		return appendTypeSig(b, t.Elem)
 	case cc.KindFunc:
-		var ps []string
-		for _, q := range t.Params {
-			ps = append(ps, typeSig(q))
+		b = append(b, "f("...)
+		for i, q := range t.Params {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendTypeSig(b, q)
 		}
-		return fmt.Sprintf("f(%s)%s", strings.Join(ps, ","), typeSig(t.Ret))
+		return appendTypeSig(append(b, ')'), t.Ret)
 	}
-	return "?"
+	return append(b, '?')
 }
 
-func (p *printer) expr(e cc.Expr) {
+func (p *printer) expr(b []byte, e cc.Expr) []byte {
 	switch e := e.(type) {
 	case nil:
-		p.sb.WriteString("_")
+		return append(b, '_')
 	case *cc.IntLit:
-		fmt.Fprintf(&p.sb, "#%d:%s", e.Value, typeSig(e.Type()))
+		b = strconv.AppendInt(append(b, '#'), e.Value, 10)
+		return appendTypeSig(append(b, ':'), e.Type())
 	case *cc.StrLit:
-		fmt.Fprintf(&p.sb, "%q", e.Value)
+		return strconv.AppendQuote(b, e.Value)
 	case *cc.VarRef:
 		if e.Sym != nil && (e.Sym.Storage == cc.StorageLocal || e.Sym.Storage == cc.StorageParam) {
-			fmt.Fprintf(&p.sb, "l%d", p.localID(e.Sym))
-		} else {
-			fmt.Fprintf(&p.sb, "g:%s", e.Name)
+			return strconv.AppendInt(append(b, 'l'), p.localID(e.Sym), 10)
 		}
+		return append(append(b, "g:"...), e.Name...)
 	case *cc.Unary:
-		fmt.Fprintf(&p.sb, "(%s", e.Op)
-		p.expr(e.X)
-		p.sb.WriteString(")")
+		b = append(append(b, '('), e.Op...)
+		b = p.expr(b, e.X)
+		return append(b, ')')
 	case *cc.Binary:
-		fmt.Fprintf(&p.sb, "(%s:%s ", e.Op, typeSig(e.Type()))
-		p.expr(e.X)
-		p.sb.WriteString(" ")
-		p.expr(e.Y)
-		p.sb.WriteString(")")
+		b = append(append(b, '('), e.Op...)
+		b = appendTypeSig(append(b, ':'), e.Type())
+		b = p.expr(append(b, ' '), e.X)
+		b = p.expr(append(b, ' '), e.Y)
+		return append(b, ')')
 	case *cc.Assign:
-		fmt.Fprintf(&p.sb, "(%s ", e.Op)
-		p.expr(e.LHS)
-		p.sb.WriteString(" ")
-		p.expr(e.RHS)
-		p.sb.WriteString(")")
+		b = append(append(b, '('), e.Op...)
+		b = p.expr(append(b, ' '), e.LHS)
+		b = p.expr(append(b, ' '), e.RHS)
+		return append(b, ')')
 	case *cc.IncDec:
-		fmt.Fprintf(&p.sb, "(%s ", e.Op)
-		p.expr(e.X)
-		p.sb.WriteString(")")
+		b = append(append(b, '('), e.Op...)
+		b = p.expr(append(b, ' '), e.X)
+		return append(b, ')')
 	case *cc.Call:
-		p.sb.WriteString("(call ")
-		p.expr(e.Fn)
+		b = p.expr(append(b, "(call "...), e.Fn)
 		for _, a := range e.Args {
-			p.sb.WriteString(" ")
-			p.expr(a)
+			b = p.expr(append(b, ' '), a)
 		}
-		p.sb.WriteString(")")
+		return append(b, ')')
 	case *cc.Index:
-		p.sb.WriteString("(idx ")
-		p.expr(e.Base)
-		p.sb.WriteString(" ")
-		p.expr(e.Idx)
-		p.sb.WriteString(")")
+		b = p.expr(append(b, "(idx "...), e.Base)
+		b = p.expr(append(b, ' '), e.Idx)
+		return append(b, ')')
 	case *cc.Cast:
-		fmt.Fprintf(&p.sb, "(cast:%s ", typeSig(e.To))
-		p.expr(e.X)
-		p.sb.WriteString(")")
+		b = appendTypeSig(append(b, "(cast:"...), e.To)
+		b = p.expr(append(b, ' '), e.X)
+		return append(b, ')')
 	case *cc.Cond:
-		p.sb.WriteString("(?: ")
-		p.expr(e.C)
-		p.sb.WriteString(" ")
-		p.expr(e.T)
-		p.sb.WriteString(" ")
-		p.expr(e.F)
-		p.sb.WriteString(")")
+		b = p.expr(append(b, "(?: "...), e.C)
+		b = p.expr(append(b, ' '), e.T)
+		b = p.expr(append(b, ' '), e.F)
+		return append(b, ')')
 	case *cc.Builtin:
-		fmt.Fprintf(&p.sb, "(%s", e.Name)
+		b = append(append(b, '('), e.Name...)
 		for _, a := range e.Args {
-			p.sb.WriteString(" ")
-			p.expr(a)
+			b = p.expr(append(b, ' '), a)
 		}
-		p.sb.WriteString(")")
-	default:
-		fmt.Fprintf(&p.sb, "?%T", e)
+		return append(b, ')')
 	}
+	return append(append(b, '?'), reflect.TypeOf(e).String()...)
 }
 
-func (p *printer) stmt(s cc.Stmt) {
+func (p *printer) stmt(b []byte, s cc.Stmt) []byte {
 	switch s := s.(type) {
-	case nil:
+	case nil, *cc.Empty:
+		return b
 	case *cc.Block:
-		p.sb.WriteString("{")
+		b = append(b, '{')
 		for _, st := range s.Stmts {
-			p.stmt(st)
+			b = p.stmt(b, st)
 		}
-		p.sb.WriteString("}")
+		return append(b, '}')
 	case *cc.DeclStmt:
-		fmt.Fprintf(&p.sb, "decl l%d:%s", p.localID(s.Sym), typeSig(s.Sym.Type))
+		b = strconv.AppendInt(append(b, "decl l"...), p.localID(s.Sym), 10)
+		b = appendTypeSig(append(b, ':'), s.Sym.Type)
 		if s.Init != nil {
-			p.sb.WriteString("=")
-			p.expr(s.Init)
+			b = p.expr(append(b, '='), s.Init)
 		}
-		p.sb.WriteString(";")
+		return append(b, ';')
 	case *cc.ExprStmt:
-		p.expr(s.X)
-		p.sb.WriteString(";")
+		return append(p.expr(b, s.X), ';')
 	case *cc.If:
-		p.sb.WriteString("if ")
-		p.expr(s.Cond)
-		p.stmt(s.Then)
+		b = p.expr(append(b, "if "...), s.Cond)
+		b = p.stmt(b, s.Then)
 		if s.Else != nil {
-			p.sb.WriteString("else")
-			p.stmt(s.Else)
+			b = p.stmt(append(b, "else"...), s.Else)
 		}
+		return b
 	case *cc.While:
-		p.sb.WriteString("while ")
-		p.expr(s.Cond)
-		p.stmt(s.Body)
+		b = p.expr(append(b, "while "...), s.Cond)
+		return p.stmt(b, s.Body)
 	case *cc.DoWhile:
-		p.sb.WriteString("do")
-		p.stmt(s.Body)
-		p.sb.WriteString("while ")
-		p.expr(s.Cond)
-		p.sb.WriteString(";")
+		b = p.stmt(append(b, "do"...), s.Body)
+		b = p.expr(append(b, "while "...), s.Cond)
+		return append(b, ';')
 	case *cc.For:
-		p.sb.WriteString("for(")
-		p.stmt(s.Init)
-		p.sb.WriteString(";")
-		p.expr(s.Cond)
-		p.sb.WriteString(";")
-		p.expr(s.Post)
-		p.sb.WriteString(")")
-		p.stmt(s.Body)
+		b = p.stmt(append(b, "for("...), s.Init)
+		b = p.expr(append(b, ';'), s.Cond)
+		b = p.expr(append(b, ';'), s.Post)
+		return p.stmt(append(b, ')'), s.Body)
 	case *cc.Switch:
-		p.sb.WriteString("switch ")
-		p.expr(s.Cond)
-		p.sb.WriteString("{")
+		b = p.expr(append(b, "switch "...), s.Cond)
+		b = append(b, '{')
 		for _, cs := range s.Cases {
 			if cs.IsDefault {
-				p.sb.WriteString("default:")
+				b = append(b, "default:"...)
 			} else {
-				fmt.Fprintf(&p.sb, "case %d:", cs.Val)
+				b = append(strconv.AppendInt(append(b, "case "...), cs.Val, 10), ':')
 			}
 			for _, st := range cs.Stmts {
-				p.stmt(st)
+				b = p.stmt(b, st)
 			}
 		}
-		p.sb.WriteString("}")
+		return append(b, '}')
 	case *cc.Return:
-		p.sb.WriteString("return ")
-		p.expr(s.X)
-		p.sb.WriteString(";")
+		b = p.expr(append(b, "return "...), s.X)
+		return append(b, ';')
 	case *cc.Break:
-		p.sb.WriteString("break;")
+		return append(b, "break;"...)
 	case *cc.Continue:
-		p.sb.WriteString("continue;")
-	case *cc.Empty:
-	default:
-		fmt.Fprintf(&p.sb, "?%T", s)
+		return append(b, "continue;"...)
 	}
+	return append(append(b, '?'), reflect.TypeOf(s).String()...)
 }

@@ -1,6 +1,8 @@
 package mvir
 
 import (
+	"bytes"
+
 	"repro/internal/cc"
 )
 
@@ -10,11 +12,18 @@ import (
 // dead-store elimination. It corresponds to the subset of GCC's
 // optimizers the paper identifies as "of special effectiveness":
 // constant propagation, constant folding and dead-code elimination.
-func Optimize(f *cc.FuncDecl) {
+//
+// A round that leaves the fingerprint unchanged ends the loop. Each
+// round prints into the buffer of the round before last, and Optimize
+// returns the final fingerprint, Fingerprint(f) of the body it leaves,
+// which the variant generator uses as the merge key.
+func Optimize(f *cc.FuncDecl) string {
+	var p printer
+	prev := p.fingerprint(nil, f)
 	if f.Body == nil {
-		return
+		return string(prev)
 	}
-	prev := Fingerprint(f)
+	cur := make([]byte, 0, len(prev)) // rounds seldom grow a body
 	for i := 0; i < 16; i++ {
 		o := &optimizer{addrTaken: addrTakenLocals(f)}
 		body := o.stmt(f.Body, env{})
@@ -26,12 +35,13 @@ func Optimize(f *cc.FuncDecl) {
 			f.Body = &cc.Block{Stmts: []cc.Stmt{body}}
 		}
 		removeDeadLocals(f)
-		cur := Fingerprint(f)
-		if cur == prev {
-			return
+		cur = p.fingerprint(cur, f)
+		if bytes.Equal(cur, prev) {
+			break
 		}
-		prev = cur
+		prev, cur = cur, prev
 	}
+	return string(prev)
 }
 
 // env tracks locals currently known to hold a constant.
