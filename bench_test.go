@@ -450,23 +450,37 @@ func BenchmarkCPythonGCAlloc(b *testing.B) {
 
 // --- E7: mass call-site patching ---
 
+// BenchmarkCommitManyCallsites times one commit of the E7 kernel in
+// each commit mode (parked, stop, poke). Every iteration flips
+// config_smp, so each commit rewrites all 1162 call sites. A guest call
+// before timing leaves the CPU halted, as it is between the
+// reconfigure workload's operations.
 func BenchmarkCommitManyCallsites(b *testing.B) {
-	sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites)
-	if err != nil {
-		b.Fatal(err)
+	for _, mode := range []core.CommitMode{core.ModeParked, core.ModeStopMachine, core.ModeTextPoke} {
+		b.Run(mode.String(), func(b *testing.B) {
+			sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.Machine.CallNamed("subsys_0"); err != nil {
+				b.Fatal(err)
+			}
+			sys.RT.SetCommitOptions(core.CommitOptions{Mode: mode})
+			smp := false
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sites int
+			for i := 0; i < b.N; i++ {
+				smp = !smp
+				rep, err := kernelsim.TimeCommit(sys, smp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sites = rep.SitesTouched
+			}
+			b.ReportMetric(float64(sites), "sites/commit")
+		})
 	}
-	smp := false
-	b.ResetTimer()
-	var sites int
-	for i := 0; i < b.N; i++ {
-		smp = !smp
-		rep, err := kernelsim.TimeCommit(sys, smp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sites = rep.SitesTouched
-	}
-	b.ReportMetric(float64(sites), "sites/commit")
 }
 
 // BenchmarkCompile measures the compile pipeline phase by phase on the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -31,9 +32,12 @@ import (
 func (rt *Runtime) Audit() error {
 	var errs []error
 	for _, fs := range rt.funcs {
-		for _, st := range rt.sites[fs.fd.Generic] {
-			if err := rt.auditSite(st, rt.siteTargets(fs)); err != nil {
-				errs = append(errs, err)
+		if sites := rt.sites[fs.fd.Generic]; len(sites) > 0 {
+			targets := rt.siteTargets(fs)
+			for _, st := range sites {
+				if err := rt.auditSite(st, targets); err != nil {
+					errs = append(errs, err)
+				}
 			}
 		}
 		if err := rt.auditPrologue(fs); err != nil {
@@ -77,15 +81,15 @@ func (rt *Runtime) siteTargets(fs *funcState) map[uint64]bool {
 
 // auditSite checks one call site against the runtime's shadow state.
 func (rt *Runtime) auditSite(st *siteState, targets map[uint64]bool) error {
-	buf := make([]byte, st.size)
+	buf := rt.buf.audit[:st.size]
 	if err := rt.plat.Read(st.desc.Addr, buf); err != nil {
 		return fmt.Errorf("core: audit: reading site %#x: %w", st.desc.Addr, err)
 	}
-	if !bytesEqual(buf, st.current) {
+	if !bytes.Equal(buf, st.current[:st.size]) {
 		return fmt.Errorf("core: audit: site %#x holds %x, runtime expects %x (torn or tampered write)",
-			st.desc.Addr, buf, st.current)
+			st.desc.Addr, buf, st.current[:st.size])
 	}
-	if st.patched != !bytesEqual(st.current, st.original) {
+	if st.patched != (st.current != st.original) {
 		return fmt.Errorf("core: audit: site %#x patched flag %v disagrees with its bytes",
 			st.desc.Addr, st.patched)
 	}
@@ -99,7 +103,7 @@ func (rt *Runtime) auditSite(st *siteState, targets map[uint64]bool) error {
 // single call (with a legal target), the pristine original, or a
 // straight-line inlined payload padded with NOPs.
 func (rt *Runtime) auditSiteCode(st *siteState, buf []byte, targets map[uint64]bool) error {
-	if bytesEqual(buf, st.original) {
+	if bytes.Equal(buf, st.original[:st.size]) {
 		return nil // pristine sites were verified against the descriptor at load
 	}
 	in, err := isa.Decode(buf)

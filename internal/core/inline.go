@@ -69,10 +69,9 @@ func usesSP(in isa.Inst) bool {
 // inlined body: the payload followed by NOP filler up to the call-site
 // length. An empty payload becomes one maximal NOP (paper Figure 3c).
 func encodePatched(payload []byte) []byte {
-	out := make([]byte, 0, isa.CallSiteLen)
-	out = append(out, payload...)
-	if rest := isa.CallSiteLen - len(out); rest > 0 {
-		out = append(out, isa.EncodeNop(rest)...)
+	out := make([]byte, isa.CallSiteLen)
+	if n := copy(out, payload); n < len(out) {
+		isa.PutNop(out[n:])
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -11,8 +12,9 @@ import (
 // This file makes commits and reverts transactional. Every text write
 // the runtime performs inside one public operation (Commit, Revert,
 // CommitFunc, ...) is journaled first — old bytes and old page
-// protection — and every logical state change registers an undo
-// closure. If any step fails mid-operation, the journal is replayed
+// protection — every call-site shadow change journals the shadow, and
+// every other logical state change registers an undo closure. If any
+// step fails mid-operation, the journal is replayed
 // newest-first: the text image returns byte-identical to its
 // pre-operation state, stranded protection flips are undone, touched
 // icache ranges are re-flushed, and the caller gets a clean
@@ -52,30 +54,70 @@ func faultTransient(err error) bool {
 	return errors.As(err, &t) && t.FaultTransient()
 }
 
-// journalEntry is one undoable step: either a text write (old holds
-// the pre-write bytes) or a logical state change (undo != nil).
+// journalEntry is one undoable step, with its old bytes inline: every
+// journaled write (a call site, a prologue, a poke phase, an OSR slot
+// move) is at most isa.MemCallSiteLen bytes. It is one of
+//
+//   - a text write: old[:n] holds the pre-write bytes at addr, prot the
+//     page protection when hasProt;
+//   - a call site's shadow (site != nil): old[:n] holds the site's
+//     previous current bytes, patched its previous patched flag;
+//   - any other logical state change (undo != nil).
 type journalEntry struct {
 	addr    uint64
-	old     []byte
+	site    *siteState
+	undo    func()
+	old     [isa.MemCallSiteLen]byte
+	n       uint8
 	prot    mem.Prot
 	hasProt bool
-	undo    func()
+	patched bool
 }
 
-// txn journals one public runtime operation.
+// txn journals one public runtime operation. Its entries are allocated
+// once, at the first entry, with room for size of them.
 type txn struct {
 	entries []journalEntry
+	size    int
 }
 
-// beginTxn opens a transaction, or returns nil when one is already
-// open: nested operations join the enclosing transaction, which owns
-// the rollback decision.
-func (rt *Runtime) beginTxn() *txn {
+// undosPerBinding bounds the logical undo entries one function or
+// pointer switch registers in an operation: its variant binding, its
+// metrics residency, and its deferred-queue slot.
+const undosPerBinding = 3
+
+// beginTxn opens a transaction for an operation that can touch ranges
+// patch ranges (call sites and prologues) of bindings functions and
+// pointer switches, or returns nil when one is already open: nested
+// operations join the enclosing transaction, which owns the rollback
+// decision. Each range journals its writes plus one shadow or prologue
+// entry; only on-stack replacement's frame writes can outgrow the size.
+func (rt *Runtime) beginTxn(ranges, bindings int) *txn {
 	if rt.tx != nil {
 		return nil
 	}
-	rt.tx = &txn{}
+	writes := 1
+	if rt.Options.Mode == ModeTextPoke {
+		writes = 3 // one entry per poke phase
+	}
+	rt.tx = &txn{size: ranges*(writes+1) + bindings*undosPerBinding}
 	return rt.tx
+}
+
+// newEntry appends a zero entry to the open transaction's journal and
+// returns it for the caller to fill in. The pointer is valid until the
+// next entry is appended. Outside a transaction nothing rolls back, and
+// the entry is a throwaway.
+func (rt *Runtime) newEntry() *journalEntry {
+	t := rt.tx
+	if t == nil {
+		return new(journalEntry)
+	}
+	if t.entries == nil {
+		t.entries = make([]journalEntry, 0, t.size)
+	}
+	t.entries = append(t.entries, journalEntry{})
+	return &t.entries[len(t.entries)-1]
 }
 
 // noteUndo registers a logical undo closure with the open transaction.
@@ -83,7 +125,18 @@ func (rt *Runtime) beginTxn() *txn {
 // interleaved correctly with byte restores.
 func (rt *Runtime) noteUndo(fn func()) {
 	if rt.tx != nil {
-		rt.tx.entries = append(rt.tx.entries, journalEntry{undo: fn})
+		rt.newEntry().undo = fn
+	}
+}
+
+// noteSite journals a call site's shadow (current bytes and patched
+// flag) before patchSite changes it.
+func (rt *Runtime) noteSite(st *siteState) {
+	if rt.tx != nil {
+		e := rt.newEntry()
+		e.site = st
+		e.old, e.n = st.current, uint8(st.size)
+		e.patched = st.patched
 	}
 }
 
@@ -115,11 +168,13 @@ func (rt *Runtime) writeText(addr uint64, old, data []byte) error {
 // return the error with the torn state still in place — the
 // transaction's rollback repairs it.
 func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
-	e := journalEntry{addr: addr, old: append([]byte(nil), old...)}
-	e.prot, e.hasProt = rt.snapshotProt(addr)
-	if rt.tx != nil {
-		rt.tx.entries = append(rt.tx.entries, e)
+	if len(old) > isa.MemCallSiteLen {
+		return fmt.Errorf("core: journaled write of %d bytes at %#x exceeds %d", len(old), addr, isa.MemCallSiteLen)
 	}
+	e := rt.newEntry()
+	e.addr = addr
+	e.n = uint8(copy(e.old[:], old))
+	e.prot, e.hasProt = rt.snapshotProt(addr)
 	var err error
 	for attempt := 0; attempt < maxPatchRetries; attempt++ {
 		if attempt > 0 {
@@ -160,15 +215,16 @@ func (rt *Runtime) backoff(attempt int) {
 // strand a page writable). Restores themselves go through the injected
 // memory system and can fault; they are retried until the finite fault
 // plan runs dry or the bound trips.
-func (rt *Runtime) repairEntry(e journalEntry) error {
+func (rt *Runtime) repairEntry(e *journalEntry) error {
 	var errs []error
 	restore := func(addr uint64, buf []byte) error { return rt.plat.Patch(addr, buf) }
 	if r, ok := rt.plat.(Restorer); ok {
 		restore = r.Restore
 	}
+	old := e.old[:e.n]
 	var err error
 	for try := 0; try < maxRestoreTries; try++ {
-		if err = restore(e.addr, e.old); err == nil {
+		if err = restore(e.addr, old); err == nil {
 			break
 		}
 	}
@@ -178,7 +234,7 @@ func (rt *Runtime) repairEntry(e journalEntry) error {
 	if e.hasProt {
 		if pr, ok := rt.plat.(Protector); ok {
 			for try := 0; try < maxRestoreTries; try++ {
-				if err = pr.SetProt(e.addr, uint64(len(e.old)), e.prot); err == nil {
+				if err = pr.SetProt(e.addr, uint64(e.n), e.prot); err == nil {
 					break
 				}
 			}
@@ -200,11 +256,12 @@ func (rt *Runtime) verifyFlushes(entries []journalEntry) {
 	if !ok {
 		return
 	}
-	for _, e := range entries {
-		if e.undo != nil {
-			continue
+	for i := range entries {
+		e := &entries[i]
+		if e.site != nil || e.undo != nil {
+			continue // not a text write
 		}
-		n := uint64(len(e.old))
+		n := uint64(e.n)
 		for try := 0; try < maxFlushVerify && fv.ICacheStale(e.addr, n); try++ {
 			rt.Stats.FlushRetries++
 			if rt.Tracer != nil {
@@ -241,17 +298,22 @@ func (rt *Runtime) abort(t *txn, cause error) error {
 	rolled := 0
 	endPhase := rt.phase("rollback")
 	for i := len(t.entries) - 1; i >= 0; i-- {
-		e := t.entries[i]
-		if e.undo != nil {
+		e := &t.entries[i]
+		switch {
+		case e.undo != nil:
 			e.undo()
+			continue
+		case e.site != nil:
+			e.site.current = e.old
+			e.site.patched = e.patched
 			continue
 		}
 		if err := rt.repairEntry(e); err != nil {
 			errs = append(errs, err)
 		}
-		rt.plat.FlushICache(e.addr, uint64(len(e.old)))
+		rt.plat.FlushICache(e.addr, uint64(e.n))
 		if rt.Tracer != nil {
-			rt.Tracer.Emit(trace.KindRollback, e.addr, uint64(len(e.old)), 0)
+			rt.Tracer.Emit(trace.KindRollback, e.addr, uint64(e.n), 0)
 		}
 		rolled++
 	}

@@ -71,6 +71,8 @@ func (rt *Runtime) AddModule(mod *link.Image) error {
 	if err != nil {
 		return err
 	}
+	// Whatever registers, even before a failure, joins the patch ranges.
+	defer rt.indexRanges()
 	for i := range desc.Vars {
 		v := desc.Vars[i]
 		if _, dup := rt.varsByAddr[v.Addr]; dup {
@@ -95,16 +97,10 @@ func (rt *Runtime) AddModule(mod *link.Image) error {
 		rt.byName[fs.fd.Name] = fs
 	}
 	for _, s := range desc.Sites {
-		st := &siteState{desc: s}
-		window, err := readSiteWindow(rt.plat, s.Addr)
+		st, err := rt.loadSite(s)
 		if err != nil {
 			return err
 		}
-		if err := rt.verifyOriginalSite(st, window); err != nil {
-			return err
-		}
-		st.original = append([]byte(nil), window[:st.size]...)
-		st.current = append([]byte(nil), st.original...)
 		rt.sites[s.Callee] = append(rt.sites[s.Callee], st)
 		rt.desc.Sites = append(rt.desc.Sites, s)
 		// Force a repatch of the callee so the new site catches up

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 // mainKernelSrc exports a multiverse switch and a multiversed function
@@ -67,6 +69,49 @@ func buildWithModule(t *testing.T) *System {
 		}
 	}
 	return sys
+}
+
+// TestPatchRangesCoverModule: after AddModule, PatchRanges lists every
+// call-site window, the module's included, and every generic prologue,
+// sorted by address, and hands out a copy the caller may change.
+func TestPatchRangesCoverModule(t *testing.T) {
+	sys := buildWithModule(t)
+	ranges := sys.RT.PatchRanges()
+	has := make(map[PatchRange]bool, len(ranges))
+	for i, r := range ranges {
+		if i > 0 && ranges[i-1].Addr >= r.Addr {
+			t.Fatalf("ranges %d and %d out of order: %#x, %#x", i-1, i, ranges[i-1].Addr, r.Addr)
+		}
+		has[r] = true
+	}
+	moduleSites := 0
+	for _, s := range sys.RT.desc.Sites {
+		n := uint64(isa.CallSiteLen)
+		if _, ptr := sys.RT.fnptrs[s.Callee]; ptr {
+			n = isa.MemCallSiteLen
+		}
+		if !has[PatchRange{Addr: s.Addr, Len: n}] {
+			t.Errorf("call site window [%#x,+%d) missing", s.Addr, n)
+		}
+		if s.Addr >= ModuleBase {
+			moduleSites++
+		}
+	}
+	if moduleSites == 0 {
+		t.Fatal("the module registered no call sites")
+	}
+	for _, f := range sys.RT.Funcs() {
+		if !has[PatchRange{Addr: f.Generic, Len: isa.CallSiteLen}] {
+			t.Errorf("prologue of %q at %#x missing", f.Name, f.Generic)
+		}
+	}
+	if want := len(sys.RT.desc.Sites) + len(sys.RT.Funcs()); len(ranges) != want {
+		t.Errorf("%d patch ranges, want %d sites and prologues", len(ranges), want)
+	}
+	ranges[0].Addr++
+	if again := sys.RT.PatchRanges(); again[0].Addr == ranges[0].Addr {
+		t.Error("changing the returned ranges changed the runtime's")
+	}
 }
 
 func TestModuleCallSitesGetPatched(t *testing.T) {

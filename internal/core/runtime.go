@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/link"
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -31,9 +33,18 @@ type Runtime struct {
 	ptrOrder   []*fnptrState          // fnptrs in address order, for deterministic commits
 	sites      map[uint64][]*siteState
 
+	// ranges is every patch range (call-site windows and generic
+	// prologues) sorted by address, computed at load and on AddModule:
+	// PatchRanges copies it, and stop-machine rendezvous avoid it.
+	ranges []machine.Range
+
 	// tx is the open transaction, if any; see journal.go. Public
 	// operations open one, nested helpers join it.
 	tx *txn
+
+	// buf holds the small buffers commits and audits pass through the
+	// Platform interface, where a stack buffer would escape to the heap.
+	buf buffers
 
 	// Options selects the commit concurrency mode and the activeness
 	// policy (sync.go); the zero value is the legacy parked contract.
@@ -106,11 +117,22 @@ type RuntimeStats struct {
 	OSRRollbacks int // frame transfers undone (or torn down) by rollback
 }
 
+// buffers are the runtime's reusable per-write buffers.
+type buffers struct {
+	read  [isa.MemCallSiteLen]byte // a site's or prologue's bytes before a write
+	write [isa.MemCallSiteLen]byte // the bytes written there
+	audit [isa.MemCallSiteLen]byte // a site's bytes under audit
+	brk   [1]byte                  // the poke protocol's breakpoint byte
+	herd  [1]machine.Range         // the poke window CPUs are herded out of
+}
+
+// siteState is one call site and the runtime's shadow of it: the
+// first size bytes of original and current count, the rest stay zero.
 type siteState struct {
 	desc     CallSiteDesc
 	size     int // 5 for direct CALL sites, 9 for CALLM pointer sites
-	original []byte
-	current  []byte
+	original [isa.MemCallSiteLen]byte
+	current  [isa.MemCallSiteLen]byte
 	patched  bool
 }
 
@@ -158,16 +180,10 @@ func NewRuntime(img *link.Image, plat Platform) (*Runtime, error) {
 		rt.byName[fs.fd.Name] = fs
 	}
 	for _, s := range desc.Sites {
-		st := &siteState{desc: s}
-		window, err := readSiteWindow(plat, s.Addr)
+		st, err := rt.loadSite(s)
 		if err != nil {
 			return nil, err
 		}
-		if err := rt.verifyOriginalSite(st, window); err != nil {
-			return nil, err
-		}
-		st.original = append([]byte(nil), window[:st.size]...)
-		st.current = append([]byte(nil), st.original...)
 		rt.sites[s.Callee] = append(rt.sites[s.Callee], st)
 	}
 	// Pointer switches live in a map keyed by address; commit them in
@@ -179,7 +195,44 @@ func NewRuntime(img *link.Image, plat Platform) (*Runtime, error) {
 	sort.Slice(rt.ptrOrder, func(i, j int) bool {
 		return rt.ptrOrder[i].vd.Addr < rt.ptrOrder[j].vd.Addr
 	})
+	rt.indexRanges()
 	return rt, nil
+}
+
+// indexRanges recomputes the sorted patch ranges: every call-site
+// window plus every generic prologue.
+func (rt *Runtime) indexRanges() {
+	n := len(rt.funcs)
+	for _, sites := range rt.sites {
+		n += len(sites)
+	}
+	out := make([]machine.Range, 0, n)
+	for _, sites := range rt.sites {
+		for _, st := range sites {
+			out = append(out, machine.Range{Addr: st.desc.Addr, Len: uint64(st.size)})
+		}
+	}
+	for _, fs := range rt.funcs {
+		out = append(out, machine.Range{Addr: fs.fd.Generic, Len: isa.CallSiteLen})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	rt.ranges = out
+}
+
+// loadSite reads a freshly decoded call site, verifies it, and
+// snapshots its original bytes.
+func (rt *Runtime) loadSite(s CallSiteDesc) (*siteState, error) {
+	st := &siteState{desc: s}
+	window, err := readSiteWindow(rt.plat, s.Addr)
+	if err != nil {
+		return nil, err
+	}
+	if err := rt.verifyOriginalSite(st, window); err != nil {
+		return nil, err
+	}
+	copy(st.original[:], window[:st.size])
+	st.current = st.original
+	return st, nil
 }
 
 // verifyOriginalSite checks that a freshly decoded call site contains
@@ -225,29 +278,21 @@ func (rt *Runtime) Vars() []VarDesc { return rt.desc.Vars }
 func (rt *Runtime) Sites(callee uint64) int { return len(rt.sites[callee]) }
 
 // PatchRange is one text range the runtime may rewrite.
-type PatchRange struct {
-	Addr uint64
-	Len  uint64
+type PatchRange = machine.Range
+
+// PatchRanges returns a copy of every text range a commit or revert may
+// patch, sorted by address: all call-site windows plus every generic
+// prologue. A caller driving CPUs concurrently with runtime operations
+// (§3.5's interrupt-window hazard) must keep their PCs out of these
+// ranges while patching; the chaos harness steps CPUs to safety before
+// each operation.
+func (rt *Runtime) PatchRanges() []PatchRange {
+	return append([]PatchRange(nil), rt.ranges...)
 }
 
-// PatchRanges returns every text range a commit or revert may patch:
-// all call-site windows plus every generic prologue. A caller driving
-// CPUs concurrently with runtime operations (§3.5's interrupt-window
-// hazard) must keep their PCs out of these ranges while patching; the
-// chaos harness steps CPUs to safety before each operation.
-func (rt *Runtime) PatchRanges() []PatchRange {
-	var out []PatchRange
-	for _, sites := range rt.sites {
-		for _, st := range sites {
-			out = append(out, PatchRange{st.desc.Addr, uint64(st.size)})
-		}
-	}
-	for _, fs := range rt.funcs {
-		out = append(out, PatchRange{fs.fd.Generic, isa.CallSiteLen})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
+// funcRanges is the number of patch ranges a commit or revert of fs can
+// touch: its call sites and its prologue.
+func (rt *Runtime) funcRanges(fs *funcState) int { return len(rt.sites[fs.fd.Generic]) + 1 }
 
 // FuncByName returns the generic address of a multiversed function.
 func (rt *Runtime) FuncByName(name string) (uint64, bool) {
@@ -319,32 +364,28 @@ func (rt *Runtime) selectVariant(fd *FuncDesc) (*VariantDesc, error) {
 // patchSite writes new bytes into a call site after verifying that it
 // still contains exactly what the runtime last installed.
 func (rt *Runtime) patchSite(st *siteState, newBytes []byte) error {
-	cur := make([]byte, st.size)
+	cur := rt.buf.read[:st.size]
 	if err := rt.plat.Read(st.desc.Addr, cur); err != nil {
 		return err
 	}
-	if !bytesEqual(cur, st.current) {
+	if !bytes.Equal(cur, st.current[:st.size]) {
 		return fmt.Errorf("core: call site %#x was modified behind the runtime's back (have %x, expect %x)",
-			st.desc.Addr, cur, st.current)
+			st.desc.Addr, cur, st.current[:st.size])
+	}
+	if len(newBytes) > st.size {
+		return fmt.Errorf("core: patch of %d bytes exceeds %d-byte site %#x", len(newBytes), st.size, st.desc.Addr)
 	}
 	// Pad to the full patch unit so no stale instruction tail remains.
-	padded := append([]byte(nil), newBytes...)
-	if rest := st.size - len(padded); rest > 0 {
-		padded = append(padded, isa.EncodeNop(rest)...)
-	} else if rest < 0 {
-		return fmt.Errorf("core: patch of %d bytes exceeds %d-byte site %#x", len(newBytes), st.size, st.desc.Addr)
+	padded := rt.buf.write[:st.size]
+	if n := copy(padded, newBytes); n < st.size {
+		isa.PutNop(padded[n:])
 	}
 	if err := rt.writeText(st.desc.Addr, cur, padded); err != nil {
 		return err
 	}
-	prevCur := append([]byte(nil), st.current...)
-	prevPatched := st.patched
-	rt.noteUndo(func() {
-		copy(st.current, prevCur)
-		st.patched = prevPatched
-	})
-	copy(st.current, padded)
-	st.patched = !bytesEqual(st.current, st.original)
+	rt.noteSite(st)
+	copy(st.current[:], padded)
+	st.patched = st.current != st.original
 	rt.plat.FlushICache(st.desc.Addr, uint64(st.size))
 	if rt.Tracer != nil {
 		var restore uint64
@@ -371,18 +412,6 @@ func readSiteWindow(p Platform, addr uint64) ([]byte, error) {
 	return window, nil
 }
 
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // installAtSites points every call site of fs at target. Tiny variant
 // bodies are inlined into the site instead (paper §4).
 func (rt *Runtime) installAtSites(fs *funcState, v *VariantDesc) error {
@@ -398,9 +427,13 @@ func (rt *Runtime) installAtSites(fs *funcState, v *VariantDesc) error {
 	if rt.DisableInlining {
 		inlinable = false
 	}
+	var inlined []byte
+	if inlinable {
+		inlined = encodePatched(payload)
+	}
 	for _, st := range sites {
 		if inlinable {
-			if err := rt.patchSite(st, encodePatched(payload)); err != nil {
+			if err := rt.patchSite(st, inlined); err != nil {
 				return err
 			}
 			rt.Stats.SitesInlined++
@@ -425,7 +458,7 @@ func (rt *Runtime) revertSitesFor(callee uint64) error {
 		if !st.patched {
 			continue
 		}
-		if err := rt.patchSite(st, st.original); err != nil {
+		if err := rt.patchSite(st, st.original[:st.size]); err != nil {
 			return err
 		}
 		rt.Stats.SitesReverted++
@@ -450,12 +483,13 @@ func (rt *Runtime) patchPrologue(fs *funcState, v *VariantDesc) error {
 	if rel != int64(int32(rel)) {
 		return fmt.Errorf("core: variant of %q out of jump range", fs.fd.Name)
 	}
-	var cur [isa.CallSiteLen]byte
-	if err := rt.plat.Read(fs.fd.Generic, cur[:]); err != nil {
+	cur, jmp := rt.buf.read[:isa.CallSiteLen], rt.buf.write[:isa.CallSiteLen]
+	if err := rt.plat.Read(fs.fd.Generic, cur); err != nil {
 		return err
 	}
-	jmp := isa.EncodeJmp(int32(rel))
-	if err := rt.writeText(fs.fd.Generic, cur[:], jmp[:]); err != nil {
+	enc := isa.EncodeJmp(int32(rel))
+	copy(jmp, enc[:])
+	if err := rt.writeText(fs.fd.Generic, cur, jmp); err != nil {
 		return err
 	}
 	prevOn := fs.prologueOn
@@ -473,11 +507,11 @@ func (rt *Runtime) restorePrologue(fs *funcState) error {
 	if !fs.prologueOn {
 		return nil
 	}
-	var cur [isa.CallSiteLen]byte
-	if err := rt.plat.Read(fs.fd.Generic, cur[:]); err != nil {
+	cur := rt.buf.read[:isa.CallSiteLen]
+	if err := rt.plat.Read(fs.fd.Generic, cur); err != nil {
 		return err
 	}
-	if err := rt.writeText(fs.fd.Generic, cur[:], fs.savedPrologue[:]); err != nil {
+	if err := rt.writeText(fs.fd.Generic, cur, fs.savedPrologue[:]); err != nil {
 		return err
 	}
 	rt.noteUndo(func() { fs.prologueOn = true })
@@ -636,15 +670,16 @@ func (rt *Runtime) commitFnPtr(ps *fnptrState) (bool, error) {
 	// body straight into the site; otherwise fall back to a direct
 	// call. The body length is unknown for plain pointers, so read a
 	// small window and let the decoder find the RET.
-	var payload []byte
-	inlinable := false
+	var inlined []byte
 	window := make([]byte, 64)
 	if err := rt.plat.Read(val, window); err == nil && !rt.DisableInlining {
-		payload, inlinable = inlinePayload(window)
+		if payload, ok := inlinePayload(window); ok {
+			inlined = encodePatched(payload)
+		}
 	}
 	for _, st := range rt.sites[ps.vd.Addr] {
-		if inlinable {
-			if err := rt.patchSite(st, encodePatched(payload)); err != nil {
+		if inlined != nil {
+			if err := rt.patchSite(st, inlined); err != nil {
 				return false, err
 			}
 			rt.Stats.SitesInlined++
@@ -739,7 +774,7 @@ func (rt *Runtime) Commit() (CommitResult, error) {
 			rt.Tracer.Emit(trace.KindCommitEnd, 0, uint64(res.Committed), uint64(res.Generic))
 		}()
 	}
-	t := rt.beginTxn()
+	t := rt.beginTxn(len(rt.ranges), len(rt.funcs)+len(rt.ptrOrder))
 	err := rt.runGuarded(func() error {
 		for _, fs := range rt.funcs {
 			st, err := rt.commitFunc(fs)
@@ -791,7 +826,7 @@ func (rt *Runtime) Revert() error {
 	}
 	var errs []error
 	for _, fs := range rt.funcs {
-		t := rt.beginTxn()
+		t := rt.beginTxn(rt.funcRanges(fs), 1)
 		err := rt.endTxn(t, rt.runGuarded(func() error {
 			_, err := rt.revertFuncChecked(fs)
 			return err
@@ -801,7 +836,7 @@ func (rt *Runtime) Revert() error {
 		}
 	}
 	for _, ps := range rt.ptrOrder {
-		t := rt.beginTxn()
+		t := rt.beginTxn(len(rt.sites[ps.vd.Addr]), 1)
 		err := rt.endTxn(t, rt.runGuarded(func() error { return rt.revertFnPtr(ps) }))
 		if err != nil {
 			errs = append(errs, fmt.Errorf("core: reverting switch %q: %w", ps.vd.Name, err))
@@ -825,7 +860,7 @@ func (rt *Runtime) CommitFunc(generic uint64) (bool, error) {
 		defer reset()
 	}
 	commit := func() (bindStatus, error) {
-		t := rt.beginTxn()
+		t := rt.beginTxn(rt.funcRanges(fs), 1)
 		var st bindStatus
 		err := rt.runGuarded(func() error {
 			var err error
@@ -867,7 +902,7 @@ func (rt *Runtime) RevertFunc(generic uint64) error {
 		rt.Tracer.EmitName(trace.KindRevertBegin, generic, 0, 0, fs.fd.Name)
 		defer rt.Tracer.EmitName(trace.KindRevertEnd, generic, 0, 0, fs.fd.Name)
 	}
-	t := rt.beginTxn()
+	t := rt.beginTxn(rt.funcRanges(fs), 1)
 	return rt.endTxn(t, rt.runGuarded(func() error {
 		_, err := rt.revertFuncChecked(fs)
 		return err
@@ -904,12 +939,20 @@ func (rt *Runtime) CommitRefs(varAddr uint64) (CommitResult, error) {
 			rt.Tracer.Emit(trace.KindCommitEnd, varAddr, uint64(res.Committed), uint64(res.Generic))
 		}()
 	}
+	ranges, bindings := len(rt.sites[varAddr]), 1
 	if _, isPtr := rt.fnptrs[varAddr]; !isPtr {
 		if _, known := rt.varsByAddr[varAddr]; !known {
 			return res, fmt.Errorf("core: %#x is not a configuration switch", varAddr)
 		}
+		ranges, bindings = 0, 0
+		for _, fs := range rt.funcs {
+			if refersTo(fs.fd, varAddr) {
+				ranges += rt.funcRanges(fs)
+				bindings++
+			}
+		}
 	}
-	t := rt.beginTxn()
+	t := rt.beginTxn(ranges, bindings)
 	err := rt.runGuarded(func() error {
 		if ps, ok := rt.fnptrs[varAddr]; ok {
 			ok2, err := rt.commitFnPtr(ps)
@@ -961,7 +1004,7 @@ func (rt *Runtime) RevertRefs(varAddr uint64) error {
 		defer rt.Tracer.Emit(trace.KindRevertEnd, varAddr, 0, 0)
 	}
 	if ps, ok := rt.fnptrs[varAddr]; ok {
-		t := rt.beginTxn()
+		t := rt.beginTxn(len(rt.sites[varAddr]), 1)
 		return rt.endTxn(t, rt.runGuarded(func() error { return rt.revertFnPtr(ps) }))
 	}
 	if _, known := rt.varsByAddr[varAddr]; !known {
@@ -974,7 +1017,7 @@ func (rt *Runtime) RevertRefs(varAddr uint64) error {
 		if !refersTo(fs.fd, varAddr) {
 			continue
 		}
-		t := rt.beginTxn()
+		t := rt.beginTxn(rt.funcRanges(fs), 1)
 		err := rt.endTxn(t, rt.runGuarded(func() error {
 			_, err := rt.revertFuncChecked(fs)
 			return err

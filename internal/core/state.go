@@ -160,8 +160,8 @@ func (rt *Runtime) ImportState(s RuntimeState) error {
 			if err != nil {
 				return fmt.Errorf("core: re-reading call site %#x: %w", st.desc.Addr, err)
 			}
-			st.current = append(st.current[:0], window[:st.size]...)
-			st.patched = !bytesEqual(st.current, st.original)
+			copy(st.current[:], window[:st.size])
+			st.patched = st.current != st.original
 		}
 	}
 	rt.deferredKind = nil

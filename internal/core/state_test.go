@@ -29,6 +29,9 @@ func TestRuntimeFieldsClassifiedForSnapshot(t *testing.T) {
 		// Per-site current/patched bytes are re-read from the restored
 		// memory image by ImportState.
 		"sites": true,
+		// The sorted patch ranges, recomputed from the sites and
+		// prologues by NewRuntime and AddModule.
+		"ranges": true,
 		// tx must be nil at export (enforced) and at import.
 		"tx": true,
 	}
@@ -38,10 +41,12 @@ func TestRuntimeFieldsClassifiedForSnapshot(t *testing.T) {
 		"Tracer":  true, "flight": true, "metrics": true, // observability hooks
 		"DisableInlining": true, "PrologueOnly": true, // ablation policy knobs
 	}
+	// Per-write buffers whose contents never outlive one runtime call.
+	buffers := map[string]bool{"buf": true}
 	typ := reflect.TypeOf(Runtime{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if serialized[name] || derived[name] || hostWiring[name] {
+		if serialized[name] || derived[name] || hostWiring[name] || buffers[name] {
 			continue
 		}
 		t.Errorf("Runtime.%s is not classified for snapshots: extend ExportState/ImportState "+

@@ -149,15 +149,10 @@ func (rt *Runtime) runGuarded(body func() error) error {
 	if !ok {
 		return body()
 	}
-	prs := rt.PatchRanges()
-	avoid := make([]machine.Range, len(prs))
-	for i, pr := range prs {
-		avoid[i] = machine.Range{Addr: pr.Addr, Len: pr.Len}
-	}
 	endPhase := rt.phase("stop-machine")
-	lat, err := sm.StopMachine(avoid, body)
+	lat, err := sm.StopMachine(rt.ranges, body)
 	rt.Stats.StopMachines++
-	rt.noteRendezvous(lat, uint64(len(avoid)))
+	rt.noteRendezvous(lat, uint64(len(rt.ranges)))
 	endPhase()
 	return err
 }
@@ -210,7 +205,8 @@ func (rt *Runtime) pokeWrite(addr uint64, old, data []byte) error {
 		}
 		return nil
 	}
-	brk := []byte{byte(isa.BRK)}
+	brk := rt.buf.brk[:]
+	brk[0] = byte(isa.BRK)
 	if err := phase(1, addr, old[:1], brk); err != nil {
 		return err
 	}
@@ -231,7 +227,8 @@ func (rt *Runtime) pokeGuard(addr uint64, old, data []byte) error {
 	n := uint64(len(data))
 	if sm, ok := rt.plat.(Stopper); ok {
 		endPhase := rt.phase("herd")
-		lat, err := sm.StopMachine([]machine.Range{{Addr: addr + 1, Len: n - 1}}, func() error { return nil })
+		rt.buf.herd[0] = machine.Range{Addr: addr + 1, Len: n - 1}
+		lat, err := sm.StopMachine(rt.buf.herd[:], func() error { return nil })
 		if err != nil {
 			endPhase()
 			return fmt.Errorf("core: herding CPUs out of poke window [%#x,%#x): %w", addr, addr+n, err)
@@ -243,15 +240,13 @@ func (rt *Runtime) pokeGuard(addr uint64, old, data []byte) error {
 	if !ok {
 		return nil
 	}
-	oldB := instBoundaries(addr, old)
-	newB := instBoundaries(addr, data)
 	live, complete := la.LiveCodeAddrs()
 	if !complete {
 		return fmt.Errorf("core: stack scan truncated; cannot prove poke window [%#x,%#x) free of live addresses",
 			addr, addr+n)
 	}
 	for _, a := range live {
-		if a > addr && a < addr+n && !(oldB[a] && newB[a]) {
+		if a > addr && a < addr+n && !(instBoundary(old, int(a-addr)) && instBoundary(data, int(a-addr))) {
 			return fmt.Errorf("core: live code address %#x inside poke window [%#x,%#x) is not a common instruction boundary",
 				a, addr, addr+n)
 		}
@@ -259,21 +254,20 @@ func (rt *Runtime) pokeGuard(addr uint64, old, data []byte) error {
 	return nil
 }
 
-// instBoundaries returns the set of addresses at which an instruction
-// of code (loaded at base) begins. Undecodable bytes end the walk; the
-// partial set only ever makes the guard stricter.
-func instBoundaries(base uint64, code []byte) map[uint64]bool {
-	out := make(map[uint64]bool, len(code))
-	off := 0
-	for off < len(code) {
-		out[base+uint64(off)] = true
-		in, err := isa.Decode(code[off:])
+// instBoundary reports whether an instruction of code begins at offset
+// off, decoding from the start of code. Undecodable bytes end the walk
+// and every offset past them counts as no boundary, which only ever
+// makes the guard stricter.
+func instBoundary(code []byte, off int) bool {
+	at := 0
+	for at < off {
+		in, err := isa.Decode(code[at:])
 		if err != nil {
-			break
+			return false
 		}
-		off += in.Len
+		at += in.Len
 	}
-	return out
+	return at == off
 }
 
 // flushAck re-broadcasts the shootdown for one range until no hardware
@@ -422,7 +416,7 @@ func (rt *Runtime) DrainDeferred() (int, error) {
 				break
 			}
 		}
-		t := rt.beginTxn()
+		t := rt.beginTxn(rt.funcRanges(fs), 1)
 		err := rt.runGuarded(func() error {
 			switch k {
 			case pendingCommit:

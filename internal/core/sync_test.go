@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -223,6 +224,126 @@ func TestTextPokeModeCommit(t *testing.T) {
 	}
 	if err := sys.RT.Audit(); err != nil {
 		t.Fatalf("audit after poke-mode revert: %v", err)
+	}
+}
+
+// livePlatform reports one extra live code address, as if a CPU's
+// stack held a return address there.
+type livePlatform struct {
+	*UserPlatform
+	live uint64
+}
+
+func (p *livePlatform) LiveCodeAddrs() ([]uint64, bool) {
+	addrs, complete := p.UserPlatform.LiveCodeAddrs()
+	return append(addrs, p.live), complete
+}
+
+// TestPokeGuardRefusesLiveInteriorAddress: a live return address
+// strictly inside a call-site window is no instruction boundary of the
+// old or the new call, so a poke-mode commit must refuse that site's
+// poke, roll back the sites and prologues it already poked, and leave
+// the image byte-identical and audit-clean.
+func TestPokeGuardRefusesLiveInteriorAddress(t *testing.T) {
+	sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "three.mvc", Text: threeFuncsSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f3, ok := sys.RT.FuncByName("f3")
+	if !ok || len(sys.RT.sites[f3]) != 1 {
+		t.Fatal("f3 has no single call site")
+	}
+	site := sys.RT.sites[f3][0].desc.Addr
+	rt, err := NewRuntime(sys.Machine.Image, &livePlatform{UserPlatform: &UserPlatform{M: sys.Machine}, live: site + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetCommitOptions(CommitOptions{Mode: ModeTextPoke})
+	if err := sys.SetSwitch("A", 1); err != nil {
+		t.Fatal(err)
+	}
+	pre := snapshotExec(t, sys)
+
+	_, err = rt.Commit()
+	if !errors.Is(err, ErrCommitAborted) || !strings.Contains(err.Error(), "not a common instruction boundary") {
+		t.Fatalf("commit with a live address inside site %#x: err = %v, want an aborted, refused poke", site, err)
+	}
+	if rt.Stats.TextPokes == 0 || rt.Stats.SitesRolledBack == 0 {
+		t.Fatalf("the refusal came before any poke landed (pokes=%d, rolled back=%d)",
+			rt.Stats.TextPokes, rt.Stats.SitesRolledBack)
+	}
+	assertExecEqual(t, sys, pre, "after the refused poke")
+	if err := rt.Audit(); err != nil {
+		t.Fatalf("audit after the refused poke: %v", err)
+	}
+}
+
+// instBoundariesRef is the map-based boundary set the poke guard once
+// built twice per poke, kept as instBoundary's reference: the
+// addresses at which an instruction of code (loaded at base) begins.
+// Undecodable bytes end the walk.
+func instBoundariesRef(base uint64, code []byte) map[uint64]bool {
+	out := make(map[uint64]bool, len(code))
+	off := 0
+	for off < len(code) {
+		out[base+uint64(off)] = true
+		in, err := isa.Decode(code[off:])
+		if err != nil {
+			break
+		}
+		off += in.Len
+	}
+	return out
+}
+
+// TestInstBoundaryMatchesReference checks the poke guard's boundary
+// test against the reference set at every offset of real patch
+// windows, with each window as both the old and the new content.
+func TestInstBoundaryMatchesReference(t *testing.T) {
+	const base = 0x40_1000
+	call := isa.EncodeCall(0x1234)
+	var cllm, sti, mov isa.Asm
+	cllm.CallM(0x60_0000)
+	sti.Sti()
+	mov.Mov(1, 2)
+	type window struct {
+		name string
+		code []byte
+	}
+	narrow := []window{
+		{"call", call[:]},
+		{"inline-empty", encodePatched(nil)},
+		{"inline-sti", encodePatched(sti.Bytes())},
+		{"inline-mov", encodePatched(mov.Bytes())},
+		{"inline-full", encodePatched(bytes.Repeat([]byte{byte(isa.PAUSE)}, isa.CallSiteLen))},
+		{"undecodable-tail", []byte{byte(isa.NOP), 0xFF, byte(isa.NOP), byte(isa.NOP), byte(isa.NOP)}},
+	}
+	// A pointer site's window: its CLLM, or a 5-byte patch padded with
+	// NOPN to the 9-byte unit, as patchSite installs it.
+	wide := []window{{"cllm", cllm.Bytes()}}
+	for _, w := range narrow {
+		code := append(append([]byte(nil), w.code...), isa.EncodeNop(isa.MemCallSiteLen-isa.CallSiteLen)...)
+		wide = append(wide, window{w.name + "+nopn", code})
+	}
+	for _, set := range [][]window{narrow, wide} {
+		for _, old := range set {
+			oldRef := instBoundariesRef(base, old.code)
+			for off := range old.code {
+				if got, want := instBoundary(old.code, off), oldRef[base+uint64(off)]; got != want {
+					t.Errorf("%s: instBoundary at +%d = %v, reference %v", old.name, off, got, want)
+				}
+			}
+			for _, data := range set {
+				dataRef := instBoundariesRef(base, data.code)
+				for off := 1; off < len(data.code); off++ {
+					a := base + uint64(off)
+					got := instBoundary(old.code, off) && instBoundary(data.code, off)
+					if want := oldRef[a] && dataRef[a]; got != want {
+						t.Errorf("%s -> %s: common boundary at +%d = %v, reference %v", old.name, data.name, off, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

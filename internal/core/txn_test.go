@@ -45,54 +45,67 @@ func assertExecEqual(t *testing.T, sys *System, snap map[uint64][]byte, when str
 }
 
 // TestCommitAbortRollsBackImage injects a persistent protect fault
-// into the middle of a multi-site commit and asserts the text image
-// comes back byte-identical, the logical state unwinds, and the audit
-// passes.
+// into the middle of a multi-site commit, in every commit mode, and
+// asserts the text image comes back byte-identical, the logical state
+// unwinds, and the audit passes.
 func TestCommitAbortRollsBackImage(t *testing.T) {
-	sys := buildFig2(t)
-	if err := sys.SetSwitch("A", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetSwitch("B", 1); err != nil {
-		t.Fatal(err)
-	}
-	pre := snapshotExec(t, sys)
+	for _, tc := range []struct {
+		mode CommitMode
+		op   uint64 // the failing flip: the prologue's first, after the site's
+	}{
+		{ModeParked, 2},      // the site's write flips RW and back
+		{ModeStopMachine, 2}, // likewise, inside the rendezvous
+		{ModeTextPoke, 6},    // the site's three poke phases flip twice each
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			sys := buildFig2(t)
+			sys.RT.SetCommitOptions(CommitOptions{Mode: tc.mode})
+			if err := sys.SetSwitch("A", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.SetSwitch("B", 1); err != nil {
+				t.Fatal(err)
+			}
+			pre := snapshotExec(t, sys)
 
-	// The second protection flip of the commit fails hard (the first
-	// patch's RW flip succeeds, so real bytes have landed by then).
-	plan := faultinject.Exact(faultinject.Point{Kind: faultinject.KindProtect, Op: 2})
-	plan.Attach(sys.Machine)
-	defer faultinject.Detach(sys.Machine)
+			plan := faultinject.Exact(faultinject.Point{Kind: faultinject.KindProtect, Op: tc.op})
+			plan.Attach(sys.Machine)
+			defer faultinject.Detach(sys.Machine)
 
-	res, err := sys.RT.Commit()
-	if err == nil {
-		t.Fatal("commit with a persistent protect fault succeeded")
-	}
-	if !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("error does not wrap ErrCommitAborted: %v", err)
-	}
-	if res.Committed != 0 || res.Generic != 0 {
-		t.Fatalf("aborted commit reported work: %+v", res)
-	}
-	assertExecEqual(t, sys, pre, "after abort")
-	if err := sys.RT.Audit(); err != nil {
-		t.Fatalf("audit after rollback: %v", err)
-	}
-	if sys.RT.Stats.CommitAborts != 1 {
-		t.Fatalf("CommitAborts = %d, want 1", sys.RT.Stats.CommitAborts)
-	}
-	// The program still runs on generic dispatch.
-	call(t, sys, "foo")
-	if call(t, sys, "calcs") != 1 || call(t, sys, "logs") != 1 {
-		t.Fatal("program broken after rollback")
-	}
+			res, err := sys.RT.Commit()
+			if err == nil {
+				t.Fatal("commit with a persistent protect fault succeeded")
+			}
+			if !errors.Is(err, ErrCommitAborted) {
+				t.Fatalf("error does not wrap ErrCommitAborted: %v", err)
+			}
+			if res.Committed != 0 || res.Generic != 0 {
+				t.Fatalf("aborted commit reported work: %+v", res)
+			}
+			if plan.Stats.Protect != 1 || sys.RT.Stats.SitesPatched+sys.RT.Stats.SitesInlined == 0 {
+				t.Fatalf("the fault (fired %d times) did not land after a site was written", plan.Stats.Protect)
+			}
+			assertExecEqual(t, sys, pre, "after abort")
+			if err := sys.RT.Audit(); err != nil {
+				t.Fatalf("audit after rollback: %v", err)
+			}
+			if sys.RT.Stats.CommitAborts != 1 {
+				t.Fatalf("CommitAborts = %d, want 1", sys.RT.Stats.CommitAborts)
+			}
+			// The program still runs on generic dispatch.
+			call(t, sys, "foo")
+			if call(t, sys, "calcs") != 1 || call(t, sys, "logs") != 1 {
+				t.Fatal("program broken after rollback")
+			}
 
-	// With the plan exhausted, the same commit now succeeds.
-	if _, err := sys.RT.Commit(); err != nil {
-		t.Fatalf("retried commit: %v", err)
-	}
-	if err := sys.RT.Audit(); err != nil {
-		t.Fatalf("audit after committed retry: %v", err)
+			// With the plan exhausted, the same commit now succeeds.
+			if _, err := sys.RT.Commit(); err != nil {
+				t.Fatalf("retried commit: %v", err)
+			}
+			if err := sys.RT.Audit(); err != nil {
+				t.Fatalf("audit after committed retry: %v", err)
+			}
+		})
 	}
 }
 
@@ -179,19 +192,22 @@ func TestDroppedFlushIsReflushed(t *testing.T) {
 	}
 }
 
+// threeFuncsSrc has three multiversed functions, one call site each,
+// committed and reverted in declaration order.
+const threeFuncsSrc = `
+	multiverse int A;
+	long n;
+	multiverse void f1(void) { if (A) { n++; } }
+	multiverse void f2(void) { if (A) { n++; } }
+	multiverse void f3(void) { if (A) { n++; } }
+	void foo(void) { f1(); f2(); f3(); }
+`
+
 // TestRevertContinuesPastFailures arms one persistent fault and checks
 // Revert still restores every other function, reporting the single
 // failure via errors.Join (the old code stopped at the first error).
 func TestRevertContinuesPastFailures(t *testing.T) {
-	src := `
-		multiverse int A;
-		long n;
-		multiverse void f1(void) { if (A) { n++; } }
-		multiverse void f2(void) { if (A) { n++; } }
-		multiverse void f3(void) { if (A) { n++; } }
-		void foo(void) { f1(); f2(); f3(); }
-	`
-	sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "multi.mvc", Text: src})
+	sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "multi.mvc", Text: threeFuncsSrc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,9 +218,16 @@ func EncodeJmp(rel int32) [5]byte {
 // EncodeNop returns an n-byte no-op suitable for erasing an n-byte
 // code region in place.
 func EncodeNop(n int) []byte {
-	var a Asm
-	a.Nop(n)
-	return a.Bytes()
+	out := make([]byte, n)
+	PutNop(out)
+	return out
+}
+
+// PutNop overwrites code with one no-op as long as code: the bytes
+// EncodeNop(len(code)) returns, written in place without allocating.
+func PutNop(code []byte) {
+	a := Asm{buf: code[:0]}
+	a.Nop(len(code))
 }
 
 // CallRel computes the rel32 displacement that makes a call or jump at

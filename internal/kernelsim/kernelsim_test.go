@@ -2,6 +2,8 @@ package kernelsim
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 func quick() MeasureOpts { return MeasureOpts{Samples: 20, Iters: 50, Warmup: 2} }
@@ -351,6 +353,62 @@ func TestManyCallSitesPatching(t *testing.T) {
 	}
 	if rep2.SitesTouched != 200 {
 		t.Errorf("UP repatch touched %d sites", rep2.SitesTouched)
+	}
+}
+
+// TestCommitAllocsIndependentOfSites pins a commit's per-site work as
+// allocation-free: a config_smp flip plus Commit, and a Revert plus
+// Commit, allocate as often on BuildManyCallSites(100) as on
+// BuildManyCallSites(PaperCallSites), in every commit mode. A guest
+// call first halts the CPU, as it is between the reconfigure
+// workload's operations.
+func TestCommitAllocsIndependentOfSites(t *testing.T) {
+	// The Go runtime allocates now and then on its own: a GC cycle's
+	// bookkeeping, and each interface type assertion's cache, built
+	// once at a random call. AllocsPerRun floors the per-run mean, so
+	// with 32 runs those few strays cannot move it; an allocation per
+	// run still does.
+	const runs = 32
+	measure := func(n int, mode core.CommitMode) (flip, revert float64) {
+		sys, err := BuildManyCallSites(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Machine.CallNamed("subsys_0"); err != nil {
+			t.Fatal(err)
+		}
+		sys.RT.SetCommitOptions(core.CommitOptions{Mode: mode})
+		smp := int64(0)
+		flip = testing.AllocsPerRun(runs, func() {
+			smp = 1 - smp
+			if err := sys.SetSwitch("config_smp", smp); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RT.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		revert = testing.AllocsPerRun(runs, func() {
+			if err := sys.RT.Revert(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.RT.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return flip, revert
+	}
+	for _, mode := range []core.CommitMode{core.ModeParked, core.ModeStopMachine, core.ModeTextPoke} {
+		smallFlip, smallRevert := measure(100, mode)
+		bigFlip, bigRevert := measure(PaperCallSites, mode)
+		if smallFlip != bigFlip {
+			t.Errorf("%v: flip+commit allocates %v times for n=100, %v for n=%d",
+				mode, smallFlip, bigFlip, PaperCallSites)
+		}
+		if smallRevert != bigRevert {
+			t.Errorf("%v: revert+commit allocates %v times for n=100, %v for n=%d",
+				mode, smallRevert, bigRevert, PaperCallSites)
+		}
 	}
 }
 

@@ -265,7 +265,7 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 	first := addr >> PageShift
 	last := (addr + length - 1) >> PageShift
 	for pn := first; pn <= last; pn++ {
-		if _, ok := m.pages[pn]; !ok {
+		if m.pageAt(pn<<PageShift, 0) == nil {
 			return fmt.Errorf("mem: Protect(%#x, %#x): %w", addr, length,
 				&Fault{Addr: pn << PageShift, Kind: AccessWrite})
 		}
@@ -278,9 +278,9 @@ func (m *Memory) Protect(addr, length uint64, prot Prot) error {
 			return err
 		}
 	}
-	old := m.pages[first].prot
+	old := m.pageAt(first<<PageShift, 0).prot
 	for pn := first; pn <= last; pn++ {
-		m.pages[pn].prot = prot
+		m.pageAt(pn<<PageShift, 0).prot = prot
 	}
 	m.Stats.ProtectCalls++
 	if m.Tracer != nil {
