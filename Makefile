@@ -24,13 +24,15 @@ race:
 	$(GO) test -race ./...
 
 # A quick end-to-end run of the Figure 1 experiment, once with and once
-# without the predecoded-instruction cache: the two tables must be
-# identical (the cache never changes simulated cycles).
+# without superblocks: the two tables must be identical. Both paths run
+# the same instruction handlers, so this pins block chaining, budget
+# clamping, batched statistics and the shared epilogue against single
+# steps, end to end.
 smoke:
 	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 fig1 > /tmp/mv-smoke-on.txt
-	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 -decode-cache=false fig1 > /tmp/mv-smoke-off.txt
+	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 -superblocks=false fig1 > /tmp/mv-smoke-off.txt
 	@if ! cmp -s /tmp/mv-smoke-on.txt /tmp/mv-smoke-off.txt; then \
-		echo "mvbench fig1 differs with decode cache on/off:"; \
+		echo "mvbench fig1 differs with superblocks on/off:"; \
 		diff /tmp/mv-smoke-on.txt /tmp/mv-smoke-off.txt; exit 1; fi
 	@cat /tmp/mv-smoke-on.txt
 

@@ -167,13 +167,13 @@ func BenchmarkFig5Musl(b *testing.B) {
 
 // BenchmarkInterpreterThroughput measures how many simulated
 // instructions per host second the interpreter retires on a hot loop,
-// across the host-side accelerator axes: the predecoded-instruction
-// cache and the superblock threaded-dispatch layer. Unlike the
-// experiment benchmarks above, the ns/op column here IS the result:
-// neither accelerator may change any simulated cycle (see
-// internal/difftest), only the host-side insts/sec metric. The
-// acceptance bar is superblocks ≥2x over the decode-cache-only
-// "cached" baseline.
+// with the superblock threaded-dispatch layer ("superblocks") and
+// without it ("cached": every instruction is one Step, served by the
+// always-on decode cache). Unlike the experiment benchmarks above, the
+// ns/op column here IS the result: superblocks may not change any
+// simulated cycle (see internal/difftest), only the host-side
+// insts/sec metric. The acceptance bar is superblocks ≥2x over
+// "cached".
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	const textBase, iters = uint64(0x400000), int32(10_000)
 	program := func() []byte {
@@ -196,17 +196,15 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 	// each hook is one pointer-nil check.
 	modes := []struct {
 		name    string
-		cached  bool
 		blocks  bool
 		collect func() *trace.Collector // nil = no tracer
 	}{
-		{"superblocks", true, true, nil},
-		{"cached", true, false, nil},
-		{"uncached", false, false, nil},
-		{"cached+traced", true, false, func() *trace.Collector {
+		{"superblocks", true, nil},
+		{"cached", false, nil},
+		{"cached+traced", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{})
 		}},
-		{"cached+profiled", true, false, func() *trace.Collector {
+		{"cached+profiled", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{Profile: true})
 		}},
 	}
@@ -220,7 +218,6 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cpu.New(m, cpu.DefaultConfig())
-			c.SetDecodeCache(mode.cached)
 			c.SetSuperblocks(mode.blocks)
 			if mode.collect != nil {
 				col := mode.collect()
@@ -287,7 +284,6 @@ func BenchmarkInterpreterDataPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cpu.New(m, cpu.DefaultConfig())
-			c.SetDecodeCache(true)
 			c.SetSuperblocks(mode.blocks)
 			measureInsts(b, c, entry, stackBase+mem.PageSize)
 		})

@@ -32,10 +32,8 @@ var (
 	iters   = flag.Uint64("iters", 100, "calls per sample")
 
 	// Reported cycle counts are bit-identical either way (the
-	// difftests assert it); the knobs exist to demonstrate exactly
-	// that, and to time the host-side speedup.
-	decodeCache = flag.Bool("decode-cache", cpu.DecodeCacheDefault(),
-		"use the predecoded-instruction cache (cycle counts are identical either way)")
+	// difftests and make smoke assert it); the knob exists to
+	// demonstrate exactly that, and to time the host-side speedup.
 	superblocks = flag.Bool("superblocks", cpu.SuperblocksDefault(),
 		"use the superblock threaded-dispatch interpreter (cycle counts are identical either way)")
 
@@ -101,7 +99,6 @@ func opts() kernelsim.MeasureOpts {
 
 func main() {
 	flag.Parse()
-	cpu.SetDecodeCacheDefault(*decodeCache)
 	cpu.SetSuperblocksDefault(*superblocks)
 	// Every system any experiment builds registers into this one
 	// registry; attaching is scrape-time-only, so the cycle numbers in

@@ -1,6 +1,6 @@
 // Command mvtop renders a refreshing terminal view of a multiverse
 // metrics snapshot: top functions by variant residency, commit-latency
-// percentiles, patch/flush rates and decode-cache effectiveness.
+// percentiles, patch/flush rates and decode cache effectiveness.
 //
 // It reads the same Snapshot JSON everywhere it looks — live from a
 // running mvrun's /metrics.json endpoint, or recorded from a JSONL
@@ -162,7 +162,7 @@ func render(snap *metrics.Snapshot, source string) {
 		value(snap, "mv_instructions_total"),
 		value(snap, "mv_commits_total"),
 		value(snap, "mv_reverts_total"))
-	fmt.Printf("decode-cache hit %5.1f%%   superblock %5.1f%%   icache flushes/Minst %8.2f   protects/Minst %8.2f\n",
+	fmt.Printf("decode cache hit %5.1f%%   superblock %5.1f%%   icache flushes/Minst %8.2f   protects/Minst %8.2f\n",
 		value(snap, "mv_decode_hit_ratio")*100,
 		value(snap, "mv_superblock_hit_ratio")*100,
 		value(snap, "mv_icache_flush_rate_per_minst"),

@@ -12,7 +12,7 @@ import (
 
 // defaultTraceCollector, when non-nil, is attached to every System
 // that BuildSystem constructs. It is the same global-toggle idiom as
-// cpu.SetDecodeCacheDefault: mvbench and the difftests build systems
+// cpu.SetSuperblocksDefault: mvbench and the difftests build systems
 // deep inside experiment helpers, so a parameter cannot reach them.
 var defaultTraceCollector *trace.Collector
 

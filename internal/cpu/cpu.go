@@ -19,11 +19,10 @@
 //     is explicitly flushed (forgetting the flush after binary
 //     patching is a real bug the tests provoke).
 //
-// A predecoded-instruction cache (decodecache.go) is layered on top of
-// each icache line so the steady-state Step loop dispatches on cached
-// isa.Inst structs instead of re-decoding raw bytes. It is a pure
-// host-side accelerator: simulated cycle counts are bit-identical with
-// it enabled or disabled.
+// Each opcode is defined once, as a handler in the table superblock.go
+// holds. Step dispatches one handler on an instruction served by the
+// predecoded-instruction cache (decodecache.go), which sits on every
+// icache line; superblocks replay chains of pre-resolved handlers.
 //
 // Cycle counts are deterministic: the same program always reports the
 // same number of cycles.
@@ -236,10 +235,14 @@ type CPU struct {
 	rasN int
 
 	icache      map[uint64]*icLine // page number -> cached line
-	decodeCache bool               // serve Step from predecoded instructions
 	superblocks bool               // chain straight-line runs for Run's fast path
-	lastPN      uint64             // page number memo for the decode-cache fast path
+	lastPN      uint64             // page number memo for residentLine
 	lastLine    *icLine            // line memo; nil = invalid, cleared by FlushICache
+
+	// missed holds the instruction decode last read from raw bytes, on
+	// a decode cache miss. Handlers take the instruction by pointer,
+	// and a pointer to a local would escape to the heap on every miss.
+	missed isa.Inst
 
 	mode       Mode
 	intrOn     bool
@@ -303,7 +306,6 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		btb:         make([]btbEntry, cfg.BTBSize),
 		ras:         make([]uint64, cfg.RASDepth),
 		icache:      make(map[uint64]*icLine),
-		decodeCache: decodeCacheDefault,
 		superblocks: superblocksDefault,
 		tracer:      cfg.Tracer,
 	}
@@ -410,8 +412,7 @@ func (c *CPU) FlushICache(addr, n uint64) {
 			delete(c.icache, pn)
 		}
 	}
-	// The decode-cache fast path memoizes the last line; a flush may
-	// have dropped it.
+	// residentLine memoizes the last line; a flush may have dropped it.
 	c.lastLine = nil
 }
 
@@ -509,7 +510,9 @@ type execError struct {
 func (e *execError) Error() string { return fmt.Sprintf("cpu: at pc=%#x: %v", e.pc, e.err) }
 func (e *execError) Unwrap() error { return e.err }
 
-// Step executes one instruction.
+// Step executes one instruction: a one-entry dispatch through the
+// handler table, with the fault-injection, Trace and tracer hooks
+// around it.
 func (c *CPU) Step() error {
 	if c.halted {
 		return fmt.Errorf("cpu: step on halted CPU")
@@ -525,349 +528,63 @@ func (c *CPU) Step() error {
 			return &execError{pc, err}
 		}
 	}
-	if c.decodeCache {
-		if in, ok := c.cachedInst(pc); ok {
-			c.stats.DecodeHits++
-			if c.Trace != nil {
-				c.Trace(pc, in)
-			}
-			if c.tracer != nil {
-				c.tracer.Step(pc, c.cycles)
-			}
-			return c.exec(in)
-		}
-	}
-	return c.stepDecode(pc)
-}
-
-// stepDecode is the decode-cache-miss path: fetch through the
-// instruction cache, decode, optionally cache, execute.
-func (c *CPU) stepDecode(pc uint64) error {
-	var window [maxInstLen]byte
-	n, err := c.icFetch(pc, window[:])
+	in, err := c.decode(pc)
 	if err != nil {
-		return &execError{pc, err}
-	}
-
-	var in isa.Inst
-	if n >= 2 && isa.Op(window[0]) == isa.NOPN {
-		// NOPN: only the length byte matters; the padding need not be
-		// fetched (it may even cross into the next page).
-		length := int(window[1])
-		if length < 2 {
-			return &execError{pc, fmt.Errorf("NOPN length %d", length)}
-		}
-		in = isa.Inst{Op: isa.NOPN, Len: length}
-	} else {
-		in, err = isa.Decode(window[:n])
-		if err != nil {
-			return &execError{pc, err}
-		}
-	}
-	if c.decodeCache {
-		c.stats.DecodeMisses++
-		c.cacheInst(pc, in)
+		return err
 	}
 	if c.Trace != nil {
-		c.Trace(pc, in)
+		c.Trace(pc, *in)
 	}
 	if c.tracer != nil {
 		c.tracer.Step(pc, c.cycles)
 	}
-	return c.exec(in)
-}
-
-func (c *CPU) exec(in isa.Inst) error {
-	pc := c.pc
 	if in.Op == isa.BRK {
 		// A breakpoint byte planted by the text-poke protocol. Nothing
-		// retires: the PC holds (the error path skips the epilogue), so
-		// the caller can spin until the poke finishes and re-step the
-		// then-rewritten instruction.
+		// retires: the PC holds, so the caller can spin until the poke
+		// finishes and re-step the then-rewritten instruction.
 		c.stats.Traps++
 		if c.tracer != nil {
 			c.tracer.Emit(trace.KindTrap, pc, 0, 0)
 		}
 		return &execError{pc, &TrapFault{PC: pc}}
 	}
-	next := pc + uint64(in.Len)
-	cost := 0
 	c.stats.Instructions++
-
-	// Every opcode must fall through to the common epilogue below: an
-	// early return would skip the interrupt-perturbation check, making
-	// a due interrupt silently unserviceable across that instruction
-	// (a real bug the RDTSC regression test provokes).
-	switch in.Op {
-	case isa.HLT:
-		c.halted = true
-
-	case isa.NOP, isa.NOPN:
-		cost = c.cfg.CostNop
-
-	case isa.MOVI:
-		c.regs[in.Rd] = uint64(in.Imm)
-		cost = c.cfg.CostALU
-
-	case isa.MOV:
-		c.regs[in.Rd] = c.regs[in.Rs]
-		cost = c.cfg.CostALU
-
-	case isa.LEA:
-		c.regs[in.Rd] = c.regs[in.Rs] + uint64(in.Imm)
-		cost = c.cfg.CostALU
-
-	case isa.LD, isa.LDS:
-		addr := c.regs[in.Rs] + uint64(in.Imm)
-		v, err := c.Mem.ReadUint(addr, in.Size)
-		if err != nil {
-			return &execError{pc, err}
-		}
-		if in.Op == isa.LDS {
-			shift := 64 - 8*in.Size
-			v = uint64(int64(v<<shift) >> shift)
-		}
-		c.regs[in.Rd] = v
-		c.stats.Loads++
-		cost = c.cfg.CostLoad
-
-	case isa.ST:
-		addr := c.regs[in.Rd] + uint64(in.Imm)
-		if err := c.Mem.WriteUint(addr, in.Size, c.regs[in.Rs]); err != nil {
-			return &execError{pc, err}
-		}
-		c.stats.Stores++
-		cost = c.cfg.CostStore
-
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR, isa.XOR,
-		isa.SHL, isa.SHR, isa.SAR, isa.NEG, isa.NOT, isa.UDIV, isa.UMOD:
-		var err error
-		cost, err = c.alu(in.Op, in.Rd, c.regs[in.Rs])
-		if err != nil {
-			return &execError{pc, err}
-		}
-
-	case isa.ADDI, isa.SUBI, isa.MULI, isa.DIVI, isa.MODI, isa.ANDI, isa.ORI,
-		isa.XORI, isa.SHLI, isa.SHRI, isa.SARI:
-		var err error
-		cost, err = c.alu(immToReg(in.Op), in.Rd, uint64(in.Imm))
-		if err != nil {
-			return &execError{pc, err}
-		}
-
-	case isa.CMP:
-		c.cmpA, c.cmpB = int64(c.regs[in.Rd]), int64(c.regs[in.Rs])
-		cost = c.cfg.CostCmp
-
-	case isa.CMPI:
-		c.cmpA, c.cmpB = int64(c.regs[in.Rd]), in.Imm
-		cost = c.cfg.CostCmp
-
-	case isa.SETCC:
-		if in.Cond.Eval(c.cmpA, c.cmpB) {
-			c.regs[in.Rd] = 1
-		} else {
-			c.regs[in.Rd] = 0
-		}
-		cost = c.cfg.CostALU
-
-	case isa.JCC:
-		taken := in.Cond.Eval(c.cmpA, c.cmpB)
-		cost = c.cfg.CostBranch
-		if !c.predictCond(pc, taken) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-			if c.tracer != nil {
-				var t uint64
-				if taken {
-					t = 1
-				}
-				c.tracer.Emit(trace.KindMispredict, pc, t, 0)
-			}
-		}
-		c.stats.Branches++
-		if taken {
-			next += uint64(in.Imm)
-		}
-
-	case isa.JMP:
-		next += uint64(in.Imm)
-		cost = c.cfg.CostJmp
-
-	case isa.CALL:
-		c.rasPush(next)
-		if err := c.push(next); err != nil {
-			return &execError{pc, err}
-		}
-		next += uint64(in.Imm)
-		cost = c.cfg.CostCall
-		c.stats.Calls++
-		if c.tracer != nil {
-			c.tracer.Call(pc, next)
-		}
-
-	case isa.CLLM:
-		ptr, err := c.Mem.ReadUint(uint64(in.Imm), 8)
-		if err != nil {
-			return &execError{pc, err}
-		}
-		if ptr == 0 {
-			return &execError{pc, fmt.Errorf("call through null function pointer at %#x", uint64(in.Imm))}
-		}
-		c.stats.Loads++
-		cost = c.cfg.CostLoad + c.cfg.CostCallR
-		if !c.predictIndirect(pc, ptr) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-			if c.tracer != nil {
-				c.tracer.Emit(trace.KindMispredict, pc, ptr, 1)
-			}
-		}
-		c.stats.Branches++
-		c.rasPush(next)
-		if err := c.push(next); err != nil {
-			return &execError{pc, err}
-		}
-		next = ptr
-		c.stats.Calls++
-		if c.tracer != nil {
-			c.tracer.Call(pc, ptr)
-		}
-
-	case isa.CLLR:
-		target := c.regs[in.Rs]
-		cost = c.cfg.CostCallR
-		if !c.predictIndirect(pc, target) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-			if c.tracer != nil {
-				c.tracer.Emit(trace.KindMispredict, pc, target, 1)
-			}
-		}
-		c.stats.Branches++
-		c.rasPush(next)
-		if err := c.push(next); err != nil {
-			return &execError{pc, err}
-		}
-		next = target
-		c.stats.Calls++
-		if c.tracer != nil {
-			c.tracer.Call(pc, target)
-		}
-
-	case isa.RET:
-		ret, err := c.pop()
-		if err != nil {
-			return &execError{pc, err}
-		}
-		cost = c.cfg.CostRet
-		if !c.rasPop(ret) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-			if c.tracer != nil {
-				c.tracer.Emit(trace.KindMispredict, pc, ret, 2)
-			}
-		}
-		next = ret
-		if c.tracer != nil {
-			c.tracer.Ret(pc, ret)
-		}
-
-	case isa.PUSH:
-		if err := c.push(c.regs[in.Rd]); err != nil {
-			return &execError{pc, err}
-		}
-		cost = c.cfg.CostPush
-
-	case isa.POP:
-		v, err := c.pop()
-		if err != nil {
-			return &execError{pc, err}
-		}
-		c.regs[in.Rd] = v
-		cost = c.cfg.CostPop
-
-	case isa.SPAD:
-		c.regs[isa.SP] += uint64(in.Imm)
-		cost = c.cfg.CostALU
-
-	case isa.XCHG:
-		addr := c.regs[in.Rd]
-		old, err := c.Mem.ReadUint(addr, 8)
-		if err != nil {
-			return &execError{pc, err}
-		}
-		if err := c.Mem.WriteUint(addr, 8, c.regs[in.Rs]); err != nil {
-			return &execError{pc, err}
-		}
-		c.regs[in.Rs] = old
-		c.stats.Loads++
-		c.stats.Stores++
-		cost = c.cfg.CostXchg
-
-	case isa.PAUSE:
-		cost = c.cfg.CostPause
-
-	case isa.CLI, isa.STI:
-		on := in.Op == isa.STI
-		if c.mode == Guest {
-			// A paravirtualized guest is deprivileged: the
-			// instruction traps and the hypervisor emulates it.
-			cost = c.cfg.GuestTrapCost
-			c.intrOn = on
-		} else {
-			cost = c.cfg.CostCliSti
-			c.intrOn = on
-		}
-
-	case isa.HCALL:
-		if c.hypervisor == nil {
-			return &execError{pc, fmt.Errorf("HCALL %d with no hypervisor", in.Imm)}
-		}
-		if err := c.hypervisor.Hypercall(c, uint8(in.Imm)); err != nil {
-			return &execError{pc, err}
-		}
-		cost = c.cfg.CostHcall
-
-	case isa.RDTSC:
-		// Like rdtsc_ordered: the cost is charged before the value is
-		// read so that back-to-back reads measure the in-between work
-		// plus one timer read. cost stays 0 so the epilogue adds
-		// nothing more, but the interrupt check still runs.
-		c.cycles += uint64(c.cfg.CostRdtsc)
-		c.regs[in.Rd] = c.cycles
-
-	case isa.OUTB:
-		if c.OutB != nil {
-			c.OutB(uint8(in.Imm), byte(c.regs[in.Rs]))
-		}
-		cost = c.cfg.CostIO
-
-	case isa.INB:
-		var v byte
-		if c.InB != nil {
-			v = c.InB(uint8(in.Imm))
-		}
-		c.regs[in.Rd] = uint64(v)
-		cost = c.cfg.CostIO
-
-	default:
-		return &execError{pc, fmt.Errorf("unimplemented opcode %v", in.Op)}
+	next, cost, err := sbOps[in.Op](c, in, pc, pc+uint64(in.Len))
+	if err != nil {
+		return &execError{pc, err}
 	}
-
-	c.cycles += uint64(cost)
-	c.pc = next
-	if c.intrPeriod > 0 && c.intrOn && c.cycles >= c.nextIntr {
-		// Service an asynchronous interrupt: time passes, state is
-		// preserved (the handler saves and restores everything).
-		c.cycles += c.intrCost
-		c.stats.Interrupts++
-		c.nextIntr = c.cycles + c.intrPeriod
-		if c.tracer != nil {
-			c.tracer.Emit(trace.KindInterrupt, pc, c.intrCost, 0)
-		}
-	}
+	c.retire(next, cost)
 	return nil
+}
+
+// retire is the epilogue of every instruction, stepped or in a block:
+// charge its cost, service a due perturbation interrupt, and advance
+// the pc. Every handler that succeeds must reach it, or a due
+// interrupt goes unserviced across that instruction (a real bug the
+// RDTSC regression test provokes). It stays small enough to inline
+// into execBlock's loop.
+func (c *CPU) retire(next uint64, cost int) {
+	c.cycles += uint64(cost)
+	if c.intrPeriod > 0 && c.cycles >= c.nextIntr {
+		c.interrupt()
+	}
+	c.pc = next
+}
+
+// interrupt services a due asynchronous interrupt after the
+// instruction at c.pc, unless interrupts are masked (it then stays
+// pending): time passes, state is preserved (the handler saves and
+// restores everything).
+func (c *CPU) interrupt() {
+	if !c.intrOn {
+		return
+	}
+	c.cycles += c.intrCost
+	c.stats.Interrupts++
+	c.nextIntr = c.cycles + c.intrPeriod
+	if c.tracer != nil {
+		c.tracer.Emit(trace.KindInterrupt, c.pc, c.intrCost, 0)
+	}
 }
 
 func immToReg(op isa.Op) isa.Op {
@@ -875,67 +592,34 @@ func immToReg(op isa.Op) isa.Op {
 	return op - isa.ADDI + isa.ADD
 }
 
+// alu executes the divide family, the only ALU ops that can fault.
 func (c *CPU) alu(op isa.Op, rd isa.Reg, src uint64) (int, error) {
+	if src == 0 {
+		return 0, fmt.Errorf("division by zero")
+	}
 	a := c.regs[rd]
-	cost := c.cfg.CostALU
 	switch op {
-	case isa.ADD:
-		a += src
-	case isa.SUB:
-		a -= src
-	case isa.MUL:
-		a *= src
-		cost = c.cfg.CostMul
 	case isa.DIV:
-		if src == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
 		a = uint64(int64(a) / int64(src))
-		cost = c.cfg.CostDiv
 	case isa.MOD:
-		if src == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
 		a = uint64(int64(a) % int64(src))
-		cost = c.cfg.CostDiv
 	case isa.UDIV:
-		if src == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
 		a /= src
-		cost = c.cfg.CostDiv
 	case isa.UMOD:
-		if src == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
 		a %= src
-		cost = c.cfg.CostDiv
-	case isa.AND:
-		a &= src
-	case isa.OR:
-		a |= src
-	case isa.XOR:
-		a ^= src
-	case isa.SHL:
-		a <<= src & 63
-	case isa.SHR:
-		a >>= src & 63
-	case isa.SAR:
-		a = uint64(int64(a) >> (src & 63))
-	case isa.NEG:
-		a = -a
-	case isa.NOT:
-		a = ^a
-	default:
-		return 0, fmt.Errorf("not an ALU op: %v", op)
 	}
 	c.regs[rd] = a
-	return cost, nil
+	return c.cfg.CostDiv, nil
 }
 
+// push writes v below the stack pointer and only then moves it, so a
+// faulting push changes nothing.
 func (c *CPU) push(v uint64) error {
-	c.regs[isa.SP] -= 8
-	return c.Mem.WriteUint(c.regs[isa.SP], 8, v)
+	err := c.Mem.WriteUint(c.regs[isa.SP]-8, 8, v)
+	if err == nil {
+		c.regs[isa.SP] -= 8
+	}
+	return err
 }
 
 func (c *CPU) pop() (uint64, error) {

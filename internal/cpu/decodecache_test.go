@@ -7,7 +7,7 @@ import (
 	"repro/internal/mem"
 )
 
-// hotLoop assembles the counter loop used by the decode-cache tests:
+// hotLoop assembles the counter loop used by the decode cache tests:
 // r1 counts up to n with a backward conditional branch.
 func hotLoop(n int32) []byte {
 	var a isa.Asm
@@ -23,9 +23,6 @@ func hotLoop(n int32) []byte {
 
 func TestDecodeCacheHitsOnHotLoop(t *testing.T) {
 	c := newVM(t, hotLoop(1000))
-	if !c.DecodeCacheEnabled() {
-		t.Fatal("decode cache not enabled by default")
-	}
 	run(t, c)
 	st := c.Stats()
 	if st.DecodeHits+st.DecodeMisses != st.Instructions {
@@ -40,54 +37,6 @@ func TestDecodeCacheHitsOnHotLoop(t *testing.T) {
 	if st.DecodeHits < st.Instructions*9/10 {
 		t.Errorf("hits = %d of %d instructions; hot loop not served from cache",
 			st.DecodeHits, st.Instructions)
-	}
-}
-
-func TestDecodeCacheDisabled(t *testing.T) {
-	c := newVM(t, hotLoop(100))
-	c.SetDecodeCache(false)
-	run(t, c)
-	st := c.Stats()
-	if st.DecodeHits != 0 || st.DecodeMisses != 0 {
-		t.Errorf("disabled cache recorded hits %d / misses %d", st.DecodeHits, st.DecodeMisses)
-	}
-}
-
-// TestDecodeCacheCycleInvariance is the load-bearing invariant: the
-// decode cache is a host-side accelerator only, so simulated cycles and
-// every architectural statistic must be bit-identical with it on/off.
-func TestDecodeCacheCycleInvariance(t *testing.T) {
-	program := func() []byte {
-		var a isa.Asm
-		a.Movi(1, 0)
-		a.Movi(4, int64(dataBase))
-		loop := a.Len()
-		a.AluI(isa.ADDI, 1, 1)
-		a.St(4, 1, 8, 0)
-		a.Ld(5, 4, 8, 0)
-		a.Movi(6, 3)
-		a.Xchg(4, 6)
-		a.CmpI(1, 300)
-		jccAt := a.Len()
-		a.Jcc(isa.LT, int32(loop-(jccAt+6)))
-		a.Hlt()
-		return a.Bytes()
-	}
-	exec := func(cache bool) (uint64, Stats) {
-		c := newVM(t, program())
-		c.SetDecodeCache(cache)
-		run(t, c)
-		st := c.Stats()
-		st.DecodeHits, st.DecodeMisses = 0, 0 // the only permitted difference
-		return c.Cycles(), st
-	}
-	onCycles, onStats := exec(true)
-	offCycles, offStats := exec(false)
-	if onCycles != offCycles {
-		t.Errorf("cycles differ: cache on %d, off %d", onCycles, offCycles)
-	}
-	if onStats != offStats {
-		t.Errorf("stats differ:\ncache on:  %+v\ncache off: %+v", onStats, offStats)
 	}
 }
 
@@ -134,53 +83,45 @@ func TestStaleDecodedInstructionUntilFlush(t *testing.T) {
 // near page ends: an instruction whose fetch window straddles a page
 // boundary takes bytes from two icache lines with independent
 // lifetimes. Flushing only the second page must be visible on the next
-// execution even though the first page stays cached, with or without
-// the decode cache.
+// execution even though the first page stays cached.
 func TestStraddlingWindowNotCached(t *testing.T) {
-	build := func(cache bool) (*CPU, uint64) {
-		m := mem.New()
-		if err := m.Map(textBase, 2*mem.PageSize, mem.RWX); err != nil {
-			t.Fatal(err)
-		}
-		start := textBase + mem.PageSize - 5 // MOVI: 5 bytes page 0, 5 bytes page 1
-		var a isa.Asm
-		a.Movi(3, 0x1111111111111111)
-		a.Hlt()
-		if err := m.Write(start, a.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		c := New(m, DefaultConfig())
-		c.SetDecodeCache(cache)
-		c.SetPC(start)
-		return c, start
+	m := mem.New()
+	if err := m.Map(textBase, 2*mem.PageSize, mem.RWX); err != nil {
+		t.Fatal(err)
 	}
-	for _, cache := range []bool{true, false} {
-		c, start := build(cache)
-		if _, err := c.Run(10); err != nil {
-			t.Fatal(err)
-		}
-		if c.Reg(3) != 0x1111111111111111 {
-			t.Fatalf("cache=%v: r3 = %#x", cache, c.Reg(3))
-		}
-		// Patch the five immediate bytes that live in page 1 and flush
-		// only page 1: the re-executed MOVI must mix the stale page-0
-		// bytes with the fresh page-1 bytes.
-		patch := []byte{0x22, 0x22, 0x22, 0x22, 0x22}
-		if err := c.Mem.Write(textBase+mem.PageSize, patch); err != nil {
-			t.Fatal(err)
-		}
-		c.FlushICache(textBase+mem.PageSize, uint64(len(patch)))
-		c.SetPC(start)
-		if _, err := c.Run(10); err != nil {
-			t.Fatal(err)
-		}
-		const want = 0x2222222222111111 // low 3 bytes stale, high 5 fresh
-		if c.Reg(3) != want {
-			t.Errorf("cache=%v: r3 = %#x, want %#x (page-1 flush ignored)", cache, c.Reg(3), want)
-		}
-		if cache && c.Stats().DecodeHits != 0 {
-			t.Errorf("straddling instruction served from decode cache (%d hits)", c.Stats().DecodeHits)
-		}
+	start := textBase + mem.PageSize - 5 // MOVI: 5 bytes page 0, 5 bytes page 1
+	var a isa.Asm
+	a.Movi(3, 0x1111111111111111)
+	a.Hlt()
+	if err := m.Write(start, a.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	c := New(m, DefaultConfig())
+	c.SetPC(start)
+	if _, err := c.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if c.Reg(3) != 0x1111111111111111 {
+		t.Fatalf("r3 = %#x", c.Reg(3))
+	}
+	// Patch the five immediate bytes that live in page 1 and flush
+	// only page 1: the re-executed MOVI must mix the stale page-0
+	// bytes with the fresh page-1 bytes.
+	patch := []byte{0x22, 0x22, 0x22, 0x22, 0x22}
+	if err := c.Mem.Write(textBase+mem.PageSize, patch); err != nil {
+		t.Fatal(err)
+	}
+	c.FlushICache(textBase+mem.PageSize, uint64(len(patch)))
+	c.SetPC(start)
+	if _, err := c.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x2222222222111111 // low 3 bytes stale, high 5 fresh
+	if c.Reg(3) != want {
+		t.Errorf("r3 = %#x, want %#x (page-1 flush ignored)", c.Reg(3), want)
+	}
+	if c.Stats().DecodeHits != 0 {
+		t.Errorf("straddling instruction served from decode cache (%d hits)", c.Stats().DecodeHits)
 	}
 }
 
@@ -210,7 +151,7 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 	}
 	c := New(m, DefaultConfig())
 	c.SetPC(textBase)
-	if _, err := c.Run(10); err != nil { // fills and decode-caches page 0 only
+	if _, err := c.Run(10); err != nil { // fills page 0 and caches its decodes
 		t.Fatal(err)
 	}
 	if c.Stats().ICacheFills != 1 {
@@ -225,18 +166,5 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 	}
 	if c.Stats().ICacheFills != 2 {
 		t.Errorf("fills = %d, want 2 (page 1 filled on demand)", c.Stats().ICacheFills)
-	}
-}
-
-func TestSetDecodeCacheDefault(t *testing.T) {
-	orig := DecodeCacheDefault()
-	defer SetDecodeCacheDefault(orig)
-	SetDecodeCacheDefault(false)
-	if c := New(mem.New(), DefaultConfig()); c.DecodeCacheEnabled() {
-		t.Error("new CPU ignores disabled default")
-	}
-	SetDecodeCacheDefault(true)
-	if c := New(mem.New(), DefaultConfig()); !c.DecodeCacheEnabled() {
-		t.Error("new CPU ignores enabled default")
 	}
 }

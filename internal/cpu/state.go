@@ -21,11 +21,13 @@
 // itself leaves no trace.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
-// injectors, device callbacks and the decode-cache line memo — is
-// deliberately not state: it belongs to the constructing harness, and
-// the memo is rebuilt lazily. state_test.go enumerates every CPU field
-// and fails compilation of a lie: adding a field without classifying
-// it as serialized or host-wiring breaks the build gate.
+// injectors, device callbacks, the icache line memo and Step's
+// decode-miss slot — is deliberately not state: it belongs to the
+// constructing harness, the memo is rebuilt lazily, and the slot is
+// scratch space each decode miss overwrites. state_test.go enumerates
+// every CPU field and fails compilation of a lie: adding a field
+// without classifying it as serialized or host-wiring breaks the build
+// gate.
 
 package cpu
 
@@ -46,7 +48,7 @@ type BTBState struct {
 }
 
 // ICLineState is one exported instruction-cache line: the page-byte
-// snapshot plus the offsets of its derived decode-cache and superblock
+// snapshot plus the offsets of its derived decode cache and superblock
 // entries (offsets only — the entries rebuild deterministically from
 // Bytes at import).
 type ICLineState struct {
@@ -72,7 +74,6 @@ type State struct {
 	RAS  []uint64
 	RASN int
 
-	DecodeCache bool
 	Superblocks bool
 
 	Mode       uint8
@@ -97,7 +98,6 @@ func (c *CPU) ExportState() State {
 		CmpB:        c.cmpB,
 		RAS:         append([]uint64(nil), c.ras...),
 		RASN:        c.rasN,
-		DecodeCache: c.decodeCache,
 		Superblocks: c.superblocks,
 		Mode:        uint8(c.mode),
 		IntrOn:      c.intrOn,
@@ -142,25 +142,6 @@ func (c *CPU) ExportState() State {
 	return s
 }
 
-// decodeLineInst decodes the instruction at in-page offset off from a
-// line's byte snapshot, mirroring stepDecode's NOPN handling. It is
-// the deterministic derivation ImportState replays to rebuild decode
-// cache entries.
-func decodeLineInst(line *icLine, off int) (isa.Inst, error) {
-	w := line.bytes[off:]
-	if len(w) > maxInstLen {
-		w = w[:maxInstLen]
-	}
-	if len(w) >= 2 && isa.Op(w[0]) == isa.NOPN {
-		length := int(w[1])
-		if length < 2 {
-			return isa.Inst{}, fmt.Errorf("cpu: NOPN length %d at snapshot offset %#x", length, off)
-		}
-		return isa.Inst{Op: isa.NOPN, Len: length}, nil
-	}
-	return isa.Decode(w)
-}
-
 // ImportState restores a previously exported state onto this CPU. The
 // CPU must have been constructed with the same Config the exporting
 // CPU used (the predictor geometry is checked; the cost model is the
@@ -191,9 +172,9 @@ func (c *CPU) ImportState(s State) error {
 				if int(off)+maxInstLen > mem.PageSize {
 					return fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
 				}
-				in, err := decodeLineInst(line, int(off))
+				in, err := decodeInst(line.bytes[off:])
 				if err != nil {
-					return fmt.Errorf("cpu: rebuilding decode cache for line %#x: %w", ls.PN, err)
+					return fmt.Errorf("cpu: rebuilding decode cache for line %#x at offset %#x: %w", ls.PN, off, err)
 				}
 				line.dec[off] = in
 			}
@@ -210,7 +191,6 @@ func (c *CPU) ImportState(s State) error {
 	}
 	copy(c.ras, s.RAS)
 	c.rasN = s.RASN
-	c.decodeCache = s.DecodeCache
 	c.superblocks = s.Superblocks
 	c.mode = Mode(s.Mode)
 	c.intrOn = s.IntrOn

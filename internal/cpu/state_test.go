@@ -18,8 +18,8 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"regs": true, "pc": true, "cycles": true, "halted": true,
 		"cmpA": true, "cmpB": true,
 		"btb": true, "ras": true, "rasN": true,
-		"decodeCache": true, "superblocks": true,
-		"mode": true, "intrOn": true,
+		"superblocks": true,
+		"mode":        true, "intrOn": true,
 		"intrPeriod": true, "intrCost": true, "nextIntr": true,
 		"icache": true, "stats": true,
 	}
@@ -30,7 +30,8 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"tracer":     true, "Trace": true, // observability hooks
 		"inject": true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
-		"lastPN": true, "lastLine": true, // decode-cache memo, rebuilt lazily
+		"lastPN": true, "lastLine": true, // icache line memo, rebuilt lazily
+		"missed":    true, // Step's decode-miss scratch slot, overwritten per miss
 		"cycleStop": true, // transient RunUntil pause mark, zero at capture
 	}
 	checkFields(t, reflect.TypeOf(CPU{}), serialized, hostWiring)
@@ -59,7 +60,7 @@ func checkFields(t *testing.T, typ reflect.Type, serialized, hostWiring map[stri
 }
 
 // stateVM builds a CPU mid-flight: warmed predictors, resident icache
-// lines with decode-cache and superblock entries, live RAS, interrupt
+// lines with decode cache and superblock entries, live RAS, interrupt
 // perturbation — everything ExportState claims to capture.
 func stateVM(t *testing.T) *CPU {
 	t.Helper()

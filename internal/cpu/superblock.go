@@ -1,14 +1,15 @@
 // The superblock interpreter.
 //
-// The decode cache (decodecache.go) removed re-decoding from the hot
-// path, but every instruction still paid one full trip through Step's
-// dispatch machinery: halted check, cache probe, the monolithic exec
-// switch, and the Run loop's own bookkeeping. Superblocks remove that
-// per-instruction overhead the way trace-based interpreters do (cf.
-// Wong et al., "Faster Variational Execution with Transparent Bytecode
-// Transformation"): straight-line runs of instructions are chained
-// into a block once, then replayed by a threaded-dispatch loop that
-// calls one pre-resolved handler function per instruction.
+// Every opcode has one handler in the dispatch table below; Step runs a
+// one-entry dispatch through it. Stepping still pays per instruction
+// for Step's machinery — the halted check, the hook checks, the
+// decode cache probe and the Run loop's own bookkeeping. Superblocks
+// remove that per-instruction overhead the way trace-based
+// interpreters do (cf. Wong et al., "Faster Variational Execution with
+// Transparent Bytecode Transformation"): straight-line runs of
+// instructions are chained into a block once, then replayed by a
+// threaded-dispatch loop that calls one pre-resolved handler per
+// instruction.
 //
 // Formation. A block starts at the first pc executed through the fast
 // path whose icache line is already resident, and chains decoded
@@ -19,8 +20,8 @@
 //     pc itself;
 //   - HLT, BRK and HCALL — never included: HLT must bounce control
 //     back to the Run loop's halt check, a resident BRK byte must trap
-//     through the slow path, and a hypercall hands the CPU to an
-//     arbitrary host handler;
+//     through Step, and a hypercall hands the CPU to an arbitrary host
+//     handler;
 //   - any byte sequence that does not decode entirely from this line's
 //     snapshot (instructions straddling the line boundary draw bytes
 //     from a second line with an independent lifetime, exactly the
@@ -29,8 +30,7 @@
 //
 // A pc where no block can start (it holds HLT, BRK, HCALL or
 // undecodable bytes) caches a shared zero-length sentinel so the fast
-// path stops re-attempting the build and falls through to the decode
-// cache.
+// path stops re-attempting the build and falls through to Step.
 //
 // Invalidation. Blocks are derived exclusively from the line's byte
 // snapshot and are stored on the line itself, so FlushICache drops
@@ -39,17 +39,17 @@
 // already relies on: the poke's phase-1 flush kills every block built
 // over the old bytes before any CPU can fetch the breakpoint.
 // Patching *without* a flush keeps executing the stale block, just as
-// the raw interpreter keeps executing the stale bytes.
+// Step keeps executing the stale bytes.
 //
-// Semantics. Block execution is bit-identical to single-stepping: each
-// handler mirrors its exec() case exactly (costs, stat counters,
-// predictor updates, operation order on fault paths), and the dispatch
-// loop runs the same per-instruction epilogue — cycle charge, pc
-// advance, interrupt-perturbation check. Blocks run only from the
-// hook-free fast path (no Trace callback, no tracer, no fault
-// injector), so the observability and injection hooks always see
-// true single-instruction execution. internal/difftest pins E1/E4
-// simulated cycles bit-identical with superblocks on and off.
+// Semantics. Blocks and Step run the same handlers and the same
+// epilogue (retire), so a block differs from single-stepping only in
+// what it skips: hooks, per-instruction decode cache probes, and stats
+// it batches per block. Blocks run only from the hook-free fast path
+// (no Trace callback, no tracer, no fault injector), so the
+// observability and injection hooks always see single-instruction
+// execution. TestOpcodeSemantics pins every handler, and
+// FuzzBlockVsStep and internal/difftest pin block formation, chaining
+// and stats batching against Step.
 
 package cpu
 
@@ -59,6 +59,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 // maxBlockInsts bounds block length. Long enough to swallow any hot
@@ -94,19 +95,18 @@ func (c *CPU) SetSuperblocks(on bool) { c.superblocks = on }
 // runs through cached superblocks.
 func (c *CPU) SuperblocksEnabled() bool { return c.superblocks }
 
-// sbFn executes one block entry. It returns the next pc (e.next for
-// straight-line instructions; terminators compute their own) and the
-// cycle cost the common epilogue charges. On error nothing retired:
-// registers, pc and cycles are exactly as the corresponding exec()
-// case leaves them.
-type sbFn func(c *CPU, e *sbEntry) (next uint64, cost int, err error)
+// sbFn executes the instruction in at pc, whose fall-through pc is
+// next (pc+in.Len). It returns the pc to continue at (next, or a
+// target control flow computes) and the cycle cost the common
+// epilogue charges. On error nothing retired: the caller skips the
+// epilogue, so pc and cycles hold.
+type sbFn func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error)
 
 // sbEntry is one predecoded, pre-dispatched instruction of a block.
 type sbEntry struct {
-	fn   sbFn
-	in   isa.Inst
-	pc   uint64
-	next uint64 // pc + in.Len
+	fn       sbFn
+	in       isa.Inst
+	pc, next uint64
 }
 
 // superblock is a straight-line chain of instructions, optionally
@@ -122,19 +122,10 @@ var sbReject = &superblock{}
 
 // cachedBlock returns the block starting at pc (which may be the
 // sbReject sentinel) and the resident line, either of which may be
-// nil. It shares the decode cache's last-line memo.
+// nil.
 func (c *CPU) cachedBlock(pc uint64) (*superblock, *icLine) {
-	pn := pc >> mem.PageShift
-	line := c.lastLine
-	if line == nil || c.lastPN != pn {
-		var ok bool
-		line, ok = c.icache[pn]
-		if !ok {
-			return nil, nil
-		}
-		c.lastPN, c.lastLine = pn, line
-	}
-	if line.sb == nil {
+	line := c.residentLine(pc)
+	if line == nil || line.sb == nil {
 		return nil, line
 	}
 	return line.sb[pc&(mem.PageSize-1)], line
@@ -161,38 +152,19 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 	b := &superblock{}
 	cur := pc
 	for len(b.entries) < maxBlockInsts && cur>>mem.PageShift == pn {
-		off := cur & (mem.PageSize - 1)
-		w := line.bytes[off:]
-		if len(w) > maxInstLen {
-			w = w[:maxInstLen]
+		// An undecodable window may be a valid instruction straddling
+		// into the next line, whose lifetime is independent; Step
+		// handles it.
+		in, err := decodeInst(line.bytes[cur&(mem.PageSize-1):])
+		if err != nil || in.Op == isa.HLT || in.Op == isa.BRK || in.Op == isa.HCALL {
+			break
 		}
-		var in isa.Inst
-		if isa.Op(w[0]) == isa.NOPN {
-			// Like stepDecode: only the length byte matters; the padding
-			// need not lie in this line (it may cross into the next page).
-			if len(w) < 2 || int(w[1]) < 2 {
-				break
-			}
-			in = isa.Inst{Op: isa.NOPN, Len: int(w[1])}
-		} else {
-			var err error
-			in, err = isa.Decode(w)
-			if err != nil {
-				// Undecodable from this line alone — possibly a valid
-				// instruction straddling into the next line, whose
-				// lifetime is independent. The slow path handles it.
-				break
-			}
-		}
-		fn := sbOps[in.Op]
-		if fn == nil {
-			break // HLT, BRK, HCALL or an op with no handler
-		}
-		b.entries = append(b.entries, sbEntry{fn: fn, in: in, pc: cur, next: cur + uint64(in.Len)})
+		next := cur + uint64(in.Len)
+		b.entries = append(b.entries, sbEntry{fn: sbOps[in.Op], in: in, pc: cur, next: next})
 		if sbTerminator(in.Op) {
 			break
 		}
-		cur += uint64(in.Len)
+		cur = next
 	}
 	if len(b.entries) == 0 {
 		b = sbReject
@@ -206,14 +178,11 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 
 // execBlock replays up to budget entries of b through threaded
 // dispatch. It returns the number of instructions that fully retired.
-// The per-instruction epilogue is exec()'s: charge the cost, advance
-// the pc, service a due perturbation interrupt. Stats that exec()
-// counts unconditionally per dispatched instruction (Instructions,
-// and DecodeHits when the decode cache is on — block entries are
-// predecoded, so dispatching one is a decode-cache hit) are
-// accumulated locally and flushed on every exit path, including the
-// not-retired dispatch of a faulting instruction, mirroring exec()
-// counting Instructions before the opcode runs.
+// Each entry runs Step's handler and epilogue. The stats Step counts
+// per dispatched instruction (Instructions, and DecodeHits: block
+// entries are predecoded) are accumulated locally and flushed on every
+// exit path, including the not-retired dispatch of a faulting
+// instruction, which Step counts too.
 func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 	entries := b.entries
 	if budget < uint64(len(entries)) {
@@ -222,32 +191,20 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 	var done uint64
 	for i := range entries {
 		e := &entries[i]
-		next, cost, err := e.fn(c, e)
+		next, cost, err := e.fn(c, &e.in, e.pc, e.next)
 		if err != nil {
 			dispatched := done + 1
 			c.stats.Instructions += dispatched
 			c.stats.BlockInsts += dispatched
-			if c.decodeCache {
-				c.stats.DecodeHits += dispatched
-			}
+			c.stats.DecodeHits += dispatched
 			return done, &execError{e.pc, err}
 		}
 		done++
-		c.cycles += uint64(cost)
-		c.pc = next
-		if c.intrPeriod > 0 && c.intrOn && c.cycles >= c.nextIntr {
-			// Service an asynchronous interrupt: time passes, state is
-			// preserved (the handler saves and restores everything).
-			c.cycles += c.intrCost
-			c.stats.Interrupts++
-			c.nextIntr = c.cycles + c.intrPeriod
-		}
+		c.retire(next, cost)
 	}
 	c.stats.Instructions += done
 	c.stats.BlockInsts += done
-	if c.decodeCache {
-		c.stats.DecodeHits += done
-	}
+	c.stats.DecodeHits += done
 	c.stats.BlockHits++
 	return done, nil
 }
@@ -258,14 +215,14 @@ func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
 // resident or buildable block continues dispatching without
 // re-entering Run (HLT never lives inside a block, so the halted
 // check cannot be skipped past). A pc with no block retires exactly
-// one instruction via the decode cache or the full fetch-and-decode
-// path. It returns the number of instructions that retired.
+// one instruction through Step. It returns the number of instructions
+// that retired.
 func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 	if c.halted {
 		return 0, fmt.Errorf("cpu: step on halted CPU")
 	}
-	pc := c.pc
 	if c.superblocks {
+		pc := c.pc
 		var total uint64
 		for total < budget {
 			b, line := c.cachedBlock(pc)
@@ -292,19 +249,10 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 			return total, nil
 		}
 	}
-	// Single-instruction fall-through: a faulting instruction did not
-	// retire, so it must not count against the caller's step budget —
-	// the same contract as Run's Step loop.
-	if c.decodeCache {
-		if in, ok := c.cachedInst(pc); ok {
-			c.stats.DecodeHits++
-			if err := c.exec(in); err != nil {
-				return 0, err
-			}
-			return 1, nil
-		}
-	}
-	if err := c.stepDecode(pc); err != nil {
+	// A faulting instruction did not retire, so it must not count
+	// against the caller's step budget — the same contract as Run's
+	// Step loop.
+	if err := c.Step(); err != nil {
 		return 0, err
 	}
 	return 1, nil
@@ -312,61 +260,66 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 
 // --- the threaded-dispatch table ---
 //
-// One handler per opcode, indexed by the opcode byte. Every handler is
-// a line-for-line mirror of its exec() case: same costs, same stat
-// counters, same operation order on fault paths (the difftests and the
-// chaining fuzz test hold them to it). Handlers never touch tracers or
-// injectors — blocks only run on the hook-free path, where both are
-// nil by construction.
+// One handler per opcode, indexed by the opcode byte: the only
+// definition of each instruction's semantics — cost, registers,
+// memory, stat counters, predictor updates, trace events and the
+// operation order on fault paths. BRK has no handler: Step traps it
+// before dispatch, since a trap retires nothing. Trace events sit
+// behind tracer checks, which blocks always pass, as they only run
+// with no tracer attached.
 
 var sbOps [256]sbFn
 
 func init() {
 	for _, op := range []isa.Op{isa.NOP, isa.NOPN} {
-		sbOps[op] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			return e.next, c.cfg.CostNop, nil
+		sbOps[op] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			return next, c.cfg.CostNop, nil
 		}
 	}
-	sbOps[isa.MOVI] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] = uint64(e.in.Imm)
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.HLT] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.halted = true
+		return next, 0, nil
 	}
-	sbOps[isa.MOV] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] = c.regs[e.in.Rs]
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.MOVI] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] = uint64(in.Imm)
+		return next, c.cfg.CostALU, nil
 	}
-	sbOps[isa.LEA] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] = c.regs[e.in.Rs] + uint64(e.in.Imm)
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.MOV] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] = c.regs[in.Rs]
+		return next, c.cfg.CostALU, nil
+	}
+	sbOps[isa.LEA] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] = c.regs[in.Rs] + uint64(in.Imm)
+		return next, c.cfg.CostALU, nil
 	}
 	for _, op := range []isa.Op{isa.LD, isa.LDS} {
-		sbOps[op] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			addr := c.regs[e.in.Rs] + uint64(e.in.Imm)
-			v, err := c.Mem.ReadUint(addr, e.in.Size)
+		sbOps[op] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			addr := c.regs[in.Rs] + uint64(in.Imm)
+			v, err := c.Mem.ReadUint(addr, in.Size)
 			if err != nil {
 				return 0, 0, err
 			}
-			if e.in.Op == isa.LDS {
-				shift := 64 - 8*e.in.Size
+			if in.Op == isa.LDS {
+				shift := 64 - 8*in.Size
 				v = uint64(int64(v<<shift) >> shift)
 			}
-			c.regs[e.in.Rd] = v
+			c.regs[in.Rd] = v
 			c.stats.Loads++
-			return e.next, c.cfg.CostLoad, nil
+			return next, c.cfg.CostLoad, nil
 		}
 	}
-	sbOps[isa.ST] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		addr := c.regs[e.in.Rd] + uint64(e.in.Imm)
-		if err := c.Mem.WriteUint(addr, e.in.Size, c.regs[e.in.Rs]); err != nil {
+	sbOps[isa.ST] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		addr := c.regs[in.Rd] + uint64(in.Imm)
+		if err := c.Mem.WriteUint(addr, in.Size, c.regs[in.Rs]); err != nil {
 			return 0, 0, err
 		}
 		c.stats.Stores++
-		return e.next, c.cfg.CostStore, nil
+		return next, c.cfg.CostStore, nil
 	}
 	// ALU ops that cannot fault get direct handlers — no trip through
 	// the alu() switch, whose dispatch cost dominates 1-cycle ops on
-	// the host. The divide family keeps the generic path: it is rare
-	// and carries the division-by-zero error return.
+	// the host. The divide family keeps alu(): it is rare and carries
+	// the division-by-zero error return.
 	type aluFn func(a, b uint64) uint64
 	aluPairs := []struct {
 		reg, imm isa.Op
@@ -383,128 +336,117 @@ func init() {
 	}
 	for _, p := range aluPairs {
 		f := p.f
-		sbOps[p.reg] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			c.regs[e.in.Rd] = f(c.regs[e.in.Rd], c.regs[e.in.Rs])
-			return e.next, c.cfg.CostALU, nil
+		sbOps[p.reg] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			c.regs[in.Rd] = f(c.regs[in.Rd], c.regs[in.Rs])
+			return next, c.cfg.CostALU, nil
 		}
-		sbOps[p.imm] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			c.regs[e.in.Rd] = f(c.regs[e.in.Rd], uint64(e.in.Imm))
-			return e.next, c.cfg.CostALU, nil
+		sbOps[p.imm] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			c.regs[in.Rd] = f(c.regs[in.Rd], uint64(in.Imm))
+			return next, c.cfg.CostALU, nil
 		}
 	}
-	sbOps[isa.NEG] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] = -c.regs[e.in.Rd]
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.NEG] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] = -c.regs[in.Rd]
+		return next, c.cfg.CostALU, nil
 	}
-	sbOps[isa.NOT] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] = ^c.regs[e.in.Rd]
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.NOT] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] = ^c.regs[in.Rd]
+		return next, c.cfg.CostALU, nil
 	}
-	sbOps[isa.MUL] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] *= c.regs[e.in.Rs]
-		return e.next, c.cfg.CostMul, nil
+	sbOps[isa.MUL] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] *= c.regs[in.Rs]
+		return next, c.cfg.CostMul, nil
 	}
-	sbOps[isa.MULI] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[e.in.Rd] *= uint64(e.in.Imm)
-		return e.next, c.cfg.CostMul, nil
+	sbOps[isa.MULI] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[in.Rd] *= uint64(in.Imm)
+		return next, c.cfg.CostMul, nil
 	}
 	for _, op := range []isa.Op{isa.DIV, isa.MOD, isa.UDIV, isa.UMOD} {
-		sbOps[op] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			cost, err := c.alu(e.in.Op, e.in.Rd, c.regs[e.in.Rs])
+		sbOps[op] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			cost, err := c.alu(in.Op, in.Rd, c.regs[in.Rs])
 			if err != nil {
 				return 0, 0, err
 			}
-			return e.next, cost, nil
+			return next, cost, nil
 		}
 	}
 	for _, op := range []isa.Op{isa.DIVI, isa.MODI} {
-		sbOps[op] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			cost, err := c.alu(immToReg(e.in.Op), e.in.Rd, uint64(e.in.Imm))
+		sbOps[op] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+			cost, err := c.alu(immToReg(in.Op), in.Rd, uint64(in.Imm))
 			if err != nil {
 				return 0, 0, err
 			}
-			return e.next, cost, nil
+			return next, cost, nil
 		}
 	}
-	sbOps[isa.CMP] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.cmpA, c.cmpB = int64(c.regs[e.in.Rd]), int64(c.regs[e.in.Rs])
-		return e.next, c.cfg.CostCmp, nil
+	sbOps[isa.CMP] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.cmpA, c.cmpB = int64(c.regs[in.Rd]), int64(c.regs[in.Rs])
+		return next, c.cfg.CostCmp, nil
 	}
-	sbOps[isa.CMPI] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.cmpA, c.cmpB = int64(c.regs[e.in.Rd]), e.in.Imm
-		return e.next, c.cfg.CostCmp, nil
+	sbOps[isa.CMPI] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.cmpA, c.cmpB = int64(c.regs[in.Rd]), in.Imm
+		return next, c.cfg.CostCmp, nil
 	}
-	sbOps[isa.SETCC] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		if e.in.Cond.Eval(c.cmpA, c.cmpB) {
-			c.regs[e.in.Rd] = 1
+	sbOps[isa.SETCC] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		if in.Cond.Eval(c.cmpA, c.cmpB) {
+			c.regs[in.Rd] = 1
 		} else {
-			c.regs[e.in.Rd] = 0
+			c.regs[in.Rd] = 0
 		}
-		return e.next, c.cfg.CostALU, nil
+		return next, c.cfg.CostALU, nil
 	}
-	sbOps[isa.JCC] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		taken := e.in.Cond.Eval(c.cmpA, c.cmpB)
+	sbOps[isa.JCC] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		taken := in.Cond.Eval(c.cmpA, c.cmpB)
 		cost := c.cfg.CostBranch
-		if !c.predictCond(e.pc, taken) {
+		if !c.predictCond(pc, taken) {
 			cost += c.cfg.MispredictPenalty
 			c.stats.Mispredicts++
+			if c.tracer != nil {
+				var t uint64
+				if taken {
+					t = 1
+				}
+				c.tracer.Emit(trace.KindMispredict, pc, t, 0)
+			}
 		}
 		c.stats.Branches++
-		next := e.next
 		if taken {
-			next += uint64(e.in.Imm)
+			next += uint64(in.Imm)
 		}
 		return next, cost, nil
 	}
-	sbOps[isa.JMP] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		return e.next + uint64(e.in.Imm), c.cfg.CostJmp, nil
+	sbOps[isa.JMP] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		return next + uint64(in.Imm), c.cfg.CostJmp, nil
 	}
-	sbOps[isa.CALL] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.rasPush(e.next)
-		if err := c.push(e.next); err != nil {
+	sbOps[isa.CALL] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		// The return-address stack is pushed only once the stack write
+		// succeeded, so a faulting call leaves both untouched.
+		if err := c.push(next); err != nil {
 			return 0, 0, err
 		}
+		c.rasPush(next)
 		c.stats.Calls++
-		return e.next + uint64(e.in.Imm), c.cfg.CostCall, nil
+		target := next + uint64(in.Imm)
+		if c.tracer != nil {
+			c.tracer.Call(pc, target)
+		}
+		return target, c.cfg.CostCall, nil
 	}
-	sbOps[isa.CLLM] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		ptr, err := c.Mem.ReadUint(uint64(e.in.Imm), 8)
+	sbOps[isa.CLLM] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		ptr, err := c.Mem.ReadUint(uint64(in.Imm), 8)
 		if err != nil {
 			return 0, 0, err
 		}
 		if ptr == 0 {
-			return 0, 0, fmt.Errorf("call through null function pointer at %#x", uint64(e.in.Imm))
+			return 0, 0, fmt.Errorf("call through null function pointer at %#x", uint64(in.Imm))
 		}
 		c.stats.Loads++
-		cost := c.cfg.CostLoad + c.cfg.CostCallR
-		if !c.predictIndirect(e.pc, ptr) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-		}
-		c.stats.Branches++
-		c.rasPush(e.next)
-		if err := c.push(e.next); err != nil {
-			return 0, 0, err
-		}
-		c.stats.Calls++
-		return ptr, cost, nil
+		return c.callIndirect(pc, next, ptr, c.cfg.CostLoad)
 	}
-	sbOps[isa.CLLR] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		target := c.regs[e.in.Rs]
-		cost := c.cfg.CostCallR
-		if !c.predictIndirect(e.pc, target) {
-			cost += c.cfg.MispredictPenalty
-			c.stats.Mispredicts++
-		}
-		c.stats.Branches++
-		c.rasPush(e.next)
-		if err := c.push(e.next); err != nil {
-			return 0, 0, err
-		}
-		c.stats.Calls++
-		return target, cost, nil
+	sbOps[isa.CLLR] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		return c.callIndirect(pc, next, c.regs[in.Rs], 0)
 	}
-	sbOps[isa.RET] = func(c *CPU, e *sbEntry) (uint64, int, error) {
+	sbOps[isa.RET] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 		ret, err := c.pop()
 		if err != nil {
 			return 0, 0, err
@@ -513,77 +455,118 @@ func init() {
 		if !c.rasPop(ret) {
 			cost += c.cfg.MispredictPenalty
 			c.stats.Mispredicts++
+			if c.tracer != nil {
+				c.tracer.Emit(trace.KindMispredict, pc, ret, 2)
+			}
+		}
+		if c.tracer != nil {
+			c.tracer.Ret(pc, ret)
 		}
 		return ret, cost, nil
 	}
-	sbOps[isa.PUSH] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		if err := c.push(c.regs[e.in.Rd]); err != nil {
+	sbOps[isa.PUSH] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		if err := c.push(c.regs[in.Rd]); err != nil {
 			return 0, 0, err
 		}
-		return e.next, c.cfg.CostPush, nil
+		return next, c.cfg.CostPush, nil
 	}
-	sbOps[isa.POP] = func(c *CPU, e *sbEntry) (uint64, int, error) {
+	sbOps[isa.POP] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 		v, err := c.pop()
 		if err != nil {
 			return 0, 0, err
 		}
-		c.regs[e.in.Rd] = v
-		return e.next, c.cfg.CostPop, nil
+		c.regs[in.Rd] = v
+		return next, c.cfg.CostPop, nil
 	}
-	sbOps[isa.SPAD] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		c.regs[isa.SP] += uint64(e.in.Imm)
-		return e.next, c.cfg.CostALU, nil
+	sbOps[isa.SPAD] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		c.regs[isa.SP] += uint64(in.Imm)
+		return next, c.cfg.CostALU, nil
 	}
-	sbOps[isa.XCHG] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		addr := c.regs[e.in.Rd]
+	sbOps[isa.XCHG] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		addr := c.regs[in.Rd]
 		old, err := c.Mem.ReadUint(addr, 8)
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := c.Mem.WriteUint(addr, 8, c.regs[e.in.Rs]); err != nil {
+		if err := c.Mem.WriteUint(addr, 8, c.regs[in.Rs]); err != nil {
 			return 0, 0, err
 		}
-		c.regs[e.in.Rs] = old
+		c.regs[in.Rs] = old
 		c.stats.Loads++
 		c.stats.Stores++
-		return e.next, c.cfg.CostXchg, nil
+		return next, c.cfg.CostXchg, nil
 	}
-	sbOps[isa.PAUSE] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-		return e.next, c.cfg.CostPause, nil
+	sbOps[isa.PAUSE] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		return next, c.cfg.CostPause, nil
 	}
 	for _, op := range []isa.Op{isa.CLI, isa.STI} {
-		sbOps[op] = func(c *CPU, e *sbEntry) (uint64, int, error) {
-			on := e.in.Op == isa.STI
+		sbOps[op] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 			cost := c.cfg.CostCliSti
 			if c.mode == Guest {
 				// A paravirtualized guest is deprivileged: the
 				// instruction traps and the hypervisor emulates it.
 				cost = c.cfg.GuestTrapCost
 			}
-			c.intrOn = on
-			return e.next, cost, nil
+			c.intrOn = in.Op == isa.STI
+			return next, cost, nil
 		}
 	}
-	sbOps[isa.RDTSC] = func(c *CPU, e *sbEntry) (uint64, int, error) {
+	sbOps[isa.HCALL] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
+		n := uint8(in.Imm)
+		if c.hypervisor == nil {
+			return 0, 0, fmt.Errorf("HCALL %d with no hypervisor", n)
+		}
+		if err := c.hypervisor.Hypercall(c, n); err != nil {
+			return 0, 0, err
+		}
+		return next, c.cfg.CostHcall, nil
+	}
+	sbOps[isa.RDTSC] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 		// Like rdtsc_ordered: the cost is charged before the value is
-		// read; the epilogue adds nothing more but its interrupt check
-		// still runs.
+		// read so that back-to-back reads measure the in-between work
+		// plus one timer read. The epilogue adds nothing more, but its
+		// interrupt check still runs.
 		c.cycles += uint64(c.cfg.CostRdtsc)
-		c.regs[e.in.Rd] = c.cycles
-		return e.next, 0, nil
+		c.regs[in.Rd] = c.cycles
+		return next, 0, nil
 	}
-	sbOps[isa.OUTB] = func(c *CPU, e *sbEntry) (uint64, int, error) {
+	sbOps[isa.OUTB] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 		if c.OutB != nil {
-			c.OutB(uint8(e.in.Imm), byte(c.regs[e.in.Rs]))
+			c.OutB(uint8(in.Imm), byte(c.regs[in.Rs]))
 		}
-		return e.next, c.cfg.CostIO, nil
+		return next, c.cfg.CostIO, nil
 	}
-	sbOps[isa.INB] = func(c *CPU, e *sbEntry) (uint64, int, error) {
+	sbOps[isa.INB] = func(c *CPU, in *isa.Inst, pc, next uint64) (uint64, int, error) {
 		var v byte
 		if c.InB != nil {
-			v = c.InB(uint8(e.in.Imm))
+			v = c.InB(uint8(in.Imm))
 		}
-		c.regs[e.in.Rd] = uint64(v)
-		return e.next, c.cfg.CostIO, nil
+		c.regs[in.Rd] = uint64(v)
+		return next, c.cfg.CostIO, nil
 	}
+}
+
+// callIndirect is CLLR and CLLM at pc after the target is known: the
+// indirect-target prediction (trained even when the push then
+// faults), the call returning to ret, and its trace events. base is
+// the cost of reading the target.
+func (c *CPU) callIndirect(pc, ret, target uint64, base int) (uint64, int, error) {
+	cost := base + c.cfg.CostCallR
+	if !c.predictIndirect(pc, target) {
+		cost += c.cfg.MispredictPenalty
+		c.stats.Mispredicts++
+		if c.tracer != nil {
+			c.tracer.Emit(trace.KindMispredict, pc, target, 1)
+		}
+	}
+	c.stats.Branches++
+	if err := c.push(ret); err != nil {
+		return 0, 0, err
+	}
+	c.rasPush(ret)
+	c.stats.Calls++
+	if c.tracer != nil {
+		c.tracer.Call(pc, target)
+	}
+	return target, cost, nil
 }

@@ -39,7 +39,7 @@ func TestSuperblockHotLoop(t *testing.T) {
 		t.Errorf("BlockInsts = %d of %d instructions, want >= 90%% block-dispatched",
 			s.BlockInsts, s.Instructions)
 	}
-	// The decode-cache invariant DecodeHits+DecodeMisses == Instructions
+	// The decode cache invariant DecodeHits+DecodeMisses == Instructions
 	// must survive block dispatch (block-retired instructions count as
 	// decode hits: they execute from predecoded state).
 	if s.DecodeHits+s.DecodeMisses != s.Instructions {

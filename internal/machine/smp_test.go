@@ -213,27 +213,3 @@ func TestInterleaveStepLimit(t *testing.T) {
 		t.Error("step limit not enforced")
 	}
 }
-
-func TestAddCPUInheritsDecodeCacheSetting(t *testing.T) {
-	img := buildSMPImage(t)
-	m, err := New(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.CPU.SetDecodeCache(false)
-	c2, err := m.AddCPU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.DecodeCacheEnabled() {
-		t.Error("AddCPU ignored the boot CPU's disabled decode cache")
-	}
-	m.CPU.SetDecodeCache(true)
-	c3, err := m.AddCPU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c3.DecodeCacheEnabled() {
-		t.Error("AddCPU ignored the boot CPU's enabled decode cache")
-	}
-}

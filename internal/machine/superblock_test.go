@@ -8,9 +8,8 @@ import (
 )
 
 // TestAddCPUPropagatesSuperblocks: late-added hardware threads must
-// inherit the primary CPU's superblock setting, exactly as they
-// inherit its decode-cache setting — an SMP machine runs one dispatch
-// strategy, not a mix.
+// inherit the primary CPU's superblock setting — an SMP machine runs
+// one dispatch strategy, not a mix.
 func TestAddCPUPropagatesSuperblocks(t *testing.T) {
 	for _, on := range []bool{true, false} {
 		m, err := New(buildPokeImage(t))

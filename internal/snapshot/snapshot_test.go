@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -328,6 +330,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Trailing garbage changes the container length.
 	if _, err := Decode(append(append([]byte(nil), data...), 0xee)); err == nil {
 		t.Error("decoded snapshot with trailing garbage")
+	}
+
+	// A CPU captured with the decode cache off (its byte 0, the one
+	// after RASN) is validly sealed but not restorable: the cache can
+	// no longer be turned off, so its DecodeHits could never match.
+	s, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const marker = 0x5a17_c0de_d00d_feed
+	s.CPUs[0].RASN = marker
+	enc := s.Encode()
+	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8
+	if at < 8 || enc[at] != 1 {
+		t.Fatalf("DecodeCache byte not found after RASN (at %d)", at)
+	}
+	body := append([]byte(nil), enc[:len(enc)-4]...) // unsealed: header and payload
+	body[at] = 0
+	if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), "DecodeCache") {
+		t.Errorf("decoding a CPU captured with the decode cache off: err = %v, want one naming DecodeCache", err)
 	}
 }
 
