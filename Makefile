@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race smoke trace-smoke checkpoint-smoke fleet-smoke bench
+.PHONY: check fmt vet build test race smoke examples trace-smoke checkpoint-smoke fleet-smoke bench
 
-check: fmt vet build test race smoke trace-smoke checkpoint-smoke fleet-smoke
+check: fmt vet build test race smoke examples trace-smoke checkpoint-smoke fleet-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -35,6 +35,15 @@ smoke:
 		echo "mvbench fig1 differs with superblocks on/off:"; \
 		diff /tmp/mv-smoke-on.txt /tmp/mv-smoke-off.txt; exit 1; fi
 	@cat /tmp/mv-smoke-on.txt
+
+# Run every example program; any non-zero exit fails. examples/module
+# is the only program outside the tests that registers a module with
+# AddModule and then commits.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "example $$d failed"; exit 1; }; \
+		echo "example $$d ok"; \
+	done
 
 # End-to-end observability smoke: compile a demo, run it under the
 # always-on flight recorder, and render the dump with mvtrace in both

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/metrics"
 )
 
 // figure2Src is the paper's running example (Figure 2): two boolean
@@ -583,32 +584,60 @@ func TestWXSafePatching(t *testing.T) {
 	}
 }
 
+// TestCommitIdempotent: in every commit mode, a second commit with
+// unchanged switch values patches, restores and flushes nothing.
 func TestCommitIdempotent(t *testing.T) {
-	sys := buildFig2(t)
-	setAndCommit(t, sys, map[string]int64{"A": 1, "B": 1})
-	patched := sys.RT.Stats.SitesPatched + sys.RT.Stats.SitesInlined
-	// A second commit with unchanged values must patch nothing new.
-	if _, err := sys.RT.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.RT.Stats.SitesPatched + sys.RT.Stats.SitesInlined; got != patched {
-		t.Errorf("idempotent commit patched more sites (%d -> %d)", patched, got)
+	for _, mode := range []CommitMode{ModeParked, ModeStopMachine, ModeTextPoke} {
+		t.Run(mode.String(), func(t *testing.T) {
+			sys := buildFig2(t)
+			sys.RT.SetCommitOptions(CommitOptions{Mode: mode})
+			setAndCommit(t, sys, map[string]int64{"A": 1, "B": 1})
+			stats, mem := sys.RT.Stats, sys.Machine.Mem.Stats
+			if _, err := sys.RT.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			s := sys.RT.Stats
+			if s.SitesPatched != stats.SitesPatched || s.SitesInlined != stats.SitesInlined ||
+				s.SitesReverted != stats.SitesReverted || s.ProloguePatch != stats.ProloguePatch {
+				t.Errorf("idempotent commit moved site counters:\nbefore %+v\nafter  %+v", stats, s)
+			}
+			if got := sys.Machine.Mem.Stats; got != mem {
+				t.Errorf("idempotent commit moved memory counters: %+v -> %+v", mem, got)
+			}
+		})
 	}
 }
 
+// TestRuntimeAPIErrors: an entry point handed an address that names no
+// function or switch fails before it counts, traces or times anything.
 func TestRuntimeAPIErrors(t *testing.T) {
 	sys := buildFig2(t)
-	if _, err := sys.RT.CommitFunc(0xdead); err == nil {
-		t.Error("CommitFunc on a random address succeeded")
-	}
-	if err := sys.RT.RevertFunc(0xdead); err == nil {
-		t.Error("RevertFunc on a random address succeeded")
-	}
-	if _, err := sys.RT.CommitRefs(0xdead); err == nil {
-		t.Error("CommitRefs on a random address succeeded")
-	}
-	if err := sys.RT.RevertRefs(0xdead); err == nil {
-		t.Error("RevertRefs on a random address succeeded")
+	mm := AttachMetrics(metrics.New(), sys.Machine, sys.RT)
+	var events strings.Builder
+	sys.RT.Tracer = &eventLog{sym: symbolizer(sys), out: &events}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"CommitFunc", func() error { _, err := sys.RT.CommitFunc(0xdead); return err }},
+		{"RevertFunc", func() error { return sys.RT.RevertFunc(0xdead) }},
+		{"CommitRefs", func() error { _, err := sys.RT.CommitRefs(0x1234); return err }},
+		{"RevertRefs", func() error { return sys.RT.RevertRefs(0x1234) }},
+	} {
+		stats := sys.RT.Stats
+		if err := c.call(); err == nil {
+			t.Errorf("%s on a random address succeeded", c.name)
+		}
+		if sys.RT.Stats != stats {
+			t.Errorf("%s on a random address moved Stats: %+v -> %+v", c.name, stats, sys.RT.Stats)
+		}
+		if events.Len() != 0 {
+			t.Errorf("%s on a random address traced:\n%s", c.name, events.String())
+			events.Reset()
+		}
+		if n := mm.commitLatency.Snapshot().Count; n != 0 {
+			t.Errorf("%s on a random address observed %d commit latencies", c.name, n)
+		}
 	}
 	if err := sys.SetSwitch("nope", 1); err == nil {
 		t.Error("SetSwitch on unknown switch succeeded")

@@ -63,9 +63,10 @@ func LoadModule(m *machine.Machine, mod *link.Image) error {
 // AddModule registers a loaded module's multiverse descriptors with
 // the runtime: new switches, new multiversed functions, and — the
 // common case — call sites inside the module that reference multiverse
-// functions or switches of the main image. Functions gaining new call
-// sites are marked for repatching; call Commit afterwards, as a kernel
-// does after insmod.
+// functions or switches of the main image. No binding is reset: the
+// main image's sites and prologues keep routing to what was committed,
+// and the new sites call the generic (or through the pointer) until
+// the next commit patches them, as a kernel commits after insmod.
 func (rt *Runtime) AddModule(mod *link.Image) error {
 	desc, err := DecodeDescriptors(mod, rt.plat)
 	if err != nil {
@@ -103,14 +104,6 @@ func (rt *Runtime) AddModule(mod *link.Image) error {
 		}
 		rt.sites[s.Callee] = append(rt.sites[s.Callee], st)
 		rt.desc.Sites = append(rt.desc.Sites, s)
-		// Force a repatch of the callee so the new site catches up
-		// with an already committed variant.
-		if fs, ok := rt.byGeneric[s.Callee]; ok {
-			fs.committed = nil
-		}
-		if ps, ok := rt.fnptrs[s.Callee]; ok {
-			ps.committed = false
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -52,7 +53,15 @@ func buildWithModule(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := BuildModule(sys.Machine.Image, 0, GenOptions{}, Source{Name: "mod", Text: moduleSrc})
+	loadModule(t, sys, moduleSrc)
+	return sys
+}
+
+// loadModule builds, loads and registers a module against sys's image
+// and makes its symbols callable through the machine.
+func loadModule(t *testing.T, sys *System, src string) {
+	t.Helper()
+	mod, err := BuildModule(sys.Machine.Image, 0, GenOptions{}, Source{Name: "mod", Text: src})
 	if err != nil {
 		t.Fatalf("BuildModule: %v", err)
 	}
@@ -62,13 +71,11 @@ func buildWithModule(t *testing.T) *System {
 	if err := sys.RT.AddModule(mod); err != nil {
 		t.Fatalf("AddModule: %v", err)
 	}
-	// Make the module's symbols callable through the machine.
 	for name, s := range mod.Symbols {
 		if _, dup := sys.Machine.Image.Symbols[name]; !dup {
 			sys.Machine.Image.Symbols[name] = s
 		}
 	}
-	return sys
 }
 
 // TestPatchRangesCoverModule: after AddModule, PatchRanges lists every
@@ -165,20 +172,11 @@ func TestModuleLoadedAfterCommitCatchesUp(t *testing.T) {
 	if _, err := sys.RT.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	mod, err := BuildModule(sys.Machine.Image, 0, GenOptions{}, Source{Name: "mod", Text: moduleSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadModule(sys.Machine, mod); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RT.AddModule(mod); err != nil {
-		t.Fatal(err)
-	}
-	for name, s := range mod.Symbols {
-		if _, dup := sys.Machine.Image.Symbols[name]; !dup {
-			sys.Machine.Image.Symbols[name] = s
-		}
+	loadModule(t, sys, moduleSrc)
+	// Registering the module leaves the live binding alone: the old
+	// sites and the prologue still route to the committed variant.
+	if err := sys.RT.Audit(); err != nil {
+		t.Fatalf("audit after AddModule: %v", err)
 	}
 	// The insmod-style re-commit picks up the new sites.
 	if _, err := sys.RT.Commit(); err != nil {
@@ -196,6 +194,106 @@ func TestModuleLoadedAfterCommitCatchesUp(t *testing.T) {
 	}
 	if fasts != 1 {
 		t.Errorf("fasts = %d, want 1 (late module site not patched)", fasts)
+	}
+}
+
+// TestModuleLoadKeepsActivenessCheck: a module loaded while a CPU runs
+// inside the committed variant must not hide that variant from the
+// activeness check. The refusing commit that follows scans the
+// variant, not the generic body, with or without the module.
+func TestModuleLoadKeepsActivenessCheck(t *testing.T) {
+	for _, withModule := range []bool{false, true} {
+		sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "kernel", Text: mainKernelSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		setAndCommit(t, sys, map[string]int64{"feature": 1})
+		fs := sys.RT.byName["op"]
+		bound := fs.committed
+		if bound == nil {
+			t.Fatal("op not committed")
+		}
+		if withModule {
+			loadModule(t, sys, moduleSrc)
+		}
+		if err := sys.Machine.StartCall(sys.Machine.CPU, "kernelPath"); err != nil {
+			t.Fatal(err)
+		}
+		stepInto(t, sys, bound.Addr, bound.Addr+bound.Size)
+		sys.RT.SetCommitOptions(CommitOptions{Mode: ModeStopMachine, OnActive: ActiveRefuse})
+		if err := sys.SetSwitch("feature", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RT.Commit(); !errors.Is(err, ErrFunctionActive) {
+			t.Fatalf("module=%v: commit under a CPU in the committed variant: err = %v, want ErrFunctionActive",
+				withModule, err)
+		}
+		if fs.committed != bound {
+			t.Errorf("module=%v: the refused commit changed the binding", withModule)
+		}
+		stepToHalt(t, sys)
+	}
+}
+
+// ptrKernelSrc exports a function-pointer switch that a module calls
+// through.
+const ptrKernelSrc = `
+	long hits;
+	void helper(void) { hits++; }
+	void impl(void) { helper(); }
+	multiverse void (*hook)(void);
+	void kernelHook(void) { hook(); }
+	long hookHits(void) { return hits; }
+`
+
+const ptrModuleSrc = `
+	extern multiverse void (*hook)(void);
+	void moduleHook(void) { hook(); }
+`
+
+// TestModuleCatchesUpCommittedPointer: a module calling through an
+// already committed pointer switch leaves the kernel's direct call in
+// place, and the next commit turns the module's indirect call into a
+// direct one too.
+func TestModuleCatchesUpCommittedPointer(t *testing.T) {
+	sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "kernel", Text: ptrKernelSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetFnPtr("hook", "impl"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RT.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	loadModule(t, sys, ptrModuleSrc)
+	if err := sys.RT.Audit(); err != nil {
+		t.Fatalf("audit after AddModule: %v", err)
+	}
+	hook, _ := sys.RT.VarByName("hook")
+	if n := sys.RT.Sites(hook); n != 2 {
+		t.Fatalf("hook has %d call sites, want 2", n)
+	}
+	if _, err := sys.RT.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RT.Audit(); err != nil {
+		t.Fatalf("audit after the post-insmod commit: %v", err)
+	}
+	for _, st := range sys.RT.sites[hook] {
+		if !st.patched {
+			t.Errorf("site %#x still calls through the pointer", st.desc.Addr)
+		}
+	}
+	// Bound semantics in both images: clearing the pointer without a
+	// commit changes nothing.
+	if err := sys.SetSwitch("hook", 0); err != nil {
+		t.Fatal(err)
+	}
+	call(t, sys, "kernelHook")
+	call(t, sys, "moduleHook")
+	if got := call(t, sys, "hookHits"); got != 2 {
+		t.Errorf("hits = %d, want 2", got)
 	}
 }
 

@@ -50,11 +50,10 @@ type Runtime struct {
 	// policy (sync.go); the zero value is the legacy parked contract.
 	Options CommitOptions
 
-	// deferredKind/deferredOrder queue operations postponed because
-	// the target function was active on a CPU stack (ActiveDefer);
-	// DrainDeferred applies them at the next quiescent point.
-	deferredKind  map[*funcState]pendingKind
-	deferredOrder []*funcState
+	// deferred queues operations postponed because the target
+	// function was active on a CPU stack (ActiveDefer), at most one per
+	// function; DrainDeferred applies them at the next quiescent point.
+	deferred []pendingOp
 
 	// Stats accumulates patching work across all commits.
 	Stats RuntimeStats
@@ -290,10 +289,6 @@ func (rt *Runtime) PatchRanges() []PatchRange {
 	return append([]PatchRange(nil), rt.ranges...)
 }
 
-// funcRanges is the number of patch ranges a commit or revert of fs can
-// touch: its call sites and its prologue.
-func (rt *Runtime) funcRanges(fs *funcState) int { return len(rt.sites[fs.fd.Generic]) + 1 }
-
 // FuncByName returns the generic address of a multiversed function.
 func (rt *Runtime) FuncByName(name string) (uint64, bool) {
 	fs, ok := rt.byName[name]
@@ -412,34 +407,22 @@ func readSiteWindow(p Platform, addr uint64) ([]byte, error) {
 	return window, nil
 }
 
-// installAtSites points every call site of fs at target. Tiny variant
-// bodies are inlined into the site instead (paper §4).
-func (rt *Runtime) installAtSites(fs *funcState, v *VariantDesc) error {
-	sites := rt.sites[fs.fd.Generic]
-	if len(sites) == 0 {
-		return nil
-	}
-	body := make([]byte, v.Size)
-	if err := rt.plat.Read(v.Addr, body); err != nil {
-		return err
-	}
-	payload, inlinable := inlinePayload(body)
-	if rt.DisableInlining {
-		inlinable = false
-	}
+// installAt points every call site in sites at target. A tiny
+// straight-line body is inlined into the sites instead (paper §4).
+func (rt *Runtime) installAt(sites []*siteState, target uint64, body []byte) error {
 	var inlined []byte
-	if inlinable {
+	if payload, ok := inlinePayload(body); ok && !rt.DisableInlining {
 		inlined = encodePatched(payload)
 	}
 	for _, st := range sites {
-		if inlinable {
+		if inlined != nil {
 			if err := rt.patchSite(st, inlined); err != nil {
 				return err
 			}
 			rt.Stats.SitesInlined++
 			continue
 		}
-		rel, err := isa.CallRel(st.desc.Addr, v.Addr)
+		rel, err := isa.CallRel(st.desc.Addr, target)
 		if err != nil {
 			return err
 		}
@@ -452,9 +435,9 @@ func (rt *Runtime) installAtSites(fs *funcState, v *VariantDesc) error {
 	return nil
 }
 
-// revertSites restores the original call instructions of fs.
-func (rt *Runtime) revertSitesFor(callee uint64) error {
-	for _, st := range rt.sites[callee] {
+// revertSites restores the original call instructions of sites.
+func (rt *Runtime) revertSites(sites []*siteState) error {
+	for _, st := range sites {
 		if !st.patched {
 			continue
 		}
@@ -464,6 +447,16 @@ func (rt *Runtime) revertSitesFor(callee uint64) error {
 		rt.Stats.SitesReverted++
 	}
 	return nil
+}
+
+// allPatched reports whether every site in sites has been rewritten.
+func allPatched(sites []*siteState) bool {
+	for _, st := range sites {
+		if !st.patched {
+			return false
+		}
+	}
+	return true
 }
 
 // patchPrologue redirects the generic function's entry to the variant,
@@ -523,48 +516,42 @@ func (rt *Runtime) restorePrologue(fs *funcState) error {
 	return nil
 }
 
-// commitFunc binds one function to the variant matching the current
-// switch values. bindBound means a specialized variant was installed;
-// bindGeneric that the generic function remains active (the situation
-// Figure 3d signals to the user); bindDeferred that the function was
-// live on a CPU stack and the rebinding was queued for DrainDeferred.
-func (rt *Runtime) commitFunc(fs *funcState) (bindStatus, error) {
+// funcTarget is the variant an operation of kind k binds fs to. A
+// commit picks the variant matching the current switch values, or nil
+// when none does: the generic stays, the situation Figure 3d signals
+// to the user. A revert binds the generic.
+func (rt *Runtime) funcTarget(fs *funcState, k opKind) (*VariantDesc, error) {
+	if k == opRevert {
+		return nil, nil
+	}
 	v, err := rt.selectVariant(fs.fd)
-	if err != nil {
-		return bindGeneric, err
-	}
-	if v == nil {
+	if err == nil && v == nil {
 		rt.Stats.GenericSignals++
-		var plan *osrPlan
-		if fs.committed != nil {
-			// Falling back to generic tears down live patches, which is
-			// only safe when the committed variant is not executing —
-			// or when its frames can be transferred to the generic.
-			deferred, pl, err := rt.checkActive(fs, pendingCommit, nil)
-			if err != nil {
-				return bindGeneric, err
-			}
-			if deferred {
-				return bindDeferred, nil
-			}
-			plan = pl
-		}
-		if err := rt.revertFunc(fs); err != nil {
-			return bindGeneric, err
-		}
-		if plan != nil {
-			if err := rt.osrApply(plan); err != nil {
-				return bindGeneric, err
-			}
-		}
-		return bindGeneric, nil
 	}
-	if fs.committed == v {
-		// Already bound right; a queued deferred operation is stale.
+	return v, err
+}
+
+// bind binds fs to v, or to the generic when v is nil, under the
+// activeness policy; k is the operation a deferral queues. It returns
+// bindBound or bindGeneric for the binding now in place, or
+// bindDeferred when the running body was live on a CPU stack and the
+// operation was queued for DrainDeferred.
+func (rt *Runtime) bind(fs *funcState, v *VariantDesc, k opKind) (bindStatus, error) {
+	done := bindBound
+	if v == nil {
+		done = bindGeneric
+	}
+	if fs.committed == v && (v == nil || rt.PrologueOnly || allPatched(rt.sites[fs.fd.Generic])) {
+		// Already bound right; a queued deferred operation is stale. A
+		// site a module added since the commit still calls the generic,
+		// so it makes the variant rebind.
 		rt.purgeDeferred(fs)
-		return bindBound, nil
+		return done, nil
 	}
-	deferred, plan, err := rt.checkActive(fs, pendingCommit, v)
+	// Rebinding tears down live patches, which is only safe when the
+	// running body is not executing, or when its frames can be
+	// transferred to the new body.
+	deferred, plan, err := rt.checkActive(fs, k, v)
 	if err != nil {
 		return bindGeneric, err
 	}
@@ -576,19 +563,30 @@ func (rt *Runtime) commitFunc(fs *funcState) (bindStatus, error) {
 	rt.noteUndo(func() { rt.metrics.noteBinding(fs.fd, prev) })
 	// Repoint call sites first, then the prologue; both are idempotent
 	// with respect to the saved originals.
-	if rt.PrologueOnly {
-		if err := rt.revertSitesFor(fs.fd.Generic); err != nil {
-			return bindGeneric, err
+	sites := rt.sites[fs.fd.Generic]
+	switch {
+	case v == nil || rt.PrologueOnly:
+		err = rt.revertSites(sites)
+	case len(sites) > 0:
+		body := make([]byte, v.Size)
+		if err = rt.plat.Read(v.Addr, body); err == nil {
+			err = rt.installAt(sites, v.Addr, body)
 		}
-	} else if err := rt.installAtSites(fs, v); err != nil {
+	}
+	if err != nil {
 		return bindGeneric, err
 	}
-	if err := rt.patchPrologue(fs, v); err != nil {
+	if v != nil {
+		err = rt.patchPrologue(fs, v)
+	} else {
+		err = rt.restorePrologue(fs)
+	}
+	if err != nil {
 		return bindGeneric, err
 	}
 	if plan != nil {
-		// The text now routes into v; move the live frames over too,
-		// inside the same transaction.
+		// The text now routes into the new body; move the live frames
+		// over too, inside the same transaction.
 		if err := rt.osrApply(plan); err != nil {
 			return bindGeneric, err
 		}
@@ -596,119 +594,55 @@ func (rt *Runtime) commitFunc(fs *funcState) (bindStatus, error) {
 	rt.noteUndo(func() { fs.committed = prev })
 	fs.committed = v
 	rt.purgeDeferred(fs)
-	return bindBound, nil
+	return done, nil
 }
 
-// revertFuncChecked applies the activeness policy before reverting: a
-// function whose committed variant is still executing (or awaiting
-// return) cannot have its binding torn down underneath it.
-func (rt *Runtime) revertFuncChecked(fs *funcState) (bindStatus, error) {
-	var plan *osrPlan
-	if fs.committed != nil {
-		deferred, pl, err := rt.checkActive(fs, pendingRevert, nil)
-		if err != nil {
-			return bindGeneric, err
-		}
-		if deferred {
-			return bindDeferred, nil
-		}
-		plan = pl
+// ptrTarget is the target an operation of kind k binds a pointer
+// switch to. A commit takes the pointer's current value; an unset
+// pointer cannot be bound, so the indirect call stays and the commit
+// signals. A revert restores the indirect call (target 0).
+func (rt *Runtime) ptrTarget(ps *fnptrState, k opKind) (uint64, error) {
+	if k == opRevert {
+		return 0, nil
 	}
-	if err := rt.revertFunc(fs); err != nil {
-		return bindGeneric, err
-	}
-	if plan != nil {
-		if err := rt.osrApply(plan); err != nil {
-			return bindGeneric, err
-		}
-	}
-	return bindGeneric, nil
-}
-
-func (rt *Runtime) revertFunc(fs *funcState) error {
-	prev := fs.committed
-	if prev != nil {
-		rt.metrics.noteBinding(fs.fd, nil)
-		rt.noteUndo(func() { rt.metrics.noteBinding(fs.fd, prev) })
-	}
-	if err := rt.revertSitesFor(fs.fd.Generic); err != nil {
-		return err
-	}
-	if err := rt.restorePrologue(fs); err != nil {
-		return err
-	}
-	rt.noteUndo(func() { fs.committed = prev })
-	fs.committed = nil
-	rt.purgeDeferred(fs)
-	return nil
-}
-
-// commitFnPtr installs the current value of a function-pointer switch
-// into all its call sites as direct calls (paper §4: "when such a
-// function pointer is committed, we reuse the patching mechanism").
-func (rt *Runtime) commitFnPtr(ps *fnptrState) (bool, error) {
 	val, err := rt.readPointer(ps.vd.Addr)
-	if err != nil {
-		return false, err
-	}
-	if val == 0 {
-		// An unset pointer cannot be bound; fall back to the indirect
-		// call and signal.
+	if err == nil && val == 0 {
 		rt.Stats.GenericSignals++
-		if err := rt.revertSitesFor(ps.vd.Addr); err != nil {
-			return false, err
-		}
-		prevC, prevT := ps.committed, ps.target
-		rt.noteUndo(func() { ps.committed, ps.target = prevC, prevT })
-		ps.committed = false
-		return false, nil
 	}
-	if ps.committed && ps.target == val {
-		return true, nil
-	}
-	// Like the kernel's PV-Ops patcher, try to inline a trivial target
-	// body straight into the site; otherwise fall back to a direct
-	// call. The body length is unknown for plain pointers, so read a
-	// small window and let the decoder find the RET.
-	var inlined []byte
-	window := make([]byte, 64)
-	if err := rt.plat.Read(val, window); err == nil && !rt.DisableInlining {
-		if payload, ok := inlinePayload(window); ok {
-			inlined = encodePatched(payload)
-		}
-	}
-	for _, st := range rt.sites[ps.vd.Addr] {
-		if inlined != nil {
-			if err := rt.patchSite(st, inlined); err != nil {
-				return false, err
-			}
-			rt.Stats.SitesInlined++
-			continue
-		}
-		rel, err := isa.CallRel(st.desc.Addr, val)
-		if err != nil {
-			return false, err
-		}
-		enc := isa.EncodeCall(rel)
-		if err := rt.patchSite(st, enc[:]); err != nil {
-			return false, err
-		}
-		rt.Stats.SitesPatched++
-	}
-	prevC, prevT := ps.committed, ps.target
-	rt.noteUndo(func() { ps.committed, ps.target = prevC, prevT })
-	ps.committed = true
-	ps.target = val
-	return true, nil
+	return val, err
 }
 
-func (rt *Runtime) revertFnPtr(ps *fnptrState) error {
-	if err := rt.revertSitesFor(ps.vd.Addr); err != nil {
+// bindPtr installs target into every call site of a function-pointer
+// switch as a direct call (paper §4: "when such a function pointer is
+// committed, we reuse the patching mechanism"), or restores the
+// indirect calls when target is 0. Like the kernel's PV-Ops patcher, it
+// inlines a trivial target body straight into the sites; the body
+// length is unknown for plain pointers, so it reads a small window and
+// lets the decoder find the RET.
+func (rt *Runtime) bindPtr(ps *fnptrState, target uint64) error {
+	sites := rt.sites[ps.vd.Addr]
+	if !ps.committed && target == 0 || ps.committed && ps.target == target && allPatched(sites) {
+		return nil // already bound right, unless a module added a site since
+	}
+	var err error
+	if target == 0 {
+		err = rt.revertSites(sites)
+	} else {
+		window := make([]byte, 64)
+		if rt.plat.Read(target, window) != nil {
+			window = nil // an unreadable target is called, not inlined
+		}
+		err = rt.installAt(sites, target, window)
+	}
+	if err != nil {
 		return err
 	}
 	prevC, prevT := ps.committed, ps.target
 	rt.noteUndo(func() { ps.committed, ps.target = prevC, prevT })
-	ps.committed = false
+	ps.committed = target != 0
+	if target != 0 {
+		ps.target = target
+	}
 	return nil
 }
 
@@ -731,6 +665,18 @@ type CommitResult struct {
 	Deferred  int // rebindings queued because the function was active
 }
 
+// tally counts one binding's outcome.
+func (r *CommitResult) tally(st bindStatus) {
+	switch st {
+	case bindBound:
+		r.Committed++
+	case bindDeferred:
+		r.Deferred++
+	default:
+		r.Generic++
+	}
+}
+
 // emitSwitchValues records the current value of every configuration
 // switch at the start of a commit span, so a trace shows *why* the
 // runtime picked the variants it did.
@@ -749,6 +695,19 @@ func (rt *Runtime) emitSwitchValues() {
 	}
 }
 
+// op is one public operation: a commit or a revert of the functions and
+// pointer switches it selects. Its Begin/End events carry addr and
+// name: 0 for Commit and Revert, the switch for the *Refs forms, the
+// generic and its name for the *Func forms.
+type op struct {
+	kind   opKind
+	addr   uint64
+	name   string
+	values bool // trace every switch value after Begin
+	funcs  []*funcState
+	ptrs   []*fnptrState
+}
+
 // Commit inspects all multiversed variables, selects optimized
 // variants and installs them (Table 1: multiverse_commit).
 //
@@ -757,57 +716,7 @@ func (rt *Runtime) emitSwitchValues() {
 // wraps ErrCommitAborted. A zero CommitResult is returned in that
 // case — nothing stayed committed.
 func (rt *Runtime) Commit() (CommitResult, error) {
-	rt.Stats.Commits++
-	if end := rt.metrics.beginCommit(rt); end != nil {
-		defer end()
-	}
-	// Open the causality span before the Begin event and close it after
-	// the deferred End event (defers run newest-first), so both carry it.
-	if reset := rt.beginOpSpan(); reset != nil {
-		defer reset()
-	}
-	var res CommitResult
-	if rt.Tracer != nil {
-		rt.Tracer.Emit(trace.KindCommitBegin, 0, 0, 0)
-		rt.emitSwitchValues()
-		defer func() {
-			rt.Tracer.Emit(trace.KindCommitEnd, 0, uint64(res.Committed), uint64(res.Generic))
-		}()
-	}
-	t := rt.beginTxn(len(rt.ranges), len(rt.funcs)+len(rt.ptrOrder))
-	err := rt.runGuarded(func() error {
-		for _, fs := range rt.funcs {
-			st, err := rt.commitFunc(fs)
-			if err != nil {
-				return err
-			}
-			switch st {
-			case bindBound:
-				res.Committed++
-			case bindDeferred:
-				res.Deferred++
-			default:
-				res.Generic++
-			}
-		}
-		for _, ps := range rt.ptrOrder {
-			ok, err := rt.commitFnPtr(ps)
-			if err != nil {
-				return err
-			}
-			if ok {
-				res.Committed++
-			} else {
-				res.Generic++
-			}
-		}
-		return nil
-	})
-	if err = rt.endTxn(t, err); err != nil {
-		res = CommitResult{}
-		return res, err
-	}
-	return res, nil
+	return rt.run(op{values: true, funcs: rt.funcs, ptrs: rt.ptrOrder})
 }
 
 // Revert restores the original process image everywhere
@@ -816,97 +725,78 @@ func (rt *Runtime) Commit() (CommitResult, error) {
 // function back and moves on to the next, so a single bad page cannot
 // pin every other binding. The joined errors report every failure.
 func (rt *Runtime) Revert() error {
-	rt.Stats.Reverts++
-	if reset := rt.beginOpSpan(); reset != nil {
-		defer reset()
-	}
-	if rt.Tracer != nil {
-		rt.Tracer.Emit(trace.KindRevertBegin, 0, 0, 0)
-		defer rt.Tracer.Emit(trace.KindRevertEnd, 0, 0, 0)
-	}
-	var errs []error
-	for _, fs := range rt.funcs {
-		t := rt.beginTxn(rt.funcRanges(fs), 1)
-		err := rt.endTxn(t, rt.runGuarded(func() error {
-			_, err := rt.revertFuncChecked(fs)
-			return err
-		}))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("core: reverting %q: %w", fs.fd.Name, err))
-		}
-	}
-	for _, ps := range rt.ptrOrder {
-		t := rt.beginTxn(len(rt.sites[ps.vd.Addr]), 1)
-		err := rt.endTxn(t, rt.runGuarded(func() error { return rt.revertFnPtr(ps) }))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("core: reverting switch %q: %w", ps.vd.Name, err))
-		}
-	}
-	return errors.Join(errs...)
+	_, err := rt.run(op{kind: opRevert, funcs: rt.funcs, ptrs: rt.ptrOrder})
+	return err
 }
 
 // CommitFunc commits a single function identified by its generic
 // address (Table 1: multiverse_commit_func).
 func (rt *Runtime) CommitFunc(generic uint64) (bool, error) {
-	fs, ok := rt.byGeneric[generic]
-	if !ok {
-		return false, fmt.Errorf("core: %#x is not a multiversed function", generic)
+	o, err := rt.funcOp(opCommit, generic)
+	if err != nil {
+		return false, err
 	}
-	rt.Stats.Commits++
-	if end := rt.metrics.beginCommit(rt); end != nil {
-		defer end()
-	}
-	if reset := rt.beginOpSpan(); reset != nil {
-		defer reset()
-	}
-	commit := func() (bindStatus, error) {
-		t := rt.beginTxn(rt.funcRanges(fs), 1)
-		var st bindStatus
-		err := rt.runGuarded(func() error {
-			var err error
-			st, err = rt.commitFunc(fs)
-			return err
-		})
-		if err = rt.endTxn(t, err); err != nil {
-			st = bindGeneric
-		}
-		return st, err
-	}
-	if rt.Tracer == nil {
-		st, err := commit()
-		return st == bindBound, err
-	}
-	rt.Tracer.EmitName(trace.KindCommitBegin, generic, 0, 0, fs.fd.Name)
-	st, err := commit()
-	var nc, ng uint64
-	if st == bindBound {
-		nc = 1
-	} else if err == nil && st == bindGeneric {
-		ng = 1
-	}
-	rt.Tracer.EmitName(trace.KindCommitEnd, generic, nc, ng, fs.fd.Name)
-	return st == bindBound, err
+	res, err := rt.run(o)
+	return res.Committed == 1, err
 }
 
 // RevertFunc reverts a single function (Table 1: multiverse_revert_func).
 func (rt *Runtime) RevertFunc(generic uint64) error {
+	o, err := rt.funcOp(opRevert, generic)
+	if err != nil {
+		return err
+	}
+	_, err = rt.run(o)
+	return err
+}
+
+// CommitRefs commits every function that references the given switch
+// (Table 1: multiverse_commit_refs).
+func (rt *Runtime) CommitRefs(varAddr uint64) (CommitResult, error) {
+	o, err := rt.refsOp(opCommit, varAddr)
+	if err != nil {
+		return CommitResult{}, err
+	}
+	return rt.run(o)
+}
+
+// RevertRefs reverts every function that references the given switch
+// (Table 1: multiverse_revert_refs).
+func (rt *Runtime) RevertRefs(varAddr uint64) error {
+	o, err := rt.refsOp(opRevert, varAddr)
+	if err != nil {
+		return err
+	}
+	_, err = rt.run(o)
+	return err
+}
+
+// funcOp selects one function by its generic address.
+func (rt *Runtime) funcOp(k opKind, generic uint64) (op, error) {
 	fs, ok := rt.byGeneric[generic]
 	if !ok {
-		return fmt.Errorf("core: %#x is not a multiversed function", generic)
+		return op{}, fmt.Errorf("core: %#x is not a multiversed function", generic)
 	}
-	rt.Stats.Reverts++
-	if reset := rt.beginOpSpan(); reset != nil {
-		defer reset()
+	return op{kind: k, addr: generic, name: fs.fd.Name, funcs: []*funcState{fs}}, nil
+}
+
+// refsOp selects a pointer switch, or every function that references a
+// configuration switch.
+func (rt *Runtime) refsOp(k opKind, varAddr uint64) (op, error) {
+	o := op{kind: k, addr: varAddr, values: k == opCommit}
+	if ps, ok := rt.fnptrs[varAddr]; ok {
+		o.ptrs = []*fnptrState{ps}
+		return o, nil
 	}
-	if rt.Tracer != nil {
-		rt.Tracer.EmitName(trace.KindRevertBegin, generic, 0, 0, fs.fd.Name)
-		defer rt.Tracer.EmitName(trace.KindRevertEnd, generic, 0, 0, fs.fd.Name)
+	if _, known := rt.varsByAddr[varAddr]; !known {
+		return op{}, fmt.Errorf("core: %#x is not a configuration switch", varAddr)
 	}
-	t := rt.beginTxn(rt.funcRanges(fs), 1)
-	return rt.endTxn(t, rt.runGuarded(func() error {
-		_, err := rt.revertFuncChecked(fs)
-		return err
-	}))
+	for _, fs := range rt.funcs {
+		if refersTo(fs.fd, varAddr) {
+			o.funcs = append(o.funcs, fs)
+		}
+	}
+	return o, nil
 }
 
 // refersTo reports whether any variant of fd guards on the switch.
@@ -921,110 +811,96 @@ func refersTo(fd *FuncDesc, varAddr uint64) bool {
 	return false
 }
 
-// CommitRefs commits every function that references the given switch
-// (Table 1: multiverse_commit_refs).
-func (rt *Runtime) CommitRefs(varAddr uint64) (CommitResult, error) {
-	rt.Stats.Commits++
-	if end := rt.metrics.beginCommit(rt); end != nil {
-		defer end()
+// run performs one public operation. A commit binds its whole selection
+// in one transaction, all or nothing. A revert gives each function and
+// pointer switch a transaction of its own and joins their errors.
+func (rt *Runtime) run(o op) (CommitResult, error) {
+	begin, end := trace.KindCommitBegin, trace.KindCommitEnd
+	if o.kind == opRevert {
+		begin, end = trace.KindRevertBegin, trace.KindRevertEnd
+		rt.Stats.Reverts++
+	} else {
+		rt.Stats.Commits++
+		if done := rt.metrics.beginCommit(rt); done != nil {
+			defer done()
+		}
 	}
+	// Open the causality span before the Begin event and close it after
+	// the deferred End event (defers run newest-first), so both carry it.
 	if reset := rt.beginOpSpan(); reset != nil {
 		defer reset()
 	}
 	var res CommitResult
 	if rt.Tracer != nil {
-		rt.Tracer.Emit(trace.KindCommitBegin, varAddr, 0, 0)
-		rt.emitSwitchValues()
+		rt.Tracer.EmitName(begin, o.addr, 0, 0, o.name)
+		if o.values {
+			rt.emitSwitchValues()
+		}
 		defer func() {
-			rt.Tracer.Emit(trace.KindCommitEnd, varAddr, uint64(res.Committed), uint64(res.Generic))
+			rt.Tracer.EmitName(end, o.addr, uint64(res.Committed), uint64(res.Generic), o.name)
 		}()
 	}
-	ranges, bindings := len(rt.sites[varAddr]), 1
-	if _, isPtr := rt.fnptrs[varAddr]; !isPtr {
-		if _, known := rt.varsByAddr[varAddr]; !known {
-			return res, fmt.Errorf("core: %#x is not a configuration switch", varAddr)
+	if o.kind == opCommit {
+		var err error
+		if res, err = rt.transact(opCommit, o.funcs, o.ptrs); err != nil {
+			res = CommitResult{}
 		}
-		ranges, bindings = 0, 0
-		for _, fs := range rt.funcs {
-			if refersTo(fs.fd, varAddr) {
-				ranges += rt.funcRanges(fs)
-				bindings++
-			}
+		return res, err
+	}
+	var errs []error
+	for i, fs := range o.funcs {
+		if _, err := rt.transact(opRevert, o.funcs[i:i+1], nil); err != nil {
+			errs = append(errs, fmt.Errorf("core: reverting %q: %w", fs.fd.Name, err))
 		}
 	}
-	t := rt.beginTxn(ranges, bindings)
-	err := rt.runGuarded(func() error {
-		if ps, ok := rt.fnptrs[varAddr]; ok {
-			ok2, err := rt.commitFnPtr(ps)
-			if err != nil {
-				return err
-			}
-			if ok2 {
-				res.Committed++
-			} else {
-				res.Generic++
-			}
-			return nil
+	for i, ps := range o.ptrs {
+		if _, err := rt.transact(opRevert, nil, o.ptrs[i:i+1]); err != nil {
+			errs = append(errs, fmt.Errorf("core: reverting switch %q: %w", ps.vd.Name, err))
 		}
-		for _, fs := range rt.funcs {
-			if !refersTo(fs.fd, varAddr) {
-				continue
-			}
-			st, err := rt.commitFunc(fs)
+	}
+	return res, errors.Join(errs...)
+}
+
+// transact binds funcs and ptrs for an operation of kind k in one
+// guarded transaction, its journal sized from the call sites and
+// prologues they can touch, and tallies the outcomes.
+func (rt *Runtime) transact(k opKind, funcs []*funcState, ptrs []*fnptrState) (CommitResult, error) {
+	ranges := len(funcs) // one prologue each
+	for _, fs := range funcs {
+		ranges += len(rt.sites[fs.fd.Generic])
+	}
+	for _, ps := range ptrs {
+		ranges += len(rt.sites[ps.vd.Addr])
+	}
+	var res CommitResult
+	t := rt.beginTxn(ranges, len(funcs)+len(ptrs))
+	err := rt.runGuarded(func() error {
+		for _, fs := range funcs {
+			v, err := rt.funcTarget(fs, k)
 			if err != nil {
 				return err
 			}
-			switch st {
-			case bindBound:
-				res.Committed++
-			case bindDeferred:
-				res.Deferred++
-			default:
-				res.Generic++
+			st, err := rt.bind(fs, v, k)
+			if err != nil {
+				return err
+			}
+			res.tally(st)
+		}
+		for _, ps := range ptrs {
+			target, err := rt.ptrTarget(ps, k)
+			if err != nil {
+				return err
+			}
+			if err := rt.bindPtr(ps, target); err != nil {
+				return err
+			}
+			if target != 0 {
+				res.tally(bindBound)
+			} else {
+				res.tally(bindGeneric)
 			}
 		}
 		return nil
 	})
-	if err = rt.endTxn(t, err); err != nil {
-		res = CommitResult{}
-		return res, err
-	}
-	return res, nil
-}
-
-// RevertRefs reverts every function that references the given switch
-// (Table 1: multiverse_revert_refs).
-func (rt *Runtime) RevertRefs(varAddr uint64) error {
-	rt.Stats.Reverts++
-	if reset := rt.beginOpSpan(); reset != nil {
-		defer reset()
-	}
-	if rt.Tracer != nil {
-		rt.Tracer.Emit(trace.KindRevertBegin, varAddr, 0, 0)
-		defer rt.Tracer.Emit(trace.KindRevertEnd, varAddr, 0, 0)
-	}
-	if ps, ok := rt.fnptrs[varAddr]; ok {
-		t := rt.beginTxn(len(rt.sites[varAddr]), 1)
-		return rt.endTxn(t, rt.runGuarded(func() error { return rt.revertFnPtr(ps) }))
-	}
-	if _, known := rt.varsByAddr[varAddr]; !known {
-		return fmt.Errorf("core: %#x is not a configuration switch", varAddr)
-	}
-	// Like Revert: one transaction per function, joined errors, so a
-	// failed revert cannot block the remaining functions.
-	var errs []error
-	for _, fs := range rt.funcs {
-		if !refersTo(fs.fd, varAddr) {
-			continue
-		}
-		t := rt.beginTxn(rt.funcRanges(fs), 1)
-		err := rt.endTxn(t, rt.runGuarded(func() error {
-			_, err := rt.revertFuncChecked(fs)
-			return err
-		}))
-		if err != nil {
-			errs = append(errs, fmt.Errorf("core: reverting %q: %w", fs.fd.Name, err))
-		}
-	}
-	return errors.Join(errs...)
+	return res, rt.endTxn(t, err)
 }

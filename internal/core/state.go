@@ -42,7 +42,7 @@ type FnPtrBindingState struct {
 // DeferredOpState is one queued deferred operation, in queue order.
 type DeferredOpState struct {
 	Name string
-	Kind uint8 // 0 = commit, 1 = revert (pendingKind)
+	Kind uint8 // 0 = commit, 1 = revert (opKind)
 }
 
 // RuntimeState is the complete serializable state of a Runtime.
@@ -90,11 +90,8 @@ func (rt *Runtime) ExportState() (RuntimeState, error) {
 			Target:    ps.target,
 		})
 	}
-	for _, fs := range rt.deferredOrder {
-		s.Deferred = append(s.Deferred, DeferredOpState{
-			Name: fs.fd.Name,
-			Kind: uint8(rt.deferredKind[fs]),
-		})
+	for _, p := range rt.deferred {
+		s.Deferred = append(s.Deferred, DeferredOpState{Name: p.fs.fd.Name, Kind: uint8(p.kind)})
 	}
 	s.Stats = rt.Stats
 	s.OpSeq = rt.opSeq
@@ -164,21 +161,16 @@ func (rt *Runtime) ImportState(s RuntimeState) error {
 			st.patched = st.current != st.original
 		}
 	}
-	rt.deferredKind = nil
-	rt.deferredOrder = nil
+	rt.deferred = nil
 	for _, d := range s.Deferred {
 		fs, ok := rt.byName[d.Name]
 		if !ok {
 			return fmt.Errorf("core: snapshot defers operation on unknown function %q", d.Name)
 		}
-		if rt.deferredKind == nil {
-			rt.deferredKind = make(map[*funcState]pendingKind)
-		}
-		if _, dup := rt.deferredKind[fs]; dup {
+		if rt.queued(fs) >= 0 {
 			return fmt.Errorf("core: snapshot defers %q twice", d.Name)
 		}
-		rt.deferredKind[fs] = pendingKind(d.Kind)
-		rt.deferredOrder = append(rt.deferredOrder, fs)
+		rt.deferred = append(rt.deferred, pendingOp{fs, opKind(d.Kind)})
 	}
 	rt.Stats = s.Stats
 	rt.opSeq = s.OpSeq

@@ -14,13 +14,12 @@ import (
 // silently never reaching RuntimeState.
 func TestRuntimeFieldsClassifiedForSnapshot(t *testing.T) {
 	serialized := map[string]bool{
-		"funcs":         true, // bindings → FuncBindingState
-		"fnptrs":        true, // via ptrOrder → FnPtrBindingState
-		"ptrOrder":      true,
-		"deferredKind":  true, // → DeferredOpState
-		"deferredOrder": true,
-		"Stats":         true,
-		"opSeq":         true,
+		"funcs":    true, // bindings → FuncBindingState
+		"fnptrs":   true, // via ptrOrder → FnPtrBindingState
+		"ptrOrder": true,
+		"deferred": true, // → DeferredOpState
+		"Stats":    true,
+		"opSeq":    true,
 	}
 	derived := map[string]bool{
 		// Rebuilt by NewRuntime from the image descriptors; ImportState

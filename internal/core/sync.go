@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -139,8 +140,7 @@ type PokeAnnouncer interface {
 
 // runGuarded runs body under the configured synchronization: a
 // stop-machine rendezvous in ModeStopMachine (when the platform can),
-// plainly otherwise. It is the wrapper every public operation's
-// transaction body goes through.
+// plainly otherwise. Every transaction body (transact) goes through it.
 func (rt *Runtime) runGuarded(body func() error) error {
 	if rt.Options.Mode != ModeStopMachine {
 		return body()
@@ -296,13 +296,20 @@ const (
 	bindDeferred                   // function active; operation queued
 )
 
-// pendingKind tags a deferred operation.
-type pendingKind int
+// opKind tells whether an operation commits or reverts; a deferred
+// operation keeps it in the queue.
+type opKind int
 
 const (
-	pendingCommit pendingKind = iota
-	pendingRevert
+	opCommit opKind = iota
+	opRevert
 )
+
+// pendingOp is one queued deferred operation.
+type pendingOp struct {
+	fs   *funcState
+	kind opKind
+}
 
 // isActive reports whether fs's currently-running code — the committed
 // variant's body, or the generic body when none is committed — is live
@@ -341,105 +348,81 @@ func (rt *Runtime) isActive(fs *funcState) bool {
 
 // deferOp queues (or re-tags) a deferred operation for fs. The queue
 // mutation is undo-registered: if the enclosing transaction aborts,
-// the queue returns to its pre-operation state.
-func (rt *Runtime) deferOp(fs *funcState, k pendingKind) {
-	if rt.deferredKind == nil {
-		rt.deferredKind = make(map[*funcState]pendingKind)
+// the queue returns to its pre-operation state. The journal replays
+// newest-first, so an undo finds the queue as its change left it.
+func (rt *Runtime) deferOp(fs *funcState, k opKind) {
+	if i := rt.queued(fs); i >= 0 {
+		prev := rt.deferred[i].kind
+		rt.noteUndo(func() { rt.deferred[i].kind = prev })
+		rt.deferred[i].kind = k
+	} else {
+		rt.noteUndo(func() { rt.deferred = rt.deferred[:len(rt.deferred)-1] })
+		rt.deferred = append(rt.deferred, pendingOp{fs, k})
 	}
-	prev, had := rt.deferredKind[fs]
-	rt.noteUndo(func() {
-		if had {
-			rt.deferredKind[fs] = prev
-			return
-		}
-		delete(rt.deferredKind, fs)
-		for i := len(rt.deferredOrder) - 1; i >= 0; i-- {
-			if rt.deferredOrder[i] == fs {
-				rt.deferredOrder = append(rt.deferredOrder[:i], rt.deferredOrder[i+1:]...)
-				break
-			}
-		}
-	})
-	if !had {
-		rt.deferredOrder = append(rt.deferredOrder, fs)
-	}
-	rt.deferredKind[fs] = k
 	rt.Stats.DeferredPatches++
 	if rt.Tracer != nil {
 		op := uint64(1)
-		if k == pendingRevert {
+		if k == opRevert {
 			op = 2
 		}
-		rt.Tracer.EmitName(trace.KindDeferred, fs.fd.Generic, op, uint64(len(rt.deferredOrder)), fs.fd.Name)
+		rt.Tracer.EmitName(trace.KindDeferred, fs.fd.Generic, op, uint64(len(rt.deferred)), fs.fd.Name)
 	}
+}
+
+// queued returns the index of fs's operation in the deferred queue, or
+// -1 when none is queued.
+func (rt *Runtime) queued(fs *funcState) int {
+	return slices.IndexFunc(rt.deferred, func(p pendingOp) bool { return p.fs == fs })
 }
 
 // DeferredCount returns how many functions have a queued deferred
 // operation.
-func (rt *Runtime) DeferredCount() int { return len(rt.deferredOrder) }
+func (rt *Runtime) DeferredCount() int { return len(rt.deferred) }
 
 // DrainDeferred applies every queued operation whose function is no
-// longer active, each in its own transaction, and returns how many
-// were applied. Still-active functions stay queued. Call it at
-// quiescent points (the chaos harness drains after parking its
-// workers). Errors are joined; a failed operation goes back on the
-// queue.
+// longer active, each in its own transaction and through the same bind
+// as a direct call, and returns how many were applied. Still-active
+// functions stay queued. Call it at quiescent points (the chaos
+// harness drains after parking its workers). Errors are joined; a
+// failed operation goes back on the queue.
 func (rt *Runtime) DrainDeferred() (int, error) {
-	if len(rt.deferredOrder) == 0 {
+	if len(rt.deferred) == 0 {
 		return 0, nil
 	}
 	if reset := rt.beginOpSpan(); reset != nil {
 		defer reset()
 	}
-	pend := append([]*funcState(nil), rt.deferredOrder...)
+	pend := slices.Clone(rt.deferred)
 	done := 0
 	if rt.Tracer != nil {
 		rt.Tracer.Emit(trace.KindDrainBegin, 0, uint64(len(pend)), 0)
 		defer func() {
-			rt.Tracer.Emit(trace.KindDrainEnd, 0, uint64(done), uint64(len(rt.deferredOrder)))
+			rt.Tracer.Emit(trace.KindDrainEnd, 0, uint64(done), uint64(len(rt.deferred)))
 		}()
 	}
 	var errs []error
-	for _, fs := range pend {
-		k, ok := rt.deferredKind[fs]
-		if !ok {
-			continue // a later operation already handled it
-		}
-		if rt.isActive(fs) {
-			continue
+	for _, p := range pend {
+		i := rt.queued(p.fs)
+		if i < 0 || rt.isActive(p.fs) {
+			continue // already handled by a later operation, or still live
 		}
 		// Dequeue before running: the operation may legitimately re-defer.
-		delete(rt.deferredKind, fs)
-		for i, q := range rt.deferredOrder {
-			if q == fs {
-				rt.deferredOrder = append(rt.deferredOrder[:i], rt.deferredOrder[i+1:]...)
-				break
-			}
-		}
-		t := rt.beginTxn(rt.funcRanges(fs), 1)
-		err := rt.runGuarded(func() error {
-			switch k {
-			case pendingCommit:
-				_, err := rt.commitFunc(fs)
-				return err
-			default:
-				return rt.revertFunc(fs)
-			}
-		})
-		if err = rt.endTxn(t, err); err != nil {
-			errs = append(errs, fmt.Errorf("core: draining deferred op for %q: %w", fs.fd.Name, err))
+		k := rt.deferred[i].kind
+		rt.deferred = slices.Delete(rt.deferred, i, i+1)
+		res, err := rt.transact(k, []*funcState{p.fs}, nil)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: draining deferred op for %q: %w", p.fs.fd.Name, err))
 			// Re-queue outside any transaction; no stats bump, it was
 			// already counted when first deferred.
-			if _, requeued := rt.deferredKind[fs]; !requeued {
-				rt.deferredKind[fs] = k
-				rt.deferredOrder = append(rt.deferredOrder, fs)
+			if rt.queued(p.fs) < 0 {
+				rt.deferred = append(rt.deferred, pendingOp{p.fs, k})
 			}
 			continue
 		}
 		// A stop-machine rendezvous inside the drain can step a CPU into
-		// the function, re-deferring the operation mid-drain; that one
+		// the function, and bind then re-defers the operation; that one
 		// was postponed again, not applied.
-		if _, requeued := rt.deferredKind[fs]; requeued {
+		if res.Deferred > 0 {
 			continue
 		}
 		done++
@@ -455,7 +438,7 @@ func (rt *Runtime) DrainDeferred() (int, error) {
 // when the operation may proceed — with a frame-transfer plan attached
 // when ActiveOSR validated one (the caller applies it after patching,
 // inside the same transaction).
-func (rt *Runtime) checkActive(fs *funcState, k pendingKind, target *VariantDesc) (bool, *osrPlan, error) {
+func (rt *Runtime) checkActive(fs *funcState, k opKind, target *VariantDesc) (bool, *osrPlan, error) {
 	if !rt.isActive(fs) {
 		return false, nil, nil
 	}
@@ -486,31 +469,14 @@ func (rt *Runtime) checkActive(fs *funcState, k pendingKind, target *VariantDesc
 // one. The queue mutation is undo-registered like deferOp's, so an
 // aborted transaction restores the queue exactly.
 func (rt *Runtime) purgeDeferred(fs *funcState) {
-	k, had := rt.deferredKind[fs]
-	if !had {
+	i := rt.queued(fs)
+	if i < 0 {
 		return
 	}
-	idx := -1
-	for i, q := range rt.deferredOrder {
-		if q == fs {
-			idx = i
-			break
-		}
-	}
-	rt.noteUndo(func() {
-		rt.deferredKind[fs] = k
-		if idx < 0 || idx > len(rt.deferredOrder) {
-			rt.deferredOrder = append(rt.deferredOrder, fs)
-			return
-		}
-		rt.deferredOrder = append(rt.deferredOrder[:idx],
-			append([]*funcState{fs}, rt.deferredOrder[idx:]...)...)
-	})
-	delete(rt.deferredKind, fs)
-	if idx >= 0 {
-		rt.deferredOrder = append(rt.deferredOrder[:idx], rt.deferredOrder[idx+1:]...)
-	}
+	p := rt.deferred[i]
+	rt.noteUndo(func() { rt.deferred = slices.Insert(rt.deferred, i, p) })
+	rt.deferred = slices.Delete(rt.deferred, i, i+1)
 	if rt.Tracer != nil {
-		rt.Tracer.EmitName(trace.KindDeferred, fs.fd.Generic, 0, uint64(len(rt.deferredOrder)), fs.fd.Name)
+		rt.Tracer.EmitName(trace.KindDeferred, fs.fd.Generic, 0, uint64(len(rt.deferred)), fs.fd.Name)
 	}
 }

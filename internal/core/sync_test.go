@@ -522,3 +522,97 @@ func TestParkedModeUnchanged(t *testing.T) {
 		t.Errorf("parked mode touched sync machinery: %+v", s)
 	}
 }
+
+// twoCallsSrc calls a multiversed function twice in a row; its variant
+// calls out, so every site stays a direct call instead of inlining.
+const twoCallsSrc = `
+	multiverse int A;
+	long n;
+	void helper(void) { n++; }
+	multiverse void multi(void) { if (A) { helper(); } }
+	void foo(void) { multi(); multi(); }
+	long count(void) { return n; }
+`
+
+// TestDrainRechecksActiveness: a queued operation must re-check
+// activeness inside the drain's rendezvous, revert and commit alike.
+// The CPU sits on foo's second call site when the drain starts, so the
+// outer check passes; the rendezvous then herds the CPU through the
+// still-patched call into the variant, and the operation must go back
+// on the queue instead of rebinding under it.
+func TestDrainRechecksActiveness(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		queue func(sys *System, fs *funcState) error
+	}{
+		{"revert", func(sys *System, fs *funcState) error { return sys.RT.RevertFunc(fs.fd.Generic) }},
+		{"commit", func(sys *System, fs *funcState) error {
+			if err := sys.SetSwitch("A", 0); err != nil {
+				return err
+			}
+			_, err := sys.RT.CommitFunc(fs.fd.Generic)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "two.mvc", Text: twoCallsSrc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			setAndCommit(t, sys, map[string]int64{"A": 1})
+			fs := sys.RT.byName["multi"]
+			bound := fs.committed
+			if bound == nil {
+				t.Fatal("multi not committed")
+			}
+			if err := sys.Machine.StartCall(sys.Machine.CPU, "foo"); err != nil {
+				t.Fatal(err)
+			}
+			stepInto(t, sys, bound.Addr, bound.Addr+bound.Size)
+			sys.RT.SetCommitOptions(CommitOptions{Mode: ModeStopMachine, OnActive: ActiveDefer})
+			if err := c.queue(sys, fs); err != nil {
+				t.Fatal(err)
+			}
+			if sys.RT.DeferredCount() != 1 {
+				t.Fatalf("DeferredCount = %d, want the %s queued", sys.RT.DeferredCount(), c.name)
+			}
+			sites := sys.RT.sites[fs.fd.Generic]
+			if len(sites) != 2 {
+				t.Fatalf("multi has %d call sites, want 2", len(sites))
+			}
+			second := sites[0].desc.Addr
+			if sites[1].desc.Addr > second {
+				second = sites[1].desc.Addr
+			}
+			stepInto(t, sys, second, second+1)
+
+			n, err := sys.RT.DrainDeferred()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pc := sys.Machine.CPU.PC(); pc < bound.Addr || pc >= bound.Addr+bound.Size {
+				t.Fatalf("the drain's rendezvous left the CPU at %#x, outside the variant", pc)
+			}
+			if n != 0 || sys.RT.DeferredCount() != 1 {
+				t.Fatalf("drain applied %d op(s), %d still queued; want 0 and the %s re-queued",
+					n, sys.RT.DeferredCount(), c.name)
+			}
+			if fs.committed != bound {
+				t.Fatal("the drain rebound multi under a CPU running its variant")
+			}
+			if err := sys.RT.Audit(); err != nil {
+				t.Fatal(err)
+			}
+			stepToHalt(t, sys)
+			if got := call(t, sys, "count"); got != 2 {
+				t.Errorf("n = %d, want 2: both calls ran the bound variant", got)
+			}
+			if n, err := sys.RT.DrainDeferred(); err != nil || n != 1 {
+				t.Fatalf("drain after halt: n=%d err=%v, want 1,nil", n, err)
+			}
+			if fs.committed == bound {
+				t.Errorf("the quiescent drain did not apply the %s", c.name)
+			}
+		})
+	}
+}
