@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cc"
@@ -475,6 +476,58 @@ func BenchmarkCommitManyCallsites(b *testing.B) {
 				sites = rep.SitesTouched
 			}
 			b.ReportMetric(float64(sites), "sites/commit")
+		})
+	}
+}
+
+// BenchmarkICacheRefill times the guest sweep that follows a commit on
+// the E7 kernel: each iteration flushes the whole text segment on every
+// CPU, as a commit's flushes drop the lines it patched, then calls four
+// subsys_* functions, which refill their icache lines and rebuild the
+// decode cache ("cached") or the superblocks too ("superblocks").
+// fills/op counts the line fills per iteration; B/op and allocs/op are
+// what those refills cost the host.
+func BenchmarkICacheRefill(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		blocks bool
+	}{{"superblocks", true}, {"cached", false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := sys.Machine
+			var text link.Segment
+			for _, seg := range m.Image.Segments {
+				if seg.Prot&mem.Exec != 0 {
+					text = seg
+				}
+			}
+			for _, c := range m.CPUs() {
+				c.SetSuperblocks(mode.blocks)
+			}
+			var fns []string
+			for k := 0; k < 4; k++ {
+				fns = append(fns, fmt.Sprintf("subsys_%d", k*131))
+			}
+			sweep := func() {
+				m.FlushICacheAll(text.Addr, uint64(len(text.Data)))
+				for _, fn := range fns {
+					if _, err := m.CallNamed(fn); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			sweep()
+			fills := m.TotalStats().ICacheFills
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m.TotalStats().ICacheFills-fills)/float64(b.N), "fills/op")
 		})
 	}
 }

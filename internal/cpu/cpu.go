@@ -278,21 +278,20 @@ type CPU struct {
 }
 
 type icLine struct {
-	bytes   []byte // snapshot of the page at fill time
-	version uint64 // page version at fill time; ICacheStale compares it
+	// ents and slot are the line's derived caches (decodecache.go):
+	// slot maps each in-page offset to the index in ents of its decoded
+	// instruction and superblock; 0 means nothing is cached there, and
+	// ents[0] stays empty. Both derive only from bytes and die with the
+	// line, so FlushICache invalidates everything together. nsb counts
+	// real (non-sentinel) blocks so FlushICache can account
+	// invalidations without rescanning. Every lookup reads ents and
+	// slot, so they lead the line; bytes is read only on a miss.
+	ents []lineEnt
+	nsb  int
+	slot [mem.PageSize]uint16
 
-	// dec lazily caches instructions decoded from bytes, indexed by
-	// in-page offset (Len == 0 means not decoded). It lives and dies
-	// with the line, so FlushICache invalidates both together — see
-	// decodecache.go.
-	dec []isa.Inst
-
-	// sb lazily caches superblocks headed at each in-page offset
-	// (superblock.go); like dec, blocks derive only from bytes and die
-	// with the line. nsb counts real (non-sentinel) blocks so
-	// FlushICache can account invalidations without rescanning.
-	sb  []*superblock
-	nsb int
+	version uint64             // page version at fill time; ICacheStale compares it
+	bytes   [mem.PageSize]byte // snapshot of the page at fill time
 }
 
 // New returns a CPU executing from m with the given cost model.
@@ -481,12 +480,11 @@ func (c *CPU) icFetch(addr uint64, buf []byte) (int, error) {
 				}
 				return 0, &mem.Fault{Addr: addr, Kind: mem.AccessExec, Prot: prot, Mapped: mapped}
 			}
-			pageBytes := make([]byte, mem.PageSize)
-			if err := c.Mem.Fetch(pn<<mem.PageShift, pageBytes); err != nil {
+			line = newLine(lineEntsInit)
+			if err := c.Mem.Fetch(pn<<mem.PageShift, line.bytes[:]); err != nil {
 				return got, err
 			}
-			ver, _ := c.Mem.PageVersion(addr)
-			line = &icLine{bytes: pageBytes, version: ver}
+			line.version, _ = c.Mem.PageVersion(addr)
 			c.icache[pn] = line
 			c.stats.ICacheFills++
 		}

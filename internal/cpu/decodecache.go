@@ -21,6 +21,17 @@
 //   - Each CPU owns its icache, so each SMP hardware thread keeps a
 //     private decode cache, mirroring real per-core frontends.
 //
+// Layout. A line caches a few dozen instructions and blocks out of
+// 4096 possible offsets, and every flush throws the line away, so the
+// line pays only for what it holds: slot, an 8 KB array of uint16
+// inside the line, maps each in-page offset to the index of its
+// lineEnt in the compact ents slice, and one lineEnt holds both the
+// decoded instruction and the superblock (superblock.go) headed at
+// its offset. Slot 0 means nothing is cached: it points at ents[0],
+// which stays empty, so a lookup is two loads and no branch. A fill
+// allocates the line (page bytes, slot and header, about 13 KB) and
+// ents with room for lineEntsInit entries.
+//
 // The cache is always on and purely host-side: it changes only the
 // DecodeHits/DecodeMisses statistics, never simulated cycles or
 // architectural state.
@@ -47,6 +58,47 @@ func decodeInst(b []byte) (isa.Inst, error) {
 	return isa.Decode(b)
 }
 
+// lineEnt is what a line caches at one in-page offset: the decoded
+// instruction (Len == 0: not decoded) and the superblock headed there
+// (nil: none built; sbReject: none can start).
+type lineEnt struct {
+	in isa.Inst
+	sb *superblock
+}
+
+// lineEntsInit is the room for entries a filled line allocates with
+// it. A line a flush refilled holds 3 to 10 entries on the E7 kernel's
+// guest sweep, so most refills never grow ents; a hot line (up to a few
+// hundred entries in the experiments) grows by append.
+const lineEntsInit = 16
+
+// newLine returns an empty line with room for n entries besides
+// ents[0], the entry every unused offset's slot points at, which stays
+// empty.
+func newLine(n int) *icLine {
+	return &icLine{ents: make([]lineEnt, 1, 1+n)}
+}
+
+// entry returns the line's entry at in-page offset off — ents[0], with
+// no instruction and no block, when nothing is cached there. It is the
+// one way to an entry: lookups call it directly and inline it into the
+// dispatch paths, writers call it through addEntry.
+func (l *icLine) entry(off uint64) *lineEnt {
+	return &l.ents[l.slot[off]]
+}
+
+// addEntry returns the entry at off, appending an empty one when there
+// is none. Entries are only ever appended, so a pointer into ents stays
+// valid (possibly into a superseded backing array, which keeps the same
+// contents) while a handler runs.
+func (l *icLine) addEntry(off uint64) *lineEnt {
+	if l.slot[off] == 0 {
+		l.ents = append(l.ents, lineEnt{})
+		l.slot[off] = uint16(len(l.ents) - 1)
+	}
+	return l.entry(off)
+}
+
 // residentLine returns the icache line holding pc, or nil. It memoizes
 // the last line to keep the steady-state paths free of map lookups;
 // FlushICache clears the memo along with the lines.
@@ -66,10 +118,10 @@ func (c *CPU) residentLine(pc uint64) *icLine {
 // else one fetched through the instruction cache, decoded into
 // c.missed and recorded in the decode cache.
 func (c *CPU) decode(pc uint64) (*isa.Inst, error) {
-	if line := c.residentLine(pc); line != nil && line.dec != nil {
-		if in := &line.dec[pc&(mem.PageSize-1)]; in.Len != 0 {
+	if line := c.residentLine(pc); line != nil {
+		if e := line.entry(pc & (mem.PageSize - 1)); e.in.Len != 0 {
 			c.stats.DecodeHits++
-			return in, nil
+			return &e.in, nil
 		}
 	}
 	var window [maxInstLen]byte
@@ -98,12 +150,7 @@ func (c *CPU) cacheInst(pc uint64, in isa.Inst) {
 	if off+maxInstLen > mem.PageSize {
 		return
 	}
-	line, ok := c.icache[pc>>mem.PageShift]
-	if !ok {
-		return
+	if line := c.residentLine(pc); line != nil {
+		line.addEntry(off).in = in
 	}
-	if line.dec == nil {
-		line.dec = make([]isa.Inst, mem.PageSize)
-	}
-	line.dec[off] = in
 }

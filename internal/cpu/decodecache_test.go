@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -166,5 +167,37 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 	}
 	if c.Stats().ICacheFills != 2 {
 		t.Errorf("fills = %d, want 2 (page 1 filled on demand)", c.Stats().ICacheFills)
+	}
+}
+
+// TestLineRefillBytes gates what a flushed line costs to refill: a
+// one-page loop is flushed and re-run, in both interpreter modes, and
+// the bytes allocated per refill — the line with its page bytes and
+// offset index (about 13 KB), its entries and any superblocks — must
+// stay under 24 KB. Commits flush the lines they patch, so every
+// commit pays this once per line the guest runs again.
+func TestLineRefillBytes(t *testing.T) {
+	const refills, limit = 200, 24 << 10
+	for _, sb := range []bool{false, true} {
+		c := newVM(t, hotLoop(100))
+		c.SetSuperblocks(sb)
+		run(t, c)
+		fills := c.Stats().ICacheFills
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < refills; i++ {
+			c.FlushICache(textBase, mem.PageSize)
+			c.SetPC(textBase)
+			if _, err := c.Run(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := c.Stats().ICacheFills - fills; got != refills {
+			t.Fatalf("superblocks=%v: %d line fills over %d refills", sb, got, refills)
+		}
+		if per := (after.TotalAlloc - before.TotalAlloc) / refills; per >= limit {
+			t.Errorf("superblocks=%v: %d bytes allocated per line refill, want < %d", sb, per, limit)
+		}
 	}
 }

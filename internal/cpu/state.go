@@ -15,10 +15,15 @@
 // Decode*/Block* statistics, and snapshot determinism demands that a
 // restored machine's stats evolve bit-identically to the uninterrupted
 // run. ExportState therefore records *which* offsets were decoded and
-// which headed superblocks; ImportState rebuilds those entries from
-// the line's byte snapshot (a pure, deterministic derivation) and then
-// overwrites the stats with the snapshot's values, so the rebuild
-// itself leaves no trace.
+// which headed superblocks, walking each line's offset index in
+// ascending order; ImportState rebuilds those entries from the line's
+// byte snapshot (a pure, deterministic derivation) and then overwrites
+// the stats with the snapshot's values, so the rebuild itself leaves
+// no trace. ImportState accepts only the canonical form ExportState
+// writes — every offset list strictly ascending and inside the page,
+// no offset both a head and a reject, every entry rebuilding as
+// exported — and checks all of it before it changes any CPU field, so
+// a rejected state leaves the CPU as it was.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
 // injectors, device callbacks, the icache line memo and Step's
@@ -117,24 +122,20 @@ func (c *CPU) ExportState() State {
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	for _, pn := range pns {
 		line := c.icache[pn]
-		ls := ICLineState{PN: pn, Version: line.version, Bytes: append([]byte(nil), line.bytes...)}
-		if line.dec != nil {
-			for off, in := range line.dec {
-				if in.Len != 0 {
-					ls.Decoded = append(ls.Decoded, uint16(off))
-				}
+		ls := ICLineState{PN: pn, Version: line.version, Bytes: append([]byte(nil), line.bytes[:]...)}
+		for off, i := range line.slot[:] {
+			if i == 0 {
+				continue
 			}
-		}
-		if line.sb != nil {
-			for off, b := range line.sb {
-				if b == nil {
-					continue
-				}
-				if len(b.entries) == 0 {
-					ls.SBRject = append(ls.SBRject, uint16(off))
-				} else {
-					ls.SBHeads = append(ls.SBHeads, uint16(off))
-				}
+			e := &line.ents[i]
+			if e.in.Len != 0 {
+				ls.Decoded = append(ls.Decoded, uint16(off))
+			}
+			switch {
+			case e.sb == sbReject:
+				ls.SBRject = append(ls.SBRject, uint16(off))
+			case e.sb != nil:
+				ls.SBHeads = append(ls.SBHeads, uint16(off))
 			}
 		}
 		s.ICache = append(s.ICache, ls)
@@ -148,7 +149,7 @@ func (c *CPU) ExportState() State {
 // caller's contract). Derived caches are rebuilt from the line byte
 // snapshots and the statistics then overwritten from the snapshot, so
 // a restored CPU's counters evolve bit-identically to the exporting
-// run.
+// run. On error the CPU is unchanged.
 func (c *CPU) ImportState(s State) error {
 	if len(s.BTB) != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", len(s.BTB), len(c.btb))
@@ -159,25 +160,12 @@ func (c *CPU) ImportState(s State) error {
 	icache := make(map[uint64]*icLine, len(s.ICache))
 	for i := range s.ICache {
 		ls := &s.ICache[i]
-		if len(ls.Bytes) != mem.PageSize {
-			return fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
-		}
 		if _, dup := icache[ls.PN]; dup {
 			return fmt.Errorf("cpu: snapshot repeats icache line %#x", ls.PN)
 		}
-		line := &icLine{bytes: append([]byte(nil), ls.Bytes...), version: ls.Version}
-		if len(ls.Decoded) > 0 {
-			line.dec = make([]isa.Inst, mem.PageSize)
-			for _, off := range ls.Decoded {
-				if int(off)+maxInstLen > mem.PageSize {
-					return fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
-				}
-				in, err := decodeInst(line.bytes[off:])
-				if err != nil {
-					return fmt.Errorf("cpu: rebuilding decode cache for line %#x at offset %#x: %w", ls.PN, off, err)
-				}
-				line.dec[off] = in
-			}
+		line, err := importLine(ls)
+		if err != nil {
+			return err
 		}
 		icache[ls.PN] = line
 	}
@@ -200,27 +188,63 @@ func (c *CPU) ImportState(s State) error {
 	c.icache = icache
 	c.lastPN, c.lastLine = 0, nil // memo points at dropped lines
 	c.cycleStop = 0
-	// Superblock rebuild goes through buildBlock — the same derivation
-	// the original run performed — which bumps nsb and BlockBuilds;
-	// overwriting the stats afterwards erases the rebuild's traces.
-	for i := range s.ICache {
-		ls := &s.ICache[i]
-		line := c.icache[ls.PN]
-		for _, off := range ls.SBHeads {
-			b := c.buildBlock(line, ls.PN<<mem.PageShift|uint64(off))
-			if len(b.entries) == 0 {
-				return fmt.Errorf("cpu: snapshot superblock head %#x rebuilds empty", ls.PN<<mem.PageShift|uint64(off))
+	c.stats = s.Stats
+	return nil
+}
+
+// importLine rebuilds one exported icache line: its bytes, then its
+// decoded instructions and superblocks, through the derivations the
+// exporting run used (decodeInst, formBlock). It rejects offset lists
+// ExportState cannot have written and entries that do not rebuild as
+// exported, and touches no CPU state.
+func importLine(ls *ICLineState) (*icLine, error) {
+	if len(ls.Bytes) != mem.PageSize {
+		return nil, fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
+	}
+	for _, l := range []struct {
+		what string
+		offs []uint16
+	}{{"decode", ls.Decoded}, {"superblock head", ls.SBHeads}, {"reject sentinel", ls.SBRject}} {
+		for i, off := range l.offs {
+			if off >= mem.PageSize {
+				return nil, fmt.Errorf("cpu: snapshot %s offset %#x on line %#x lies outside the page", l.what, off, ls.PN)
 			}
-		}
-		for _, off := range ls.SBRject {
-			b := c.buildBlock(line, ls.PN<<mem.PageShift|uint64(off))
-			if len(b.entries) != 0 {
-				return fmt.Errorf("cpu: snapshot reject sentinel %#x rebuilds non-empty", ls.PN<<mem.PageShift|uint64(off))
+			if i > 0 && off <= l.offs[i-1] {
+				return nil, fmt.Errorf("cpu: snapshot %s offsets on line %#x are not strictly ascending at %#x", l.what, ls.PN, off)
 			}
 		}
 	}
-	c.stats = s.Stats
-	return nil
+	line := newLine(len(ls.Decoded) + len(ls.SBHeads) + len(ls.SBRject))
+	line.version = ls.Version
+	copy(line.bytes[:], ls.Bytes)
+	for _, off := range ls.Decoded {
+		if int(off)+maxInstLen > mem.PageSize {
+			return nil, fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
+		}
+		in, err := decodeInst(line.bytes[off:])
+		if err != nil {
+			return nil, fmt.Errorf("cpu: rebuilding decode cache for line %#x at offset %#x: %w", ls.PN, off, err)
+		}
+		line.addEntry(uint64(off)).in = in
+	}
+	base := ls.PN << mem.PageShift
+	for _, off := range ls.SBHeads {
+		b := line.formBlock(base | uint64(off))
+		if b == sbReject {
+			return nil, fmt.Errorf("cpu: snapshot superblock head %#x rebuilds empty", base|uint64(off))
+		}
+		line.addEntry(uint64(off)).sb = b
+		line.nsb++
+	}
+	// An offset listed both as a head and as a reject fails one of the
+	// two rebuild checks, since formBlock's result is fixed by the bytes.
+	for _, off := range ls.SBRject {
+		if line.formBlock(base|uint64(off)) != sbReject {
+			return nil, fmt.Errorf("cpu: snapshot reject sentinel %#x rebuilds non-empty", base|uint64(off))
+		}
+		line.addEntry(uint64(off)).sb = sbReject
+	}
+	return line, nil
 }
 
 // RunUntil executes until the cycle counter reaches target, the CPU

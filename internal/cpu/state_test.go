@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 // TestCPUFieldsClassifiedForSnapshot is the snapshot-completeness
@@ -38,10 +39,10 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 
 	lineSerialized := map[string]bool{
 		"bytes": true, "version": true,
-		// dec, sb and nsb are serialized as offset lists (ICLineState
+		// slot, ents and nsb are serialized as offset lists (ICLineState
 		// Decoded/SBHeads/SBRject) and rebuilt deterministically from
-		// bytes at import; nsb is re-derived by the buildBlock calls.
-		"dec": true, "sb": true, "nsb": true,
+		// bytes at import; nsb is re-counted as the heads rebuild.
+		"slot": true, "ents": true, "nsb": true,
 	}
 	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, nil)
 }
@@ -87,6 +88,7 @@ func stateVM(t *testing.T) *CPU {
 	copy(code[callAt:], fix.Bytes())
 
 	c := newVM(t, code)
+	c.SetSuperblocks(true)
 	c.SetInterruptsEnabled(true)
 	c.SetInterruptPerturbation(997, 30)
 	if _, err := c.Run(10_000); err != nil {
@@ -129,6 +131,69 @@ func TestExportImportRoundTrip(t *testing.T) {
 				t.Fatalf("line %#x: rebuilt nsb %d, original %d", pn, fl.nsb, line.nsb)
 			}
 		}
+	}
+}
+
+// TestExportOffsetsGolden pins the offset lists stateVM exports. They
+// are snapshot bytes: a different order or classification of the same
+// cache changes every digest of a machine that holds it.
+func TestExportOffsetsGolden(t *testing.T) {
+	s := stateVM(t).ExportState()
+	if len(s.ICache) != 1 {
+		t.Fatalf("exported %d icache lines, want 1", len(s.ICache))
+	}
+	ls := s.ICache[0]
+	want := ICLineState{
+		PN:      textBase >> mem.PageShift,
+		Version: ls.Version,
+		Bytes:   ls.Bytes,
+		Decoded: []uint16{0, 43},
+		SBHeads: []uint16{10, 20, 25, 44},
+		SBRject: []uint16{43},
+	}
+	if !reflect.DeepEqual(ls, want) {
+		t.Fatalf("line %#x exports Decoded %v, SBHeads %v, SBRject %v; want %v, %v, %v",
+			ls.PN, ls.Decoded, ls.SBHeads, ls.SBRject, want.Decoded, want.SBHeads, want.SBRject)
+	}
+}
+
+// TestImportRejectsMalformedLines: ImportState accepts only the
+// canonical offset lists ExportState writes, and checks them before
+// it changes anything, so every malformed form errors and leaves the
+// importing CPU's state as it was.
+func TestImportRejectsMalformedLines(t *testing.T) {
+	c := stateVM(t)
+	for _, tc := range []struct {
+		name   string
+		mangle func(s *State)
+	}{
+		{"head past the page", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 25, 44, 0x100a} }},
+		{"duplicated head", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 20, 25, 44} }},
+		{"unsorted heads", func(s *State) { s.ICache[0].SBHeads = []uint16{20, 10, 25, 44} }},
+		{"head rebuilds empty", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 25, 43, 44} }},
+		{"decode past the page", func(s *State) { s.ICache[0].Decoded = []uint16{0, 43, 0x1000} }},
+		{"decode too close to the line end", func(s *State) { s.ICache[0].Decoded = []uint16{0, 43, 0xff8} }},
+		{"duplicated decode", func(s *State) { s.ICache[0].Decoded = []uint16{0, 0, 43} }},
+		{"unsorted decodes", func(s *State) { s.ICache[0].Decoded = []uint16{43, 0} }},
+		{"reject past the page", func(s *State) { s.ICache[0].SBRject = []uint16{43, 0x102b} }},
+		{"duplicated reject", func(s *State) { s.ICache[0].SBRject = []uint16{43, 43} }},
+		{"reject rebuilds non-empty", func(s *State) { s.ICache[0].SBRject = []uint16{0, 43} }},
+		{"head and reject share an offset", func(s *State) { s.ICache[0].SBRject = []uint16{43, 44} }},
+		{"short line bytes", func(s *State) { s.ICache[0].Bytes = s.ICache[0].Bytes[:100] }},
+		{"repeated line", func(s *State) { s.ICache = append(s.ICache, s.ICache[0]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := c.ExportState()
+			tc.mangle(&s)
+			target := New(c.Mem, c.Config())
+			before := target.ExportState()
+			if err := target.ImportState(s); err == nil {
+				t.Fatal("malformed state imported without error")
+			}
+			if after := target.ExportState(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("rejected import changed the CPU\nbefore: %+v\nafter:  %+v", before, after)
+			}
+		})
 	}
 }
 

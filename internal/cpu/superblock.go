@@ -33,11 +33,13 @@
 // path stops re-attempting the build and falls through to Step.
 //
 // Invalidation. Blocks are derived exclusively from the line's byte
-// snapshot and are stored on the line itself, so FlushICache drops
-// them together with the line — the same lifetime the decode cache
-// has, and therefore the same lifetime the BRK text-poke protocol
-// already relies on: the poke's phase-1 flush kills every block built
-// over the old bytes before any CPU can fetch the breakpoint.
+// snapshot and are stored on the line itself, in the entry for their
+// head offset next to its decoded instruction (decodecache.go), so
+// FlushICache drops them together with the line — the same lifetime
+// the decode cache has, and therefore the same lifetime the BRK
+// text-poke protocol already relies on: the poke's phase-1 flush kills
+// every block built over the old bytes before any CPU can fetch the
+// breakpoint.
 // Patching *without* a flush keeps executing the stale block, just as
 // Step keeps executing the stale bytes.
 //
@@ -125,10 +127,10 @@ var sbReject = &superblock{}
 // nil.
 func (c *CPU) cachedBlock(pc uint64) (*superblock, *icLine) {
 	line := c.residentLine(pc)
-	if line == nil || line.sb == nil {
-		return nil, line
+	if line == nil {
+		return nil, nil
 	}
-	return line.sb[pc&(mem.PageSize-1)], line
+	return line.entry(pc & (mem.PageSize - 1)).sb, line
 }
 
 // sbTerminator reports whether op ends a block as its final,
@@ -141,13 +143,23 @@ func sbTerminator(op isa.Op) bool {
 	return false
 }
 
-// buildBlock decodes a superblock starting at pc from line's byte
+// buildBlock forms the superblock starting at pc from line's byte
 // snapshot and caches it on the line. Build is pure host work: no
 // simulated state changes and no simulated cycles pass.
 func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
-	if line.sb == nil {
-		line.sb = make([]*superblock, mem.PageSize)
+	b := line.formBlock(pc)
+	line.addEntry(pc & (mem.PageSize - 1)).sb = b
+	if b != sbReject {
+		line.nsb++
+		c.stats.BlockBuilds++
 	}
+	return b
+}
+
+// formBlock decodes the superblock starting at pc from the line's byte
+// snapshot without caching it, or returns sbReject when no block can
+// start there.
+func (l *icLine) formBlock(pc uint64) *superblock {
 	pn := pc >> mem.PageShift
 	b := &superblock{}
 	cur := pc
@@ -155,7 +167,7 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		// An undecodable window may be a valid instruction straddling
 		// into the next line, whose lifetime is independent; Step
 		// handles it.
-		in, err := decodeInst(line.bytes[cur&(mem.PageSize-1):])
+		in, err := decodeInst(l.bytes[cur&(mem.PageSize-1):])
 		if err != nil || in.Op == isa.HLT || in.Op == isa.BRK || in.Op == isa.HCALL {
 			break
 		}
@@ -167,12 +179,8 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 		cur = next
 	}
 	if len(b.entries) == 0 {
-		b = sbReject
-	} else {
-		line.nsb++
-		c.stats.BlockBuilds++
+		return sbReject
 	}
-	line.sb[pc&(mem.PageSize-1)] = b
 	return b
 }
 
