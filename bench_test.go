@@ -336,7 +336,8 @@ const snapshotSrc = `
 
 // BenchmarkSnapshot measures the snapshot layer on a fleet-shaped
 // machine that has committed and served requests: capture into a
-// sealed container; restore (Decode, a fresh machine.New and
+// fresh sealed container; capture into the previous container, as a
+// fleet checkpoint does; restore (Decode, a fresh machine.New and
 // NewRuntime, Apply); and the container's digest. MB/s is container
 // bytes per second.
 func BenchmarkSnapshot(b *testing.B) {
@@ -365,7 +366,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	if _, err := m.CallNamed("serve_batch", 64, 1); err != nil {
 		b.Fatal(err)
 	}
-	data, err := snapshot.Capture(m, rt)
+	data, err := snapshot.Capture(nil, m, rt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -373,7 +374,20 @@ func BenchmarkSnapshot(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if data, err = snapshot.Capture(m, rt); err != nil {
+			if data, err = snapshot.Capture(nil, m, rt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	into, err := snapshot.Capture(nil, m, rt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("capture_into", func(b *testing.B) {
+		b.SetBytes(int64(len(into)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if into, err = snapshot.Capture(into, m, rt); err != nil {
 				b.Fatal(err)
 			}
 		}

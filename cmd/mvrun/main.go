@@ -152,7 +152,7 @@ func run(path string) (err error) {
 	// is called: between block dispatches (RunUntil) or right after a
 	// completed commit.
 	saveSnapshot := func(label string) error {
-		enc, serr := snapshot.Capture(m, rt)
+		enc, serr := snapshot.Capture(nil, m, rt)
 		if serr != nil {
 			return fmt.Errorf("checkpoint: %w", serr)
 		}
@@ -189,7 +189,7 @@ func run(path string) (err error) {
 			// capture is safe here.
 			snapPath := *flightOut + ".snap"
 			rec.OnFailure = func(reason string, d *trace.FlightDump) {
-				enc, serr := snapshot.Capture(m, rt)
+				enc, serr := snapshot.Capture(nil, m, rt)
 				if serr == nil {
 					serr = os.WriteFile(snapPath, enc, 0o644)
 				}

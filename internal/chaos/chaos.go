@@ -216,6 +216,12 @@ func (r *runner) run(startOp int) (Result, error) {
 	r.res.Retries = r.rt.Stats.CommitRetries
 	r.res.FlushFixes = r.rt.Stats.FlushRetries
 	r.res.FaultsFired = r.plan.Stats.Total()
+	if pin := r.res.Replay; pin != nil {
+		var derr error
+		if pin.Digest, derr = snapshot.Digest(pin.Snap); derr != nil && err == nil {
+			err = fmt.Errorf("chaos: replay pin at op %d: %w", pin.Op, derr)
+		}
+	}
 	if err != nil {
 		d := r.rec.Dump("chaos property violation")
 		r.res.FlightDump = &d
@@ -277,12 +283,15 @@ func (r *runner) quiesce(op int) error {
 // coordinates a snapshot cannot carry — the rng draw count, the fault
 // plan's progress and the workload's semantic model. Only the latest
 // pin is kept, so on failure it names the op preceding the violation.
+// Each pin is captured into the container of the pin it replaces: the
+// runner holds the only reference to it until Run returns, and run
+// digests only the pin it returns.
 func (r *runner) captureReplay(op int) error {
-	data, err := snapshot.Capture(r.m, r.rt)
-	if err != nil {
-		return fmt.Errorf("chaos: replay capture at op %d: %w", op, err)
+	var buf []byte
+	if r.res.Replay != nil {
+		buf = r.res.Replay.Snap
 	}
-	digest, err := snapshot.Digest(data)
+	data, err := snapshot.Capture(buf, r.m, r.rt)
 	if err != nil {
 		return fmt.Errorf("chaos: replay capture at op %d: %w", op, err)
 	}
@@ -291,7 +300,6 @@ func (r *runner) captureReplay(op int) error {
 		RngDraws: r.src.draws,
 		Plan:     r.plan.Export(),
 		Model:    r.w.exportModel(),
-		Digest:   digest,
 		Snap:     data,
 	}
 	return nil

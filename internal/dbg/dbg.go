@@ -195,7 +195,7 @@ func (s *Session) Cycles() uint64 { return s.m.CPU.Cycles() }
 // Digest captures the current machine+runtime state and returns its
 // canonical snapshot digest.
 func (s *Session) Digest() (string, error) {
-	snap, err := snapshot.Capture(s.m, s.rt)
+	snap, err := snapshot.Capture(nil, s.m, s.rt)
 	if err != nil {
 		return "", err
 	}
@@ -203,7 +203,7 @@ func (s *Session) Digest() (string, error) {
 }
 
 func (s *Session) keyframe(pos int) error {
-	snap, err := snapshot.Capture(s.m, s.rt)
+	snap, err := snapshot.Capture(nil, s.m, s.rt)
 	if err != nil {
 		return fmt.Errorf("keyframe: %w", err)
 	}

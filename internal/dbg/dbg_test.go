@@ -324,7 +324,7 @@ func TestOpenAtSnapshot(t *testing.T) {
 	mustRun(t, a, 1000)
 	midCycle := a.Cycles()
 	midDigest := mustDigest(t, a)
-	snap, err := snapshot.Capture(a.Machine(), a.Runtime())
+	snap, err := snapshot.Capture(nil, a.Machine(), a.Runtime())
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestOpenAtSnapshotWrongImage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	snap, err := snapshot.Capture(a.Machine(), a.Runtime())
+	snap, err := snapshot.Capture(nil, a.Machine(), a.Runtime())
 	if err != nil {
 		t.Fatalf("Capture: %v", err)
 	}

@@ -57,7 +57,7 @@ func finish(t *testing.T, sys *core.System) runOutcome {
 	if !c.Halted() {
 		t.Fatal("run did not halt")
 	}
-	snap, err := snapshot.Capture(sys.Machine, sys.RT)
+	snap, err := snapshot.Capture(nil, sys.Machine, sys.RT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, configure func(*core.
 	if sysB.Machine.CPU.Halted() {
 		t.Fatalf("run finished before the checkpoint cycle %d — raise the iteration count", midC)
 	}
-	enc, err := snapshot.Capture(sysB.Machine, sysB.RT)
+	enc, err := snapshot.Capture(nil, sysB.Machine, sysB.RT)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,11 @@ type Plan struct {
 	ops    map[opKey]uint64
 	text   []textRange
 
+	// fetchPoints counts the KindFetchFault points, so FetchFault, which
+	// runs on every step of an injected CPU, returns at once for a plan
+	// without any.
+	fetchPoints int
+
 	// pokeOpen tracks whether a text-poke breakpoint window is open
 	// (between protocol phases 1 and 3); Window-scoped drop-flush
 	// points only match while it is.
@@ -178,11 +183,17 @@ type opKey struct {
 
 // Exact returns a plan firing exactly the given points.
 func Exact(points ...Point) *Plan {
-	return &Plan{
+	p := &Plan{
 		points: append([]Point(nil), points...),
 		fired:  make([]bool, len(points)),
 		ops:    make(map[opKey]uint64),
 	}
+	for _, pt := range points {
+		if pt.Kind == KindFetchFault {
+			p.fetchPoints++
+		}
+	}
+	return p
 }
 
 // Opts bounds the seeded plan generator.
@@ -395,6 +406,9 @@ func (p *Plan) PokePhase(phase int, addr, n uint64) {
 
 // FetchFault implements cpu.Injector.
 func (p *Plan) FetchFault(cpu int, pc, cycles uint64) error {
+	if p.fetchPoints == 0 {
+		return nil
+	}
 	pt, ok := p.take(func(pt Point) bool {
 		return pt.Kind == KindFetchFault && pt.CPU == cpu && cycles >= pt.Cycle
 	})

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/link"
 	"repro/internal/metrics"
-	"repro/internal/snapshot"
 )
 
 // Config sizes and seeds a fleet run. The zero value is not usable;
@@ -175,12 +173,18 @@ func New(cfg Config) (*Fleet, error) {
 			})
 		}
 		sh.members = append(sh.members, mb)
-		if err := mb.boot(); err != nil {
+	}
+	errs := make([]error, cfg.Machines)
+	fl.eachShard(func(sh *shard) {
+		for _, mb := range sh.members {
+			errs[mb.id] = mb.boot()
+		}
+		sh.refreshGauges()
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-	}
-	for _, sh := range fl.shards {
-		sh.refreshGauges()
 	}
 	return fl, nil
 }
@@ -256,12 +260,19 @@ func (fl *Fleet) Run() (*Result, error) {
 }
 
 func (fl *Fleet) stepShards(r int) {
+	fl.eachShard(func(sh *shard) { sh.runRound(r) })
+}
+
+// eachShard runs f once per shard, each on its own goroutine, and
+// returns when every call has. f may touch only its shard and that
+// shard's members, plus per-member slots of caller-owned slices.
+func (fl *Fleet) eachShard(f func(sh *shard)) {
 	var wg sync.WaitGroup
 	for _, sh := range fl.shards {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			sh.runRound(r)
+			f(sh)
 		}(sh)
 	}
 	wg.Wait()
@@ -440,8 +451,29 @@ type Result struct {
 }
 
 // report drives the final capture of every machine and aggregates.
+// The captures run on the shard goroutines, each shard reusing one
+// container, into per-machine slots; the aggregation and the choice of
+// the error to return then walk shards and members in order.
 func (fl *Fleet) report() (*Result, error) {
-	res := &Result{}
+	res := &Result{Machines: make([]MachineResult, fl.cfg.Machines)}
+	errs := make([]error, fl.cfg.Machines)
+	fl.eachShard(func(sh *shard) {
+		var buf []byte
+		for _, mb := range sh.members {
+			mr := &res.Machines[mb.id]
+			*mr = MachineResult{
+				ID:       mb.id,
+				Shard:    sh.idx,
+				State:    mb.state.String(),
+				Restarts: mb.restarts,
+				Kills:    mb.killsTaken,
+				Parked:   mb.parked,
+			}
+			if mb.state != stateFailed && mb.m != nil {
+				buf, errs[mb.id] = mb.finalState(mr, buf)
+			}
+		}
+	})
 	for _, sh := range fl.shards {
 		sr := ShardResult{
 			Shard:    sh.idx,
@@ -458,36 +490,15 @@ func (fl *Fleet) report() (*Result, error) {
 			sr.Throughput = float64(sr.Requests) / (float64(sh.cycles) / 1000)
 		}
 		for _, mb := range sh.members {
-			mr := MachineResult{
-				ID:       mb.id,
-				Shard:    sh.idx,
-				State:    mb.state.String(),
-				Restarts: mb.restarts,
-				Kills:    mb.killsTaken,
-				Parked:   mb.parked,
+			if err := errs[mb.id]; err != nil {
+				return nil, err
 			}
 			if mb.parked && mb.state != stateFailed {
 				sr.Degraded++
 			}
 			if mb.state == stateFailed {
 				res.Failed++
-			} else if mb.m != nil {
-				var err error
-				if mr.Requests, err = mb.m.ReadGlobal("requests", 8); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d requests: %w", mb.id, err)
-				}
-				if mr.Checksum, err = mb.m.ReadGlobal("checksum", 8); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d checksum: %w", mb.id, err)
-				}
-				snap, err := snapshot.Capture(mb.m, mb.rt)
-				if err != nil {
-					return nil, fmt.Errorf("fleet: machine %d final capture: %w", mb.id, err)
-				}
-				if mr.Digest, err = snapshot.Digest(snap); err != nil {
-					return nil, fmt.Errorf("fleet: machine %d digest: %w", mb.id, err)
-				}
 			}
-			res.Machines = append(res.Machines, mr)
 		}
 		res.Shards = append(res.Shards, sr)
 		res.Requests += sr.Requests
@@ -499,7 +510,6 @@ func (fl *Fleet) report() (*Result, error) {
 		res.OSRCommits += sh.cOSRCommits.Value()
 		res.OSRTransfers += sh.cOSRTransfers.Value()
 	}
-	sort.Slice(res.Machines, func(i, j int) bool { return res.Machines[i].ID < res.Machines[j].ID })
 	for _, m := range res.Machines {
 		res.Served += m.Requests
 	}

@@ -358,3 +358,40 @@ func TestFleetAcceptanceChaos(t *testing.T) {
 		t.Fatalf("acceptance reruns diverged:\nA: %s\nB: %s", res.Fingerprint(), res2.Fingerprint())
 	}
 }
+
+// TestCheckpointReusesContainer pins that a steady-state checkpoint
+// overwrites the container of the one it replaces: past round 4, when
+// a member's container has reached its working size, a checkpoint
+// allocates only the exported page and CPU lists, not a second
+// ~290 KB container, and keeps the container's backing array.
+func TestCheckpointReusesContainer(t *testing.T) {
+	fl, err := New(Config{Seed: 1, Shards: 1, Machines: 1, Rounds: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= 4; r++ {
+		fl.stepShards(r)
+	}
+	mb := fl.shards[0].members[0]
+	if mb.state != stateHealthy || mb.ckpt.round != 4 {
+		t.Fatalf("member is %s with its checkpoint at round %d, want healthy at round 4", mb.state, mb.ckpt.round)
+	}
+	base := &mb.ckpt.snap[0]
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := mb.checkpoint(4); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if res.N == 0 {
+		t.Fatal("checkpoint benchmark did not run")
+	}
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Fatalf("a steady-state checkpoint allocates %d B, want under 64 KB", got)
+	}
+	if &mb.ckpt.snap[0] != base {
+		t.Fatal("checkpoint replaced its container instead of overwriting it")
+	}
+}

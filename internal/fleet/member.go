@@ -74,7 +74,7 @@ type member struct {
 
 	nextRound int // next round this member's timeline will execute
 	parked    bool
-	ckpt      *checkpoint
+	ckpt      checkpoint // snap is nil until boot's checkpoint
 
 	state           memberState
 	restartAttempts int
@@ -433,24 +433,46 @@ func (mb *member) probe() bool {
 }
 
 // checkpoint captures the member's recovery point: machine snapshot,
-// fault-plan progress, parked flag. A capture racing an open commit
-// gets the typed ErrNotQuiesced and simply keeps the previous
-// checkpoint — retry-later, not corruption.
+// fault-plan progress, parked flag. The snapshot overwrites the
+// container of the checkpoint it replaces. A capture racing an open
+// commit gets the typed ErrNotQuiesced and simply keeps the previous
+// checkpoint — retry-later, not corruption — since Capture writes
+// nothing when it fails.
 func (mb *member) checkpoint(round int) error {
-	snap, err := snapshot.Capture(mb.m, mb.rt)
+	snap, err := snapshot.Capture(mb.ckpt.snap, mb.m, mb.rt)
 	if errors.Is(err, snapshot.ErrNotQuiesced) {
 		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d checkpoint: %w", mb.id, err)
 	}
-	ck := &checkpoint{round: round, snap: snap, parked: mb.parked}
+	mb.ckpt = checkpoint{round: round, snap: snap, parked: mb.parked}
 	if mb.plan != nil {
-		ck.plan = mb.plan.Export()
+		mb.ckpt.plan = mb.plan.Export()
 	}
-	mb.ckpt = ck
 	mb.sh.cSnapshots.Add(1)
 	return nil
+}
+
+// finalState reads the live member's served-request tally and
+// checksum into mr and digests its final snapshot, captured into buf.
+// It returns the container for the next capture to reuse.
+func (mb *member) finalState(mr *MachineResult, buf []byte) ([]byte, error) {
+	var err error
+	if mr.Requests, err = mb.m.ReadGlobal("requests", 8); err != nil {
+		return buf, fmt.Errorf("fleet: machine %d requests: %w", mb.id, err)
+	}
+	if mr.Checksum, err = mb.m.ReadGlobal("checksum", 8); err != nil {
+		return buf, fmt.Errorf("fleet: machine %d checksum: %w", mb.id, err)
+	}
+	snap, err := snapshot.Capture(buf, mb.m, mb.rt)
+	if err != nil {
+		return buf, fmt.Errorf("fleet: machine %d final capture: %w", mb.id, err)
+	}
+	if mr.Digest, err = snapshot.Digest(snap); err != nil {
+		return snap, fmt.Errorf("fleet: machine %d digest: %w", mb.id, err)
+	}
+	return snap, nil
 }
 
 // stormThenDie models a power cut mid-commit: the storm's switch
@@ -560,7 +582,7 @@ func (mb *member) tryRestart() bool {
 // (replayed rounds must re-fire the same faults), rewind the parked
 // flag, and point the timeline at the first lost round.
 func (mb *member) restore() error {
-	if mb.ckpt == nil {
+	if mb.ckpt.snap == nil {
 		return fmt.Errorf("fleet: machine %d has no checkpoint", mb.id)
 	}
 	if hook := mb.fl.cfg.restoreHook; hook != nil {

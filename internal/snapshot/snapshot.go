@@ -18,6 +18,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -77,12 +78,14 @@ func ImageSum(img *link.Image) [32]byte {
 // treat the machine as corrupt.
 var ErrNotQuiesced = core.ErrNotQuiesced
 
-// Capture returns the sealed container holding the machine's complete
-// state. Pages are read straight from the address space and copied
-// once, into a container sized before it is filled. rt may be nil when
-// no runtime is attached; when present it must be commit-quiesced —
-// capturing inside an open transaction fails with ErrNotQuiesced.
-func Capture(m *machine.Machine, rt *core.Runtime) ([]byte, error) {
+// Capture writes the sealed container holding the machine's complete
+// state into buf's storage and returns it; see Encode for how buf is
+// used. Pages are read straight from the address space and copied
+// once. rt may be nil when no runtime is attached; when present it
+// must be commit-quiesced — capturing inside an open transaction fails
+// with ErrNotQuiesced. Every export runs before the first byte of buf
+// is written, so on error buf still holds what it held.
+func Capture(buf []byte, m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 	s := &Snapshot{
 		SimCycles: m.CPU.Cycles(),
 		ImageSum:  ImageSum(m.Image),
@@ -100,7 +103,7 @@ func Capture(m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 		}
 		s.Runtime = &rs
 	}
-	return s.Encode(), nil
+	return s.Encode(buf), nil
 }
 
 // Apply restores a snapshot onto a machine freshly constructed from
@@ -149,12 +152,20 @@ func Apply(s *Snapshot, m *machine.Machine, rt *core.Runtime) error {
 }
 
 // Encode serializes the snapshot into the versioned container. A
-// sizing pass runs the encoder first, so the container is allocated
-// once, at its final size.
-func (s *Snapshot) Encode() []byte {
+// sizing pass runs the encoder first. The container overwrites buf's
+// storage when its capacity holds it; otherwise it goes into one fresh
+// allocation whose capacity is the allocator's size class for the
+// container, so a later container a few bytes longer still fits. buf
+// may be nil, and must not back a Snapshot still in use (Decode
+// aliases its input).
+func (s *Snapshot) Encode(buf []byte) []byte {
 	size := writer{sizing: true}
 	s.put(&size)
-	w := writer{b: make([]byte, headerLen, headerLen+size.n+4)}
+	n := headerLen + size.n + 4
+	if cap(buf) < n {
+		buf = slices.Grow([]byte(nil), n)
+	}
+	w := writer{b: buf[:headerLen]}
 	s.put(&w)
 	return seal(w.b)
 }

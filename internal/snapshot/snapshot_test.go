@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,7 +99,7 @@ func (s *sys) warm(t *testing.T) {
 // container, the way every restore starts.
 func decodeCapture(t *testing.T, m *machine.Machine, rt *core.Runtime) *Snapshot {
 	t.Helper()
-	data, err := Capture(m, rt)
+	data, err := Capture(nil, m, rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func decodeCapture(t *testing.T, m *machine.Machine, rt *core.Runtime) *Snapshot
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	data, err := Capture(a.m, a.rt)
+	data, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,36 +140,70 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("decode round-trip diverged:\nexported: %+v\ndecoded:  %+v", want, got)
 	}
 	// Decoding must be canonical: re-encoding reproduces the input.
-	if !bytes.Equal(got.Encode(), data) {
+	if !bytes.Equal(got.Encode(nil), data) {
 		t.Fatal("re-encode of decoded snapshot differs from original bytes")
 	}
 }
 
-// TestEncodeAllocatesOnce pins the sizing pass: Encode allocates its
-// container at the final size, so a size computed too small — which
-// would grow the buffer while encoding — shows up as a second
-// allocation.
+// TestEncodeAllocatesOnce pins the sizing pass and the reuse
+// contract. Encode(nil) allocates its container once, sized by the
+// sizing pass and rounded up to the allocator's size class, so a size
+// computed too small — which would grow the buffer while encoding —
+// shows up as a second allocation. A container with room is
+// overwritten in place with no allocation, and one a byte too small is
+// replaced by a fresh rounded container, not grown.
+//
+// "Once" is counted against slices.Grow on the container's size, which
+// allocates once in a normal build; race builds turn off the compiler's
+// append-of-make fusion, and slices.Grow allocates twice there.
 func TestEncodeAllocatesOnce(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
 	snap := decodeCapture(t, a.m, a.rt)
-	var data []byte
-	if n := testing.AllocsPerRun(20, func() { data = snap.Encode() }); n != 1 {
-		t.Fatalf("Encode made %v allocations, want 1", n)
+	var data, fresh []byte
+	n := testing.AllocsPerRun(20, func() { data = snap.Encode(nil) })
+	if once := testing.AllocsPerRun(20, func() { fresh = slices.Grow([]byte(nil), len(data)) }); n != once {
+		t.Fatalf("Encode made %v allocations, want %v, as one fresh container costs", n, once)
 	}
-	if len(data) != cap(data) {
-		t.Fatalf("container is %d bytes in a %d-byte buffer, want an exact fit", len(data), cap(data))
+	size := writer{sizing: true}
+	snap.put(&size)
+	if n := headerLen + size.n + 4; n != len(data) {
+		t.Fatalf("sizing pass counts %d bytes, container holds %d", n, len(data))
+	}
+	rounded := cap(fresh)
+	if cap(data) != rounded {
+		t.Fatalf("container is %d bytes in a %d-byte buffer, want the size class's %d", len(data), cap(data), rounded)
+	}
+
+	want := slices.Clone(data)
+	base := &data[0]
+	if n := testing.AllocsPerRun(20, func() { data = snap.Encode(data) }); n != 0 {
+		t.Fatalf("Encode into its own container made %v allocations, want 0", n)
+	}
+	if &data[0] != base {
+		t.Fatal("Encode into a container with room replaced it")
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatal("Encode into a reused container changed the bytes")
+	}
+
+	got := snap.Encode(make([]byte, 0, len(want)-1))
+	if cap(got) != rounded {
+		t.Fatalf("Encode into a too-small container returned capacity %d, want a fresh %d, not a grown buffer", cap(got), rounded)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("Encode into a too-small container changed the bytes")
 	}
 }
 
 func TestDigestNamesMachineState(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	e1, err := Capture(a.m, a.rt)
+	e1, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Capture(a.m, a.rt)
+	e2, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +218,7 @@ func TestDigestNamesMachineState(t *testing.T) {
 		t.Fatalf("digest %q is not hex SHA-256", d1)
 	}
 	a.call(t, "spin", 1)
-	e3, err := Capture(a.m, a.rt)
+	e3, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +243,7 @@ func TestDigestNamesMachineState(t *testing.T) {
 func TestApplyResumesBitIdentical(t *testing.T) {
 	a, b := buildPair(t)
 	a.warm(t)
-	data, err := Capture(a.m, a.rt)
+	data, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +293,11 @@ func TestApplyResumesBitIdentical(t *testing.T) {
 	}
 
 	// The final machine states must agree down to the digest.
-	sa, err := Capture(a.m, a.rt)
+	sa, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := Capture(b.m, b.rt)
+	sb, err := Capture(nil, b.m, b.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +338,7 @@ func TestApplyRuntimePresenceMustMatch(t *testing.T) {
 func TestDecodeRejectsCorruption(t *testing.T) {
 	a, _ := buildPair(t)
 	a.warm(t)
-	data, err := Capture(a.m, a.rt)
+	data, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +376,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	const marker = 0x5a17_c0de_d00d_feed
 	s.CPUs[0].RASN = marker
-	enc := s.Encode()
+	enc := s.Encode(nil)
 	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8
 	if at < 8 || enc[at] != 1 {
 		t.Fatalf("DecodeCache byte not found after RASN (at %d)", at)
@@ -361,7 +396,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if _, err := s.Machine.CallNamed("spin", 50); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := Capture(s.Machine, s.RT)
+	valid, err := Capture(nil, s.Machine, s.RT)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -376,7 +411,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(got.Encode(), data) {
+		if !bytes.Equal(got.Encode(nil), data) {
 			t.Fatal("accepted a non-canonical encoding")
 		}
 	})
@@ -388,15 +423,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 // open — and pins that Capture fails with the typed, retryable
 // ErrNotQuiesced, and that the capture succeeds once the commit
 // finishes.
+//
+// The mid-commit capture targets a copy of a valid container with room
+// to spare, which must come back byte-identical: a failed capture
+// writes nothing, so a checkpoint it was to replace survives.
 func TestCaptureMidCommitNotQuiesced(t *testing.T) {
 	a, _ := buildPair(t)
 	a.rt.SetCommitOptions(core.CommitOptions{Mode: core.ModeTextPoke})
+	valid, err := Capture(nil, a.m, a.rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := append(make([]byte, 0, 2*len(valid)), valid...)
 	plan := faultinject.Exact(faultinject.Point{Kind: faultinject.KindPokeStep, Op: 0})
 	var midErr error
 	var fired int
 	plan.OnPokeStep = func(phase int, addr, n uint64) {
 		if fired == 0 {
-			_, midErr = Capture(a.m, a.rt)
+			_, midErr = Capture(target, a.m, a.rt)
 		}
 		fired++
 	}
@@ -413,7 +457,10 @@ func TestCaptureMidCommitNotQuiesced(t *testing.T) {
 	if !errors.Is(midErr, ErrNotQuiesced) {
 		t.Fatalf("mid-commit Capture = %v, want errors.Is ErrNotQuiesced", midErr)
 	}
-	if _, err := Capture(a.m, a.rt); err != nil {
+	if !bytes.Equal(target, valid) {
+		t.Fatal("a failed mid-commit Capture overwrote the container it was given")
+	}
+	if _, err := Capture(nil, a.m, a.rt); err != nil {
 		t.Fatalf("post-commit Capture = %v, want success once quiesced", err)
 	}
 }
