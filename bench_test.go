@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cc"
@@ -546,15 +547,56 @@ func BenchmarkICacheRefill(b *testing.B) {
 	}
 }
 
+// variantsSource is a fixed unit in the shape of the largest units of
+// mvperf's compile corpus: four multiversed functions over three
+// switches of domain 4 (64 assignments each). Each function has a
+// threshold guard per switch and then 40 statements that cycle through
+// an equality test, a shift, a loop and arithmetic; 16 callers call
+// them.
+func variantsSource() core.Source {
+	var b strings.Builder
+	for k := 0; k < 3; k++ {
+		fmt.Fprintf(&b, "multiverse(0, 1, 2, 3) int cfg%d;\n", k)
+	}
+	b.WriteString("long acc;\n")
+	for f := 0; f < 4; f++ {
+		fmt.Fprintf(&b, "multiverse long f%d(long x) {\n\tlong r = x;\n", f)
+		for k := 0; k < 3; k++ {
+			fmt.Fprintf(&b, "\tif (cfg%d > %d) { r = r * %d + %d; } else { r = r - %d; }\n",
+				k, (k+f)%3, 11+k, 23+f, 37+k)
+		}
+		for j := 0; j < 40; j++ {
+			switch j % 4 {
+			case 0:
+				fmt.Fprintf(&b, "\tif (cfg%d == %d) { r = r + %d; }\n", j%3, j%4, 10+j)
+			case 1:
+				fmt.Fprintf(&b, "\tr = r ^ (r >> %d);\n", 10+j%6)
+			case 2:
+				fmt.Fprintf(&b, "\tfor (long i%d = 0; i%d < %d; i%d++) { r = r + (i%d ^ %d); }\n",
+					j, j, 2+j/2%2, j, j, 10+j)
+			default:
+				fmt.Fprintf(&b, "\tr = r * %d + %d;\n", 10+j, 50+j)
+			}
+		}
+		b.WriteString("\treturn r;\n}\n")
+	}
+	for c := 0; c < 16; c++ {
+		fmt.Fprintf(&b, "void s%d(void) { acc += f%d(%d); acc ^= f%d(%d); }\n", c, c%4, 10+c, (c+1)%4, 20+c)
+	}
+	return core.Source{Name: "variants", Text: b.String()}
+}
+
 // BenchmarkCompile measures the compile pipeline phase by phase on the
 // E7 kernel's source (1161 call sites): parse; compile_unit (variant
 // generation, optimization and codegen on a checked unit, re-parsed
 // outside the timer since it rewrites the unit); link of the unit's
-// object; and build_image, the whole pipeline with check. MB/s is
-// source bytes per second.
+// object; and build_image, the whole pipeline with check. variants is
+// compile_unit on variantsSource, whose 256 assignments the E7
+// kernel's two single-switch functions cannot exercise. MB/s is source
+// bytes per second.
 func BenchmarkCompile(b *testing.B) {
 	src := kernelsim.ManyCallSitesSource(kernelsim.PaperCallSites)
-	checked := func() *cc.Unit {
+	checked := func(src core.Source) *cc.Unit {
 		u, err := cc.Parse(src.Name, src.Text)
 		if err != nil {
 			b.Fatal(err)
@@ -573,20 +615,23 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		}
 	})
-	b.Run("compile_unit", func(b *testing.B) {
-		b.SetBytes(int64(len(src.Text)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			u := checked()
-			b.StartTimer()
-			if _, _, err := core.CompileUnit(u, core.GenOptions{}); err != nil {
-				b.Fatal(err)
+	compileUnit := func(src core.Source) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(src.Text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u := checked(src)
+				b.StartTimer()
+				if _, _, err := core.CompileUnit(u, core.GenOptions{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("compile_unit", compileUnit(src))
 	b.Run("link", func(b *testing.B) {
-		o, _, err := core.CompileUnit(checked(), core.GenOptions{})
+		o, _, err := core.CompileUnit(checked(src), core.GenOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -608,6 +653,7 @@ func BenchmarkCompile(b *testing.B) {
 			}
 		}
 	})
+	b.Run("variants", compileUnit(variantsSource()))
 }
 
 // --- E8: BTB ablation ---

@@ -413,8 +413,8 @@ func overheads() error {
 	rows := [][]string{
 		{"call sites recorded", fmt.Sprintf("%d", rep.CallSites), "paper: 1161"},
 		{"sites patched (SMP commit)", fmt.Sprintf("%d", rep.SitesTouched), ""},
-		{"commit wall time (SMP)", rep.HostDuration.String(), "paper: ~16 ms for 1161 sites"},
-		{"commit wall time (UP)", rep2.HostDuration.String(), ""},
+		{"commit wall time, 1 cold sample (SMP)", rep.HostDuration.String(), "paper: ~16 ms for 1161 sites; repeated: BenchmarkCommitManyCallsites"},
+		{"commit wall time, 1 cold sample (UP)", rep2.HostDuration.String(), "repeated: BenchmarkCommitManyCallsites"},
 		{"function+variant descriptors", fmt.Sprintf("%d B", descBytes), "32 B/var + 16 B/site + 48+v*(32+g*16) B/fn"},
 		{"variable descriptors", fmt.Sprintf("%d B", 32*len(sys.RT.Vars())), ""},
 		{"call-site descriptors", fmt.Sprintf("%d B", 16*rep.CallSites), ""},

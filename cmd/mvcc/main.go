@@ -41,7 +41,7 @@ func main() {
 }
 
 func run() error {
-	opts := core.GenOptions{MaxVariants: *maxVariants}
+	opts := core.GenOptions{MaxVariants: *maxVariants, VariantSrc: *dumpVar}
 	var objects []*obj.Object
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)

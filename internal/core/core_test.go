@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -118,7 +119,7 @@ func TestVariantMergeThreeSwitches(t *testing.T) {
 		merged int
 		names  []string
 	}{
-		{GenOptions{}, 6, []string{
+		{GenOptions{VariantSrc: true}, 6, []string{
 			"f.A=0-1.B=0-1.C=0-3",
 			"f.A=0-1.B=2.C=0-3",
 			"f.A=2-3.B=0-1.C=0",
@@ -128,7 +129,7 @@ func TestVariantMergeThreeSwitches(t *testing.T) {
 		}},
 		// Unoptimized bodies still differ in their substituted
 		// constants, so nothing merges.
-		{GenOptions{DisableOptimizer: true}, 64, nil},
+		{GenOptions{DisableOptimizer: true, VariantSrc: true}, 64, nil},
 	} {
 		_, rep, err := BuildImage(tc.opts, Source{Name: "three.mvc", Text: threeSwitchSrc})
 		if err != nil {
@@ -510,16 +511,19 @@ func TestVariantExplosionRejected(t *testing.T) {
 	}
 }
 
+// TestWriteWarning: a write to a bound switch is warned once per write
+// site, not once per assignment (two sites, 16 assignments).
 func TestWriteWarning(t *testing.T) {
-	_, rep, err := BuildImage(GenOptions{}, Source{Name: "warn.mvc", Text: `
-		multiverse int w;
-		multiverse void f(void) { w = 1; }
-	`})
+	_, rep, err := BuildImage(GenOptions{}, Source{Name: "warn.mvc", Text: writeSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Warnings) == 0 {
-		t.Error("write to switch produced no warning")
+	want := []string{
+		`warn.mvc:5:60: write to bound configuration switch "A" in specialized variant`,
+		`warn.mvc:5:66: write to bound configuration switch "B" in specialized variant`,
+	}
+	if !slices.Equal(rep.Warnings, want) {
+		t.Errorf("warnings = %q, want %q", rep.Warnings, want)
 	}
 }
 

@@ -268,12 +268,19 @@ func TestEntryPointEvents(t *testing.T) {
 			r.do("DrainDeferred()", func() (any, error) { return r.sys.RT.DrainDeferred() })
 		})
 	}
-	path := filepath.Join("testdata", "entry_points.golden")
+	checkGolden(t, "entry_points.golden", out.String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update, and reports the first differing line.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -282,7 +289,7 @@ func TestEntryPointEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got := out.String(); got != string(want) {
+	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {

@@ -2,18 +2,19 @@
 // generation (paper §3) and the run-time library that installs
 // variants by binary patching (paper §4, Table 1).
 //
-// The compile-time half clones every annotated function once per
+// The compile-time half specializes every annotated function for each
 // assignment in the cross product of the referenced configuration
-// switches' domains, substitutes the constants *before* optimization,
-// merges variants whose optimized bodies are identical, and emits
-// descriptor records for variables, functions/variants/guards, and
-// call sites. The run-time half decodes those descriptors from a
-// loaded image and implements commit/revert by patching call sites and
-// generic-function prologues.
+// switches' domains, substituting the constants *before* optimization
+// one switch at a time and merging bodies that come out identical
+// after each switch, and emits descriptor records for variables,
+// functions/variants/guards, and call sites. The run-time half decodes
+// those descriptors from a loaded image and implements commit/revert
+// by patching call sites and generic-function prologues.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,6 +39,9 @@ type GenOptions struct {
 	// DisableOptimizer skips the optimization passes on variants; used
 	// by the ablation benchmarks.
 	DisableOptimizer bool
+	// VariantSrc renders every variant back to MVC source into
+	// FuncReport.VariantSrc (mvcc -dump-variants).
+	VariantSrc bool
 }
 
 // GenReport records what variant generation did, for logging and for
@@ -55,7 +59,7 @@ type FuncReport struct {
 	MergedVariants  int
 	DescriptorBytes int
 	// VariantSrc maps each variant symbol to its specialized body
-	// rendered back to MVC source (mvcc -dump-variants).
+	// rendered back to MVC source; nil unless GenOptions.VariantSrc.
 	VariantSrc map[string]string
 }
 
@@ -117,8 +121,7 @@ func CompileUnit(u *cc.Unit, opts GenOptions) (*obj.Object, *GenReport, error) {
 // variantFunc couples an emitted variant with its guard boxes.
 type variantFunc struct {
 	*codegen.Func
-	guards []codegen.Guard   // first box (kept for convenience)
-	boxes  [][]codegen.Guard // all boxes covering this variant
+	boxes [][]codegen.Guard // all boxes covering this variant
 }
 
 func expandBoxes(variants []*variantFunc) []codegen.MVVariant {
@@ -130,9 +133,6 @@ func expandBoxes(variants []*variantFunc) []codegen.MVVariant {
 	}
 	return out
 }
-
-// assignment is one point of the cross product.
-type assignment []int64
 
 func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOptions, report *GenReport) (*FuncReport, []*variantFunc, error) {
 	decl := f.Decl
@@ -197,59 +197,17 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 		}
 	}
 	fr.RawVariants = total
+	report.Warnings = append(report.Warnings, switchWrites(decl, valueSwitches)...)
 
-	// Enumerate the cross product in lexicographic order.
-	assignments := make([]assignment, 0, total)
-	cur := make(assignment, len(valueSwitches))
-	var enum func(dim int)
-	enum = func(dim int) {
-		if dim == len(valueSwitches) {
-			assignments = append(assignments, append(assignment(nil), cur...))
-			return
-		}
-		for _, v := range domains[dim] {
-			cur[dim] = v
-			enum(dim + 1)
-		}
+	bodies := specialize(decl, valueSwitches, domains, !opts.DisableOptimizer)
+	fr.MergedVariants = len(bodies)
+	if opts.VariantSrc {
+		fr.VariantSrc = make(map[string]string, len(bodies))
 	}
-	enum(0)
-
-	// Clone + substitute + optimize each assignment; group equal
-	// bodies by fingerprint.
-	type group struct {
-		repr    *cc.FuncDecl
-		members []assignment
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, as := range assignments {
-		clone := mvir.CloneFunc(decl)
-		sub := make(map[*cc.VarSym]int64, len(valueSwitches))
-		for i, s := range valueSwitches {
-			sub[s] = as[i]
-		}
-		warns := mvir.Substitute(clone, sub)
-		report.Warnings = append(report.Warnings, warns...)
-		var fp string
-		if opts.DisableOptimizer {
-			fp = mvir.Fingerprint(clone)
-		} else {
-			fp = mvir.Optimize(clone)
-		}
-		g, ok := groups[fp]
-		if !ok {
-			g = &group{repr: clone}
-			groups[fp] = g
-			order = append(order, fp)
-		}
-		g.members = append(g.members, as)
-	}
-	fr.MergedVariants = len(groups)
 
 	var out []*variantFunc
-	for _, fp := range order {
-		g := groups[fp]
-		boxes := mergeBoxes(g.members, domains)
+	for _, body := range bodies {
+		boxes := mergeBoxes(body.members, domains)
 		guards := make([][]codegen.Guard, 0, len(boxes))
 		for _, b := range boxes {
 			gs := make([]codegen.Guard, len(valueSwitches))
@@ -260,14 +218,12 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 		}
 		symName := variantSymName(f.SymName, valueSwitches, boxes[0])
 		out = append(out, &variantFunc{
-			Func:   &codegen.Func{Decl: g.repr, SymName: symName},
-			guards: guards[0],
-			boxes:  guards,
+			Func:  &codegen.Func{Decl: body.fn, SymName: symName},
+			boxes: guards,
 		})
-		if fr.VariantSrc == nil {
-			fr.VariantSrc = make(map[string]string)
+		if opts.VariantSrc {
+			fr.VariantSrc[symName] = cc.FormatFunc(body.fn)
 		}
-		fr.VariantSrc[symName] = cc.FormatFunc(g.repr)
 	}
 
 	// Descriptor accounting (paper §5 formula).
@@ -279,6 +235,89 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 	}
 	fr.DescriptorBytes = codegen.DescriptorBytes(0, 0, [][]int{variantGuardCounts})
 	return fr, out, nil
+}
+
+// switchWrites warns once for each write to a bound switch in the
+// generic body, in source order. Substitute keeps the stores, so every
+// variant still performs them.
+func switchWrites(f *cc.FuncDecl, switches []*cc.VarSym) []string {
+	var warns []string
+	mvir.WalkExprs(f, func(e cc.Expr) {
+		var target cc.Expr
+		switch e := e.(type) {
+		case *cc.Assign:
+			target = e.LHS
+		case *cc.IncDec:
+			target = e.X
+		default:
+			return
+		}
+		if vr, ok := target.(*cc.VarRef); ok && slices.Contains(switches, vr.Sym) {
+			warns = append(warns, fmt.Sprintf(
+				"%s: write to bound configuration switch %q in specialized variant",
+				e.Pos(), vr.Sym.Name))
+		}
+	})
+	return warns
+}
+
+// stagedBody is a body specialized for the switches bound so far, and
+// the assignments it stands for, as mixed-radix indices into the cross
+// product of those switches' domains (the first switch most
+// significant).
+type stagedBody struct {
+	fn      *cc.FuncDecl
+	members []int
+}
+
+// specialize binds the switches one at a time. Stage k clones each
+// body that survived stage k-1 once per value of switch k, substitutes
+// that switch alone, optimizes, and keeps one body per fingerprint, so
+// the assignments that agree on every switch a body still reads share
+// the work of the later stages. Stage 0 clones the generic, which stays
+// untouched; from stage 1 on, the last value rewrites its parent body
+// in place once the other values have cloned it. The result holds one
+// body per distinct final fingerprint, each with its assignments in
+// ascending order. Every stage keeps its bodies in order of their first
+// assignment: the parents are in that order, and extending a parent's
+// first assignment by value i yields an index below that of any later
+// parent's.
+func specialize(generic *cc.FuncDecl, switches []*cc.VarSym, domains [][]int64, optimize bool) []*stagedBody {
+	bodies := []*stagedBody{{fn: generic, members: []int{0}}}
+	for k, s := range switches {
+		n := len(domains[k])
+		byFP := make(map[string]*stagedBody, len(bodies)*n)
+		var next []*stagedBody
+		for _, parent := range bodies {
+			for i, v := range domains[k] {
+				fn := parent.fn
+				if k == 0 || i < n-1 {
+					fn = mvir.CloneFunc(fn)
+				}
+				mvir.Substitute(fn, map[*cc.VarSym]int64{s: v})
+				var fp string
+				if optimize {
+					fp = mvir.Optimize(fn)
+				} else {
+					fp = mvir.Fingerprint(fn)
+				}
+				b, ok := byFP[fp]
+				if !ok {
+					b = &stagedBody{fn: fn}
+					byFP[fp] = b
+					next = append(next, b)
+				}
+				for _, m := range parent.members {
+					b.members = append(b.members, m*n+i)
+				}
+			}
+		}
+		bodies = next
+	}
+	for _, b := range bodies {
+		slices.Sort(b.members)
+	}
+	return bodies
 }
 
 // variantSymName builds names like "multi.A=1.B=0-1" (paper Figure 2
@@ -297,101 +336,76 @@ func variantSymName(base string, switches []*cc.VarSym, box [][2]int64) string {
 	return sb.String()
 }
 
-// mergeBoxes covers the assignment set with axis-aligned boxes of
-// contiguous integer ranges, greedily. Each box is represented as one
-// [lo, hi] pair per dimension. Only ranges whose covered integers all
-// belong to the group are produced, so a guard can never match a
-// run-time value the variant was not specialized for.
-func mergeBoxes(members []assignment, domains [][]int64) [][][2]int64 {
+// mergeBoxes covers a group of assignments, given as ascending
+// mixed-radix indices into the cross product of the sorted domains,
+// with axis-aligned boxes of contiguous integer ranges, greedily. Each
+// box is represented as one [lo, hi] pair per dimension. Only ranges
+// whose covered integers all belong to the group are produced, so a
+// guard can never match a run-time value the variant was not
+// specialized for.
+func mergeBoxes(members []int, domains [][]int64) [][][2]int64 {
 	ndim := len(domains)
-	if ndim == 0 {
-		return nil
+	stride := make([]int, ndim)
+	total := 1
+	for d := ndim - 1; d >= 0; d-- {
+		stride[d] = total
+		total *= len(domains[d])
 	}
-	inGroup := make(map[string]bool, len(members))
-	key := func(a assignment) string {
-		var sb strings.Builder
-		for _, v := range a {
-			fmt.Fprintf(&sb, "%d,", v)
-		}
-		return sb.String()
-	}
+	inGroup := make([]bool, total)
 	for _, m := range members {
-		inGroup[key(m)] = true
+		inGroup[m] = true
 	}
-	covered := make(map[string]bool, len(members))
+	covered := make([]bool, total)
 
-	// boxContains enumerates a candidate box and reports whether every
-	// point is in the group.
-	var boxOK func(box [][2]int64) bool
-	boxOK = func(box [][2]int64) bool {
-		pts := enumerateBox(box)
-		for _, p := range pts {
-			if !inGroup[key(p)] {
+	// all calls fn on the index of each point in box, and reports
+	// false as soon as a point lies outside the domains or fn returns
+	// false. A value repeated in a domain is keyed by its first index.
+	var all func(box [][2]int64, d, idx int, fn func(int) bool) bool
+	all = func(box [][2]int64, d, idx int, fn func(int) bool) bool {
+		if d == ndim {
+			return fn(idx)
+		}
+		for v := box[d][0]; v <= box[d][1]; v++ {
+			i, ok := slices.BinarySearch(domains[d], v)
+			if !ok || !all(box, d+1, idx+i*stride[d], fn) {
 				return false
 			}
 		}
 		return true
 	}
+	isMember := func(i int) bool { return inGroup[i] }
+	// grow widens dim to v if the slab of the box at dim=v is all in
+	// the group.
+	grow := func(box [][2]int64, dim int, v int64) bool {
+		saved := box[dim]
+		box[dim] = [2]int64{v, v}
+		ok := all(box, 0, 0, isMember)
+		box[dim] = saved
+		return ok
+	}
 
 	var out [][][2]int64
 	for _, m := range members {
-		if covered[key(m)] {
+		box := make([][2]int64, ndim)
+		for d := range box {
+			v := domains[d][m/stride[d]%len(domains[d])]
+			box[d] = [2]int64{v, v}
+		}
+		if !all(box, 0, 0, func(i int) bool { return !covered[i] }) {
 			continue
 		}
 		// Start with the point box and greedily extend each dimension
-		// downward and upward by adjacent integers.
-		box := make([][2]int64, ndim)
-		for i, v := range m {
-			box[i] = [2]int64{v, v}
-		}
-		for dim := 0; dim < ndim; dim++ {
-			for {
-				try := cloneBox(box)
-				try[dim][1]++
-				if !boxOK(try) {
-					break
-				}
-				box = try
+		// upward and then downward by adjacent integers.
+		for dim := range box {
+			for grow(box, dim, box[dim][1]+1) {
+				box[dim][1]++
 			}
-			for {
-				try := cloneBox(box)
-				try[dim][0]--
-				if !boxOK(try) {
-					break
-				}
-				box = try
+			for grow(box, dim, box[dim][0]-1) {
+				box[dim][0]--
 			}
 		}
-		for _, p := range enumerateBox(box) {
-			covered[key(p)] = true
-		}
+		all(box, 0, 0, func(i int) bool { covered[i] = true; return true })
 		out = append(out, box)
 	}
 	return out
-}
-
-func cloneBox(b [][2]int64) [][2]int64 {
-	out := make([][2]int64, len(b))
-	copy(out, b)
-	return out
-}
-
-// enumerateBox lists every integer point in the box.
-func enumerateBox(box [][2]int64) []assignment {
-	pts := []assignment{{}}
-	for _, r := range box {
-		var next []assignment
-		for v := r[0]; v <= r[1]; v++ {
-			for _, p := range pts {
-				next = append(next, append(append(assignment(nil), p...), v))
-			}
-		}
-		pts = next
-		if len(pts) > 4096 {
-			// Give up on absurdly large boxes; treat as not-ok by
-			// returning a sentinel the caller will reject.
-			return pts
-		}
-	}
-	return pts
 }

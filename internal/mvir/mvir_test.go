@@ -56,36 +56,11 @@ func TestSubstituteReplacesReads(t *testing.T) {
 		int f(void) { return A + A; }
 	`)
 	f := CloneFunc(fn(t, u, "f"))
-	warns := Substitute(f, map[*cc.VarSym]int64{u.Globals["A"]: 3})
-	if len(warns) != 0 {
-		t.Errorf("warnings: %v", warns)
-	}
+	Substitute(f, map[*cc.VarSym]int64{u.Globals["A"]: 3})
 	Optimize(f)
 	fp := Fingerprint(f)
 	if !strings.Contains(fp, "#6") {
 		t.Errorf("A+A with A=3 did not fold to 6: %s", fp)
-	}
-}
-
-func TestSubstituteWarnsOnWrite(t *testing.T) {
-	u := parse(t, `
-		multiverse int A;
-		void f(void) { A = 1; A++; }
-	`)
-	f := CloneFunc(fn(t, u, "f"))
-	warns := Substitute(f, map[*cc.VarSym]int64{u.Globals["A"]: 0})
-	if len(warns) != 2 {
-		t.Fatalf("warnings = %v, want 2", warns)
-	}
-	for _, w := range warns {
-		if !strings.Contains(w, "write to bound configuration switch") {
-			t.Errorf("warning %q", w)
-		}
-	}
-	// The writes must survive (the paper keeps behaviour, only warns).
-	fp := Fingerprint(f)
-	if !strings.Contains(fp, "g:A") {
-		t.Errorf("write to A eliminated: %s", fp)
 	}
 }
 

@@ -9,18 +9,17 @@ import (
 // Substitute replaces every *read* of the given configuration switches
 // in f's body with the constant from the assignment, exactly as the
 // compiler plugin does before the optimization passes (paper §3).
-// Writes to a substituted switch are kept and reported as warnings.
-func Substitute(f *cc.FuncDecl, assignment map[*cc.VarSym]int64) []string {
+// Writes to a substituted switch are kept: a store's target is never
+// substituted.
+func Substitute(f *cc.FuncDecl, assignment map[*cc.VarSym]int64) {
 	s := &substituter{assignment: assignment}
 	if f.Body != nil {
 		s.stmt(f.Body)
 	}
-	return s.warnings
 }
 
 type substituter struct {
 	assignment map[*cc.VarSym]int64
-	warnings   []string
 }
 
 // value returns the constant replacement for a read of e, if any.
@@ -63,30 +62,10 @@ func (s *substituter) expr(e cc.Expr) cc.Expr {
 		e.Y = s.expr(e.Y)
 		return e
 	case *cc.Assign:
-		if vr, ok := e.LHS.(*cc.VarRef); ok && vr.Sym != nil {
-			if _, isSwitch := s.assignment[vr.Sym]; isSwitch {
-				s.warnings = append(s.warnings, fmt.Sprintf(
-					"%s: write to bound configuration switch %q in specialized variant",
-					e.Pos(), vr.Sym.Name))
-				// The LHS stays a variable reference; only the RHS
-				// (and, for compound assignment, the implicit read)
-				// is substituted. The store still happens.
-				e.RHS = s.expr(e.RHS)
-				return e
-			}
-		}
 		e.LHS = s.lvalue(e.LHS)
 		e.RHS = s.expr(e.RHS)
 		return e
 	case *cc.IncDec:
-		if vr, ok := e.X.(*cc.VarRef); ok && vr.Sym != nil {
-			if _, isSwitch := s.assignment[vr.Sym]; isSwitch {
-				s.warnings = append(s.warnings, fmt.Sprintf(
-					"%s: write to bound configuration switch %q in specialized variant",
-					e.Pos(), vr.Sym.Name))
-				return e
-			}
-		}
 		e.X = s.lvalue(e.X)
 		return e
 	case *cc.Call:
@@ -117,7 +96,9 @@ func (s *substituter) expr(e cc.Expr) cc.Expr {
 }
 
 // lvalue rewrites the non-store parts of an lvalue expression
-// (indices, pointer operands) but never the stored-to location itself.
+// (indices, pointer operands) but never the stored-to location itself,
+// so a write to a switch, and a compound assignment's read of it, stay
+// accesses to the variable.
 func (s *substituter) lvalue(e cc.Expr) cc.Expr {
 	switch e := e.(type) {
 	case *cc.VarRef:
