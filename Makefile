@@ -23,18 +23,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A quick end-to-end run of the Figure 1 experiment, once with and once
-# without superblocks: the two tables must be identical. Both paths run
-# the same instruction handlers, so this pins block chaining, budget
-# clamping, batched statistics and the shared epilogue against single
-# steps, end to end.
+# A quick end-to-end run of the Figure 1 experiment, once plain and
+# once under -trace: the two tables must be identical apart from the
+# line that reports the trace file. A tracer rides the superblocks, so
+# this pins, end to end, that observing a run moves no simulated cycle.
+# (Step against blocks is compared end to end by the inert-plan tests
+# in internal/difftest.)
 smoke:
-	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 fig1 > /tmp/mv-smoke-on.txt
-	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 -superblocks=false fig1 > /tmp/mv-smoke-off.txt
-	@if ! cmp -s /tmp/mv-smoke-on.txt /tmp/mv-smoke-off.txt; then \
-		echo "mvbench fig1 differs with superblocks on/off:"; \
-		diff /tmp/mv-smoke-on.txt /tmp/mv-smoke-off.txt; exit 1; fi
-	@cat /tmp/mv-smoke-on.txt
+	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 fig1 > /tmp/mv-smoke-plain.txt
+	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 -trace /tmp/mv-smoke.json fig1 > /tmp/mv-smoke-traced.txt
+	@if ! grep -v '^wrote [0-9]* trace events to ' /tmp/mv-smoke-traced.txt | cmp -s /tmp/mv-smoke-plain.txt -; then \
+		echo "mvbench fig1 differs under -trace:"; \
+		diff /tmp/mv-smoke-plain.txt /tmp/mv-smoke-traced.txt; exit 1; fi
+	@cat /tmp/mv-smoke-plain.txt
 
 # Run every example program; any non-zero exit fails. examples/module
 # is the only program outside the tests that registers a module with

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/faultinject"
 	"repro/internal/grepsim"
 	"repro/internal/isa"
 	"repro/internal/kernelsim"
@@ -168,14 +169,14 @@ func BenchmarkFig5Musl(b *testing.B) {
 // --- Host-side interpreter throughput ---
 
 // BenchmarkInterpreterThroughput measures how many simulated
-// instructions per host second the interpreter retires on a hot loop,
-// with the superblock threaded-dispatch layer ("superblocks") and
-// without it ("cached": every instruction is one Step, served by the
-// always-on decode cache). Unlike the experiment benchmarks above, the
-// ns/op column here IS the result: superblocks may not change any
-// simulated cycle (see internal/difftest), only the host-side
-// insts/sec metric. The acceptance bar is superblocks ≥2x over
-// "cached".
+// instructions per host second the interpreter retires on a hot loop:
+// Run on the superblock threaded-dispatch layer ("superblocks"), and a
+// loop of single Steps served by the always-on decode cache ("step",
+// the path Run takes with a fault injector attached). Unlike the
+// experiment benchmarks above, the ns/op column here IS the result:
+// superblocks may not change any simulated cycle (see
+// internal/difftest), only the host-side insts/sec metric. The
+// acceptance bar is superblocks ≥2x over "step".
 func BenchmarkInterpreterThroughput(b *testing.B) {
 	const textBase, iters = uint64(0x400000), int32(10_000)
 	program := func() []byte {
@@ -191,22 +192,23 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 		a.Hlt()
 		return a.Bytes()
 	}()
-	// The tracer axis bounds the observability tax: "cached" (nil
-	// tracer) vs "cached+traced" (events only) vs "cached+profiled"
-	// (Step/Call/Ret feeding the cycle profiler). The nil-tracer run
-	// must stay within a few percent of the pre-tracing interpreter —
-	// each hook is one pointer-nil check.
+	// The tracer axis bounds the observability tax: a tracer rides
+	// Run's superblocks, so "traced" (events only) and "profiled"
+	// (Step/Call/Ret feeding the cycle profiler) compare against
+	// "superblocks". The nil-tracer run must stay within a few percent
+	// of the pre-tracing interpreter — each hook is one pointer-nil
+	// check per block.
 	modes := []struct {
 		name    string
-		blocks  bool
+		step    bool
 		collect func() *trace.Collector // nil = no tracer
 	}{
-		{"superblocks", true, nil},
-		{"cached", false, nil},
-		{"cached+traced", false, func() *trace.Collector {
+		{"superblocks", false, nil},
+		{"step", true, nil},
+		{"traced", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{})
 		}},
-		{"cached+profiled", false, func() *trace.Collector {
+		{"profiled", false, func() *trace.Collector {
 			return trace.NewCollector(trace.Options{Profile: true})
 		}},
 	}
@@ -220,7 +222,6 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cpu.New(m, cpu.DefaultConfig())
-			c.SetSuperblocks(mode.blocks)
 			if mode.collect != nil {
 				col := mode.collect()
 				col.SetSymbols(trace.NewSymTable([]trace.Sym{
@@ -228,7 +229,7 @@ func BenchmarkInterpreterThroughput(b *testing.B) {
 				}))
 				c.SetTracer(col.NewStream("cpu0", c.Cycles))
 			}
-			measureInsts(b, c, textBase, 0)
+			measureInsts(b, c, textBase, 0, mode.step)
 		})
 	}
 }
@@ -269,9 +270,9 @@ func BenchmarkInterpreterDataPath(b *testing.B) {
 		return a.Bytes()
 	}()
 	for _, mode := range []struct {
-		name   string
-		blocks bool
-	}{{"superblocks", true}, {"cached", false}} {
+		name string
+		step bool
+	}{{"superblocks", false}, {"step", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			m := mem.New()
 			for _, r := range []struct {
@@ -286,22 +287,31 @@ func BenchmarkInterpreterDataPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			c := cpu.New(m, cpu.DefaultConfig())
-			c.SetSuperblocks(mode.blocks)
-			measureInsts(b, c, entry, stackBase+mem.PageSize)
+			measureInsts(b, c, entry, stackBase+mem.PageSize, mode.step)
 		})
 	}
 }
 
 // measureInsts runs the program at entry to its HLT once per b.N
 // iteration, with SP reset to sp, and reports the simulated
-// instructions retired per host second.
-func measureInsts(b *testing.B, c *cpu.CPU, entry, sp uint64) {
+// instructions retired per host second. With step set it drives the
+// CPU by single Steps instead of Run.
+func measureInsts(b *testing.B, c *cpu.CPU, entry, sp uint64, step bool) {
 	b.Helper()
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SetPC(entry) // also clears the halted state
 		c.SetReg(isa.SP, sp)
+		if step {
+			for !c.Halted() {
+				if err := c.Step(); err != nil {
+					b.Fatal(err)
+				}
+				insts++
+			}
+			continue
+		}
 		n, err := c.Run(10_000_000)
 		if err != nil {
 			b.Fatal(err)
@@ -499,14 +509,15 @@ func BenchmarkCommitManyCallsites(b *testing.B) {
 // the E7 kernel: each iteration flushes the whole text segment on every
 // CPU, as a commit's flushes drop the lines it patched, then calls four
 // subsys_* functions, which refill their icache lines and rebuild the
-// decode cache ("cached") or the superblocks too ("superblocks").
-// fills/op counts the line fills per iteration; B/op and allocs/op are
-// what those refills cost the host.
+// superblocks ("superblocks") or, with an inert fault plan holding the
+// CPUs to single steps, the decode cache alone ("step"). fills/op
+// counts the line fills per iteration; B/op and allocs/op are what
+// those refills cost the host.
 func BenchmarkICacheRefill(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		blocks bool
-	}{{"superblocks", true}, {"cached", false}} {
+		name string
+		step bool
+	}{{"superblocks", false}, {"step", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites)
 			if err != nil {
@@ -519,8 +530,8 @@ func BenchmarkICacheRefill(b *testing.B) {
 					text = seg
 				}
 			}
-			for _, c := range m.CPUs() {
-				c.SetSuperblocks(mode.blocks)
+			if mode.step {
+				faultinject.Exact().Attach(m)
 			}
 			var fns []string
 			for k := 0; k < 4; k++ {

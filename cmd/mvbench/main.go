@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/grepsim"
 	"repro/internal/kernelsim"
 	"repro/internal/metrics"
@@ -30,12 +29,6 @@ import (
 var (
 	samples = flag.Int("samples", 200, "samples per measurement")
 	iters   = flag.Uint64("iters", 100, "calls per sample")
-
-	// Reported cycle counts are bit-identical either way (the
-	// difftests and make smoke assert it); the knob exists to
-	// demonstrate exactly that, and to time the host-side speedup.
-	superblocks = flag.Bool("superblocks", cpu.SuperblocksDefault(),
-		"use the superblock threaded-dispatch interpreter (cycle counts are identical either way)")
 
 	repeat    = flag.Int("repeat", 1, "run the selected experiments this many times")
 	jsonPath  = flag.String("json", "", "write machine-readable results to this JSON file")
@@ -99,7 +92,6 @@ func opts() kernelsim.MeasureOpts {
 
 func main() {
 	flag.Parse()
-	cpu.SetSuperblocksDefault(*superblocks)
 	// Every system any experiment builds registers into this one
 	// registry; attaching is scrape-time-only, so the cycle numbers in
 	// the tables are bit-identical with or without it (the difftests

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/link"
 	"repro/internal/machine"
@@ -28,9 +27,6 @@ import (
 	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
-
-// isaInst aliases the decoded-instruction type for the trace callback.
-type isaInst = isa.Inst
 
 type setFlags []string
 
@@ -68,9 +64,7 @@ var (
 	flightSnap = flag.Bool("flight-snap", false,
 		"with -flight: also write a machine snapshot next to the flight dump when a failure is recorded (<flight>.snap)")
 
-	repeat      = flag.Int("repeat", 1, "call the entry function this many times")
-	superblocks = flag.Bool("superblocks", cpu.SuperblocksDefault(),
-		"use the superblock threaded-dispatch interpreter (cycle counts are identical either way; also MV_SUPERBLOCKS=off)")
+	repeat = flag.Int("repeat", 1, "call the entry function this many times")
 
 	sets setFlags
 )
@@ -82,7 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mvrun [flags] image")
 		os.Exit(2)
 	}
-	cpu.SetSuperblocksDefault(*superblocks)
 	if err := run(flag.Arg(0)); err != nil {
 		fmt.Fprintf(os.Stderr, "mvrun: %v\n", err)
 		os.Exit(1)
@@ -366,14 +359,14 @@ func run(path string) (err error) {
 		fmt.Println("audit: ok")
 	}
 
-	// The per-instruction hook slot is shared: instruction tracing and
-	// the metric sampler both ride it, so compose whatever is enabled.
-	// When neither is, the slot stays nil and the CPU keeps its
-	// unobserved fast path.
-	var hooks []func(pc uint64, in isaInst)
+	// Instruction tracing and the metric sampler are tracers that
+	// observe only Step; they tee onto whatever -trace/-profile
+	// attached. Like every tracer they ride the superblocks, so they
+	// move neither the run nor a checkpoint.
+	var steps []trace.Tracer
 	if *itrace {
 		printed := 0
-		hooks = append(hooks, func(pc uint64, in isaInst) {
+		steps = append(steps, trace.StepFunc(func(pc, cycles uint64, in *isa.Inst) {
 			if printed >= *traceLimit {
 				if printed == *traceLimit {
 					fmt.Println("  ... trace limit reached")
@@ -388,22 +381,12 @@ func run(path string) (err error) {
 				}
 			}
 			fmt.Printf("  %#08x: %s\n", pc, in.Format(pc))
-		})
+		}))
 	}
 	if samp != nil {
-		hooks = append(hooks, func(pc uint64, in isaInst) { samp.Tick(m.CPU.Cycles()) })
+		steps = append(steps, trace.StepFunc(func(pc, cycles uint64, in *isa.Inst) { samp.Tick(cycles) }))
 	}
-	switch len(hooks) {
-	case 0:
-	case 1:
-		m.CPU.Trace = hooks[0]
-	default:
-		m.CPU.Trace = func(pc uint64, in isaInst) {
-			for _, h := range hooks {
-				h(pc, in)
-			}
-		}
-	}
+	m.CPU.SetTracer(trace.NewTee(append(steps, m.CPU.Tracer())...))
 
 	if *state {
 		fmt.Print(rt.StateReport())

@@ -118,11 +118,12 @@ func SymbolName(unit string, s *cc.VarSym) string {
 // Compile emits the program into a relocatable object.
 func Compile(p *Program) (*obj.Object, error) {
 	e := &emitter{
-		prog:     p,
-		o:        obj.New(p.UnitName),
-		funcSyms: make(map[*cc.VarSym]string),
-		funcLens: make(map[string]uint64),
-		strSyms:  make(map[string]string),
+		prog:      p,
+		o:         obj.New(p.UnitName),
+		funcSyms:  make(map[*cc.VarSym]string),
+		funcLens:  make(map[string]uint64),
+		strSyms:   make(map[string]string),
+		mvStrSyms: make(map[string]string),
 	}
 	// Pre-register symbol names for all defined functions so calls can
 	// reference them before their bodies are emitted.
@@ -163,9 +164,10 @@ type emitter struct {
 	o    *obj.Object
 	text isa.Asm
 
-	funcSyms map[*cc.VarSym]string // function symbol names (generic)
-	funcLens map[string]uint64     // emitted body length per symbol
-	strSyms  map[string]string     // string literal -> rodata symbol
+	funcSyms  map[*cc.VarSym]string // function symbol names (generic)
+	funcLens  map[string]uint64     // emitted body length per symbol
+	strSyms   map[string]string     // string literal -> rodata symbol
+	mvStrSyms map[string]string     // descriptor name -> multiverse.strings symbol
 
 	callSites []callSiteRec
 	osrFuncs  []*osrFuncRec

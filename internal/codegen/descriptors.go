@@ -68,18 +68,17 @@ func DescriptorBytes(vars, callsites int, variantsPerFunc [][]int) int {
 
 // mvStrSym interns a descriptor name into multiverse.strings.
 func (e *emitter) mvStrSym(name string) string {
+	if sym, ok := e.mvStrSyms[name]; ok {
+		return sym
+	}
 	sec := e.o.Section(obj.SecMVStrings)
 	sym := fmt.Sprintf("%s$mvs$%s", e.prog.UnitName, name)
-	for _, s := range e.o.Symbols {
-		if s.Name == sym {
-			return sym
-		}
-	}
 	off := uint64(len(sec.Data))
 	sec.Data = append(sec.Data, []byte(name)...)
 	sec.Data = append(sec.Data, 0)
 	e.o.AddSymbol(obj.Symbol{Name: sym, Section: obj.SecMVStrings, Offset: off,
 		Size: uint64(len(name) + 1)})
+	e.mvStrSyms[name] = sym
 	return sym
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -79,9 +80,9 @@ func (l *eventLog) EmitName(k trace.Kind, addr, a, b uint64, name string) {
 	fmt.Fprintf(l.out, " span=%d\n", l.span)
 }
 
-func (*eventLog) Step(pc, cycles uint64) {}
-func (*eventLog) Call(pc, target uint64) {}
-func (*eventLog) Ret(pc, target uint64)  {}
+func (*eventLog) Step(pc, cycles uint64, in *isa.Inst) {}
+func (*eventLog) Call(pc, target uint64)               {}
+func (*eventLog) Ret(pc, target uint64)                {}
 
 var hexWord = regexp.MustCompile(`0x[0-9a-f]+`)
 

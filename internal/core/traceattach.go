@@ -11,8 +11,7 @@ import (
 )
 
 // defaultTraceCollector, when non-nil, is attached to every System
-// that BuildSystem constructs. It is the same global-toggle idiom as
-// cpu.SetSuperblocksDefault: mvbench and the difftests build systems
+// that BuildSystem constructs: mvbench and the difftests build systems
 // deep inside experiment helpers, so a parameter cannot reach them.
 var defaultTraceCollector *trace.Collector
 
@@ -109,9 +108,9 @@ func DefaultFlightRecorder() *trace.Recorder { return defaultFlightRecorder }
 // lifecycle, retries, rollbacks), the memory system's hook (injected
 // faults) and the machine observer (shootdown broadcasts), and stamps
 // events from the primary CPU's cycle clock. It deliberately touches
-// no CPU tracer — the unobserved stepFast/superblock path stays
-// hook-free. The runtime will hand the recorder a failure dump on
-// commit abort and audit failure.
+// no CPU tracer, so the interpreter makes no per-instruction call for
+// it. The runtime will hand the recorder a failure dump on commit
+// abort and audit failure.
 //
 // Attach any opt-in collector (AttachTracer) first: AttachTracer
 // replaces the runtime's tracer outright, while this composes with

@@ -56,16 +56,15 @@ type Hypervisor interface {
 
 // Injector is the CPU-side fault-injection hook (see
 // internal/faultinject, which implements it together with the
-// mem-side hooks). A nil injector disables injection entirely: Run
-// selects the hook-free stepFastN loop, so the unobserved hot path is
-// untouched — the same pattern as Tracer. Implementations must be
+// mem-side hooks). An injector is the one hook that keeps Run and
+// RunUntil off superblocks: it is consulted before every fetch, so an
+// attached one holds them to single steps. A nil injector costs one
+// pointer check per Step and per flush. Implementations must be
 // deterministic.
 type Injector interface {
 	// FetchFault is consulted once per Step before fetch; a non-nil
 	// error models a spurious instruction-fetch fault. The PC does not
-	// advance, so re-stepping retries the same instruction. Consulted
-	// per instruction: Run drops to single-step dispatch (no
-	// superblocks) whenever an injector is installed.
+	// advance, so re-stepping retries the same instruction.
 	FetchFault(cpu int, pc, cycles uint64) error
 	// DropFlush reports whether this CPU should silently lose the
 	// icache invalidation for [addr, addr+n) — a dropped SMP shootdown
@@ -234,10 +233,9 @@ type CPU struct {
 	ras  []uint64
 	rasN int
 
-	icache      map[uint64]*icLine // page number -> cached line
-	superblocks bool               // chain straight-line runs for Run's fast path
-	lastPN      uint64             // page number memo for residentLine
-	lastLine    *icLine            // line memo; nil = invalid, cleared by FlushICache
+	icache   map[uint64]*icLine // page number -> cached line
+	lastPN   uint64             // page number memo for residentLine
+	lastLine *icLine            // line memo; nil = invalid, cleared by FlushICache
 
 	// missed holds the instruction decode last read from raw bytes, on
 	// a decode cache miss. Handlers take the instruction by pointer,
@@ -249,7 +247,7 @@ type CPU struct {
 	hypervisor Hypervisor
 	tracer     trace.Tracer
 
-	inject Injector // nil = no fault injection (Run keeps stepFastN)
+	inject Injector // nil = no fault injection (Run keeps to blocks)
 	id     int      // hardware-thread index the injector keys faults on
 
 	intrPeriod uint64 // perturbation period in cycles; 0 = off
@@ -262,12 +260,6 @@ type CPU struct {
 	// without ever splitting a block (which would perturb BlockHits and
 	// break checkpoint determinism). Zero outside RunUntil.
 	cycleStop uint64
-
-	// Trace, when non-nil, observes every executed instruction after
-	// decode and before execution — the substrate for debugger-style
-	// tooling (cf. the paper's §7.2 discussion of stepping through
-	// patched code).
-	Trace func(pc uint64, in isa.Inst)
 
 	// OutB receives device writes; nil discards them.
 	OutB func(port uint8, b byte)
@@ -300,13 +292,12 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		panic(fmt.Sprintf("cpu: BTBSize %d is not a power of two", cfg.BTBSize))
 	}
 	return &CPU{
-		Mem:         m,
-		cfg:         cfg,
-		btb:         make([]btbEntry, cfg.BTBSize),
-		ras:         make([]uint64, cfg.RASDepth),
-		icache:      make(map[uint64]*icLine),
-		superblocks: superblocksDefault,
-		tracer:      cfg.Tracer,
+		Mem:    m,
+		cfg:    cfg,
+		btb:    make([]btbEntry, cfg.BTBSize),
+		ras:    make([]uint64, cfg.RASDepth),
+		icache: make(map[uint64]*icLine),
+		tracer: cfg.Tracer,
 	}
 }
 
@@ -509,8 +500,7 @@ func (e *execError) Error() string { return fmt.Sprintf("cpu: at pc=%#x: %v", e.
 func (e *execError) Unwrap() error { return e.err }
 
 // Step executes one instruction: a one-entry dispatch through the
-// handler table, with the fault-injection, Trace and tracer hooks
-// around it.
+// handler table, with the fault-injection and tracer hooks around it.
 func (c *CPU) Step() error {
 	if c.halted {
 		return fmt.Errorf("cpu: step on halted CPU")
@@ -530,11 +520,8 @@ func (c *CPU) Step() error {
 	if err != nil {
 		return err
 	}
-	if c.Trace != nil {
-		c.Trace(pc, *in)
-	}
 	if c.tracer != nil {
-		c.tracer.Step(pc, c.cycles)
+		c.tracer.Step(pc, c.cycles, in)
 	}
 	if in.Op == isa.BRK {
 		// A breakpoint byte planted by the text-poke protocol. Nothing
@@ -684,9 +671,11 @@ func (c *CPU) rasPop(actual uint64) bool {
 // returns the number of instructions executed.
 func (c *CPU) Run(maxSteps uint64) (uint64, error) {
 	var steps uint64
-	// Hooks are bound before Run and cannot appear mid-run, so the
-	// per-instruction nil checks can be hoisted out of the loop.
-	if c.Trace == nil && c.tracer == nil && c.inject == nil {
+	// Tracers ride the superblocks. An injector is consulted before
+	// every fetch, so it holds Run to single steps; it is bound before
+	// Run and cannot appear mid-run, so the check is hoisted out of the
+	// loop.
+	if c.inject == nil {
 		for steps < maxSteps {
 			if c.halted {
 				return steps, nil

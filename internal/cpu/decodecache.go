@@ -63,7 +63,7 @@ func decodeInst(b []byte) (isa.Inst, error) {
 // (nil: none built; sbReject: none can start).
 type lineEnt struct {
 	in isa.Inst
-	sb *superblock
+	sb superblock
 }
 
 // lineEntsInit is the room for entries a filled line allocates with

@@ -171,16 +171,19 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 }
 
 // TestLineRefillBytes gates what a flushed line costs to refill: a
-// one-page loop is flushed and re-run, in both interpreter modes, and
-// the bytes allocated per refill — the line with its page bytes and
-// offset index (about 13 KB), its entries and any superblocks — must
-// stay under 24 KB. Commits flush the lines they patch, so every
-// commit pays this once per line the guest runs again.
+// one-page loop is flushed and re-run, through blocks and, with an
+// inert injector attached, through Step, and the bytes allocated per
+// refill — the line with its page bytes and offset index (about
+// 13 KB), its entries and any superblocks — must stay under 24 KB.
+// Commits flush the lines they patch, so every commit pays this once
+// per line the guest runs again.
 func TestLineRefillBytes(t *testing.T) {
 	const refills, limit = 200, 24 << 10
 	for _, sb := range []bool{false, true} {
 		c := newVM(t, hotLoop(100))
-		c.SetSuperblocks(sb)
+		if !sb {
+			c.SetInjector(inertInjector{}, 0)
+		}
 		run(t, c)
 		fills := c.Stats().ICacheFills
 		var before, after runtime.MemStats

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestICacheFillStats(t *testing.T) {
@@ -203,11 +204,11 @@ func TestTraceHookObservesPatchedCode(t *testing.T) {
 
 	c := newVM(t, a.Bytes())
 	var targets []uint64
-	c.Trace = func(pc uint64, in isa.Inst) {
+	c.SetTracer(trace.StepFunc(func(pc, cycles uint64, in *isa.Inst) {
 		if in.Op == isa.CALL {
 			targets = append(targets, pc+uint64(in.Len)+uint64(in.Imm))
 		}
-	}
+	}))
 	run(t, c)
 	if len(targets) != 1 || targets[0] != textBase+uint64(f1) {
 		t.Fatalf("targets = %#x", targets)

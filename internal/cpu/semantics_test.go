@@ -13,27 +13,67 @@ import (
 	"repro/internal/trace"
 )
 
-// recTracer records every tracer call in order, one line per call.
-type recTracer struct{ evs []string }
+// recTracer records every tracer call in order. With cpu set, each
+// Step also records the Instructions count the CPU shows at the
+// callback.
+type recTracer struct {
+	cpu *CPU
+	evs []recEv
+}
+
+// recEv is one tracer call: Step's pc, cycles, instruction and
+// Instructions count; Call's and Ret's pc and target; an event's kind,
+// operands and label.
+type recEv struct {
+	call       string // "Step", "Call", "Ret" or the event kind's name
+	addr, a, b uint64
+	name       string
+	in         isa.Inst
+}
 
 func (r *recTracer) Emit(k trace.Kind, addr, a, b uint64) {
-	r.evs = append(r.evs, fmt.Sprintf("%s %#x %#x %d", k.Name(), addr, a, b))
+	r.evs = append(r.evs, recEv{call: k.Name(), addr: addr, a: a, b: b})
 }
 
 func (r *recTracer) EmitName(k trace.Kind, addr, a, b uint64, name string) {
-	r.evs = append(r.evs, fmt.Sprintf("%s %#x %#x %d %s", k.Name(), addr, a, b, name))
+	r.evs = append(r.evs, recEv{call: k.Name(), addr: addr, a: a, b: b, name: name})
 }
 
-func (r *recTracer) Step(pc, cycles uint64) {
-	r.evs = append(r.evs, fmt.Sprintf("Step %#x %d", pc, cycles))
+func (r *recTracer) Step(pc, cycles uint64, in *isa.Inst) {
+	ev := recEv{call: "Step", addr: pc, a: cycles, in: *in}
+	if r.cpu != nil {
+		ev.b = r.cpu.Stats().Instructions
+	}
+	r.evs = append(r.evs, ev)
 }
 
 func (r *recTracer) Call(pc, target uint64) {
-	r.evs = append(r.evs, fmt.Sprintf("Call %#x %#x", pc, target))
+	r.evs = append(r.evs, recEv{call: "Call", addr: pc, a: target})
 }
 
 func (r *recTracer) Ret(pc, target uint64) {
-	r.evs = append(r.evs, fmt.Sprintf("Ret %#x %#x", pc, target))
+	r.evs = append(r.evs, recEv{call: "Ret", addr: pc, a: target})
+}
+
+// lines renders the calls one line each, in the opcode specification's
+// form: Step with its pc and cycles only.
+func (r *recTracer) lines() []string {
+	var out []string
+	for _, e := range r.evs {
+		switch e.call {
+		case "Step":
+			out = append(out, fmt.Sprintf("Step %#x %d", e.addr, e.a))
+		case "Call", "Ret":
+			out = append(out, fmt.Sprintf("%s %#x %#x", e.call, e.addr, e.a))
+		default:
+			l := fmt.Sprintf("%s %#x %#x %d", e.call, e.addr, e.a, e.b)
+			if e.name != "" {
+				l += " " + e.name
+			}
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 type refusingHV struct{}
@@ -438,7 +478,10 @@ func (tc *opCase) vm(t *testing.T) *CPU {
 // tracer, must leave exactly the row's registers, pc, cycles, halted
 // and interrupt flags, statistics and tracer events. Every row whose
 // instruction can sit in a superblock is then replayed through Run's
-// block dispatcher, which must reach the same architectural state.
+// block dispatcher, plain and under a recording tracer: both must
+// reach the same architectural state, and the traced block must make
+// exactly Step's tracer calls, the instruction and the Instructions
+// count at its Step callback included.
 func TestOpcodeSemantics(t *testing.T) {
 	covered := map[isa.Op]bool{}
 	for _, tc := range opCases() {
@@ -487,8 +530,8 @@ func TestOpcodeSemantics(t *testing.T) {
 			if c.Stats() != tc.stats {
 				t.Errorf("stats:\n got %+v\nwant %+v", c.Stats(), tc.stats)
 			}
-			if !slices.Equal(rec.evs, tc.events) {
-				t.Errorf("tracer events:\n got %q\nwant %q", rec.evs, tc.events)
+			if got := rec.lines(); !slices.Equal(got, tc.events) {
+				t.Errorf("tracer events:\n got %q\nwant %q", got, tc.events)
 			}
 			if got := c.RASLive(); !slices.Equal(got, tc.ras) {
 				t.Errorf("RAS = %#x, want %#x", got, tc.ras)
@@ -500,33 +543,45 @@ func TestOpcodeSemantics(t *testing.T) {
 			if tc.stats.Instructions == 0 || op == isa.HLT || op == isa.HCALL {
 				return // never dispatched, or never part of a block
 			}
-			b := tc.vm(t)
-			b.SetSuperblocks(true)
-			// Make the line resident, so Run heads a block at the pc
-			// instead of single-stepping a first visit.
-			var one [1]byte
-			if _, err := b.icFetch(textBase, one[:]); err != nil {
-				t.Fatal(err)
-			}
-			_, berr := b.Run(1)
-			if berr != nil && strings.Contains(berr.Error(), "exceeded") {
-				berr = nil
-			}
-			if got := b.Stats().BlockInsts; got != 1 {
-				t.Fatalf("block run dispatched %d block instructions, want 1", got)
-			}
-			gotBErr := ""
-			if berr != nil {
-				gotBErr = berr.Error()
-			}
-			if gotBErr != gotErr {
-				t.Errorf("block error = %q, Step error %q", gotBErr, gotErr)
-			}
-			if diff := stateDiff(archState(c), archState(b)); diff != "" {
-				t.Errorf("block run state differs from Step's: %s", diff)
-			}
-			if !reflect.DeepEqual(c.Mem.ExportPages(), b.Mem.ExportPages()) {
-				t.Error("block run memory differs from Step's")
+			s := tc.vm(t)
+			srec := &recTracer{cpu: s}
+			s.SetTracer(srec)
+			s.Step()
+			for _, traced := range []bool{false, true} {
+				b := tc.vm(t)
+				brec := &recTracer{cpu: b}
+				if traced {
+					b.SetTracer(brec)
+				}
+				// Make the line resident, so Run heads a block at the pc
+				// instead of single-stepping a first visit.
+				var one [1]byte
+				if _, err := b.icFetch(textBase, one[:]); err != nil {
+					t.Fatal(err)
+				}
+				_, berr := b.Run(1)
+				if berr != nil && strings.Contains(berr.Error(), "exceeded") {
+					berr = nil
+				}
+				if got := b.Stats().BlockInsts; got != 1 {
+					t.Fatalf("traced=%v: block run dispatched %d block instructions, want 1", traced, got)
+				}
+				gotBErr := ""
+				if berr != nil {
+					gotBErr = berr.Error()
+				}
+				if gotBErr != gotErr {
+					t.Errorf("traced=%v: block error = %q, Step error %q", traced, gotBErr, gotErr)
+				}
+				if diff := stateDiff(archState(c), archState(b)); diff != "" {
+					t.Errorf("traced=%v: block run state differs from Step's: %s", traced, diff)
+				}
+				if !reflect.DeepEqual(c.Mem.ExportPages(), b.Mem.ExportPages()) {
+					t.Errorf("traced=%v: block run memory differs from Step's", traced)
+				}
+				if traced && !slices.Equal(brec.evs, srec.evs) {
+					t.Errorf("block tracer calls:\n got %+v\nwant %+v", brec.evs, srec.evs)
+				}
 			}
 		})
 	}
@@ -558,7 +613,6 @@ func stateDiff(a, b State) string {
 func archState(c *CPU) State {
 	s := c.ExportState()
 	s.ICache = nil
-	s.Superblocks = false
 	st := &s.Stats
 	st.ICacheFills, st.DecodeHits, st.DecodeMisses = 0, 0, 0
 	st.BlockBuilds, st.BlockHits, st.BlockInsts, st.BlockInvalidates = 0, 0, 0, 0
@@ -592,7 +646,6 @@ func TestFaultingStackWriteRetiresNothing(t *testing.T) {
 				c.SetReg(6, 0x400200)
 				c.SetReg(7, 0xfeed)
 				poke(c, dataBase+0x40, 0x400100)
-				c.SetSuperblocks(blocks)
 				attempt := func() error {
 					if !blocks {
 						return c.Step()

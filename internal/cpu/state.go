@@ -79,8 +79,6 @@ type State struct {
 	RAS  []uint64
 	RASN int
 
-	Superblocks bool
-
 	Mode       uint8
 	IntrOn     bool
 	IntrPeriod uint64
@@ -95,21 +93,20 @@ type State struct {
 // memory with the CPU: mutating either afterwards is safe.
 func (c *CPU) ExportState() State {
 	s := State{
-		Regs:        c.regs,
-		PC:          c.pc,
-		Cycles:      c.cycles,
-		Halted:      c.halted,
-		CmpA:        c.cmpA,
-		CmpB:        c.cmpB,
-		RAS:         append([]uint64(nil), c.ras...),
-		RASN:        c.rasN,
-		Superblocks: c.superblocks,
-		Mode:        uint8(c.mode),
-		IntrOn:      c.intrOn,
-		IntrPeriod:  c.intrPeriod,
-		IntrCost:    c.intrCost,
-		NextIntr:    c.nextIntr,
-		Stats:       c.stats,
+		Regs:       c.regs,
+		PC:         c.pc,
+		Cycles:     c.cycles,
+		Halted:     c.halted,
+		CmpA:       c.cmpA,
+		CmpB:       c.cmpB,
+		RAS:        append([]uint64(nil), c.ras...),
+		RASN:       c.rasN,
+		Mode:       uint8(c.mode),
+		IntrOn:     c.intrOn,
+		IntrPeriod: c.intrPeriod,
+		IntrCost:   c.intrCost,
+		NextIntr:   c.nextIntr,
+		Stats:      c.stats,
 	}
 	s.BTB = make([]BTBState, len(c.btb))
 	for i, e := range c.btb {
@@ -132,10 +129,10 @@ func (c *CPU) ExportState() State {
 				ls.Decoded = append(ls.Decoded, uint16(off))
 			}
 			switch {
-			case e.sb == sbReject:
-				ls.SBRject = append(ls.SBRject, uint16(off))
-			case e.sb != nil:
+			case len(e.sb) > 0:
 				ls.SBHeads = append(ls.SBHeads, uint16(off))
+			case e.sb != nil:
+				ls.SBRject = append(ls.SBRject, uint16(off))
 			}
 		}
 		s.ICache = append(s.ICache, ls)
@@ -179,7 +176,6 @@ func (c *CPU) ImportState(s State) error {
 	}
 	copy(c.ras, s.RAS)
 	c.rasN = s.RASN
-	c.superblocks = s.Superblocks
 	c.mode = Mode(s.Mode)
 	c.intrOn = s.IntrOn
 	c.intrPeriod = s.IntrPeriod
@@ -230,7 +226,7 @@ func importLine(ls *ICLineState) (*icLine, error) {
 	base := ls.PN << mem.PageShift
 	for _, off := range ls.SBHeads {
 		b := line.formBlock(base | uint64(off))
-		if b == sbReject {
+		if len(b) == 0 {
 			return nil, fmt.Errorf("cpu: snapshot superblock head %#x rebuilds empty", base|uint64(off))
 		}
 		line.addEntry(uint64(off)).sb = b
@@ -239,7 +235,7 @@ func importLine(ls *ICLineState) (*icLine, error) {
 	// An offset listed both as a head and as a reject fails one of the
 	// two rebuild checks, since formBlock's result is fixed by the bytes.
 	for _, off := range ls.SBRject {
-		if line.formBlock(base|uint64(off)) != sbReject {
+		if len(line.formBlock(base|uint64(off))) != 0 {
 			return nil, fmt.Errorf("cpu: snapshot reject sentinel %#x rebuilds non-empty", base|uint64(off))
 		}
 		line.addEntry(uint64(off)).sb = sbReject
@@ -251,16 +247,18 @@ func importLine(ls *ICLineState) (*icLine, error) {
 // halts, an error occurs, or maxSteps instructions retire. It returns
 // the number of instructions executed.
 //
-// The pause point never perturbs the run: on the hook-free fast path
-// the superblock chain is interrupted only between block dispatches
-// (execBlock is never asked to split a block it would otherwise run
-// whole, which would change the BlockHits accounting), so a run paused
-// by RunUntil and then continued retires the same instructions, cycles
-// and statistics as one uninterrupted Run — the invariant the
-// checkpoint difftests pin.
+// The pause point never perturbs the run: the superblock chain is
+// interrupted only between block dispatches (execBlock is never asked
+// to split a block it would otherwise run whole, which would change
+// the BlockHits accounting), so a run paused by RunUntil and then
+// continued retires the same instructions, cycles and statistics as
+// one uninterrupted Run — the invariant the checkpoint difftests pin.
+// A tracer rides the blocks and so never moves the pause; only an
+// attached injector, which holds the CPU to single steps, pauses at
+// the first instruction boundary at or past target.
 func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 	var steps uint64
-	if c.Trace == nil && c.tracer == nil && c.inject == nil {
+	if c.inject == nil {
 		c.cycleStop = target
 		defer func() { c.cycleStop = 0 }()
 		for steps < maxSteps && c.cycles < target {

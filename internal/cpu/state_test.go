@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -19,17 +20,16 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"regs": true, "pc": true, "cycles": true, "halted": true,
 		"cmpA": true, "cmpB": true,
 		"btb": true, "ras": true, "rasN": true,
-		"superblocks": true,
-		"mode":        true, "intrOn": true,
+		"mode": true, "intrOn": true,
 		"intrPeriod": true, "intrCost": true, "nextIntr": true,
 		"icache": true, "stats": true,
 	}
 	hostWiring := map[string]bool{
-		"Mem":        true,                // the address space is serialized by mem.ExportPages
-		"cfg":        true,                // cost model: the constructing harness's contract
-		"hypervisor": true,                // host callback
-		"tracer":     true, "Trace": true, // observability hooks
-		"inject": true, "id": true, // fault-injection wiring
+		"Mem":        true,             // the address space is serialized by mem.ExportPages
+		"cfg":        true,             // cost model: the constructing harness's contract
+		"hypervisor": true,             // host callback
+		"tracer":     true,             // observability hook
+		"inject":     true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
 		"lastPN": true, "lastLine": true, // icache line memo, rebuilt lazily
 		"missed":    true, // Step's decode-miss scratch slot, overwritten per miss
@@ -88,7 +88,6 @@ func stateVM(t *testing.T) *CPU {
 	copy(code[callAt:], fix.Bytes())
 
 	c := newVM(t, code)
-	c.SetSuperblocks(true)
 	c.SetInterruptsEnabled(true)
 	c.SetInterruptPerturbation(997, 30)
 	if _, err := c.Run(10_000); err != nil {
@@ -107,29 +106,26 @@ func stateVM(t *testing.T) *CPU {
 // CPU (same config) reproduces it exactly, including the rebuilt
 // derived caches and the overwritten statistics.
 func TestExportImportRoundTrip(t *testing.T) {
-	for _, sb := range []bool{false, true} {
-		c := stateVM(t)
-		c.SetSuperblocks(sb)
-		s := c.ExportState()
+	c := stateVM(t)
+	s := c.ExportState()
 
-		fresh := New(c.Mem, c.Config())
-		if err := fresh.ImportState(s); err != nil {
-			t.Fatalf("superblocks=%v: %v", sb, err)
+	fresh := New(c.Mem, c.Config())
+	if err := fresh.ImportState(s); err != nil {
+		t.Fatal(err)
+	}
+	again := fresh.ExportState()
+	if !reflect.DeepEqual(s, again) {
+		t.Fatalf("re-export diverged\nfirst:  %+v\nsecond: %+v", s, again)
+	}
+	// The rebuilt superblock caches must carry the same line
+	// structure, not just the same export view.
+	for pn, line := range c.icache {
+		fl, ok := fresh.icache[pn]
+		if !ok {
+			t.Fatalf("line %#x missing after import", pn)
 		}
-		again := fresh.ExportState()
-		if !reflect.DeepEqual(s, again) {
-			t.Fatalf("superblocks=%v: re-export diverged\nfirst:  %+v\nsecond: %+v", sb, s, again)
-		}
-		// The rebuilt superblock caches must carry the same line
-		// structure, not just the same export view.
-		for pn, line := range c.icache {
-			fl, ok := fresh.icache[pn]
-			if !ok {
-				t.Fatalf("line %#x missing after import", pn)
-			}
-			if fl.nsb != line.nsb {
-				t.Fatalf("line %#x: rebuilt nsb %d, original %d", pn, fl.nsb, line.nsb)
-			}
+		if fl.nsb != line.nsb {
+			t.Fatalf("line %#x: rebuilt nsb %d, original %d", pn, fl.nsb, line.nsb)
 		}
 	}
 }
@@ -210,11 +206,22 @@ func TestImportRejectsConfigMismatch(t *testing.T) {
 
 // TestRunUntilPauseInvariance pins the checkpoint property: a run
 // paused at arbitrary cycle thresholds and continued retires exactly
-// the cycles, registers and statistics of one uninterrupted run —
-// with superblocks both off and on (where the pause must land between
-// block dispatches, never inside one).
+// the cycles, registers and statistics of one uninterrupted run — on
+// single steps (an inert injector attached) and on blocks (where the
+// pause must land between block dispatches, never inside one). A
+// tracer rides the blocks, so a traced run must also pause at exactly
+// the untraced run's cycles.
 func TestRunUntilPauseInvariance(t *testing.T) {
-	for _, sb := range []bool{false, true} {
+	var pauses [3][]uint64
+	for mode, name := range []string{"step", "blocks", "traced"} {
+		attach := func(c *CPU) {
+			switch name {
+			case "step":
+				c.SetInjector(inertInjector{}, 0)
+			case "traced":
+				c.SetTracer(&recTracer{})
+			}
+		}
 		var a isa.Asm
 		a.Movi(0, 0)
 		a.Movi(1, 0)
@@ -228,23 +235,24 @@ func TestRunUntilPauseInvariance(t *testing.T) {
 		code := a.Bytes()
 
 		straight := newVM(t, code)
-		straight.SetSuperblocks(sb)
+		attach(straight)
 		run(t, straight)
 
 		paused := newVM(t, code)
-		paused.SetSuperblocks(sb)
+		attach(paused)
 		// Pause every 137 cycles until past the straight run's total,
 		// then run to the halt.
 		for target := uint64(137); target < straight.Cycles()+200; target += 137 {
 			if _, err := paused.RunUntil(target, 1_000_000); err != nil {
-				t.Fatalf("superblocks=%v: %v", sb, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			if paused.Halted() {
 				break
 			}
 			if got := paused.Cycles(); got < target && !paused.Halted() {
-				t.Fatalf("superblocks=%v: RunUntil(%d) stopped at cycle %d", sb, target, got)
+				t.Fatalf("%s: RunUntil(%d) stopped at cycle %d", name, target, got)
 			}
+			pauses[mode] = append(pauses[mode], paused.Cycles())
 		}
 		if !paused.Halted() {
 			if _, err := paused.Run(1_000_000); err != nil {
@@ -252,15 +260,18 @@ func TestRunUntilPauseInvariance(t *testing.T) {
 			}
 		}
 		if straight.Cycles() != paused.Cycles() {
-			t.Fatalf("superblocks=%v: cycles %d (straight) vs %d (paused)",
-				sb, straight.Cycles(), paused.Cycles())
+			t.Fatalf("%s: cycles %d (straight) vs %d (paused)",
+				name, straight.Cycles(), paused.Cycles())
 		}
 		if straight.Reg(0) != paused.Reg(0) {
-			t.Fatalf("superblocks=%v: results diverged", sb)
+			t.Fatalf("%s: results diverged", name)
 		}
 		if straight.Stats() != paused.Stats() {
-			t.Fatalf("superblocks=%v: stats diverged\nstraight: %+v\npaused:   %+v",
-				sb, straight.Stats(), paused.Stats())
+			t.Fatalf("%s: stats diverged\nstraight: %+v\npaused:   %+v",
+				name, straight.Stats(), paused.Stats())
 		}
+	}
+	if !slices.Equal(pauses[1], pauses[2]) {
+		t.Errorf("a tracer moves the pauses:\nplain:  %v\ntraced: %v", pauses[1], pauses[2])
 	}
 }

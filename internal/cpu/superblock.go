@@ -45,19 +45,20 @@
 //
 // Semantics. Blocks and Step run the same handlers and the same
 // epilogue (retire), so a block differs from single-stepping only in
-// what it skips: hooks, per-instruction decode cache probes, and stats
-// it batches per block. Blocks run only from the hook-free fast path
-// (no Trace callback, no tracer, no fault injector), so the
-// observability and injection hooks always see single-instruction
-// execution. TestOpcodeSemantics pins every handler, and
-// FuzzBlockVsStep and internal/difftest pin block formation, chaining
-// and stats batching against Step.
+// what it skips: per-instruction decode cache probes, and the host-side
+// stats it batches per block (DecodeHits, Block*). Blocks are always
+// on; only a fault injector, consulted before every fetch, holds Run
+// to Step. A tracer rides the blocks: it gets Step's calls with every
+// architectural counter as Step shows it (no block holds HCALL, the
+// one instruction that runs host code), so observing a run moves
+// neither its dispatch nor where RunUntil pauses. TestOpcodeSemantics
+// pins every handler, and FuzzBlockVsStep and internal/difftest pin
+// block formation, chaining, tracer calls and stats against Step.
 
 package cpu
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -68,34 +69,6 @@ import (
 // loop body or function prologue in one dispatch, short enough that
 // clamping against a Run step budget stays cheap.
 const maxBlockInsts = 64
-
-// superblocksDefault is the construction-time default for new CPUs,
-// overridable globally with SetSuperblocksDefault (mvbench's
-// -superblocks flag) or the environment knob MV_SUPERBLOCKS=off
-// (also "0" / "false").
-var superblocksDefault = func() bool {
-	switch os.Getenv("MV_SUPERBLOCKS") {
-	case "0", "off", "false":
-		return false
-	}
-	return true
-}()
-
-// SetSuperblocksDefault sets whether newly constructed CPUs use the
-// superblock interpreter. Existing CPUs are unaffected.
-func SetSuperblocksDefault(on bool) { superblocksDefault = on }
-
-// SuperblocksDefault reports the construction-time default.
-func SuperblocksDefault() bool { return superblocksDefault }
-
-// SetSuperblocks enables or disables this CPU's superblock layer.
-// Toggling is safe at any point: blocks are always consistent with
-// their line's byte snapshot, so re-enabling reuses them.
-func (c *CPU) SetSuperblocks(on bool) { c.superblocks = on }
-
-// SuperblocksEnabled reports whether this CPU executes straight-line
-// runs through cached superblocks.
-func (c *CPU) SuperblocksEnabled() bool { return c.superblocks }
 
 // sbFn executes the instruction in at pc, whose fall-through pc is
 // next (pc+in.Len). It returns the pc to continue at (next, or a
@@ -112,20 +85,20 @@ type sbEntry struct {
 }
 
 // superblock is a straight-line chain of instructions, optionally
-// terminated by a single control-flow instruction.
-type superblock struct {
-	entries []sbEntry
-}
+// terminated by a single control-flow instruction. A nil superblock
+// means none has been built at its pc.
+type superblock []sbEntry
 
-// sbReject is the shared "no block starts here" sentinel: a pc whose
-// instruction cannot head a block (HLT, BRK, HCALL, undecodable)
-// caches it so the fast path probes once and falls through.
-var sbReject = &superblock{}
+// sbReject is the shared "no block starts here" sentinel, empty but
+// not nil: a pc whose instruction cannot head a block (HLT, BRK,
+// HCALL, undecodable) caches it so the fast path probes once and falls
+// through.
+var sbReject = superblock{}
 
 // cachedBlock returns the block starting at pc (which may be the
 // sbReject sentinel) and the resident line, either of which may be
 // nil.
-func (c *CPU) cachedBlock(pc uint64) (*superblock, *icLine) {
+func (c *CPU) cachedBlock(pc uint64) (superblock, *icLine) {
 	line := c.residentLine(pc)
 	if line == nil {
 		return nil, nil
@@ -146,10 +119,10 @@ func sbTerminator(op isa.Op) bool {
 // buildBlock forms the superblock starting at pc from line's byte
 // snapshot and caches it on the line. Build is pure host work: no
 // simulated state changes and no simulated cycles pass.
-func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
+func (c *CPU) buildBlock(line *icLine, pc uint64) superblock {
 	b := line.formBlock(pc)
 	line.addEntry(pc & (mem.PageSize - 1)).sb = b
-	if b != sbReject {
+	if len(b) > 0 {
 		line.nsb++
 		c.stats.BlockBuilds++
 	}
@@ -158,12 +131,13 @@ func (c *CPU) buildBlock(line *icLine, pc uint64) *superblock {
 
 // formBlock decodes the superblock starting at pc from the line's byte
 // snapshot without caching it, or returns sbReject when no block can
-// start there.
-func (l *icLine) formBlock(pc uint64) *superblock {
+// start there. It decodes the run into a stack buffer first, so a
+// block costs one allocation at its exact length and a reject none.
+func (l *icLine) formBlock(pc uint64) superblock {
+	var run [maxBlockInsts]sbEntry
+	n := 0
 	pn := pc >> mem.PageShift
-	b := &superblock{}
-	cur := pc
-	for len(b.entries) < maxBlockInsts && cur>>mem.PageShift == pn {
+	for cur := pc; n < maxBlockInsts && cur>>mem.PageShift == pn; {
 		// An undecodable window may be a valid instruction straddling
 		// into the next line, whose lifetime is independent; Step
 		// handles it.
@@ -172,16 +146,17 @@ func (l *icLine) formBlock(pc uint64) *superblock {
 			break
 		}
 		next := cur + uint64(in.Len)
-		b.entries = append(b.entries, sbEntry{fn: sbOps[in.Op], in: in, pc: cur, next: next})
+		run[n] = sbEntry{fn: sbOps[in.Op], in: in, pc: cur, next: next}
+		n++
 		if sbTerminator(in.Op) {
 			break
 		}
 		cur = next
 	}
-	if len(b.entries) == 0 {
+	if n == 0 {
 		return sbReject
 	}
-	return b
+	return append(make(superblock, 0, n), run[:n]...)
 }
 
 // execBlock replays up to budget entries of b through threaded
@@ -190,76 +165,102 @@ func (l *icLine) formBlock(pc uint64) *superblock {
 // per dispatched instruction (Instructions, and DecodeHits: block
 // entries are predecoded) are accumulated locally and flushed on every
 // exit path, including the not-retired dispatch of a faulting
-// instruction, which Step counts too.
-func (c *CPU) execBlock(b *superblock, budget uint64) (uint64, error) {
-	entries := b.entries
-	if budget < uint64(len(entries)) {
-		entries = entries[:budget]
+// instruction, which Step counts too. With a tracer attached the block
+// runs through execTraced instead: picking the form once per block
+// keeps the untraced loop free of a per-entry tracer check.
+func (c *CPU) execBlock(b superblock, budget uint64) (uint64, error) {
+	if budget < uint64(len(b)) {
+		b = b[:budget]
 	}
-	var done uint64
-	for i := range entries {
-		e := &entries[i]
+	if c.tracer != nil {
+		return c.execTraced(b)
+	}
+	for i := range b {
+		e := &b[i]
 		next, cost, err := e.fn(c, &e.in, e.pc, e.next)
 		if err != nil {
-			dispatched := done + 1
-			c.stats.Instructions += dispatched
-			c.stats.BlockInsts += dispatched
-			c.stats.DecodeHits += dispatched
-			return done, &execError{e.pc, err}
+			c.stats.Instructions += uint64(i) + 1
+			return c.blockDone(uint64(i), &execError{e.pc, err})
 		}
-		done++
 		c.retire(next, cost)
 	}
-	c.stats.Instructions += done
-	c.stats.BlockInsts += done
-	c.stats.DecodeHits += done
-	c.stats.BlockHits++
-	return done, nil
+	c.stats.Instructions += uint64(len(b))
+	return c.blockDone(uint64(len(b)), nil)
 }
 
-// stepFastN is the fast-path dispatcher Run drives when no hooks are
-// installed: it executes up to budget instructions (at least one),
-// chaining block to block — a terminator whose target heads another
-// resident or buildable block continues dispatching without
-// re-entering Run (HLT never lives inside a block, so the halted
-// check cannot be skipped past). A pc with no block retires exactly
-// one instruction through Step. It returns the number of instructions
-// that retired.
+// execTraced is execBlock's loop with the tracer's Step called before
+// each entry as Step calls it, and Instructions counted per entry, so
+// a tracer reading the stats sees what the Step path shows.
+func (c *CPU) execTraced(b superblock) (uint64, error) {
+	t := c.tracer
+	for i := range b {
+		e := &b[i]
+		t.Step(e.pc, c.cycles, &e.in)
+		c.stats.Instructions++
+		next, cost, err := e.fn(c, &e.in, e.pc, e.next)
+		if err != nil {
+			return c.blockDone(uint64(i), &execError{e.pc, err})
+		}
+		c.retire(next, cost)
+	}
+	return c.blockDone(uint64(len(b)), nil)
+}
+
+// blockDone flushes a block dispatch's batched host-side stats and
+// returns its result: done entries retired, one more was dispatched
+// if err is set, and a dispatch that ran to its end is a block hit.
+func (c *CPU) blockDone(done uint64, err error) (uint64, error) {
+	dispatched := done
+	if err != nil {
+		dispatched++
+	} else {
+		c.stats.BlockHits++
+	}
+	c.stats.BlockInsts += dispatched
+	c.stats.DecodeHits += dispatched
+	return done, err
+}
+
+// stepFastN is the dispatcher Run and RunUntil drive when no fault
+// injector is attached: it executes up to budget instructions (at
+// least one), chaining block to block — a terminator whose target
+// heads another resident or buildable block continues dispatching
+// without re-entering Run (HLT never lives inside a block, so the
+// halted check cannot be skipped past). A pc with no block retires
+// exactly one instruction through Step. It returns the number of
+// instructions that retired.
 func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 	if c.halted {
 		return 0, fmt.Errorf("cpu: step on halted CPU")
 	}
-	if c.superblocks {
-		pc := c.pc
-		var total uint64
-		for total < budget {
-			b, line := c.cachedBlock(pc)
-			if b == nil && line != nil {
-				b = c.buildBlock(line, pc)
-			}
-			if b == nil || len(b.entries) == 0 {
-				break
-			}
-			n, err := c.execBlock(b, budget-total)
-			total += n
-			if err != nil {
-				return total, err
-			}
-			pc = c.pc
-			if c.cycleStop != 0 && c.cycles >= c.cycleStop {
-				// RunUntil's pause point: between block dispatches, never
-				// inside one. total > 0 here — execBlock either retired at
-				// least one instruction or returned the error above.
-				return total, nil
-			}
+	pc := c.pc
+	var total uint64
+	for total < budget {
+		b, line := c.cachedBlock(pc)
+		if b == nil && line != nil {
+			b = c.buildBlock(line, pc)
 		}
-		if total > 0 {
+		if len(b) == 0 {
+			break
+		}
+		n, err := c.execBlock(b, budget-total)
+		total += n
+		if err != nil {
+			return total, err
+		}
+		pc = c.pc
+		if c.cycleStop != 0 && c.cycles >= c.cycleStop {
+			// RunUntil's pause point: between block dispatches, never
+			// inside one. total > 0 here — execBlock either retired at
+			// least one instruction or returned the error above.
 			return total, nil
 		}
 	}
+	if total > 0 {
+		return total, nil
+	}
 	// A faulting instruction did not retire, so it must not count
-	// against the caller's step budget — the same contract as Run's
-	// Step loop.
+	// against the caller's step budget.
 	if err := c.Step(); err != nil {
 		return 0, err
 	}
@@ -273,8 +274,8 @@ func (c *CPU) stepFastN(budget uint64) (uint64, error) {
 // memory, stat counters, predictor updates, trace events and the
 // operation order on fault paths. BRK has no handler: Step traps it
 // before dispatch, since a trap retires nothing. Trace events sit
-// behind tracer checks, which blocks always pass, as they only run
-// with no tracer attached.
+// behind tracer checks, the same in Step and in blocks, so a traced
+// block emits what single steps would.
 
 var sbOps [256]sbFn
 

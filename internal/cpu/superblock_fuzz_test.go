@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,12 @@ import (
 // dispatcher, must produce exactly the architectural outcome of
 // single-stepping the same bytes — same retired count, same error (or
 // none), same registers, pc, cycles, halt state, memory and
-// architectural stats. The corpus seeds the structured shapes the
+// architectural stats. The blocks run twice, plain and under a
+// recording tracer: the traced run must make exactly the tracer calls
+// single steps make (each Step with its pc, cycles, instruction and
+// the Instructions count the CPU shows there, and every Call, Ret and
+// Emit), and must leave every stat of the plain block run, the
+// host-side ones included. The corpus seeds the structured shapes the
 // chainer special-cases (hot loops, NOPN padding, straddling
 // instructions, calls, traps, privileged ops); the fuzzer mutates from
 // there into arbitrary garbage, which must still agree byte for byte.
@@ -104,15 +110,25 @@ func FuzzBlockVsStep(f *testing.F) {
 		}
 
 		const maxSteps = 2000
-		blocks := build()
-		blocks.SetSuperblocks(true)
-		nA, errA := blocks.Run(maxSteps)
-		if errA != nil && strings.Contains(errA.Error(), "exceeded") {
-			errA = nil // budget exhausted, not an execution error
+		runBlocks := func(rec *recTracer) (*CPU, uint64, error) {
+			c := build()
+			if rec != nil {
+				rec.cpu = c
+				c.SetTracer(rec)
+			}
+			n, err := c.Run(maxSteps)
+			if err != nil && strings.Contains(err.Error(), "exceeded") {
+				err = nil // budget exhausted, not an execution error
+			}
+			return c, n, err
 		}
+		blocks, nA, errA := runBlocks(nil)
+		brec := &recTracer{}
+		traced, nT, errT := runBlocks(brec)
 
 		ref := build()
-		ref.SetSuperblocks(false) // Step never uses blocks anyway
+		rrec := &recTracer{cpu: ref}
+		ref.SetTracer(rrec)
 		var nB uint64
 		var errB error
 		for nB < maxSteps && !ref.Halted() {
@@ -123,43 +139,58 @@ func FuzzBlockVsStep(f *testing.F) {
 			nB++
 		}
 
-		if nA != nB {
-			t.Fatalf("retired %d via blocks, %d via Step", nA, nB)
-		}
-		switch {
-		case (errA == nil) != (errB == nil):
-			t.Fatalf("errors diverge: blocks %v, Step %v", errA, errB)
-		case errA != nil && errA.Error() != errB.Error():
-			t.Fatalf("error text diverges:\nblocks: %v\nStep:   %v", errA, errB)
-		}
-		if blocks.PC() != ref.PC() || blocks.Cycles() != ref.Cycles() || blocks.Halted() != ref.Halted() {
-			t.Fatalf("state diverges: pc %#x/%#x cycles %d/%d halted %v/%v",
-				blocks.PC(), ref.PC(), blocks.Cycles(), ref.Cycles(), blocks.Halted(), ref.Halted())
-		}
-		for r := 0; r < isa.NumRegs; r++ {
-			if blocks.Reg(isa.Reg(r)) != ref.Reg(isa.Reg(r)) {
-				t.Fatalf("r%d diverges: %#x vs %#x", r, blocks.Reg(isa.Reg(r)), ref.Reg(isa.Reg(r)))
+		sameAsStep := func(what string, c *CPU, n uint64, err error) {
+			if n != nB {
+				t.Fatalf("retired %d via %s, %d via Step", n, what, nB)
+			}
+			switch {
+			case (err == nil) != (errB == nil):
+				t.Fatalf("errors diverge: %s %v, Step %v", what, err, errB)
+			case err != nil && err.Error() != errB.Error():
+				t.Fatalf("error text diverges:\n%s: %v\nStep:   %v", what, err, errB)
+			}
+			if c.PC() != ref.PC() || c.Cycles() != ref.Cycles() || c.Halted() != ref.Halted() {
+				t.Fatalf("%s state diverges: pc %#x/%#x cycles %d/%d halted %v/%v",
+					what, c.PC(), ref.PC(), c.Cycles(), ref.Cycles(), c.Halted(), ref.Halted())
+			}
+			for r := 0; r < isa.NumRegs; r++ {
+				if c.Reg(isa.Reg(r)) != ref.Reg(isa.Reg(r)) {
+					t.Fatalf("%s r%d diverges: %#x vs %#x", what, r, c.Reg(isa.Reg(r)), ref.Reg(isa.Reg(r)))
+				}
+			}
+			sa, sb := c.Stats(), ref.Stats()
+			for _, s := range []*Stats{&sa, &sb} {
+				// Host-accelerator counters legitimately differ between the
+				// two dispatch strategies.
+				s.DecodeHits, s.DecodeMisses = 0, 0
+				s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
+			}
+			if sa != sb {
+				t.Fatalf("architectural stats diverge:\n%s: %+v\nStep:   %+v", what, sa, sb)
+			}
+			var da, db [mem.PageSize]byte
+			if err := c.Mem.Read(dataBase, da[:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Mem.Read(dataBase, db[:]); err != nil {
+				t.Fatal(err)
+			}
+			if da != db {
+				t.Fatalf("%s data page contents diverge", what)
 			}
 		}
-		sa, sb := blocks.Stats(), ref.Stats()
-		for _, s := range []*Stats{&sa, &sb} {
-			// Host-accelerator counters legitimately differ between the
-			// two dispatch strategies.
-			s.DecodeHits, s.DecodeMisses = 0, 0
-			s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
+		sameAsStep("blocks", blocks, nA, errA)
+		sameAsStep("traced blocks", traced, nT, errT)
+		if !slices.Equal(brec.evs, rrec.evs) {
+			for i := 0; i < len(brec.evs) && i < len(rrec.evs); i++ {
+				if brec.evs[i] != rrec.evs[i] {
+					t.Fatalf("tracer call %d diverges:\nblocks: %+v\nStep:   %+v", i, brec.evs[i], rrec.evs[i])
+				}
+			}
+			t.Fatalf("%d tracer calls via blocks, %d via Step", len(brec.evs), len(rrec.evs))
 		}
-		if sa != sb {
-			t.Fatalf("architectural stats diverge:\nblocks: %+v\nStep:   %+v", sa, sb)
-		}
-		var da, db [mem.PageSize]byte
-		if err := blocks.Mem.Read(dataBase, da[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Mem.Read(dataBase, db[:]); err != nil {
-			t.Fatal(err)
-		}
-		if da != db {
-			t.Fatal("data page contents diverge")
+		if blocks.Stats() != traced.Stats() {
+			t.Fatalf("a tracer changes the block run's stats:\nplain:  %+v\ntraced: %+v", blocks.Stats(), traced.Stats())
 		}
 	})
 }

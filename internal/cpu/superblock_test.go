@@ -26,7 +26,6 @@ func hotLoopProgram(iters int32) []byte {
 
 func TestSuperblockHotLoop(t *testing.T) {
 	c := newVM(t, hotLoopProgram(100))
-	c.SetSuperblocks(true)
 	run(t, c)
 	s := c.Stats()
 	if s.BlockBuilds == 0 {
@@ -48,27 +47,16 @@ func TestSuperblockHotLoop(t *testing.T) {
 	}
 }
 
-func TestSuperblockDisabled(t *testing.T) {
-	c := newVM(t, hotLoopProgram(100))
-	c.SetSuperblocks(false)
-	if c.SuperblocksEnabled() {
-		t.Fatal("SetSuperblocks(false) did not stick")
-	}
-	run(t, c)
-	s := c.Stats()
-	if s.BlockBuilds != 0 || s.BlockHits != 0 || s.BlockInsts != 0 || s.BlockInvalidates != 0 {
-		t.Errorf("superblock stats nonzero with superblocks disabled: %+v", s)
-	}
-}
-
-// TestSuperblockStateInvariance runs the same program with superblocks
-// on and off and requires identical architectural outcomes: registers,
-// pc, cycles and every stat that is not a host-side accelerator
-// counter.
+// TestSuperblockStateInvariance runs the same program through blocks
+// and, with an inert injector attached, through Step, and requires
+// identical architectural outcomes: registers, pc, cycles and every
+// stat that is not a host-side accelerator counter.
 func TestSuperblockStateInvariance(t *testing.T) {
-	exec := func(on bool) *CPU {
+	exec := func(blocks bool) *CPU {
 		c := newVM(t, hotLoopProgram(1000))
-		c.SetSuperblocks(on)
+		if !blocks {
+			c.SetInjector(inertInjector{}, 0)
+		}
 		c.SetInterruptPerturbation(997, 13)
 		c.SetInterruptsEnabled(true)
 		run(t, c)
@@ -76,7 +64,10 @@ func TestSuperblockStateInvariance(t *testing.T) {
 	}
 	a, b := exec(true), exec(false)
 	if a.Cycles() != b.Cycles() {
-		t.Errorf("cycles differ: superblocks on %d, off %d", a.Cycles(), b.Cycles())
+		t.Errorf("cycles differ: blocks %d, Step %d", a.Cycles(), b.Cycles())
+	}
+	if b.Stats().BlockInsts != 0 {
+		t.Error("an injector is attached, yet instructions ran in blocks")
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		if a.Reg(isa.Reg(r)) != b.Reg(isa.Reg(r)) {
@@ -89,20 +80,18 @@ func TestSuperblockStateInvariance(t *testing.T) {
 		s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
 	}
 	if sa != sb {
-		t.Errorf("architectural stats differ:\non:  %+v\noff: %+v", sa, sb)
+		t.Errorf("architectural stats differ:\nblocks: %+v\nStep:   %+v", sa, sb)
 	}
 }
 
-// TestSuperblockRunBudgetExact pins Run's step accounting with blocks
-// on: a Run bounded to fewer instructions than a block holds must
+// TestSuperblockRunBudgetExact pins Run's step accounting through
+// blocks: a Run bounded to fewer instructions than a block holds must
 // retire exactly the budget and leave the same state as single-stepped
 // execution — blocks never overshoot maxSteps.
 func TestSuperblockRunBudgetExact(t *testing.T) {
 	for _, budget := range []uint64{1, 2, 3, 5, 7, 11, 64} {
 		chunked := newVM(t, hotLoopProgram(50))
-		chunked.SetSuperblocks(true)
 		stepped := newVM(t, hotLoopProgram(50))
-		stepped.SetSuperblocks(false)
 
 		var total uint64
 		for !chunked.Halted() {
@@ -165,7 +154,6 @@ func multiPageProgram(t *testing.T) *CPU {
 		}
 	}
 	c := New(m, DefaultConfig())
-	c.SetSuperblocks(true)
 	c.SetPC(textBase)
 	return c
 }
@@ -248,7 +236,6 @@ func TestSuperblockStaleUntilFlush(t *testing.T) {
 	a.Movi(1, 111)
 	a.Hlt()
 	c := newVM(t, a.Bytes())
-	c.SetSuperblocks(true)
 	run(t, c)
 	if c.Reg(1) != 111 {
 		t.Fatalf("r1 = %d, want 111", c.Reg(1))
@@ -279,7 +266,6 @@ func TestSuperblockStaleUntilFlush(t *testing.T) {
 // keep executing, and the rejected pc must not grow a block.
 func TestSuperblockBRKFallsToSlowPath(t *testing.T) {
 	c := newVM(t, hotLoopProgram(100))
-	c.SetSuperblocks(true)
 	run(t, c)
 	if c.Stats().BlockBuilds == 0 {
 		t.Fatal("no blocks built")
@@ -300,41 +286,5 @@ func TestSuperblockBRKFallsToSlowPath(t *testing.T) {
 	}
 	if got := c.Stats().Traps; got != 1 {
 		t.Errorf("Traps = %d, want 1", got)
-	}
-}
-
-// TestSuperblockToggleMidRun flips the knob between runs on one CPU:
-// blocks built while enabled are reused on re-enable and ignored while
-// disabled, with identical execution results throughout.
-func TestSuperblockToggleMidRun(t *testing.T) {
-	c := newVM(t, hotLoopProgram(100))
-	c.SetSuperblocks(true)
-	rerun := func() {
-		c.SetPC(textBase)
-		c.SetReg(2, 0)
-		c.SetReg(3, 0)
-		run(t, c)
-	}
-	rerun()
-	// A second run reaches block steady state (the entry pc's block
-	// forms only once its line is resident).
-	rerun()
-	builds := c.Stats().BlockBuilds
-	r3 := c.Reg(3)
-
-	c.SetSuperblocks(false)
-	rerun()
-	if c.Reg(3) != r3 {
-		t.Errorf("r3 = %d with blocks off, want %d", c.Reg(3), r3)
-	}
-
-	c.SetSuperblocks(true)
-	rerun()
-	if c.Reg(3) != r3 {
-		t.Errorf("r3 = %d after re-enable, want %d", c.Reg(3), r3)
-	}
-	if c.Stats().BlockBuilds != builds {
-		t.Errorf("BlockBuilds = %d after re-enable, want %d (blocks reused, not rebuilt)",
-			c.Stats().BlockBuilds, builds)
 	}
 }

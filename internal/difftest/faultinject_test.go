@@ -4,19 +4,72 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cpu"
 	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
 	"repro/internal/muslsim"
 )
 
 // The fault injector is a host-side instrument: attaching a plan whose
-// points never fire must not change a single simulated cycle. These
-// tests run E1 (spinlock kernel) and E4 (mini-musl) with no injector
-// and with an inert (empty) plan attached and require the
-// bench.Result structs to be bit-identical. Together with the unit
-// tests this pins the acceptance property that un-instrumented runs
-// are unperturbed: the hooks are nil-checked on the hot paths and the
-// retry/backoff machinery only advances cycles after a fault fires.
+// points never fire must not change a single simulated cycle. An
+// attached injector is also the one thing that holds Run and RunUntil
+// to single steps (it is consulted before every fetch), so these tests
+// are the end-to-end comparison of Step against the superblock
+// interpreter too: blocks and single steps run the same handlers, and
+// chaining, budget clamping, batched statistics and the shared
+// epilogue must not move a cycle across the E1 kernels (commits, icache
+// flushes, BRK text pokes, SMP) and E4. They run each workload with no
+// injector and with an inert (empty) plan attached and require the
+// bench.Result structs (mean, std, min, max, sample and drop counts)
+// to be bit-identical. Together with the unit tests this pins the
+// acceptance property that un-instrumented runs are unperturbed: the
+// hooks are nil-checked on the hot paths and the retry/backoff
+// machinery only advances cycles after a fault fires.
+
+// smpLabel names a measurement's UP/SMP configuration.
+var smpLabel = map[bool]string{false: "up", true: "smp"}
+
+// compareInert reports every measurement that differs between the
+// bare and inert-plan runs.
+func compareInert(t *testing.T, bare, inert map[string]bench.Result) {
+	t.Helper()
+	if len(bare) == 0 || len(bare) != len(inert) {
+		t.Fatalf("measured %d/%d cells", len(bare), len(inert))
+	}
+	for k, r := range bare {
+		if r != inert[k] {
+			t.Errorf("%s: results differ with inert injector attached:\nbare:  %+v\ninert: %+v",
+				k, r, inert[k])
+		}
+	}
+}
+
+func TestSuperblockInvarianceFig1(t *testing.T) {
+	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
+	measure := func(attach bool) map[string]bench.Result {
+		out := make(map[string]bench.Result)
+		for _, b := range []kernelsim.Fig1Binding{
+			kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
+		} {
+			for _, smp := range []bool{false, true} {
+				sys, err := kernelsim.BuildFig1(b, smp)
+				if err != nil {
+					t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
+				}
+				if attach {
+					faultinject.Exact().Attach(sys.System().Machine)
+				}
+				r, err := sys.Measure(opts)
+				if err != nil {
+					t.Fatalf("Measure(%v, %v): %v", b, smp, err)
+				}
+				out[b.String()+"/"+smpLabel[smp]] = r
+			}
+		}
+		return out
+	}
+	compareInert(t, measure(false), measure(true))
+}
 
 func TestFaultInjectorInvarianceSpin(t *testing.T) {
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
@@ -37,26 +90,22 @@ func TestFaultInjectorInvarianceSpin(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Measure(smp=%v): %v", smp, err)
 			}
-			out[map[bool]string{false: "up", true: "smp"}[smp]] = r
+			out[smpLabel[smp]] = r
 		}
 		return out
 	}
-	bare := measure(false)
-	inert := measure(true)
-	for k, r := range bare {
-		if r != inert[k] {
-			t.Errorf("%s: results differ with inert injector attached:\nbare:  %+v\ninert: %+v",
-				k, r, inert[k])
-		}
-	}
+	compareInert(t, measure(false), measure(true))
 }
 
-func TestFaultInjectorInvarianceMusl(t *testing.T) {
-	measure := func(attach bool) map[muslsim.Func]bench.Result {
-		out := make(map[muslsim.Func]bench.Result)
-		m, err := muslsim.BuildMusl(muslsim.Multiverse)
+// measureMusl measures every muslsim.Funcs() entry on each build, with
+// an inert plan attached when attach is set.
+func measureMusl(t *testing.T, builds []muslsim.Build, samples int, iters uint64, attach bool) map[string]bench.Result {
+	t.Helper()
+	out := make(map[string]bench.Result)
+	for _, build := range builds {
+		m, err := muslsim.BuildMusl(build)
 		if err != nil {
-			t.Fatalf("BuildMusl: %v", err)
+			t.Fatalf("BuildMusl(%v): %v", build, err)
 		}
 		if attach {
 			faultinject.Exact().Attach(m.System().Machine)
@@ -65,21 +114,56 @@ func TestFaultInjectorInvarianceMusl(t *testing.T) {
 			t.Fatalf("SetThreads: %v", err)
 		}
 		for _, f := range muslsim.Funcs() {
-			r, err := m.Measure(f, 6, 40)
+			r, err := m.Measure(f, samples, iters)
 			if err != nil {
 				t.Fatalf("Measure(%v): %v", f, err)
 			}
-			out[f] = r
+			out[build.String()+"/"+f.String()] = r
 		}
-		return out
 	}
-	bare := measure(false)
-	inert := measure(true)
-	for f, r := range bare {
-		if r != inert[f] {
-			t.Errorf("%v: results differ with inert injector attached:\nbare:  %+v\ninert: %+v",
-				f, r, inert[f])
+	return out
+}
+
+func TestSuperblockInvarianceMusl(t *testing.T) {
+	builds := []muslsim.Build{muslsim.Plain, muslsim.Multiverse}
+	compareInert(t, measureMusl(t, builds, 8, 20, false), measureMusl(t, builds, 8, 20, true))
+}
+
+func TestFaultInjectorInvarianceMusl(t *testing.T) {
+	builds := []muslsim.Build{muslsim.Multiverse}
+	compareInert(t, measureMusl(t, builds, 6, 40, false), measureMusl(t, builds, 6, 40, true))
+}
+
+// TestSuperblockArchStatsInvariance pins the architectural statistics
+// — instruction, branch, load/store, mispredict, interrupt and trap
+// counts — bit-identical through blocks and, with an inert plan
+// attached, through Step, on the E1 workload. Host-side accelerator
+// stats (Decode*, Block*) legitimately differ between the two dispatch
+// strategies and are zeroed before comparison.
+func TestSuperblockArchStatsInvariance(t *testing.T) {
+	stats := func(attach bool) cpu.Stats {
+		sys, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if attach {
+			faultinject.Exact().Attach(sys.System().Machine)
+		}
+		if _, err := sys.Measure(kernelsim.MeasureOpts{Samples: 5, Iters: 20, Warmup: 1}); err != nil {
+			t.Fatal(err)
+		}
+		return sys.System().Machine.TotalStats()
+	}
+	bare, inert := stats(false), stats(true)
+	if inert.BlockInsts != 0 {
+		t.Errorf("%d instructions ran in blocks with an injector attached", inert.BlockInsts)
+	}
+	for _, s := range []*cpu.Stats{&bare, &inert} {
+		s.DecodeHits, s.DecodeMisses = 0, 0
+		s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
+	}
+	if bare != inert {
+		t.Errorf("architectural stats differ with an inert plan attached:\nbare:  %+v\ninert: %+v", bare, inert)
 	}
 }
 

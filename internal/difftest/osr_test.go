@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
 	"repro/internal/muslsim"
 )
@@ -16,8 +17,9 @@ import (
 // OnActive: ActiveOSR versus ActiveRefuse — the two policies differ
 // only in what happens to an active function, and the CPUs are halted
 // at every commit, so every bench.Result must be bit-identical. The
-// cross with superblocks on/off guards the interaction between the
-// dispatch accelerator and the OSR-instrumented commit path.
+// cross with an inert fault plan attached (which holds the CPUs to
+// single steps) and without guards the interaction between the block
+// interpreter and the OSR-instrumented commit path.
 
 // osrPolicies are the two arms under comparison.
 var osrPolicies = []struct {
@@ -41,13 +43,16 @@ func requireUntriggered(t *testing.T, rt *core.Runtime, what string) {
 	}
 }
 
-func measureSpinE1(t *testing.T, p core.OnActivePolicy, check bool) map[string]bench.Result {
+func measureSpinE1(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result {
 	t.Helper()
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
 	out := make(map[string]bench.Result)
 	s, err := kernelsim.BuildSpin(kernelsim.SpinMultiverse)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inert {
+		faultinject.Exact().Attach(s.System().Machine)
 	}
 	s.Runtime().SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine, OnActive: p})
 	for _, smp := range []bool{false, true} {
@@ -66,13 +71,16 @@ func measureSpinE1(t *testing.T, p core.OnActivePolicy, check bool) map[string]b
 	return out
 }
 
-func measureMuslE4(t *testing.T, p core.OnActivePolicy, check bool) map[string]bench.Result {
+func measureMuslE4(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result {
 	t.Helper()
 	const samples, iters = 8, 20
 	out := make(map[string]bench.Result)
 	m, err := muslsim.BuildMusl(muslsim.Multiverse)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inert {
+		faultinject.Exact().Attach(m.System().Machine)
 	}
 	m.System().RT.SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine, OnActive: p})
 	for _, multi := range []bool{false, true} {
@@ -93,24 +101,21 @@ func measureMuslE4(t *testing.T, p core.OnActivePolicy, check bool) map[string]b
 	return out
 }
 
-func comparePolicies(t *testing.T, measure func(*testing.T, core.OnActivePolicy, bool) map[string]bench.Result) {
+func comparePolicies(t *testing.T, measure func(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result) {
 	t.Helper()
-	for _, on := range []bool{true, false} {
-		var got map[string]map[string]bench.Result
-		withSuperblocks(t, on, func() {
-			got = map[string]map[string]bench.Result{}
-			for _, arm := range osrPolicies {
-				got[arm.name] = measure(t, arm.p, arm.p == core.ActiveOSR)
-			}
-		})
+	for _, inert := range []bool{false, true} {
+		got := map[string]map[string]bench.Result{}
+		for _, arm := range osrPolicies {
+			got[arm.name] = measure(t, arm.p, arm.p == core.ActiveOSR, inert)
+		}
 		ref, osr := got["refuse"], got["osr"]
 		if len(ref) == 0 || len(ref) != len(osr) {
-			t.Fatalf("superblocks=%v: measured %d/%d cells", on, len(ref), len(osr))
+			t.Fatalf("inert plan=%v: measured %d/%d cells", inert, len(ref), len(osr))
 		}
 		for k, r := range ref {
 			if r != osr[k] {
-				t.Errorf("superblocks=%v %s: cycles differ with OSR configured:\nrefuse: %+v\nosr:    %+v",
-					on, k, r, osr[k])
+				t.Errorf("inert plan=%v %s: cycles differ with OSR configured:\nrefuse: %+v\nosr:    %+v",
+					inert, k, r, osr[k])
 			}
 		}
 	}

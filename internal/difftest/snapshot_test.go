@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
 	"repro/internal/link"
 	"repro/internal/machine"
@@ -18,7 +19,8 @@ import (
 // retire bit-identical simulated cycles, statistics, state reports,
 // console output and final-state digests as the uninterrupted run.
 // These difftests pin that over the paper's E1 (Figure 1 spinlock) and
-// E4 (musl) workloads, with superblocks on and off.
+// E4 (musl) workloads, on blocks and, with an inert fault plan
+// attached to every machine, on single steps.
 
 // runOutcome is everything observable about a finished run.
 type runOutcome struct {
@@ -32,12 +34,16 @@ type runOutcome struct {
 
 // snapSystem builds a machine+runtime pair manually from a shared
 // image, so every run in a comparison carries identical (absent)
-// observability attachments.
-func snapSystem(t *testing.T, img *link.Image) *core.System {
+// observability attachments. With inert set, an empty fault plan
+// holds the machine's CPUs to single steps.
+func snapSystem(t *testing.T, img *link.Image, inert bool) *core.System {
 	t.Helper()
 	m, err := machine.New(img)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inert {
+		faultinject.Exact().Attach(m)
 	}
 	rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
 	if err != nil {
@@ -82,17 +88,17 @@ func finish(t *testing.T, sys *core.System) runOutcome {
 //	C — a fresh machine restored from B's snapshot and run to the end,
 //
 // and requires all three outcomes bit-identical.
-func checkRestoreInvariance(t *testing.T, img *link.Image, configure func(*core.System), entry string, args ...uint64) {
+func checkRestoreInvariance(t *testing.T, img *link.Image, inert bool, configure func(*core.System), entry string, args ...uint64) {
 	t.Helper()
 
-	sysA := snapSystem(t, img)
+	sysA := snapSystem(t, img, inert)
 	configure(sysA)
 	if err := sysA.Machine.StartCall(sysA.Machine.CPU, entry, args...); err != nil {
 		t.Fatal(err)
 	}
 	a := finish(t, sysA)
 
-	sysB := snapSystem(t, img)
+	sysB := snapSystem(t, img, inert)
 	configure(sysB)
 	if err := sysB.Machine.StartCall(sysB.Machine.CPU, entry, args...); err != nil {
 		t.Fatal(err)
@@ -117,7 +123,7 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, configure func(*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysC := snapSystem(t, img) // pristine: Apply replaces memory, CPUs and bindings
+	sysC := snapSystem(t, img, inert) // pristine: Apply replaces memory, CPUs and bindings
 	if err := snapshot.Apply(restored, sysC.Machine, sysC.RT); err != nil {
 		t.Fatal(err)
 	}
@@ -130,44 +136,46 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, configure func(*core.
 	}
 }
 
+// fig1Image is the E1 Figure 1 multiverse kernel, with configure
+// committing its SMP configuration.
+func fig1Image(t *testing.T) (*link.Image, func(*core.System)) {
+	t.Helper()
+	f, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.System().Machine.Image, func(sys *core.System) {
+		if err := sys.SetSwitch("config_smp", 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RT.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSnapshotRestoreInvarianceFig1(t *testing.T) {
-	for _, sb := range []bool{false, true} {
-		withSuperblocks(t, sb, func() {
-			f, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img := f.System().Machine.Image
-			configure := func(sys *core.System) {
-				if err := sys.SetSwitch("config_smp", 1); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sys.RT.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkRestoreInvariance(t, img, configure, "bench_fig1", 400)
-		})
+	img, configure := fig1Image(t)
+	for _, inert := range []bool{false, true} {
+		checkRestoreInvariance(t, img, inert, configure, "bench_fig1", 400)
 	}
 }
 
 func TestSnapshotRestoreInvarianceMusl(t *testing.T) {
-	for _, sb := range []bool{false, true} {
-		withSuperblocks(t, sb, func() {
-			ml, err := muslsim.BuildMusl(muslsim.Multiverse)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img := ml.System().Machine.Image
-			configure := func(sys *core.System) {
-				if err := sys.SetSwitch("threads_minus_1", 0); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := sys.RT.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkRestoreInvariance(t, img, configure, "bench_fputc", 300)
-		})
+	ml, err := muslsim.BuildMusl(muslsim.Multiverse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := ml.System().Machine.Image
+	configure := func(sys *core.System) {
+		if err := sys.SetSwitch("threads_minus_1", 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.RT.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, inert := range []bool{false, true} {
+		checkRestoreInvariance(t, img, inert, configure, "bench_fputc", 300)
 	}
 }

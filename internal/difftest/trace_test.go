@@ -1,10 +1,17 @@
 package difftest
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/kernelsim"
 	"repro/internal/muslsim"
 	"repro/internal/trace"
@@ -14,7 +21,9 @@ import (
 // so every hook on the interpreter hot path fires) must not change a
 // single simulated cycle. These tests run the E1 (Figure 1 spinlock)
 // and E4 (musl libc) workloads end to end with and without a tracer
-// and require the bench.Result structs to be bit-identical.
+// and require the bench.Result structs to be bit-identical, and every
+// machine's TotalStats too, Decode* and Block* included: a tracer
+// rides the superblocks, so it changes no dispatch decision either.
 
 // withTracer runs f with BuildSystem's default trace collector set to
 // a fresh profiling collector (or left unset), restoring afterwards.
@@ -27,10 +36,32 @@ func withTracer(t *testing.T, on bool, f func()) {
 	f()
 }
 
+// tracedRun is what one measurement leaves: its result and its
+// machine's statistics.
+type tracedRun struct {
+	r     bench.Result
+	stats cpu.Stats
+}
+
+// compareTraced reports every measurement whose result or machine
+// statistics differ between the traced and plain runs.
+func compareTraced(t *testing.T, traced, plain map[string]tracedRun) {
+	t.Helper()
+	if len(traced) == 0 || len(traced) != len(plain) {
+		t.Fatalf("measured %d/%d cells", len(traced), len(plain))
+	}
+	for k, r := range traced {
+		if r != plain[k] {
+			t.Errorf("%s: results differ with tracer on/off:\ntraced: %+v\nplain:  %+v",
+				k, r, plain[k])
+		}
+	}
+}
+
 func TestTracerInvarianceFig1(t *testing.T) {
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(on bool) map[string]bench.Result {
-		out := make(map[string]bench.Result)
+	measure := func(on bool) map[string]tracedRun {
+		out := make(map[string]tracedRun)
 		withTracer(t, on, func() {
 			for _, b := range []kernelsim.Fig1Binding{
 				kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
@@ -44,26 +75,19 @@ func TestTracerInvarianceFig1(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Measure(%v, %v): %v", b, smp, err)
 					}
-					out[b.String()+map[bool]string{false: "/up", true: "/smp"}[smp]] = r
+					out[b.String()+"/"+smpLabel[smp]] = tracedRun{r, sys.System().Machine.TotalStats()}
 				}
 			}
 		})
 		return out
 	}
-	traced := measure(true)
-	plain := measure(false)
-	for k, r := range traced {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with tracer on/off:\ntraced: %+v\nplain:  %+v",
-				k, r, plain[k])
-		}
-	}
+	compareTraced(t, measure(true), measure(false))
 }
 
 func TestTracerInvarianceMusl(t *testing.T) {
 	const samples, iters = 8, 20
-	measure := func(on bool) map[string]bench.Result {
-		out := make(map[string]bench.Result)
+	measure := func(on bool) map[string]tracedRun {
+		out := make(map[string]tracedRun)
 		withTracer(t, on, func() {
 			for _, build := range []muslsim.Build{muslsim.Plain, muslsim.Multiverse} {
 				m, err := muslsim.BuildMusl(build)
@@ -78,18 +102,90 @@ func TestTracerInvarianceMusl(t *testing.T) {
 					if err != nil {
 						t.Fatalf("Measure(%v): %v", f, err)
 					}
-					out[build.String()+"/"+f.String()] = r
+					out[build.String()+"/"+f.String()] = tracedRun{r, m.System().Machine.TotalStats()}
 				}
 			}
 		})
 		return out
 	}
-	traced := measure(true)
-	plain := measure(false)
-	for k, r := range traced {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with tracer on/off:\ntraced: %+v\nplain:  %+v",
-				k, r, plain[k])
+	compareTraced(t, measure(true), measure(false))
+}
+
+// TestTraceGoldens pins the Chrome trace and the folded profile of one
+// small traced and profiled run of E1 (Figure 1, multiverse, SMP) and
+// E4 (musl, multiverse) by length and SHA-256, so a change to how
+// observers ride the interpreter cannot move a single exported event.
+// Rewrite with -update.
+func TestTraceGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fig1_multiverse_smp", func() error {
+			sys, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
+			if err != nil {
+				return err
+			}
+			_, err = sys.Measure(kernelsim.MeasureOpts{Samples: 4, Iters: 10, Warmup: 1})
+			return err
+		}},
+		{"musl_multiverse", func() error {
+			m, err := muslsim.BuildMusl(muslsim.Multiverse)
+			if err != nil {
+				return err
+			}
+			if err := m.SetThreads(false); err != nil {
+				return err
+			}
+			for _, f := range muslsim.Funcs() {
+				if _, err := m.Measure(f, 3, 5); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		col := trace.NewCollector(trace.Options{Profile: true})
+		core.SetDefaultTraceCollector(col)
+		err := tc.run()
+		core.SetDefaultTraceCollector(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		var chrome, folded bytes.Buffer
+		if err := col.WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		if err := col.WriteFolded(&folded); err != nil {
+			t.Fatal(err)
+		}
+		checkDigestGolden(t, tc.name+".json.sha256", chrome.Bytes())
+		checkDigestGolden(t, tc.name+".folded.sha256", folded.Bytes())
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// checkDigestGolden compares got's length and SHA-256 with
+// testdata/name, or rewrites the file under -update.
+func checkDigestGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	line := fmt.Sprintf("%d bytes, sha256 %x\n", len(got), sha256.Sum256(got))
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if line != string(want) {
+		t.Errorf("%s: got %s want %s", path, line, want)
 	}
 }

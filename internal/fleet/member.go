@@ -7,6 +7,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/snapshot"
 	"repro/internal/trace"
@@ -670,6 +671,6 @@ func (t *memberTracer) EmitName(k trace.Kind, addr, a, b uint64, name string) {
 	t.Emit(k, addr, a, b)
 }
 
-func (t *memberTracer) Step(pc, cycles uint64) {}
-func (t *memberTracer) Call(pc, target uint64) {}
-func (t *memberTracer) Ret(pc, target uint64)  {}
+func (t *memberTracer) Step(pc, cycles uint64, in *isa.Inst) {}
+func (t *memberTracer) Call(pc, target uint64)               {}
+func (t *memberTracer) Ret(pc, target uint64)                {}

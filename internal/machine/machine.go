@@ -56,8 +56,8 @@ type Machine struct {
 	// (A = length, B = hardware threads invalidated). Unlike the
 	// per-CPU collector streams it rides no interpreter hot path, so
 	// the flight recorder and watchdog attach here (core.
-	// AttachFlightRecorder / AttachWatchdog) without disturbing the
-	// unobserved fast path.
+	// AttachFlightRecorder / AttachWatchdog) without adding a
+	// per-instruction call.
 	Observer trace.Tracer
 
 	extraCPUs int        // secondary hardware threads added via AddCPU

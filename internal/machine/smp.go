@@ -35,7 +35,6 @@ func (m *Machine) AddCPU() (*cpu.CPU, error) {
 	m.extraCPUs++
 	m.stackTops = append(m.stackTops, top)
 	c := cpu.New(m.Mem, m.CPU.Config())
-	c.SetSuperblocks(m.CPU.SuperblocksEnabled())
 	c.SetReg(isa.SP, top)
 	c.OutB = m.CPU.OutB
 	// The Config copy carries the primary CPU's tracer, whose stream is

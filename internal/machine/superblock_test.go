@@ -5,28 +5,17 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
-// TestAddCPUPropagatesSuperblocks: late-added hardware threads must
-// inherit the primary CPU's superblock setting — an SMP machine runs
-// one dispatch strategy, not a mix.
-func TestAddCPUPropagatesSuperblocks(t *testing.T) {
-	for _, on := range []bool{true, false} {
-		m, err := New(buildPokeImage(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.CPU.SetSuperblocks(on)
-		c, err := m.AddCPU()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.SuperblocksEnabled() != on {
-			t.Errorf("AddCPU with primary superblocks=%v: new CPU has %v",
-				on, c.SuperblocksEnabled())
-		}
-	}
-}
+// inertInjector attaches to a machine and never fires: it holds every
+// CPU to single steps and changes nothing else.
+type inertInjector struct{}
+
+func (inertInjector) ProtectFault(uint64, uint64, mem.Prot) error { return nil }
+func (inertInjector) WriteTear(uint64, int) (int, error)          { return 0, nil }
+func (inertInjector) FetchFault(int, uint64, uint64) error        { return nil }
+func (inertInjector) DropFlush(int, uint64, uint64) bool          { return false }
 
 // TestTextPokeInvalidatesSuperblocks drives the PR 5 cross-modifying
 // poke protocol over text that every CPU holds superblocks for: the
@@ -38,7 +27,6 @@ func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.CPU.SetSuperblocks(true)
 	extra, err := m.AddCPU()
 	if err != nil {
 		t.Fatal(err)
@@ -92,16 +80,19 @@ func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
 }
 
 // TestInterleaveSuperblockInvariance pins SMP interleaving semantics:
-// Interleave single-steps at instruction granularity regardless of the
-// superblock knob, so quantum boundaries, step budgets and final state
-// are identical with superblocks on and off.
+// Interleave single-steps at instruction granularity whether or not
+// an injector holds the CPUs to Step, so quantum boundaries, step
+// budgets and final state are identical with an inert injector
+// attached and without.
 func TestInterleaveSuperblockInvariance(t *testing.T) {
-	runOnce := func(on bool) (uint64, uint64, cpu.Stats) {
+	runOnce := func(inert bool) (uint64, uint64, cpu.Stats) {
 		m, err := New(buildPokeImage(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.CPU.SetSuperblocks(on)
+		if inert {
+			m.SetInjector(inertInjector{})
+		}
 		extra, err := m.AddCPU()
 		if err != nil {
 			t.Fatal(err)
@@ -121,10 +112,10 @@ func TestInterleaveSuperblockInvariance(t *testing.T) {
 		stats.BlockBuilds, stats.BlockHits, stats.BlockInsts, stats.BlockInvalidates = 0, 0, 0, 0
 		return steps, m.CPU.Cycles() + extra.Cycles(), stats
 	}
-	onSteps, onCycles, onStats := runOnce(true)
-	offSteps, offCycles, offStats := runOnce(false)
+	onSteps, onCycles, onStats := runOnce(false)
+	offSteps, offCycles, offStats := runOnce(true)
 	if onSteps != offSteps || onCycles != offCycles || onStats != offStats {
-		t.Errorf("Interleave diverges with superblocks on/off:\non:  steps %d cycles %d %+v\noff: steps %d cycles %d %+v",
+		t.Errorf("Interleave diverges with an inert injector attached:\nbare:  steps %d cycles %d %+v\ninert: steps %d cycles %d %+v",
 			onSteps, onCycles, onStats, offSteps, offCycles, offStats)
 	}
 }

@@ -259,7 +259,7 @@ func putCPU(w *writer, s *cpu.State) {
 	}
 	w.u64(uint64(s.RASN))
 	w.u8(1) // DecodeCache: the decode cache is always on
-	putBool(w, s.Superblocks)
+	w.u8(1) // Superblocks: blocks are always on
 	w.u8(s.Mode)
 	putBool(w, s.IntrOn)
 	w.u64(s.IntrPeriod)
@@ -300,12 +300,14 @@ func getCPU(r *reader, s *cpu.State) {
 		s.RAS = append(s.RAS, r.u64())
 	}
 	s.RASN = int(r.u64())
-	if v := r.u8(); v != 1 && r.err == nil {
-		// Taken with the decode cache off: its DecodeHits could never
-		// match a run restored into a CPU whose cache is always on.
-		r.fail("cpu state DecodeCache byte %d at offset %d, want 1 (the decode cache can no longer be off)", v, r.off-1)
+	for _, name := range []string{"DecodeCache", "Superblocks"} {
+		if v := r.u8(); v != 1 && r.err == nil {
+			// Taken with the decode cache or superblocks off: its Decode*
+			// or Block* counters could never match a restored run, where
+			// both are always on.
+			r.fail("cpu state %s byte %d at offset %d, want 1 (it can no longer be off)", name, v, r.off-1)
+		}
 	}
-	s.Superblocks = getBool(r)
 	s.Mode = r.u8()
 	s.IntrOn = getBool(r)
 	s.IntrPeriod = r.u64()

@@ -368,8 +368,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	// A CPU captured with the decode cache off (its byte 0, the one
-	// after RASN) is validly sealed but not restorable: the cache can
-	// no longer be turned off, so its DecodeHits could never match.
+	// after RASN) or with superblocks off (0 in the byte after that) is
+	// validly sealed but not restorable: neither can be turned off any
+	// more, so its DecodeHits or Block* counters could never match.
 	s, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
@@ -378,13 +379,15 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	s.CPUs[0].RASN = marker
 	enc := s.Encode(nil)
 	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8
-	if at < 8 || enc[at] != 1 {
-		t.Fatalf("DecodeCache byte not found after RASN (at %d)", at)
+	if at < 8 || enc[at] != 1 || enc[at+1] != 1 {
+		t.Fatalf("DecodeCache and Superblocks bytes not found after RASN (at %d)", at)
 	}
-	body := append([]byte(nil), enc[:len(enc)-4]...) // unsealed: header and payload
-	body[at] = 0
-	if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), "DecodeCache") {
-		t.Errorf("decoding a CPU captured with the decode cache off: err = %v, want one naming DecodeCache", err)
+	for i, name := range []string{"DecodeCache", "Superblocks"} {
+		body := append([]byte(nil), enc[:len(enc)-4]...) // unsealed: header and payload
+		body[at+i] = 0
+		if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("decoding a CPU captured with its %s byte 0: err = %v, want one naming %s", name, err, name)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/isa"
 )
 
 // The always-on flight recorder: a tiny bounded ring of
@@ -16,9 +18,8 @@ import (
 //
 // The recorder is deliberately cheap: it implements Tracer with no-op
 // Step/Call/Ret (it never attaches to a CPU's hot path — doing so
-// would disable the unobserved superblock interpreter), filters to the
-// flight kinds below, and allocates nothing per event once the ring is
-// warm.
+// would add a call per instruction), filters to the flight kinds
+// below, and allocates nothing per event once the ring is warm.
 
 // FlightLimit is the default flight-recorder ring bound.
 const FlightLimit = 256
@@ -109,7 +110,7 @@ func (r *Recorder) EmitName(k Kind, addr, a, b uint64, name string) {
 
 // Step implements Tracer as a no-op: the recorder never observes the
 // interpreter hot path.
-func (r *Recorder) Step(pc, cycles uint64) {}
+func (r *Recorder) Step(pc, cycles uint64, in *isa.Inst) {}
 
 // Call implements Tracer as a no-op.
 func (r *Recorder) Call(pc, target uint64) {}

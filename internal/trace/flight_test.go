@@ -9,7 +9,7 @@ func TestRecorderFiltersToFlightKinds(t *testing.T) {
 	r := NewRecorder(0)
 	r.Emit(KindPatchSite, 0x100, 4, 0)   // high-rate kind: dropped
 	r.Emit(KindFlushICache, 0x100, 4, 0) // high-rate kind: dropped
-	r.Step(0x100, 1)                     // CPU hooks are no-ops
+	r.Step(0x100, 1, nil)                // CPU hooks are no-ops
 	r.Call(0x100, 0x200)
 	r.Ret(0x200, 0x104)
 	r.Emit(KindCommitAbort, 0, 1, 0)

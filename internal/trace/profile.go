@@ -5,12 +5,15 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // The cycle-attribution profiler.
 //
-// Attribution model: the interpreter calls Step(pc, cycles) once per
-// instruction, before executing it. The cycle delta between two
+// Attribution model: the interpreter calls Step(pc, cycles, in) once
+// per instruction, before executing it, in single steps and
+// superblocks alike. The cycle delta between two
 // consecutive Steps — the cost of the instruction in between, plus
 // any interrupt serviced after it — is charged to the call stack that
 // was current when time advanced. Call/Ret maintain that stack from
@@ -89,7 +92,7 @@ func (s *Stream) flushProf(p *Profiler) {
 
 // Step implements Tracer; it feeds the profiler and is a no-op unless
 // profiling is enabled.
-func (s *Stream) Step(pc, cycles uint64) {
+func (s *Stream) Step(pc, cycles uint64, in *isa.Inst) {
 	p := s.col.prof
 	if p == nil {
 		return

@@ -1,5 +1,7 @@
 package trace
 
+import "repro/internal/isa"
+
 // Tee fans every tracer call out to multiple sinks, so the always-on
 // flight recorder and the cycle-domain watchdog can ride alongside an
 // opt-in collector stream on the same hook. Span updates are forwarded
@@ -48,9 +50,9 @@ func (t *Tee) EmitName(k Kind, addr, a, b uint64, name string) {
 }
 
 // Step implements Tracer.
-func (t *Tee) Step(pc, cycles uint64) {
+func (t *Tee) Step(pc, cycles uint64, in *isa.Inst) {
 	for _, s := range t.sinks {
-		s.Step(pc, cycles)
+		s.Step(pc, cycles, in)
 	}
 }
 
@@ -76,3 +78,14 @@ func (t *Tee) SetSpan(id uint64) {
 		}
 	}
 }
+
+// StepFunc adapts a function to a Tracer that observes only Step, such
+// as an instruction tracer or a cycle-driven sampler teed onto whatever
+// else is attached. Its other methods do nothing.
+type StepFunc func(pc, cycles uint64, in *isa.Inst)
+
+func (f StepFunc) Step(pc, cycles uint64, in *isa.Inst)          { f(pc, cycles, in) }
+func (StepFunc) Emit(k Kind, addr, a, b uint64)                  {}
+func (StepFunc) EmitName(k Kind, addr, a, b uint64, name string) {}
+func (StepFunc) Call(pc, target uint64)                          {}
+func (StepFunc) Ret(pc, target uint64)                           {}

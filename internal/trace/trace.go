@@ -20,15 +20,20 @@
 //     name through a SymTable built from the linked image.
 //
 // The package deliberately depends on nothing but the standard
-// library so that the lowest layers (internal/mem, internal/cpu) can
-// emit events without import cycles. A nil Tracer means tracing is
+// library and internal/isa (which imports nothing of this repository)
+// so that the lowest layers (internal/mem, internal/cpu) can emit
+// events without import cycles. A nil Tracer means tracing is
 // off; every hook in the hot interpreter path is a single
 // pointer-nil check and costs no allocations (the difftests assert
 // that simulated cycle counts are bit-identical with tracing on and
 // off, and BenchmarkInterpreterThroughput bounds the host-side cost).
 package trace
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/isa"
+)
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -224,16 +229,19 @@ type SpanCarrier interface {
 // with any tracer attached or none).
 //
 // Emit/EmitName record variability and machine events; Step, Call and
-// Ret feed the cycle-attribution profiler and are called on the
-// interpreter hot path (scalar arguments only, no allocations).
+// Ret feed the cycle-attribution profiler, instruction tracing and
+// sampling, and are called on the interpreter hot path, in single
+// steps and superblocks alike (no allocations).
 type Tracer interface {
 	// Emit records an event; the implementation stamps the cycle.
 	Emit(k Kind, addr, a, b uint64)
 	// EmitName is Emit with a symbolic label.
 	EmitName(k Kind, addr, a, b uint64, name string)
-	// Step observes one retired instruction: its pc and the cycle
-	// counter before execution.
-	Step(pc, cycles uint64)
+	// Step observes one instruction before it executes: its pc, the
+	// cycle counter and the instruction the CPU decoded, which is what
+	// executes even where memory has since been patched without a
+	// flush. in is valid only for the call.
+	Step(pc, cycles uint64, in *isa.Inst)
 	// Call observes a call edge from the instruction at pc to target.
 	Call(pc, target uint64)
 	// Ret observes a return from the instruction at pc to target.

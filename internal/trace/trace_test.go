@@ -118,7 +118,7 @@ func TestProfilerFoldedStacks(t *testing.T) {
 	s := c.NewStream("cpu0", func() uint64 { return cyc })
 
 	step := func(pc, cost uint64) {
-		s.Step(pc, cyc)
+		s.Step(pc, cyc, nil)
 		cyc += cost
 	}
 	step(100, 10) // main
@@ -159,7 +159,7 @@ func TestProfilerFoldedStacks(t *testing.T) {
 func TestProfilerDisabledHooksAreNoops(t *testing.T) {
 	c := NewCollector(Options{})
 	s := c.NewStream("cpu0", nil)
-	s.Step(1, 2)
+	s.Step(1, 2, nil)
 	s.Call(3, 4)
 	s.Ret(5, 6)
 	if c.Profile() != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // The cycle-domain invariant watchdog: configurable monitors over the
@@ -230,7 +232,7 @@ func (w *Watchdog) Emit(k Kind, addr, a, b uint64) { w.observe(k, a, b) }
 func (w *Watchdog) EmitName(k Kind, addr, a, b uint64, name string) { w.observe(k, a, b) }
 
 // Step implements Tracer as a no-op.
-func (w *Watchdog) Step(pc, cycles uint64) {}
+func (w *Watchdog) Step(pc, cycles uint64, in *isa.Inst) {}
 
 // Call implements Tracer as a no-op.
 func (w *Watchdog) Call(pc, target uint64) {}
