@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race smoke examples trace-smoke checkpoint-smoke fleet-smoke bench
+.PHONY: check fmt vet build test race mvperf smoke examples trace-smoke checkpoint-smoke fleet-smoke bench
 
-check: fmt vet build test race smoke examples trace-smoke checkpoint-smoke fleet-smoke
+check: fmt vet build test race mvperf smoke examples trace-smoke checkpoint-smoke fleet-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,6 +22,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is a nested module, so `go build ./...` never
+# compiles it: vet and test it here against the tree's current API.
+mvperf:
+	cd mvperf && $(GO) vet . && $(GO) test .
 
 # A quick end-to-end run of the Figure 1 experiment, once plain and
 # once under -trace: the two tables must be identical apart from the

@@ -38,8 +38,8 @@ var (
 // jsonEntry is one measurement in the -json output. Counters carries
 // the machine-activity deltas attributable to this measurement: every
 // system any experiment builds registers into one shared metrics
-// registry (see core.BuildSystem), and record diffs the aggregated
-// totals since the previous measurement.
+// registry (obs.Metrics), and record diffs the aggregated totals since
+// the previous measurement.
 type jsonEntry struct {
 	Experiment string            `json:"experiment"`
 	Label      string            `json:"label"`
@@ -50,11 +50,13 @@ type jsonEntry struct {
 var (
 	results []jsonEntry
 
-	// registry aggregates every system built during the run; deltas
-	// attributes its counter activity to individual measurements (per
-	// -repeat round, never against run start — see metrics.DeltaTracker).
-	registry = metrics.New()
-	deltas   = metrics.NewDeltaTracker(registry)
+	// obs observes every system an experiment builds: its registry
+	// aggregates them all, and under -trace its collector records them
+	// all into one file. deltas attributes the registry's counter
+	// activity to individual measurements (per -repeat round, never
+	// against run start — see metrics.DeltaTracker).
+	obs    = core.Observers{Metrics: metrics.New()}
+	deltas = metrics.NewDeltaTracker(obs.Metrics)
 )
 
 // recordedCounters are the per-measurement activity deltas exported in
@@ -92,17 +94,11 @@ func opts() kernelsim.MeasureOpts {
 
 func main() {
 	flag.Parse()
-	// Every system any experiment builds registers into this one
-	// registry; attaching is scrape-time-only, so the cycle numbers in
-	// the tables are bit-identical with or without it (the difftests
-	// assert exactly that).
-	core.SetDefaultMetricsRegistry(registry)
-	var col *trace.Collector
+	// Observing is passive (metrics are read at scrape time, tracers
+	// ride the superblocks), so the cycle numbers in the tables are
+	// bit-identical with or without -trace; the difftests assert it.
 	if *tracePath != "" {
-		// Every system any experiment builds attaches to this collector
-		// (see core.BuildSystem), so one file captures the whole run.
-		col = trace.NewCollector(trace.Options{})
-		core.SetDefaultTraceCollector(col)
+		obs.Trace = trace.NewCollector(trace.Options{})
 	}
 	experiments := map[string]func() error{
 		"fig1":               fig1,
@@ -138,7 +134,7 @@ func main() {
 			fmt.Println()
 		}
 	}
-	if err := writeOutputs(col); err != nil {
+	if err := writeOutputs(obs.Trace); err != nil {
 		fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
 		os.Exit(1)
 	}
@@ -159,7 +155,7 @@ func writeOutputs(col *trace.Collector) error {
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonOutput{Results: results, Metrics: registry.Snapshot()}); err != nil {
+		if err := enc.Encode(jsonOutput{Results: results, Metrics: obs.Metrics.Snapshot()}); err != nil {
 			f.Close()
 			return err
 		}
@@ -192,7 +188,7 @@ func fig1() error {
 	for _, b := range []kernelsim.Fig1Binding{kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse} {
 		row := []string{b.String()}
 		for _, smp := range []bool{false, true} {
-			sys, err := kernelsim.BuildFig1(b, smp)
+			sys, err := kernelsim.BuildFig1(b, smp, obs)
 			if err != nil {
 				return err
 			}
@@ -217,7 +213,7 @@ func fig4Spinlock() error {
 		kernelsim.SpinMultiverse, kernelsim.SpinStaticUP} {
 		row := []string{k.String()}
 		for _, smp := range []bool{false, true} {
-			s, err := kernelsim.BuildSpin(k)
+			s, err := kernelsim.BuildSpin(k, obs)
 			if err != nil {
 				return err
 			}
@@ -245,7 +241,7 @@ func fig4PVOps() error {
 	for _, k := range []kernelsim.PVKernel{kernelsim.PVCurrent, kernelsim.PVMultiverse, kernelsim.PVDisabled} {
 		row := []string{k.String()}
 		for _, env := range []kernelsim.PVEnv{kernelsim.EnvNative, kernelsim.EnvXen} {
-			p, err := kernelsim.BuildPV(k, env)
+			p, err := kernelsim.BuildPV(k, env, obs)
 			if err != nil {
 				row = append(row, "n/a")
 				continue
@@ -277,7 +273,7 @@ func fig5() error {
 		var per [2]map[muslsim.Func]cell
 		for bi, b := range builds {
 			per[bi] = make(map[muslsim.Func]cell)
-			m, err := muslsim.BuildMusl(b)
+			m, err := muslsim.BuildMusl(b, obs)
 			if err != nil {
 				return err
 			}
@@ -323,7 +319,7 @@ func grep() error {
 	var rows [][]string
 	var plainMean float64
 	for _, b := range []grepsim.Build{grepsim.Plain, grepsim.Multiverse} {
-		g, err := grepsim.BuildGrep(b)
+		g, err := grepsim.BuildGrep(b, obs)
 		if err != nil {
 			return err
 		}
@@ -359,7 +355,7 @@ func cpython() error {
 	var rows [][]string
 	var plainMean float64
 	for _, b := range []pysim.Build{pysim.Plain, pysim.Multiverse} {
-		p, err := pysim.BuildPython(b)
+		p, err := pysim.BuildPython(b, obs)
 		if err != nil {
 			return err
 		}
@@ -386,7 +382,7 @@ func cpython() error {
 }
 
 func overheads() error {
-	sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites)
+	sys, err := kernelsim.BuildManyCallSites(kernelsim.PaperCallSites, obs)
 	if err != nil {
 		return err
 	}
@@ -419,7 +415,7 @@ func overheads() error {
 func ablationBTB() error {
 	var rows [][]string
 	for _, b := range []kernelsim.Fig1Binding{kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse} {
-		sys, err := kernelsim.BuildFig1(b, false)
+		sys, err := kernelsim.BuildFig1(b, false, obs)
 		if err != nil {
 			return err
 		}
@@ -444,7 +440,7 @@ func ablationBTB() error {
 
 func ablationMechanism() error {
 	build := func(configure func(rt *core.Runtime)) (bench.Result, error) {
-		s, err := kernelsim.BuildSpin(kernelsim.SpinMultiverse)
+		s, err := kernelsim.BuildSpin(kernelsim.SpinMultiverse, obs)
 		if err != nil {
 			return bench.Result{}, err
 		}
@@ -485,7 +481,7 @@ func alternative() error {
 	for _, k := range []kernelsim.AltKernel{kernelsim.AltMacro, kernelsim.AltMultiverse} {
 		row := []string{k.String()}
 		for _, feature := range []bool{false, true} {
-			a, err := kernelsim.BuildAlt(k, feature)
+			a, err := kernelsim.BuildAlt(k, feature, obs)
 			if err != nil {
 				return err
 			}

@@ -161,18 +161,14 @@ func run(path string) (err error) {
 		return nil
 	}
 
-	var col *trace.Collector
+	var obs core.Observers
 	if *traceOut != "" || *profileOut != "" {
-		col = trace.NewCollector(trace.Options{Profile: *profileOut != ""})
-		core.AttachTracer(col, m, rt)
+		obs.Trace = trace.NewCollector(trace.Options{Profile: *profileOut != ""})
 	}
 
-	// The flight recorder tees onto whatever tracer is attached, so it
-	// must come after AttachTracer (which replaces rt's tracer).
-	var rec *trace.Recorder
 	if *flightOut != "" {
-		rec = trace.NewRecorder(0)
-		core.AttachFlightRecorder(rec, m, rt)
+		rec := trace.NewRecorder(0)
+		obs.Flight = rec
 		if *flightSnap {
 			// On failure, freeze the machine alongside the event ring:
 			// the snapshot restores to the exact failure-point state, so
@@ -217,14 +213,13 @@ func run(path string) (err error) {
 		}()
 	}
 
-	var wd *trace.Watchdog
 	if *watchdog || *watchdogRules != "" {
 		rules, rerr := trace.ParseWatchdogRules(*watchdogRules)
 		if rerr != nil {
 			return rerr
 		}
-		wd = trace.NewWatchdog(rules)
-		core.AttachWatchdog(wd, m, rt)
+		wd := trace.NewWatchdog(rules)
+		obs.Watchdog = wd
 		defer func() {
 			if !wd.Fired() {
 				return
@@ -239,17 +234,11 @@ func run(path string) (err error) {
 		}()
 	}
 
-	var reg *metrics.Registry
 	if *metricsAddr != "" || *samplePath != "" {
-		reg = metrics.New()
-		core.AttachMetrics(reg, m, rt)
-		if col != nil {
-			core.AttachTraceMetrics(reg, col)
-		}
-		if wd != nil {
-			core.AttachWatchdogMetrics(reg, wd)
-		}
+		obs.Metrics = metrics.New()
 	}
+	obs.Attach(m, rt)
+	reg := obs.Metrics
 	if *metricsAddr != "" {
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
@@ -505,14 +494,14 @@ func run(path string) (err error) {
 		fmt.Printf("console: %q\n", out)
 	}
 	if *traceOut != "" {
-		if err := writeFile(*traceOut, col.WriteChromeTrace); err != nil {
+		if err := writeFile(*traceOut, obs.Trace.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("trace: %d events -> %s\n", len(col.Events()), *traceOut)
+		fmt.Printf("trace: %d events -> %s\n", len(obs.Trace.Events()), *traceOut)
 		// Per-CPU drop accounting on stderr: a stream that overflowed
 		// its ring buffer silently lost its oldest events, and the user
 		// should know which CPU's view is truncated.
-		for _, ss := range col.StreamStats() {
+		for _, ss := range obs.Trace.StreamStats() {
 			fmt.Fprintf(os.Stderr, "mvrun: trace stream %-8s %8d events, %d dropped\n",
 				ss.Label, ss.Events, ss.Dropped)
 			if ss.Dropped > 0 {
@@ -521,10 +510,10 @@ func run(path string) (err error) {
 		}
 	}
 	if *profileOut != "" {
-		if err := writeFile(*profileOut, col.WriteFolded); err != nil {
+		if err := writeFile(*profileOut, obs.Trace.WriteFolded); err != nil {
 			return err
 		}
-		fmt.Printf("profile: %d stacks -> %s\n", len(col.Profile().Folded), *profileOut)
+		fmt.Printf("profile: %d stacks -> %s\n", len(obs.Trace.Profile().Folded), *profileOut)
 	}
 	return nil
 }

@@ -181,7 +181,7 @@ func newRunner(seed int64, cfg Config) (*runner, error) {
 	// the Result carries the last commit-lifecycle events as the
 	// failure's causal record (mvstress attaches it to artifacts).
 	r.rec = trace.NewRecorder(0)
-	core.AttachFlightRecorder(r.rec, r.m, r.rt)
+	core.Observers{Flight: r.rec}.Attach(r.m, r.rt)
 
 	r.pristine, err = snapshotExec(r.m)
 	if err != nil {
@@ -535,7 +535,7 @@ func (w *e1Workload) importModel([]uint64)  {}
 // always-true invariants of every consistent binding: the preemption
 // counter balances back to zero and the lock word ends released.
 func (w *e1Workload) check(m *machine.Machine, rng *rand.Rand) error {
-	if _, err := callResumed(m, "bench_spin", uint64(20+rng.Intn(30))); err != nil {
+	if _, err := CallResumed(m, "bench_spin", uint64(20+rng.Intn(30))); err != nil {
 		return err
 	}
 	lw, err := w.ks.LockWord()
@@ -656,12 +656,12 @@ const (
 func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	// Reseed and advance the LCG a known number of steps.
 	seed := rng.Uint64()
-	if _, err := callResumed(m, "srandom_", seed); err != nil {
+	if _, err := CallResumed(m, "srandom_", seed); err != nil {
 		return err
 	}
 	w.randState = seed
 	n := uint64(10 + rng.Intn(30))
-	if _, err := callResumed(m, "bench_random", n); err != nil {
+	if _, err := CallResumed(m, "bench_random", n); err != nil {
 		return err
 	}
 	for i := uint64(0); i < n; i++ {
@@ -676,7 +676,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	}
 	// One direct draw returns the model's next output.
 	w.randState = w.randState*lcgMul + lcgAdd
-	r, err := callResumed(m, "random_")
+	r, err := CallResumed(m, "random_")
 	if err != nil {
 		return err
 	}
@@ -686,7 +686,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 
 	// Stream position model for the buffered fputc.
 	k := uint64(100 + rng.Intn(400))
-	if _, err := callResumed(m, "bench_fputc", k); err != nil {
+	if _, err := CallResumed(m, "bench_fputc", k); err != nil {
 		return err
 	}
 	for i := uint64(0); i < k; i++ {
@@ -710,7 +710,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	}
 
 	// Exercise malloc/free and require the lock released afterwards.
-	if _, err := callResumed(m, "bench_malloc", 20, 16); err != nil {
+	if _, err := CallResumed(m, "bench_malloc", 20, 16); err != nil {
 		return err
 	}
 	if lock, err := m.ReadGlobal("malloc_lock", 8); err != nil {
@@ -753,7 +753,7 @@ func CallResumed(m *machine.Machine, name string, args ...uint64) (uint64, error
 	}
 	for {
 		if _, err := c.Run(m.MaxSteps); err != nil {
-			if isInjectedFetchFault(err) {
+			if IsInjectedFetchFault(err) {
 				continue
 			}
 			return 0, err
@@ -762,16 +762,11 @@ func CallResumed(m *machine.Machine, name string, args ...uint64) (uint64, error
 	}
 }
 
-// callResumed keeps the package-internal name used by the workloads.
-func callResumed(m *machine.Machine, name string, args ...uint64) (uint64, error) {
-	return CallResumed(m, name, args...)
-}
-
 // stepToHalt drives a CPU until it halts, riding out injected fetch
 // faults.
 func stepToHalt(c *cpu.CPU, limit int) error {
 	for i := 0; i < limit && !c.Halted(); i++ {
-		if err := c.Step(); err != nil && !isInjectedFetchFault(err) {
+		if err := c.Step(); err != nil && !IsInjectedFetchFault(err) {
 			return err
 		}
 	}
@@ -784,7 +779,7 @@ func stepToHalt(c *cpu.CPU, limit int) error {
 // stepSome executes up to n instructions (stopping early at halt).
 func stepSome(c *cpu.CPU, n int) error {
 	for i := 0; i < n && !c.Halted(); i++ {
-		if err := c.Step(); err != nil && !isInjectedFetchFault(err) {
+		if err := c.Step(); err != nil && !IsInjectedFetchFault(err) {
 			return err
 		}
 	}
@@ -815,8 +810,6 @@ func IsInjectedFetchFault(err error) bool {
 	var inj *faultinject.Fault
 	return errors.As(err, &inj) && inj.Point.Kind == faultinject.KindFetchFault
 }
-
-func isInjectedFetchFault(err error) bool { return IsInjectedFetchFault(err) }
 
 // assertOutsidePatchRanges checks no running CPU's PC sits inside a
 // text range the runtime may rewrite — the paper's interrupt-window

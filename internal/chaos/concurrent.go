@@ -68,7 +68,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 	// Flight recorder: failed runs carry their last commit-lifecycle
 	// events (see Run).
 	rec := trace.NewRecorder(0)
-	core.AttachFlightRecorder(rec, m, rt)
+	core.Observers{Flight: rec}.Attach(m, rt)
 	defer func() {
 		if err != nil {
 			d := rec.Dump("chaos property violation")
@@ -122,7 +122,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 			if err == nil {
 				continue
 			}
-			if isInjectedFetchFault(err) {
+			if IsInjectedFetchFault(err) {
 				continue
 			}
 			if tf := cpu.AsTrap(err); tf != nil {
@@ -222,7 +222,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 				if err == nil {
 					continue
 				}
-				if isInjectedFetchFault(err) {
+				if IsInjectedFetchFault(err) {
 					continue
 				}
 				if tf := cpu.AsTrap(err); tf != nil {

@@ -195,13 +195,9 @@ func (rt *Runtime) auditPrologue(fs *funcState) error {
 
 // auditProt checks that the page holding a text address is executable
 // and not writable — a stranded RW page means a protection flip never
-// got undone. Skipped when the platform cannot report protections.
+// got undone.
 func (rt *Runtime) auditProt(what string, addr uint64) error {
-	pp, ok := rt.plat.(Protter)
-	if !ok {
-		return nil
-	}
-	prot, mapped := pp.ProtAt(addr)
+	prot, mapped := rt.plat.ProtAt(addr)
 	if !mapped {
 		return fmt.Errorf("core: audit: %s %#x is unmapped", what, addr)
 	}

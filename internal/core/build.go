@@ -54,14 +54,14 @@ type System struct {
 	Report  *GenReport
 }
 
-// BuildSystem compiles, links, loads and attaches a user-space
-// runtime. Machine options (cost model, W^X) may be supplied.
-func BuildSystem(opts GenOptions, machOpts []machine.Option, srcs ...Source) (*System, error) {
+// BuildSystem compiles, links and loads the sources, attaches a
+// user-space runtime, and wires in obs (nil observes nothing).
+func BuildSystem(opts GenOptions, obs *Observers, srcs ...Source) (*System, error) {
 	img, rep, err := BuildImage(opts, srcs...)
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(img, machOpts...)
+	m, err := machine.New(img)
 	if err != nil {
 		return nil, err
 	}
@@ -69,19 +69,20 @@ func BuildSystem(opts GenOptions, machOpts []machine.Option, srcs ...Source) (*S
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Machine: m, RT: rt, Report: rep}
-	if defaultTraceCollector != nil {
-		s.AttachTracer(defaultTraceCollector)
+	if obs != nil {
+		obs.Attach(m, rt)
 	}
-	if defaultMetricsRegistry != nil {
-		AttachMetrics(defaultMetricsRegistry, m, rt)
+	return &System{Machine: m, RT: rt, Report: rep}, nil
+}
+
+// Observed returns the first of an optional trailing observers
+// argument, or nil for none: the experiment builders take their
+// observers that way and hand them to BuildSystem.
+func Observed(obs []Observers) *Observers {
+	if len(obs) == 0 {
+		return nil
 	}
-	// After the tracer: AttachTracer replaces rt.Tracer, the recorder
-	// tees onto it.
-	if defaultFlightRecorder != nil {
-		s.AttachFlightRecorder(defaultFlightRecorder)
-	}
-	return s, nil
+	return &obs[0]
 }
 
 // SetSwitch writes a value into a configuration switch by name.

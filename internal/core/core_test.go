@@ -536,7 +536,7 @@ func TestKernelPlatformPatchesThroughRX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := NewRuntime(img, &KernelPlatform{M: m})
+	rt, err := NewRuntime(img, &KernelPlatform{UserPlatform{M: m}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +616,8 @@ func TestCommitIdempotent(t *testing.T) {
 // function or switch fails before it counts, traces or times anything.
 func TestRuntimeAPIErrors(t *testing.T) {
 	sys := buildFig2(t)
-	mm := AttachMetrics(metrics.New(), sys.Machine, sys.RT)
+	Observers{Metrics: metrics.New()}.Attach(sys.Machine, sys.RT)
+	mm := sys.RT.metrics
 	var events strings.Builder
 	sys.RT.Tracer = &eventLog{sym: symbolizer(sys), out: &events}
 	for _, c := range []struct {

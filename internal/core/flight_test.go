@@ -18,7 +18,7 @@ import (
 func TestAbortFlightDumpShowsSpanTree(t *testing.T) {
 	sys := buildFig2(t)
 	rec := trace.NewRecorder(0)
-	sys.AttachFlightRecorder(rec)
+	Observers{Flight: rec}.Attach(sys.Machine, sys.RT)
 	sys.RT.SetCommitOptions(CommitOptions{Mode: ModeTextPoke})
 	if err := sys.SetSwitch("A", 1); err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestAbortFlightDumpShowsSpanTree(t *testing.T) {
 func TestOpSpansAreDistinct(t *testing.T) {
 	sys := buildFig2(t)
 	rec := trace.NewRecorder(0)
-	sys.AttachFlightRecorder(rec)
+	Observers{Flight: rec}.Attach(sys.Machine, sys.RT)
 
 	setAndCommit(t, sys, map[string]int64{"A": 1, "B": 1})
 	if err := sys.RT.Revert(); err != nil {
@@ -149,9 +149,8 @@ func TestWatchdogMetricsEndToEnd(t *testing.T) {
 	wd := trace.NewWatchdog([]trace.WatchdogRule{
 		{Name: "test-commit", Kind: trace.KindCommitEnd, Field: 'a', Threshold: 0},
 	})
-	sys.AttachWatchdog(wd)
 	reg := metrics.New()
-	AttachWatchdogMetrics(reg, wd)
+	Observers{Watchdog: wd, Metrics: reg}.Attach(sys.Machine, sys.RT)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

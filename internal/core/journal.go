@@ -140,15 +140,6 @@ func (rt *Runtime) noteSite(st *siteState) {
 	}
 }
 
-// snapshotProt captures the protection of the page holding addr, when
-// the platform can tell.
-func (rt *Runtime) snapshotProt(addr uint64) (mem.Prot, bool) {
-	if pp, ok := rt.plat.(Protter); ok {
-		return pp.ProtAt(addr)
-	}
-	return 0, false
-}
-
 // writeText performs one journaled text write, dispatching on the
 // commit mode: in ModeTextPoke a multi-byte rewrite goes through the
 // breakpoint protocol (pokeWrite, sync.go) so CPUs racing the write
@@ -174,7 +165,7 @@ func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
 	e := rt.newEntry()
 	e.addr = addr
 	e.n = uint8(copy(e.old[:], old))
-	e.prot, e.hasProt = rt.snapshotProt(addr)
+	e.prot, e.hasProt = rt.plat.ProtAt(addr)
 	var err error
 	for attempt := 0; attempt < maxPatchRetries; attempt++ {
 		if attempt > 0 {
@@ -199,15 +190,11 @@ func (rt *Runtime) writeTextDirect(addr uint64, old, data []byte) error {
 // after a fault fired, so fault-free executions remain cycle-identical
 // to a build without any of this machinery.
 func (rt *Runtime) backoff(attempt int) {
-	ca, ok := rt.plat.(CycleAdvancer)
-	if !ok {
-		return
-	}
 	n := uint64(backoffBase) << (attempt - 1)
 	if n > backoffCap {
 		n = backoffCap
 	}
-	ca.AdvanceCycles(n)
+	rt.plat.AdvanceCycles(n)
 }
 
 // repairEntry best-effort restores one journal entry: journaled bytes
@@ -217,14 +204,9 @@ func (rt *Runtime) backoff(attempt int) {
 // plan runs dry or the bound trips.
 func (rt *Runtime) repairEntry(e *journalEntry) error {
 	var errs []error
-	restore := func(addr uint64, buf []byte) error { return rt.plat.Patch(addr, buf) }
-	if r, ok := rt.plat.(Restorer); ok {
-		restore = r.Restore
-	}
-	old := e.old[:e.n]
 	var err error
 	for try := 0; try < maxRestoreTries; try++ {
-		if err = restore(e.addr, old); err == nil {
+		if err = rt.plat.Restore(e.addr, e.old[:e.n]); err == nil {
 			break
 		}
 	}
@@ -232,15 +214,13 @@ func (rt *Runtime) repairEntry(e *journalEntry) error {
 		errs = append(errs, fmt.Errorf("core: rollback of %#x: %w", e.addr, err))
 	}
 	if e.hasProt {
-		if pr, ok := rt.plat.(Protector); ok {
-			for try := 0; try < maxRestoreTries; try++ {
-				if err = pr.SetProt(e.addr, uint64(e.n), e.prot); err == nil {
-					break
-				}
+		for try := 0; try < maxRestoreTries; try++ {
+			if err = rt.plat.SetProt(e.addr, uint64(e.n), e.prot); err == nil {
+				break
 			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("core: rollback of %#x protection: %w", e.addr, err))
-			}
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: rollback of %#x protection: %w", e.addr, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -249,25 +229,11 @@ func (rt *Runtime) repairEntry(e *journalEntry) error {
 // verifyFlushes re-broadcasts the icache shootdown for every range the
 // transaction touched until no hardware thread caches stale bytes —
 // the acknowledge loop of a real shootdown protocol, and the defense
-// against injected dropped-flush faults. Without a FlushVerifier
-// platform it is a no-op.
+// against injected dropped-flush faults.
 func (rt *Runtime) verifyFlushes(entries []journalEntry) {
-	fv, ok := rt.plat.(FlushVerifier)
-	if !ok {
-		return
-	}
 	for i := range entries {
-		e := &entries[i]
-		if e.site != nil || e.undo != nil {
-			continue // not a text write
-		}
-		n := uint64(e.n)
-		for try := 0; try < maxFlushVerify && fv.ICacheStale(e.addr, n); try++ {
-			rt.Stats.FlushRetries++
-			if rt.Tracer != nil {
-				rt.Tracer.Emit(trace.KindFlushRetry, e.addr, n, uint64(try+1))
-			}
-			rt.plat.FlushICache(e.addr, n)
+		if e := &entries[i]; e.site == nil && e.undo == nil { // a text write
+			rt.flushAck(e.addr, uint64(e.n))
 		}
 	}
 }

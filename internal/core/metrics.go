@@ -11,7 +11,7 @@ import (
 )
 
 // This file wires the simulated stack into the metrics registry
-// (internal/metrics). The split mirrors AttachTracer: the hot layers
+// (internal/metrics). The split mirrors the tracer's: the hot layers
 // keep plain struct counters (cpu.Stats, mem.Stats, RuntimeStats) and
 // the registry reads them through closures at scrape time, so the
 // interpreter's stepFast loop never sees a metrics call and the
@@ -49,24 +49,10 @@ const (
 	CostCommitSite    = 40  // one patched, inlined or restored site / prologue
 )
 
-// defaultMetricsRegistry, when non-nil, is attached to every System
-// that BuildSystem constructs — the same global-toggle idiom as
-// SetDefaultTraceCollector, for the same reason: mvbench and the
-// difftests build systems deep inside experiment helpers.
-var defaultMetricsRegistry *metrics.Registry
-
-// SetDefaultMetricsRegistry installs (or, with nil, removes) the
-// registry that BuildSystem auto-attaches to new systems.
-func SetDefaultMetricsRegistry(r *metrics.Registry) { defaultMetricsRegistry = r }
-
-// DefaultMetricsRegistry returns the registry BuildSystem attaches.
-func DefaultMetricsRegistry() *metrics.Registry { return defaultMetricsRegistry }
-
-// MVMetrics is the per-runtime instrument bundle AttachMetrics hangs
+// mvMetrics is the per-runtime instrument bundle attachMetrics hangs
 // off a Runtime. All methods are nil-receiver safe, so the runtime
 // hooks cost one pointer check when metrics are detached.
-type MVMetrics struct {
-	reg   *metrics.Registry
+type mvMetrics struct {
 	clock func() uint64
 
 	commitLatency *metrics.Histogram
@@ -77,31 +63,14 @@ type MVMetrics struct {
 	res *residencyTracker
 }
 
-// Registry returns the registry this bundle reports into (nil when
-// detached).
-func (mm *MVMetrics) Registry() *metrics.Registry {
-	if mm == nil {
-		return nil
-	}
-	return mm.reg
-}
-
-func (mm *MVMetrics) now() uint64 {
-	if mm.clock == nil {
-		return 0
-	}
-	return mm.clock()
-}
-
-// AttachMetrics wires a machine and its runtime into a registry:
+// attachMetrics wires a machine and its runtime into a registry:
 // CPU and memory stats become scrape-time counter readers, derived
 // gauges (decode hit ratio, flush and protect rates per million
 // instructions) are registered once per registry against the
-// aggregated counters, and the runtime gets an MVMetrics bundle for
+// aggregated counters, and the runtime gets an mvMetrics bundle for
 // commit-latency, sites-per-commit and variant-residency accounting.
-// Attaching many systems to one registry aggregates them. rt may be
-// nil (bare machine). Returns the runtime's bundle (nil if rt is nil).
-func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMetrics {
+// Attaching many systems to one registry aggregates them.
+func attachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) {
 	reg.SetClock(m.CPU.Cycles)
 
 	stat := func(pick func(s machineStats) uint64) func() uint64 {
@@ -197,10 +166,6 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 			perMInst("mv_mem_protect_calls_total"))
 	}
 
-	if rt == nil {
-		return nil
-	}
-
 	rstat := func(pick func(s RuntimeStats) uint64) func() uint64 {
 		return func() uint64 { return pick(rt.Stats) }
 	}
@@ -247,8 +212,7 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 		reg.CounterFunc(c.name, c.help, c.read)
 	}
 
-	mm := &MVMetrics{
-		reg:   reg,
+	mm := &mvMetrics{
 		clock: m.CPU.Cycles,
 		commitLatency: reg.Histogram("mv_commit_latency_cycles",
 			"Modeled latency of one commit span in cycles (begin to end across all patched sites)."),
@@ -265,7 +229,6 @@ func AttachMetrics(reg *metrics.Registry, m *machine.Machine, rt *Runtime) *MVMe
 		mm.res.note(fs.fd.Name, "generic")
 	}
 	rt.metrics = mm
-	return mm
 }
 
 // machineStats bundles the two scrape sources of one machine.
@@ -274,33 +237,42 @@ type machineStats struct {
 	mem mem.Stats
 }
 
-// beginCommit opens a commit span: it snapshots the counters the
-// latency model is computed from and returns a closure that closes
-// the span. Nil-receiver safe.
-func (mm *MVMetrics) beginCommit(rt *Runtime) func() {
+// CommitCounters are the counters the commit-latency model reads at
+// the start and at the end of a commit span.
+type CommitCounters struct {
+	Mem    mem.Stats
+	Stats  RuntimeStats
+	Cycles uint64
+}
+
+// CommitLatency is the commit-latency model: the modeled latency in
+// cycles of the span between two counter readings (protection flips,
+// icache flushes and touched sites at their calibrated costs, plus the
+// cycles the clock really advanced), and the sites it touched
+// (patched, inlined or reverted call sites and prologue patches).
+func CommitLatency(before, after CommitCounters) (latency, sites uint64) {
+	dm := after.Mem.Sub(before.Mem)
+	a, b := after.Stats, before.Stats
+	sites = uint64(a.SitesPatched - b.SitesPatched +
+		a.SitesInlined - b.SitesInlined +
+		a.SitesReverted - b.SitesReverted +
+		a.ProloguePatch - b.ProloguePatch)
+	latency = dm.ProtectCalls*CostCommitProtect +
+		dm.Flushes*CostCommitFlush +
+		sites*CostCommitSite +
+		(after.Cycles - before.Cycles)
+	return latency, sites
+}
+
+// beginCommit opens a commit span and returns the closure that closes
+// it into the latency and sites histograms. Nil-receiver safe.
+func (mm *mvMetrics) beginCommit(rt *Runtime) func() {
 	if mm == nil {
 		return nil
 	}
-	var memBefore mem.Stats
-	if ms, ok := rt.plat.(MemStatser); ok {
-		memBefore = ms.MemStats()
-	}
-	statBefore := rt.Stats
-	cycBefore := mm.now()
+	before := CommitCounters{rt.plat.MemStats(), rt.Stats, mm.clock()}
 	return func() {
-		var memDelta mem.Stats
-		if ms, ok := rt.plat.(MemStatser); ok {
-			memDelta = ms.MemStats().Sub(memBefore)
-		}
-		s := rt.Stats
-		sites := uint64(s.SitesPatched - statBefore.SitesPatched +
-			s.SitesInlined - statBefore.SitesInlined +
-			s.SitesReverted - statBefore.SitesReverted +
-			s.ProloguePatch - statBefore.ProloguePatch)
-		latency := memDelta.ProtectCalls*CostCommitProtect +
-			memDelta.Flushes*CostCommitFlush +
-			sites*CostCommitSite +
-			(mm.now() - cycBefore)
+		latency, sites := CommitLatency(before, CommitCounters{rt.plat.MemStats(), rt.Stats, mm.clock()})
 		mm.commitLatency.Observe(latency)
 		mm.commitSites.Observe(sites)
 	}
@@ -308,7 +280,7 @@ func (mm *MVMetrics) beginCommit(rt *Runtime) func() {
 
 // observeRendezvous records the herding latency of one stop-machine
 // rendezvous. Nil-receiver safe.
-func (mm *MVMetrics) observeRendezvous(latency uint64) {
+func (mm *mvMetrics) observeRendezvous(latency uint64) {
 	if mm == nil {
 		return
 	}
@@ -317,7 +289,7 @@ func (mm *MVMetrics) observeRendezvous(latency uint64) {
 
 // observeOSR records the victim-herding latency of one on-stack
 // replacement operation. Nil-receiver safe.
-func (mm *MVMetrics) observeOSR(latency uint64) {
+func (mm *mvMetrics) observeOSR(latency uint64) {
 	if mm == nil {
 		return
 	}
@@ -327,7 +299,7 @@ func (mm *MVMetrics) observeOSR(latency uint64) {
 // noteBinding records a function switching to a new variant (nil for
 // generic); the variant label reuses the trace symbolizer's naming
 // ("process.variant1"). Nil-receiver safe.
-func (mm *MVMetrics) noteBinding(fd *FuncDesc, v *VariantDesc) {
+func (mm *mvMetrics) noteBinding(fd *FuncDesc, v *VariantDesc) {
 	if mm == nil {
 		return
 	}

@@ -18,9 +18,10 @@ func TestAttachMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	mm := AttachMetrics(reg, sys.Machine, sys.RT)
-	if mm == nil || sys.RT.metrics != mm {
-		t.Fatal("AttachMetrics did not install the bundle on the runtime")
+	Observers{Metrics: reg}.Attach(sys.Machine, sys.RT)
+	mm := sys.RT.metrics
+	if mm == nil {
+		t.Fatal("attaching a registry did not install the bundle on the runtime")
 	}
 
 	if err := sys.SetSwitch("feature_enabled", 1); err != nil {
@@ -92,7 +93,8 @@ func TestResidencyClosesIntervalsOnRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
-	mm := AttachMetrics(reg, sys.Machine, sys.RT)
+	Observers{Metrics: reg}.Attach(sys.Machine, sys.RT)
+	mm := sys.RT.metrics
 
 	read := func(variant string) uint64 {
 		snap := reg.Snapshot()
@@ -156,7 +158,7 @@ func TestStateReportMetricsSection(t *testing.T) {
 		t.Fatalf("detached report mentions metrics:\n%s", got)
 	}
 
-	AttachMetrics(metrics.New(), sys.Machine, sys.RT)
+	Observers{Metrics: metrics.New()}.Attach(sys.Machine, sys.RT)
 	if _, err := sys.RT.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +167,16 @@ func TestStateReportMetricsSection(t *testing.T) {
 	}
 }
 
-// TestBuildSystemDefaultMetricsRegistry checks the global auto-attach
-// hook mvbench and the difftests rely on, including aggregation of two
-// systems into one registry.
-func TestBuildSystemDefaultMetricsRegistry(t *testing.T) {
-	reg := metrics.New()
-	SetDefaultMetricsRegistry(reg)
-	defer SetDefaultMetricsRegistry(nil)
-
+// TestSharedRegistryAggregatesSystems: two systems built with one
+// registry, as mvbench builds every experiment, sum into its series.
+func TestSharedRegistryAggregatesSystems(t *testing.T) {
+	obs := &Observers{Metrics: metrics.New()}
+	reg := obs.Metrics
 	var systems []*System
 	for i := 0; i < 2; i++ {
-		sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "m", Text: traceProgram})
+		sys, err := BuildSystem(GenOptions{}, obs, Source{Name: "m", Text: traceProgram})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if sys.RT.metrics == nil {
-			t.Fatal("default registry was not attached by BuildSystem")
 		}
 		systems = append(systems, sys)
 	}

@@ -74,10 +74,6 @@ type osrTransfer struct {
 // byte is patched: an error here means the operation falls back to the
 // deferred queue, with the image untouched.
 func (rt *Runtime) osrPrepare(fs *funcState, target *VariantDesc) (*osrPlan, error) {
-	fa, ok := rt.plat.(FrameAccessor)
-	if !ok {
-		return nil, fmt.Errorf("core: %q: platform exposes no CPU frames", fs.fd.Name)
-	}
 	p := &osrPlan{fs: fs}
 	p.oldLo, p.oldHi = fs.fd.Generic, fs.fd.Generic+fs.fd.Size
 	if v := fs.committed; v != nil {
@@ -108,13 +104,13 @@ func (rt *Runtime) osrPrepare(fs *funcState, target *VariantDesc) (*osrPlan, err
 		}
 	}
 	endPhase := rt.phase("osr-herd")
-	lat, err := rt.osrHerdAll(p, fa)
+	lat, err := rt.osrHerdAll(p)
 	p.herdCycles += lat
 	endPhase()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := rt.osrLocate(p, fa); err != nil {
+	if _, err := rt.osrLocate(p); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -125,9 +121,9 @@ func (rt *Runtime) osrPrepare(fs *funcState, target *VariantDesc) (*osrPlan, err
 // leaves the body, which needs no topmost transfer). Herding is plain
 // forward execution, so it is safe even if the operation later defers
 // or aborts. Returns the cycles burned stepping.
-func (rt *Runtime) osrHerdAll(p *osrPlan, fa FrameAccessor) (uint64, error) {
+func (rt *Runtime) osrHerdAll(p *osrPlan) (uint64, error) {
 	var lat uint64
-	for _, oc := range fa.OSRCPUs() {
+	for _, oc := range rt.plat.OSRCPUs() {
 		c := oc.CPU
 		start := c.Cycles()
 		for tries := 0; ; tries++ {
@@ -170,10 +166,10 @@ func (rt *Runtime) osrHerdAll(p *osrPlan, fa FrameAccessor) (uint64, error) {
 // still runs as a cross-check: any old-body candidate it reports that
 // the chain walk did not explain fails the plan (better to defer than
 // to rewrite a frame the walk missed).
-func (rt *Runtime) osrLocate(p *osrPlan, fa FrameAccessor) ([]osrTransfer, error) {
+func (rt *Runtime) osrLocate(p *osrPlan) ([]osrTransfer, error) {
 	var out []osrTransfer
 	name := p.fs.fd.Name
-	for _, oc := range fa.OSRCPUs() {
+	for _, oc := range rt.plat.OSRCPUs() {
 		c := oc.CPU
 		sp := c.Reg(isa.SP)
 		found := make(map[uint64]bool)
@@ -279,18 +275,14 @@ func (rt *Runtime) osrLocate(p *osrPlan, fa FrameAccessor) ([]osrTransfer, error
 // frames are herded and located afresh. An error aborts the enclosing
 // transaction, which restores every rewritten frame.
 func (rt *Runtime) osrApply(p *osrPlan) error {
-	fa, ok := rt.plat.(FrameAccessor)
-	if !ok {
-		return fmt.Errorf("core: %q: platform exposes no CPU frames", p.fs.fd.Name)
-	}
 	endPhase := rt.phase("osr-transfer")
 	defer endPhase()
-	lat, err := rt.osrHerdAll(p, fa)
+	lat, err := rt.osrHerdAll(p)
 	rt.metrics.observeOSR(p.herdCycles + lat)
 	if err != nil {
 		return err
 	}
-	xfers, err := rt.osrLocate(p, fa)
+	xfers, err := rt.osrLocate(p)
 	if err != nil {
 		return err
 	}

@@ -100,10 +100,8 @@ func (rt *Runtime) StateReport() string {
 		fmt.Fprintf(&sb, "sync stop-machines=%d text-pokes=%d deferred{queued=%d drained=%d} active-refusals=%d\n",
 			s.StopMachines, s.TextPokes, s.DeferredPatches, s.DeferredDrained, s.ActiveRefusals)
 	}
-	if ms, ok := rt.plat.(MemStatser); ok {
-		m := ms.MemStats()
-		fmt.Fprintf(&sb, "mem  protect-calls=%d icache-flushes=%d\n", m.ProtectCalls, m.Flushes)
-	}
+	m := rt.plat.MemStats()
+	fmt.Fprintf(&sb, "mem  protect-calls=%d icache-flushes=%d\n", m.ProtectCalls, m.Flushes)
 	// The metrics section appears only when a registry is attached, so
 	// unobserved runs (and their golden tests) render byte-identically
 	// with and without the metrics build-out.

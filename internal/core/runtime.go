@@ -66,15 +66,15 @@ type Runtime struct {
 	// into every trace sink that carries commit-causality spans.
 	opSeq uint64
 
-	// flight, when non-nil (AttachFlightRecorder), receives a failure
-	// dump on commit abort and audit failure.
+	// flight, when non-nil (Observers.Flight), receives a failure dump
+	// on commit abort and audit failure.
 	flight *trace.Recorder
 
-	// metrics, when non-nil (set by AttachMetrics), observes commit
+	// metrics, when non-nil (Observers.Metrics), observes commit
 	// latency, sites-per-commit and per-function variant residency.
 	// All its methods are nil-receiver safe, so the hooks below cost
 	// one pointer comparison when detached.
-	metrics *MVMetrics
+	metrics *mvMetrics
 
 	// DisableInlining turns off tiny-body call-site inlining; variants
 	// are always installed as direct calls (ablation E9).

@@ -107,50 +107,15 @@ func (rt *Runtime) SetCommitOptions(o CommitOptions) { rt.Options = o }
 // some CPU's stack and the policy is ActiveRefuse.
 var ErrFunctionActive = errors.New("core: function is active on a CPU stack")
 
-// Activeness is implemented by platforms that can enumerate the code
-// addresses currently live on any CPU (PCs plus conservative stack
-// return-address scans). Without it the activeness check is skipped.
-// The bool result reports completeness: false means a stack scan was
-// truncated and the list cannot prove anything inactive — consumers
-// must treat every function as potentially active.
-type Activeness interface {
-	LiveCodeAddrs() ([]uint64, bool)
-}
-
-// FrameAccessor is implemented by platforms that expose the paused
-// CPUs and their stack geometry, enabling on-stack replacement.
-// Without it ActiveOSR always falls back to defer.
-type FrameAccessor interface {
-	OSRCPUs() []machine.OSRCPU
-}
-
-// Stopper is implemented by platforms that can run a stop-machine
-// rendezvous: quiesce every CPU outside the avoid ranges, run fn, and
-// report the rendezvous latency in cycles.
-type Stopper interface {
-	StopMachine(avoid []machine.Range, fn func() error) (uint64, error)
-}
-
-// PokeAnnouncer is implemented by platforms that forward text-poke
-// phase transitions to machine-level hooks (chaos harnesses and fault
-// injectors listen there).
-type PokeAnnouncer interface {
-	NotePokePhase(phase int, addr, n uint64)
-}
-
 // runGuarded runs body under the configured synchronization: a
-// stop-machine rendezvous in ModeStopMachine (when the platform can),
-// plainly otherwise. Every transaction body (transact) goes through it.
+// stop-machine rendezvous in ModeStopMachine, plainly otherwise. Every
+// transaction body (transact) goes through it.
 func (rt *Runtime) runGuarded(body func() error) error {
 	if rt.Options.Mode != ModeStopMachine {
 		return body()
 	}
-	sm, ok := rt.plat.(Stopper)
-	if !ok {
-		return body()
-	}
 	endPhase := rt.phase("stop-machine")
-	lat, err := sm.StopMachine(rt.ranges, body)
+	lat, err := rt.plat.StopMachine(rt.ranges, body)
 	rt.Stats.StopMachines++
 	rt.noteRendezvous(lat, uint64(len(rt.ranges)))
 	endPhase()
@@ -190,7 +155,6 @@ func (rt *Runtime) pokeWrite(addr uint64, old, data []byte) error {
 	}
 	defer rt.phase("poke")()
 	rt.Stats.TextPokes++
-	pa, _ := rt.plat.(PokeAnnouncer)
 	phase := func(ph int, a uint64, oldB, newB []byte) error {
 		if err := rt.writeTextDirect(a, oldB, newB); err != nil {
 			return err
@@ -200,9 +164,7 @@ func (rt *Runtime) pokeWrite(addr uint64, old, data []byte) error {
 		if rt.Tracer != nil {
 			rt.Tracer.Emit(trace.KindPokePhase, addr, n, uint64(ph))
 		}
-		if pa != nil {
-			pa.NotePokePhase(ph, addr, n)
-		}
+		rt.plat.NotePokePhase(ph, addr, n)
 		return nil
 	}
 	brk := rt.buf.brk[:]
@@ -225,22 +187,16 @@ func (rt *Runtime) pokeWrite(addr uint64, old, data []byte) error {
 // the poke.
 func (rt *Runtime) pokeGuard(addr uint64, old, data []byte) error {
 	n := uint64(len(data))
-	if sm, ok := rt.plat.(Stopper); ok {
-		endPhase := rt.phase("herd")
-		rt.buf.herd[0] = machine.Range{Addr: addr + 1, Len: n - 1}
-		lat, err := sm.StopMachine(rt.buf.herd[:], func() error { return nil })
-		if err != nil {
-			endPhase()
-			return fmt.Errorf("core: herding CPUs out of poke window [%#x,%#x): %w", addr, addr+n, err)
-		}
-		rt.noteRendezvous(lat, 1)
+	endPhase := rt.phase("herd")
+	rt.buf.herd[0] = machine.Range{Addr: addr + 1, Len: n - 1}
+	lat, err := rt.plat.StopMachine(rt.buf.herd[:], func() error { return nil })
+	if err != nil {
 		endPhase()
+		return fmt.Errorf("core: herding CPUs out of poke window [%#x,%#x): %w", addr, addr+n, err)
 	}
-	la, ok := rt.plat.(Activeness)
-	if !ok {
-		return nil
-	}
-	live, complete := la.LiveCodeAddrs()
+	rt.noteRendezvous(lat, 1)
+	endPhase()
+	live, complete := rt.plat.LiveCodeAddrs()
 	if !complete {
 		return fmt.Errorf("core: stack scan truncated; cannot prove poke window [%#x,%#x) free of live addresses",
 			addr, addr+n)
@@ -274,11 +230,7 @@ func instBoundary(code []byte, off int) bool {
 // thread caches stale bytes — the per-phase acknowledge step of the
 // poke protocol (text_poke_sync's IPI wait).
 func (rt *Runtime) flushAck(addr, n uint64) {
-	fv, ok := rt.plat.(FlushVerifier)
-	if !ok {
-		return
-	}
-	for try := 0; try < maxFlushVerify && fv.ICacheStale(addr, n); try++ {
+	for try := 0; try < maxFlushVerify && rt.plat.ICacheStale(addr, n); try++ {
 		rt.Stats.FlushRetries++
 		if rt.Tracer != nil {
 			rt.Tracer.Emit(trace.KindFlushRetry, addr, n, uint64(try+1))
@@ -314,14 +266,9 @@ type pendingOp struct {
 // isActive reports whether fs's currently-running code — the committed
 // variant's body, or the generic body when none is committed — is live
 // on any CPU (PC or stack return address). Always false in ModeParked
-// (the legacy caller already guarantees quiescence) and on platforms
-// without an Activeness view.
+// (the legacy caller already guarantees quiescence).
 func (rt *Runtime) isActive(fs *funcState) bool {
 	if rt.Options.Mode == ModeParked {
-		return false
-	}
-	la, ok := rt.plat.(Activeness)
-	if !ok {
 		return false
 	}
 	lo, hi := fs.fd.Generic, fs.fd.Generic+uint64(fs.fd.Size)
@@ -331,7 +278,7 @@ func (rt *Runtime) isActive(fs *funcState) bool {
 	if hi == lo {
 		return false
 	}
-	live, complete := la.LiveCodeAddrs()
+	live, complete := rt.plat.LiveCodeAddrs()
 	if !complete {
 		// A truncated scan proves nothing inactive: conservatively
 		// treat the function as live rather than patch under a frame

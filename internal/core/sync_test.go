@@ -435,7 +435,7 @@ func TestOSRCommitPurgesDeferredQueue(t *testing.T) {
 	// the real runtime emits (the mvtrace rendering test uses synthetic
 	// events; this ties the names to the engine).
 	rec := trace.NewRecorder(256)
-	AttachFlightRecorder(rec, sys.Machine, sys.RT)
+	Observers{Flight: rec}.Attach(sys.Machine, sys.RT)
 	sys.RT.SetCommitOptions(CommitOptions{Mode: ModeStopMachine, OnActive: ActiveOSR})
 	res2, err := sys.RT.Commit()
 	if err != nil {

@@ -152,7 +152,7 @@ type btbEntry struct {
 
 // Stats accumulates execution statistics. The fields are plain
 // uint64s incremented in the interpreter loop; the metrics registry
-// (internal/metrics via core.AttachMetrics) reads them through
+// (internal/metrics via core.Observers.Metrics) reads them through
 // closures at export time, so observability never adds work here.
 type Stats struct {
 	Instructions uint64

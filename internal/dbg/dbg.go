@@ -167,14 +167,12 @@ func (s *Session) freshSystem() error {
 		return err
 	}
 	rt.SetCommitOptions(s.opts.Commit)
-	rec := trace.NewRecorder(0)
-	core.AttachFlightRecorder(rec, m, rt)
 	rules, err := trace.ParseWatchdogRules("")
 	if err != nil {
 		return err
 	}
-	wd := trace.NewWatchdog(rules)
-	core.AttachWatchdog(wd, m, rt)
+	rec, wd := trace.NewRecorder(0), trace.NewWatchdog(rules)
+	core.Observers{Flight: rec, Watchdog: wd}.Attach(m, rt)
 	if s.opts.MaxSteps != 0 {
 		m.MaxSteps = s.opts.MaxSteps
 	}

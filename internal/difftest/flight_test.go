@@ -3,94 +3,22 @@ package difftest
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/kernelsim"
-	"repro/internal/muslsim"
 	"repro/internal/trace"
 )
 
 // The always-on flight recorder must be exactly as passive as the
 // opt-in tracer: it rides the runtime-library and memory hooks, never
-// a CPU hook, so the unobserved superblock interpreter path stays
-// taken and not one simulated cycle moves. These tests mirror the
-// tracer-invariance difftests with the recorder (and a watchdog over
-// the default rules) attached versus nothing attached.
+// a CPU hook, so not one simulated cycle moves. These tests mirror the
+// tracer-invariance difftests with the recorder attached versus
+// nothing attached.
 
-// withRecorder runs f with BuildSystem's default flight recorder set
-// to a fresh recorder (or left unset), restoring afterwards.
-func withRecorder(t *testing.T, on bool, f func()) {
-	t.Helper()
-	if on {
-		core.SetDefaultFlightRecorder(trace.NewRecorder(0))
-		defer core.SetDefaultFlightRecorder(nil)
-	}
-	f()
-}
+func recording() core.Observers { return core.Observers{Flight: trace.NewRecorder(0)} }
 
 func TestFlightRecorderInvarianceFig1(t *testing.T) {
-	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(on bool) map[string]bench.Result {
-		out := make(map[string]bench.Result)
-		withRecorder(t, on, func() {
-			for _, b := range []kernelsim.Fig1Binding{
-				kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
-			} {
-				for _, smp := range []bool{false, true} {
-					sys, err := kernelsim.BuildFig1(b, smp)
-					if err != nil {
-						t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
-					}
-					r, err := sys.Measure(opts)
-					if err != nil {
-						t.Fatalf("Measure(%v, %v): %v", b, smp, err)
-					}
-					out[b.String()+map[bool]string{false: "/up", true: "/smp"}[smp]] = r
-				}
-			}
-		})
-		return out
-	}
-	recorded := measure(true)
-	plain := measure(false)
-	for k, r := range recorded {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with flight recorder attached/detached:\nrecorded: %+v\nplain:    %+v",
-				k, r, plain[k])
-		}
-	}
+	compareTraced(t, observedFig1(t, recording()), observedFig1(t, core.Observers{}))
 }
 
 func TestFlightRecorderInvarianceMusl(t *testing.T) {
-	const samples, iters = 8, 20
-	measure := func(on bool) map[string]bench.Result {
-		out := make(map[string]bench.Result)
-		withRecorder(t, on, func() {
-			for _, build := range []muslsim.Build{muslsim.Plain, muslsim.Multiverse} {
-				m, err := muslsim.BuildMusl(build)
-				if err != nil {
-					t.Fatalf("BuildMusl(%v): %v", build, err)
-				}
-				if err := m.SetThreads(false); err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range muslsim.Funcs() {
-					r, err := m.Measure(f, samples, iters)
-					if err != nil {
-						t.Fatalf("Measure(%v): %v", f, err)
-					}
-					out[build.String()+"/"+f.String()] = r
-				}
-			}
-		})
-		return out
-	}
-	recorded := measure(true)
-	plain := measure(false)
-	for k, r := range recorded {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with flight recorder attached/detached:\nrecorded: %+v\nplain:    %+v",
-				k, r, plain[k])
-		}
-	}
+	compareTraced(t, observedMusl(t, recording()), observedMusl(t, core.Observers{}))
 }

@@ -3,106 +3,26 @@ package difftest
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/kernelsim"
 	"repro/internal/metrics"
-	"repro/internal/muslsim"
 )
 
 // The metrics registry is strictly passive: every CPU/mem/runtime
 // counter is read through closures at scrape time, commit latency is
 // modeled (never charged to any CPU clock), and residency bookkeeping
 // runs only on the cold commit path. Attaching a registry must
-// therefore not change a single simulated cycle. These tests run the
-// E1 (Figure 1 spinlock) and E4 (musl libc) workloads end to end with
-// and without a registry and require the bench.Result structs to be
-// bit-identical.
+// therefore not change a single simulated cycle: the E1 (Figure 1
+// spinlock) and E4 (musl libc) measurements must be bit-identical, and
+// the registry must really have aggregated the runs.
 
-// withMetrics runs f with BuildSystem's default metrics registry set
-// to a fresh registry (or left unset), restoring afterwards.
-func withMetrics(t *testing.T, on bool, f func()) *metrics.Registry {
-	t.Helper()
-	var reg *metrics.Registry
-	if on {
-		reg = metrics.New()
-		core.SetDefaultMetricsRegistry(reg)
-		defer core.SetDefaultMetricsRegistry(nil)
-	}
-	f()
-	return reg
-}
-
-func TestMetricsInvarianceFig1(t *testing.T) {
-	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(on bool) (map[string]bench.Result, *metrics.Registry) {
-		out := make(map[string]bench.Result)
-		reg := withMetrics(t, on, func() {
-			for _, b := range []kernelsim.Fig1Binding{
-				kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
-			} {
-				for _, smp := range []bool{false, true} {
-					sys, err := kernelsim.BuildFig1(b, smp)
-					if err != nil {
-						t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
-					}
-					r, err := sys.Measure(opts)
-					if err != nil {
-						t.Fatalf("Measure(%v, %v): %v", b, smp, err)
-					}
-					out[b.String()+map[bool]string{false: "/up", true: "/smp"}[smp]] = r
-				}
-			}
-		})
-		return out, reg
-	}
-	observed, reg := measure(true)
-	plain, _ := measure(false)
-	for k, r := range observed {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with metrics on/off:\nobserved: %+v\nplain:    %+v",
-				k, r, plain[k])
-		}
-	}
-	// The registry really was attached and aggregated the runs.
+func checkMetricsInvariance(t *testing.T, measure func(*testing.T, core.Observers) map[string]tracedRun) {
+	reg := metrics.New()
+	compareTraced(t, measure(t, core.Observers{Metrics: reg}), measure(t, core.Observers{}))
 	if got := reg.CounterTotal("mv_instructions_total"); got == 0 {
 		t.Error("registry attached but mv_instructions_total is zero — invariance vacuous")
 	}
 }
 
-func TestMetricsInvarianceMusl(t *testing.T) {
-	const samples, iters = 8, 20
-	measure := func(on bool) (map[string]bench.Result, *metrics.Registry) {
-		out := make(map[string]bench.Result)
-		reg := withMetrics(t, on, func() {
-			for _, build := range []muslsim.Build{muslsim.Plain, muslsim.Multiverse} {
-				m, err := muslsim.BuildMusl(build)
-				if err != nil {
-					t.Fatalf("BuildMusl(%v): %v", build, err)
-				}
-				if err := m.SetThreads(false); err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range muslsim.Funcs() {
-					r, err := m.Measure(f, samples, iters)
-					if err != nil {
-						t.Fatalf("Measure(%v): %v", f, err)
-					}
-					out[build.String()+"/"+f.String()] = r
-				}
-			}
-		})
-		return out, reg
-	}
-	observed, reg := measure(true)
-	plain, _ := measure(false)
-	for k, r := range observed {
-		if r != plain[k] {
-			t.Errorf("%s: results differ with metrics on/off:\nobserved: %+v\nplain:    %+v",
-				k, r, plain[k])
-		}
-	}
-	if got := reg.CounterTotal("mv_instructions_total"); got == 0 {
-		t.Error("registry attached but mv_instructions_total is zero — invariance vacuous")
-	}
-}
+func TestMetricsInvarianceFig1(t *testing.T) { checkMetricsInvariance(t, observedFig1) }
+
+func TestMetricsInvarianceMusl(t *testing.T) { checkMetricsInvariance(t, observedMusl) }

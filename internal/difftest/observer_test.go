@@ -46,7 +46,7 @@ func itraceTracer(img *link.Image, out *bytes.Buffer) trace.Tracer {
 // out, reading every CPU counter through the registry mid-run.
 func samplerTracer(sys *core.System, out *bytes.Buffer) trace.Tracer {
 	reg := metrics.New()
-	core.AttachMetrics(reg, sys.Machine, sys.RT)
+	core.Observers{Metrics: reg}.Attach(sys.Machine, sys.RT)
 	samp := metrics.NewSampler(reg, out, 100, metrics.FormatCSV)
 	return trace.StepFunc(func(pc, cycles uint64, in *isa.Inst) { samp.Tick(cycles) })
 }
@@ -59,7 +59,7 @@ func observe(t *testing.T, sys *core.System, name string) (recorded func() int) 
 	var itrace, samples bytes.Buffer
 	profile := func() {
 		col = trace.NewCollector(trace.Options{Profile: true})
-		core.AttachTracer(col, sys.Machine, sys.RT)
+		core.Observers{Trace: col}.Attach(sys.Machine, sys.RT)
 	}
 	onCPU := func(ts ...trace.Tracer) {
 		c := sys.Machine.CPU

@@ -24,17 +24,8 @@ import (
 // and require the bench.Result structs to be bit-identical, and every
 // machine's TotalStats too, Decode* and Block* included: a tracer
 // rides the superblocks, so it changes no dispatch decision either.
-
-// withTracer runs f with BuildSystem's default trace collector set to
-// a fresh profiling collector (or left unset), restoring afterwards.
-func withTracer(t *testing.T, on bool, f func()) {
-	t.Helper()
-	if on {
-		core.SetDefaultTraceCollector(trace.NewCollector(trace.Options{Profile: true}))
-		defer core.SetDefaultTraceCollector(nil)
-	}
-	f()
-}
+// The metrics and flight-recorder invariance tests run the same two
+// measurements with their observer.
 
 // tracedRun is what one measurement leaves: its result and its
 // machine's statistics.
@@ -44,7 +35,7 @@ type tracedRun struct {
 }
 
 // compareTraced reports every measurement whose result or machine
-// statistics differ between the traced and plain runs.
+// statistics differ between the observed and plain runs.
 func compareTraced(t *testing.T, traced, plain map[string]tracedRun) {
 	t.Helper()
 	if len(traced) == 0 || len(traced) != len(plain) {
@@ -52,63 +43,70 @@ func compareTraced(t *testing.T, traced, plain map[string]tracedRun) {
 	}
 	for k, r := range traced {
 		if r != plain[k] {
-			t.Errorf("%s: results differ with tracer on/off:\ntraced: %+v\nplain:  %+v",
+			t.Errorf("%s: results differ with observers on/off:\nobserved: %+v\nplain:    %+v",
 				k, r, plain[k])
 		}
 	}
 }
 
-func TestTracerInvarianceFig1(t *testing.T) {
+// observedFig1 measures every Figure 1 cell, each system built with obs.
+func observedFig1(t *testing.T, obs core.Observers) map[string]tracedRun {
+	t.Helper()
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(on bool) map[string]tracedRun {
-		out := make(map[string]tracedRun)
-		withTracer(t, on, func() {
-			for _, b := range []kernelsim.Fig1Binding{
-				kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
-			} {
-				for _, smp := range []bool{false, true} {
-					sys, err := kernelsim.BuildFig1(b, smp)
-					if err != nil {
-						t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
-					}
-					r, err := sys.Measure(opts)
-					if err != nil {
-						t.Fatalf("Measure(%v, %v): %v", b, smp, err)
-					}
-					out[b.String()+"/"+smpLabel[smp]] = tracedRun{r, sys.System().Machine.TotalStats()}
-				}
+	out := make(map[string]tracedRun)
+	for _, b := range []kernelsim.Fig1Binding{
+		kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
+	} {
+		for _, smp := range []bool{false, true} {
+			sys, err := kernelsim.BuildFig1(b, smp, obs)
+			if err != nil {
+				t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
 			}
-		})
-		return out
+			r, err := sys.Measure(opts)
+			if err != nil {
+				t.Fatalf("Measure(%v, %v): %v", b, smp, err)
+			}
+			out[b.String()+"/"+smpLabel[smp]] = tracedRun{r, sys.System().Machine.TotalStats()}
+		}
 	}
-	compareTraced(t, measure(true), measure(false))
+	return out
+}
+
+// observedMusl measures every musl function in both builds, each system
+// built with obs.
+func observedMusl(t *testing.T, obs core.Observers) map[string]tracedRun {
+	t.Helper()
+	const samples, iters = 8, 20
+	out := make(map[string]tracedRun)
+	for _, build := range []muslsim.Build{muslsim.Plain, muslsim.Multiverse} {
+		m, err := muslsim.BuildMusl(build, obs)
+		if err != nil {
+			t.Fatalf("BuildMusl(%v): %v", build, err)
+		}
+		if err := m.SetThreads(false); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range muslsim.Funcs() {
+			r, err := m.Measure(f, samples, iters)
+			if err != nil {
+				t.Fatalf("Measure(%v): %v", f, err)
+			}
+			out[build.String()+"/"+f.String()] = tracedRun{r, m.System().Machine.TotalStats()}
+		}
+	}
+	return out
+}
+
+func profiling() core.Observers {
+	return core.Observers{Trace: trace.NewCollector(trace.Options{Profile: true})}
+}
+
+func TestTracerInvarianceFig1(t *testing.T) {
+	compareTraced(t, observedFig1(t, profiling()), observedFig1(t, core.Observers{}))
 }
 
 func TestTracerInvarianceMusl(t *testing.T) {
-	const samples, iters = 8, 20
-	measure := func(on bool) map[string]tracedRun {
-		out := make(map[string]tracedRun)
-		withTracer(t, on, func() {
-			for _, build := range []muslsim.Build{muslsim.Plain, muslsim.Multiverse} {
-				m, err := muslsim.BuildMusl(build)
-				if err != nil {
-					t.Fatalf("BuildMusl(%v): %v", build, err)
-				}
-				if err := m.SetThreads(false); err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range muslsim.Funcs() {
-					r, err := m.Measure(f, samples, iters)
-					if err != nil {
-						t.Fatalf("Measure(%v): %v", f, err)
-					}
-					out[build.String()+"/"+f.String()] = tracedRun{r, m.System().Machine.TotalStats()}
-				}
-			}
-		})
-		return out
-	}
-	compareTraced(t, measure(true), measure(false))
+	compareTraced(t, observedMusl(t, profiling()), observedMusl(t, core.Observers{}))
 }
 
 // TestTraceGoldens pins the Chrome trace and the folded profile of one
@@ -119,18 +117,18 @@ func TestTracerInvarianceMusl(t *testing.T) {
 func TestTraceGoldens(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		run  func() error
+		run  func(obs core.Observers) error
 	}{
-		{"fig1_multiverse_smp", func() error {
-			sys, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
+		{"fig1_multiverse_smp", func(obs core.Observers) error {
+			sys, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true, obs)
 			if err != nil {
 				return err
 			}
 			_, err = sys.Measure(kernelsim.MeasureOpts{Samples: 4, Iters: 10, Warmup: 1})
 			return err
 		}},
-		{"musl_multiverse", func() error {
-			m, err := muslsim.BuildMusl(muslsim.Multiverse)
+		{"musl_multiverse", func(obs core.Observers) error {
+			m, err := muslsim.BuildMusl(muslsim.Multiverse, obs)
 			if err != nil {
 				return err
 			}
@@ -145,11 +143,9 @@ func TestTraceGoldens(t *testing.T) {
 			return nil
 		}},
 	} {
-		col := trace.NewCollector(trace.Options{Profile: true})
-		core.SetDefaultTraceCollector(col)
-		err := tc.run()
-		core.SetDefaultTraceCollector(nil)
-		if err != nil {
+		obs := profiling()
+		col := obs.Trace
+		if err := tc.run(obs); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		var chrome, folded bytes.Buffer

@@ -298,25 +298,16 @@ func (mb *member) storm(k int) bool {
 	}
 }
 
-// commitObserved wraps Commit with the fleet's commit-latency model —
-// the same protect/flush/site cost accounting core.AttachMetrics uses,
+// commitObserved wraps Commit with core's commit-latency model,
 // observed into the shard and fleet histograms whether the commit
 // lands or aborts (aborted attempts are exactly the tail worth seeing).
 func (mb *member) commitObserved() error {
-	memBefore := mb.m.Mem.Stats
-	statBefore := mb.rt.Stats
-	cycBefore := mb.m.CPU.Cycles()
+	counters := func() core.CommitCounters {
+		return core.CommitCounters{Mem: mb.m.Mem.Stats, Stats: mb.rt.Stats, Cycles: mb.m.CPU.Cycles()}
+	}
+	before := counters()
 	_, err := mb.rt.Commit()
-	memDelta := mb.m.Mem.Stats.Sub(memBefore)
-	s := mb.rt.Stats
-	sites := uint64(s.SitesPatched - statBefore.SitesPatched +
-		s.SitesInlined - statBefore.SitesInlined +
-		s.SitesReverted - statBefore.SitesReverted +
-		s.ProloguePatch - statBefore.ProloguePatch)
-	latency := memDelta.ProtectCalls*core.CostCommitProtect +
-		memDelta.Flushes*core.CostCommitFlush +
-		sites*core.CostCommitSite +
-		(mb.m.CPU.Cycles() - cycBefore)
+	latency, _ := core.CommitLatency(before, counters())
 	mb.sh.hCommit.Observe(latency)
 	mb.fl.hCommit.Observe(latency)
 	return err

@@ -108,8 +108,8 @@ type Grep struct {
 }
 
 // BuildGrep compiles one flavor and loads the standard corpus.
-func BuildGrep(b Build) (*Grep, error) {
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+func BuildGrep(b Build, obs ...core.Observers) (*Grep, error) {
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "grep", Text: grepSource(b)})
 	if err != nil {
 		return nil, err

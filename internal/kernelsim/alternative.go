@@ -122,8 +122,8 @@ func findCallSites(img *link.Image, target uint64) []uint64 {
 }
 
 // BuildAlt boots one kernel with the SMAP feature present or absent.
-func BuildAlt(k AltKernel, hasFeature bool) (*AltSystem, error) {
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+func BuildAlt(k AltKernel, hasFeature bool, obs ...core.Observers) (*AltSystem, error) {
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "smap", Text: altSources(k)})
 	if err != nil {
 		return nil, err
@@ -141,7 +141,7 @@ func BuildAlt(k AltKernel, hasFeature bool) (*AltSystem, error) {
 		}
 		if !hasFeature {
 			// Boot-time NOP patching, alternative() style.
-			plat := &core.KernelPlatform{M: sys.Machine}
+			plat := &core.KernelPlatform{UserPlatform: core.UserPlatform{M: sys.Machine}}
 			for _, site := range a.Sites {
 				if err := plat.Patch(site, isa.EncodeNop(isa.CallSiteLen)); err != nil {
 					return nil, err

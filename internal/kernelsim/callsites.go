@@ -17,11 +17,11 @@ const PaperCallSites = 1161
 // multiversed spinlock pair, modelling the whole-kernel patching load
 // of experiment E7. Call sites are spread over many small functions,
 // like they are in a real kernel text segment.
-func BuildManyCallSites(n int) (*core.System, error) {
+func BuildManyCallSites(n int, obs ...core.Observers) (*core.System, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("kernelsim: need at least 2 call sites")
 	}
-	return core.BuildSystem(core.GenOptions{}, nil, ManyCallSitesSource(n))
+	return core.BuildSystem(core.GenOptions{}, core.Observed(obs), ManyCallSitesSource(n))
 }
 
 // ManyCallSitesSource is the source BuildManyCallSites compiles: a

@@ -102,9 +102,9 @@ type Fig1System struct {
 }
 
 // BuildFig1 compiles and configures one cell of the Figure 1 table.
-func BuildFig1(b Fig1Binding, smp bool) (*Fig1System, error) {
+func BuildFig1(b Fig1Binding, smp bool, obs ...core.Observers) (*Fig1System, error) {
 	src := fig1Sources(b, smp)
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "fig1", Text: src})
 	if err != nil {
 		return nil, err

@@ -142,11 +142,11 @@ type PVSystem struct {
 
 // BuildPV compiles one PV kernel and boots it in the given
 // environment, performing the boot-time patching each mechanism does.
-func BuildPV(k PVKernel, env PVEnv) (*PVSystem, error) {
+func BuildPV(k PVKernel, env PVEnv, obs ...core.Observers) (*PVSystem, error) {
 	if k == PVDisabled && env == EnvXen {
 		return nil, fmt.Errorf("kernelsim: a kernel without paravirt support cannot run as a Xen PV guest")
 	}
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "pvops", Text: pvSources(k)})
 	if err != nil {
 		return nil, err

@@ -113,8 +113,8 @@ type SpinSystem struct {
 }
 
 // BuildSpin compiles and boots one spinlock kernel.
-func BuildSpin(k SpinKernel) (*SpinSystem, error) {
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+func BuildSpin(k SpinKernel, obs ...core.Observers) (*SpinSystem, error) {
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "spin", Text: spinSources(k)})
 	if err != nil {
 		return nil, err

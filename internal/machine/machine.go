@@ -35,7 +35,7 @@ type Machine struct {
 	// code. The default is 2^40.
 	MaxSteps uint64
 
-	// TraceCollector, when non-nil (set by core.AttachTracer), gives
+	// TraceCollector, when non-nil (set by core.Observers.Attach), gives
 	// each CPU added with AddCPU its own cycle-stamped event stream.
 	TraceCollector *trace.Collector
 
@@ -55,9 +55,8 @@ type Machine struct {
 	// events — today one KindFlushICache per FlushICacheAll broadcast
 	// (A = length, B = hardware threads invalidated). Unlike the
 	// per-CPU collector streams it rides no interpreter hot path, so
-	// the flight recorder and watchdog attach here (core.
-	// AttachFlightRecorder / AttachWatchdog) without adding a
-	// per-instruction call.
+	// core.Observers.Attach tees the flight recorder and the watchdog
+	// on here without adding a per-instruction call.
 	Observer trace.Tracer
 
 	extraCPUs int        // secondary hardware threads added via AddCPU
@@ -182,7 +181,7 @@ func New(img *link.Image, opts ...Option) (*Machine, error) {
 
 // CPUs returns every hardware thread of the machine, the primary CPU
 // first, then AddCPU threads in creation order. Telemetry readers
-// (core.AttachMetrics) iterate it at scrape time so late-added SMP
+// (core.Observers.Metrics) iterate it at scrape time so late-added SMP
 // threads are aggregated without re-registration.
 func (m *Machine) CPUs() []*cpu.CPU { return m.cpus }
 

@@ -201,8 +201,8 @@ type Musl struct {
 }
 
 // BuildMusl compiles one flavor.
-func BuildMusl(b Build) (*Musl, error) {
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+func BuildMusl(b Build, obs ...core.Observers) (*Musl, error) {
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "musl", Text: muslSource(b)})
 	if err != nil {
 		return nil, err

@@ -97,8 +97,8 @@ type Python struct {
 }
 
 // BuildPython compiles one flavor.
-func BuildPython(b Build) (*Python, error) {
-	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+func BuildPython(b Build, obs ...core.Observers) (*Python, error) {
+	sys, err := core.BuildSystem(core.GenOptions{}, core.Observed(obs),
 		core.Source{Name: "cpython", Text: pySource(b)})
 	if err != nil {
 		return nil, err

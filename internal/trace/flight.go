@@ -48,17 +48,14 @@ var flightKinds = func() [KindCount]bool {
 func FlightRecorded(k Kind) bool { return int(k) < KindCount && flightKinds[k] }
 
 // Recorder is the always-on flight recorder. It implements Tracer and
-// SpanCarrier; attach it with core.AttachFlightRecorder so it sees the
+// SpanCarrier; attach it as core.Observers.Flight so it sees the
 // runtime library's and the memory system's commit-path events without
 // touching any CPU hot path.
 type Recorder struct {
-	limit   int
-	clock   func() uint64
-	buf     []Event
-	next    int
-	dropped uint64
-	span    uint64
-	last    *FlightDump
+	ring
+	clock func() uint64
+	span  uint64
+	last  *FlightDump
 
 	// OnFailure, when non-nil, receives the dump produced by each
 	// NoteFailure call (mvrun points it at the -flight output file).
@@ -71,7 +68,7 @@ func NewRecorder(limit int) *Recorder {
 	if limit <= 0 {
 		limit = FlightLimit
 	}
-	return &Recorder{limit: limit, buf: make([]Event, 0, limit)}
+	return &Recorder{ring: newRing(limit)}
 }
 
 // SetClock installs the cycle clock events are stamped from (typically
@@ -86,16 +83,9 @@ func (r *Recorder) now() uint64 {
 }
 
 func (r *Recorder) record(ev Event) {
-	if !FlightRecorded(ev.Kind) {
-		return
+	if FlightRecorded(ev.Kind) {
+		r.ring.record(ev)
 	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	r.dropped++
 }
 
 // Emit implements Tracer.
@@ -120,20 +110,6 @@ func (r *Recorder) Ret(pc, target uint64) {}
 
 // SetSpan implements SpanCarrier.
 func (r *Recorder) SetSpan(id uint64) { r.span = id }
-
-// Events returns the ring's events oldest-first.
-func (r *Recorder) Events() []Event {
-	if len(r.buf) < cap(r.buf) || r.next == 0 {
-		return append([]Event(nil), r.buf...)
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
-// Dropped returns how many events the ring overwrote.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Dump snapshots the ring into a dump tagged with the reason.
 func (r *Recorder) Dump(reason string) FlightDump {

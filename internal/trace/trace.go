@@ -321,7 +321,7 @@ func (c *Collector) NewStream(label string, clock func() uint64) *Stream {
 		id:    len(c.streams),
 		label: label,
 		clock: clock,
-		buf:   make([]Event, 0, c.limit),
+		ring:  newRing(c.limit),
 	}
 	c.streams = append(c.streams, s)
 	if c.onNew != nil {
@@ -332,8 +332,8 @@ func (c *Collector) NewStream(label string, clock func() uint64) *Stream {
 
 // OnNewStream registers an observer for streams created after this
 // call (existing streams are the caller's to enumerate via Streams).
-// core.AttachTraceMetrics uses it to register dropped-event counters
-// for the per-CPU streams AddCPU creates later.
+// core.Observers.Attach uses it to register each stream's
+// dropped-event counter, for the per-CPU streams AddCPU creates too.
 func (c *Collector) OnNewStream(f func(*Stream)) { c.onNew = f }
 
 // Streams returns the collector's streams in creation order.
@@ -388,10 +388,7 @@ type Stream struct {
 	id    int
 	label string
 	clock func() uint64
-
-	buf     []Event // ring once len == cap
-	next    int     // overwrite position when full
-	dropped uint64
+	ring
 
 	cur profCursor
 }
@@ -402,9 +399,6 @@ func (s *Stream) ID() int { return s.id }
 // Label returns the stream's display name.
 func (s *Stream) Label() string { return s.label }
 
-// Dropped returns how many events this stream overwrote.
-func (s *Stream) Dropped() uint64 { return s.dropped }
-
 func (s *Stream) now() uint64 {
 	if s.clock == nil {
 		return 0
@@ -412,26 +406,39 @@ func (s *Stream) now() uint64 {
 	return s.clock()
 }
 
-func (s *Stream) record(ev Event) {
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, ev)
-		return
-	}
-	s.buf[s.next] = ev
-	s.next = (s.next + 1) % len(s.buf)
-	s.dropped++
+// ring is a bounded event buffer that overwrites its oldest event once
+// full; Stream and Recorder keep their events in one.
+type ring struct {
+	buf     []Event // ring once len == cap
+	next    int     // overwrite position when full
+	dropped uint64
 }
 
-// Events returns the stream's buffered events in emission order.
-func (s *Stream) Events() []Event {
-	if len(s.buf) < cap(s.buf) || s.next == 0 {
-		return append([]Event(nil), s.buf...)
+func newRing(limit int) ring { return ring{buf: make([]Event, 0, limit)} }
+
+func (r *ring) record(ev Event) {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, ev)
+		return
 	}
-	out := make([]Event, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
+	r.buf[r.next] = ev
+	r.next = (r.next + 1) % len(r.buf)
+	r.dropped++
+}
+
+// Events returns the buffered events oldest-first.
+func (r *ring) Events() []Event {
+	if len(r.buf) < cap(r.buf) || r.next == 0 {
+		return append([]Event(nil), r.buf...)
+	}
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	out = append(out, r.buf[:r.next]...)
 	return out
 }
+
+// Dropped returns how many events were overwritten.
+func (r *ring) Dropped() uint64 { return r.dropped }
 
 // Emit implements Tracer.
 func (s *Stream) Emit(k Kind, addr, a, b uint64) {

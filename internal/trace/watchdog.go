@@ -106,8 +106,8 @@ type WatchdogAlert struct {
 
 // Watchdog evaluates its rules against every event it sees. It
 // implements Tracer (Step/Call/Ret are no-ops — it never rides the
-// interpreter hot path) and SpanCarrier; attach it with
-// core.AttachWatchdog.
+// interpreter hot path) and SpanCarrier; attach it as
+// core.Observers.Watchdog.
 type Watchdog struct {
 	rules  []WatchdogRule
 	counts []uint64

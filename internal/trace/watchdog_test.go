@@ -84,7 +84,7 @@ func TestWatchdogAlertsReachSinkWithoutRecursion(t *testing.T) {
 	})
 	rec := NewRecorder(0)
 	// Simulate the attach wiring: the sink tee includes the watchdog
-	// itself, as it does when rt.Tracer is teed after AttachWatchdog.
+	// itself, as it does when rt.Tracer is teed after the watchdog attaches.
 	w.Sink = NewTee(rec, w)
 	w.Emit(KindRendezvous, 0, 50, 1)
 	evs := rec.Events()
