@@ -247,6 +247,36 @@ func TestTypeErrors(t *testing.T) {
 	expectError(t, "int a[0];", "array length")
 }
 
+// TestConstantInitializers: a global initializer folds through the
+// shared folder, each operation in its operand types, and is stored
+// narrowed to the global's type; what the folder does not evaluate is
+// no constant.
+func TestConstantInitializers(t *testing.T) {
+	for _, c := range []struct {
+		decl string
+		want int64
+	}{
+		{"bool g = 2;", 1},
+		{"long g = (bool)2 + 1;", 2},
+		{"uchar g = 300;", 44},
+		{"char g = 255;", -1},
+		{"long g = 2147483647 + 1;", -2147483648},
+		{"long g = (uint)1 - 2;", 0xffffffff},
+		{"long g = (1 < 2) + (3 >= 4);", 1},
+		{"long g = !5 - ~0;", 1},
+		{"ulong g = ((ulong)0 - 1) >> 1;", 0x7fffffffffffffff},
+		{"long g = -7 % 3;", -1},
+	} {
+		u := parseAndCheck(t, c.decl)
+		if got := u.Globals["g"].Init; got == nil || *got != c.want {
+			t.Errorf("%s: Init = %v, want %d", c.decl, got, c.want)
+		}
+	}
+	expectError(t, "long x; long g = x + 1;", "integer constant expression")
+	expectError(t, "long g = 1 && 1;", "integer constant expression")
+	expectError(t, "long g = 1 / 0;", "integer constant expression")
+}
+
 func TestExternMergesWithDefinition(t *testing.T) {
 	u := parseAndCheck(t, `
 		extern multiverse int flag;

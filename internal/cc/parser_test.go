@@ -65,7 +65,9 @@ long spin(long n) { long i; for (i = 0; i < n; i++) { step(); } return work; }
 )
 
 // FuzzParse feeds raw bytes to Parse: it must never panic, and
-// whenever LexAll fails, Parse must fail with the same error text. The
+// whenever LexAll fails, Parse must fail with the same error text.
+// Every unit that parses then goes through Check, which must never
+// panic either: it must accept the unit or return an error. The
 // E7 kernel seed has four call sites rather than 1161: the full kernel
 // only repeats the same subsystem function, and the fuzzer spends
 // minutes minimizing each new input grown from a 47 KB seed.
@@ -75,11 +77,14 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte(checkpointSmokeSrc))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := string(data)
-		_, err := cc.Parse("fuzz.mvc", src)
+		u, err := cc.Parse("fuzz.mvc", src)
 		if _, lexErr := cc.LexAll("fuzz.mvc", src); lexErr != nil {
 			if err == nil || err.Error() != lexErr.Error() {
 				t.Fatalf("Parse = %v, want the lexical error %v", err, lexErr)
 			}
+		}
+		if err == nil {
+			_ = cc.Check(u)
 		}
 	})
 }

@@ -15,13 +15,6 @@ func FormatFunc(f *FuncDecl) string {
 	return p.sb.String()
 }
 
-// FormatStmt renders one statement (mainly for diagnostics).
-func FormatStmt(s Stmt) string {
-	p := &srcPrinter{}
-	p.stmt(s)
-	return p.sb.String()
-}
-
 // FormatExpr renders one expression.
 func FormatExpr(e Expr) string {
 	p := &srcPrinter{}

@@ -233,80 +233,16 @@ func (c *checker) checkGlobalInit(d *GlobalDecl) error {
 		return err
 	}
 	d.Init = x
-	v, ok := constEval(x)
+	v, ok := constValue(x)
 	if !ok {
 		return errf(d.P, "initializer of %q must be an integer constant expression", s.Name)
 	}
 	if !s.Type.IsInteger() {
 		return errf(d.P, "cannot initialize %s with a constant", s.Type)
 	}
+	v = Truncate(v, s.Type)
 	s.Init = &v
 	return nil
-}
-
-// constEval evaluates an integer constant expression (64-bit
-// arithmetic; shifts masked; division by zero is not constant).
-func constEval(x Expr) (int64, bool) {
-	switch x := x.(type) {
-	case *IntLit:
-		return x.Value, true
-	case *Unary:
-		v, ok := constEval(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case "-":
-			return -v, true
-		case "~":
-			return ^v, true
-		case "!":
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-	case *Binary:
-		a, ok := constEval(x.X)
-		if !ok {
-			return 0, false
-		}
-		b, ok := constEval(x.Y)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case "+":
-			return a + b, true
-		case "-":
-			return a - b, true
-		case "*":
-			return a * b, true
-		case "/":
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case "%":
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case "&":
-			return a & b, true
-		case "|":
-			return a | b, true
-		case "^":
-			return a ^ b, true
-		case "<<":
-			return a << (uint64(b) & 63), true
-		case ">>":
-			return a >> (uint64(b) & 63), true
-		}
-	case *Cast:
-		return constEval(x.X)
-	}
-	return 0, false
 }
 
 // ---- Function bodies ----
@@ -541,7 +477,7 @@ func (c *checker) checkSwitch(s *Switch) error {
 			if err != nil {
 				return err
 			}
-			v, isConst := constEval(lx)
+			v, isConst := constValue(lx)
 			if !isConst {
 				return errf(cs.P, "case label must be an integer constant expression")
 			}

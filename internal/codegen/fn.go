@@ -108,56 +108,34 @@ func (fe *fnEmitter) free(r isa.Reg) {
 // ---- frame layout ----
 
 func (fe *fnEmitter) assignSlots() {
-	fe.slots = make(map[*cc.VarSym]int32)
-	idx := int32(0)
-	add := func(s *cc.VarSym) {
-		if _, ok := fe.slots[s]; ok {
-			return
+	// A parameter gets a slot when the body uses it; every declared
+	// local gets one, in declaration order.
+	used := make(map[*cc.VarSym]bool)
+	var locals []*cc.VarSym
+	cc.Inspect(fe.f, func(n cc.Node) bool {
+		switch n := n.(type) {
+		case *cc.VarRef:
+			used[n.Sym] = true
+		case *cc.DeclStmt:
+			locals = append(locals, n.Sym)
 		}
-		idx++
-		fe.slots[s] = -8 * idx
+		return true
+	})
+	fe.slots = make(map[*cc.VarSym]int32)
+	add := func(s *cc.VarSym) {
+		if _, ok := fe.slots[s]; !ok {
+			fe.slots[s] = -8 * int32(len(fe.slots)+1)
+		}
 	}
-	used := usedSyms(fe.f)
 	for _, p := range fe.f.Params {
 		if used[p] {
 			add(p)
 		}
 	}
-	var walkStmt func(s cc.Stmt)
-	walkStmt = func(s cc.Stmt) {
-		switch s := s.(type) {
-		case *cc.Block:
-			for _, st := range s.Stmts {
-				walkStmt(st)
-			}
-		case *cc.DeclStmt:
-			add(s.Sym)
-		case *cc.If:
-			walkStmt(s.Then)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *cc.While:
-			walkStmt(s.Body)
-		case *cc.DoWhile:
-			walkStmt(s.Body)
-		case *cc.For:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			walkStmt(s.Body)
-		case *cc.Switch:
-			for _, cs := range s.Cases {
-				for _, st := range cs.Stmts {
-					walkStmt(st)
-				}
-			}
-		}
+	for _, s := range locals {
+		add(s)
 	}
-	if fe.f.Body != nil {
-		walkStmt(fe.f.Body)
-	}
-	fe.frameSize = 8 * idx
+	fe.frameSize = 8 * int32(len(fe.slots))
 }
 
 // accessInfo returns the memory access size and signedness for a type.
@@ -598,92 +576,6 @@ func (fe *fnEmitter) cond(x cc.Expr, jumpIfTrue bool, label int) error {
 		fe.jcc(isa.EQ, label)
 	}
 	return nil
-}
-
-// usedSyms collects every local/param symbol that is read, written or
-// address-taken anywhere in the body.
-func usedSyms(f *cc.FuncDecl) map[*cc.VarSym]bool {
-	out := make(map[*cc.VarSym]bool)
-	var walkExpr func(e cc.Expr)
-	walkExpr = func(e cc.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *cc.VarRef:
-			if e.Sym != nil {
-				out[e.Sym] = true
-			}
-		case *cc.Unary:
-			walkExpr(e.X)
-		case *cc.Binary:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *cc.Assign:
-			walkExpr(e.LHS)
-			walkExpr(e.RHS)
-		case *cc.IncDec:
-			walkExpr(e.X)
-		case *cc.Call:
-			walkExpr(e.Fn)
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *cc.Index:
-			walkExpr(e.Base)
-			walkExpr(e.Idx)
-		case *cc.Cast:
-			walkExpr(e.X)
-		case *cc.Cond:
-			walkExpr(e.C)
-			walkExpr(e.T)
-			walkExpr(e.F)
-		case *cc.Builtin:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	var walk func(s cc.Stmt)
-	walk = func(s cc.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *cc.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *cc.DeclStmt:
-			walkExpr(s.Init)
-		case *cc.ExprStmt:
-			walkExpr(s.X)
-		case *cc.If:
-			walkExpr(s.Cond)
-			walk(s.Then)
-			walk(s.Else)
-		case *cc.While:
-			walkExpr(s.Cond)
-			walk(s.Body)
-		case *cc.DoWhile:
-			walk(s.Body)
-			walkExpr(s.Cond)
-		case *cc.For:
-			walk(s.Init)
-			walkExpr(s.Cond)
-			walkExpr(s.Post)
-			walk(s.Body)
-		case *cc.Switch:
-			walkExpr(s.Cond)
-			for _, cs := range s.Cases {
-				for _, st := range cs.Stmts {
-					walk(st)
-				}
-			}
-		case *cc.Return:
-			walkExpr(s.X)
-		}
-	}
-	if f.Body != nil {
-		walk(f.Body)
-	}
-	return out
 }
 
 // switchStmt lowers a switch to a compare chain followed by the case

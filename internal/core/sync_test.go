@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -224,6 +226,142 @@ func TestTextPokeModeCommit(t *testing.T) {
 	}
 	if err := sys.RT.Audit(); err != nil {
 		t.Fatalf("audit after poke-mode revert: %v", err)
+	}
+}
+
+// pokeSiteSrc calls a multiversed function from one site inside a
+// loop, so a commit pokes that site while CPUs hold superblocks over
+// it.
+const pokeSiteSrc = `
+multiverse int mode;
+long hits;
+multiverse void f(void) { if (mode) { hits += 2; } else { hits += 1; } }
+void loop(long n) { long i; for (i = 0; i < n; i++) { f(); } }
+`
+
+func buildPokeSite(t *testing.T) (*System, uint64) {
+	t.Helper()
+	sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "poke.mvc", Text: pokeSiteSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := sys.RT.FuncByName("f")
+	if !ok || len(sys.RT.sites[f]) != 1 {
+		t.Fatal("f has no single call site")
+	}
+	sys.RT.SetCommitOptions(CommitOptions{Mode: ModeTextPoke})
+	return sys, sys.RT.sites[f][0].desc.Addr
+}
+
+// TestTextPokeProtocol commits under ModeTextPoke while a CPU sits with
+// its PC on the call site being poked: the phases arrive at PokeHook in
+// order 1, 2, 3; during phases 1 and 2 the site starts with BRK and
+// the racing CPU traps resumably on it, never decoding a hybrid; once
+// the poke completes, the CPU executes the new call into the variant.
+func TestTextPokeProtocol(t *testing.T) {
+	sys, site := buildPokeSite(t)
+	c := sys.Machine.CPU
+	if err := sys.Machine.StartCall(c, "loop", 3); err != nil {
+		t.Fatal(err)
+	}
+	stepInto(t, sys, site, site+1)
+	var old [isa.CallSiteLen]byte
+	if err := sys.Machine.Mem.Read(site, old[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	var phases []int
+	var poked [isa.CallSiteLen]byte
+	sys.Machine.PokeHook = func(phase int, addr, n uint64) {
+		if addr != site {
+			return // the commit's other pokes
+		}
+		phases = append(phases, phase)
+		if n != isa.CallSiteLen {
+			t.Errorf("phase %d: n = %d, want %d", phase, n, isa.CallSiteLen)
+		}
+		if err := sys.Machine.Mem.Read(site, poked[:]); err != nil {
+			t.Fatal(err)
+		}
+		if phase == 3 {
+			return
+		}
+		if poked[0] != byte(isa.BRK) {
+			t.Errorf("phase %d: first byte %#02x, want BRK", phase, poked[0])
+		}
+		err := c.Step()
+		if tf := cpu.AsTrap(err); tf == nil || tf.PC != site {
+			t.Fatalf("phase %d: racing step = %v, want a trap at the site", phase, err)
+		}
+		c.PauseSpin()
+	}
+	setAndCommit(t, sys, map[string]int64{"mode": 1})
+	sys.Machine.PokeHook = nil
+	if !slices.Equal(phases, []int{1, 2, 3}) {
+		t.Fatalf("site phases = %v, want [1 2 3]", phases)
+	}
+	if traps := c.Stats().Traps; traps != 2 {
+		t.Errorf("Traps = %d, want 2", traps)
+	}
+	if poked == old {
+		t.Fatal("the commit left the call site unchanged")
+	}
+	variant := sys.RT.byName["f"].committed
+	if err := c.Step(); err != nil {
+		t.Fatalf("post-poke step: %v", err)
+	}
+	if c.PC() != variant.Addr {
+		t.Errorf("post-poke pc = %#x, want the variant at %#x", c.PC(), variant.Addr)
+	}
+}
+
+// TestTextPokeInvalidatesSuperblocks warms two CPUs to superblock
+// steady state over the call site, then commits under ModeTextPoke:
+// the poke's flushes must kill blocks on every CPU, and each CPU must
+// then run the loop exactly as a system that committed before any
+// block was built.
+func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
+	run := func(sys *System, c *cpu.CPU) uint64 {
+		t.Helper()
+		before := c.Stats().Instructions
+		if err := sys.Machine.StartCall(c, "loop", 100); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(1 << 30); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().Instructions - before
+	}
+	cold, _ := buildPokeSite(t)
+	setAndCommit(t, cold, map[string]int64{"mode": 1})
+	want := run(cold, cold.Machine.CPU)
+
+	sys, _ := buildPokeSite(t)
+	if _, err := sys.Machine.AddCPU(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetSwitch("mode", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range sys.Machine.CPUs() {
+		run(sys, c)
+		if dynamic := run(sys, c); dynamic == want {
+			t.Fatalf("the generic body retires %d instructions, as many as the variant", dynamic)
+		}
+		if c.Stats().BlockBuilds == 0 {
+			t.Fatal("no superblocks built over the loop")
+		}
+	}
+	if _, err := sys.RT.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range sys.Machine.CPUs() {
+		if c.Stats().BlockInvalidates == 0 {
+			t.Errorf("cpu %d: the poke invalidated no superblocks", i)
+		}
+		if got := run(sys, c); got != want {
+			t.Errorf("cpu %d: loop retired %d instructions after the poke, want %d; a stale block ran", i, got, want)
+		}
 	}
 }
 

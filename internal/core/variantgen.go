@@ -33,9 +33,6 @@ const DefaultMaxVariants = 64
 type GenOptions struct {
 	// MaxVariants overrides DefaultMaxVariants when > 0.
 	MaxVariants int
-	// Bind restricts specialization to the given switches (partial
-	// specialization, §7.1). Empty means bind every referenced switch.
-	Bind map[string]bool
 	// DisableOptimizer skips the optimization passes on variants; used
 	// by the ablation benchmarks.
 	DisableOptimizer bool
@@ -141,15 +138,6 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 	// and every variant agree on which loop/call is which.
 	mvir.AssignOSRLabels(decl)
 	switches := mvir.ReferencedSwitches(decl)
-	if len(opts.Bind) > 0 {
-		var kept []*cc.VarSym
-		for _, s := range switches {
-			if opts.Bind[s.Name] {
-				kept = append(kept, s)
-			}
-		}
-		switches = kept
-	}
 	if len(decl.BindOnly) > 0 {
 		// Per-function partial specialization: multiverse(bind(...)).
 		want := make(map[string]bool, len(decl.BindOnly))
@@ -242,21 +230,20 @@ func generateVariants(u *cc.Unit, f *codegen.Func, maxVariants int, opts GenOpti
 // variant still performs them.
 func switchWrites(f *cc.FuncDecl, switches []*cc.VarSym) []string {
 	var warns []string
-	mvir.WalkExprs(f, func(e cc.Expr) {
+	cc.Inspect(f, func(n cc.Node) bool {
 		var target cc.Expr
-		switch e := e.(type) {
+		switch n := n.(type) {
 		case *cc.Assign:
-			target = e.LHS
+			target = n.LHS
 		case *cc.IncDec:
-			target = e.X
-		default:
-			return
+			target = n.X
 		}
 		if vr, ok := target.(*cc.VarRef); ok && slices.Contains(switches, vr.Sym) {
 			warns = append(warns, fmt.Sprintf(
 				"%s: write to bound configuration switch %q in specialized variant",
-				e.Pos(), vr.Sym.Name))
+				n.Pos(), vr.Sym.Name))
 		}
+		return true
 	})
 	return warns
 }

@@ -30,6 +30,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -103,13 +104,6 @@ type Config struct {
 
 	BTBSize  int // number of direct-mapped BTB entries (power of two)
 	RASDepth int // return-address stack depth
-
-	// Tracer, when non-nil, observes execution and variability events
-	// (see internal/trace). Tracing is strictly passive: cycle counts
-	// are bit-identical with any tracer attached or none, and a nil
-	// tracer costs one pointer check per hook. SetTracer rebinds it
-	// after construction.
-	Tracer trace.Tracer
 }
 
 // DefaultConfig returns the calibrated cost model used by the paper
@@ -297,13 +291,13 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		btb:    make([]btbEntry, cfg.BTBSize),
 		ras:    make([]uint64, cfg.RASDepth),
 		icache: make(map[uint64]*icLine),
-		tracer: cfg.Tracer,
 	}
 }
 
 // SetTracer installs (or, with nil, removes) the event/profiling
-// tracer. Safe at any point; tracing is passive and never changes
-// simulated cycles.
+// tracer (see internal/trace). Safe at any point; tracing is passive:
+// cycle counts are bit-identical with any tracer attached or none,
+// and a nil tracer costs one pointer check per hook.
 func (c *CPU) SetTracer(t trace.Tracer) { c.tracer = t }
 
 // Tracer returns the installed tracer, if any.
@@ -667,42 +661,13 @@ func (c *CPU) rasPop(actual uint64) bool {
 	return c.ras[c.rasN%len(c.ras)] == actual
 }
 
-// Run executes until HLT, an error, or maxSteps instructions. It
-// returns the number of instructions executed.
+// Run executes until HLT, an error, or maxSteps instructions; running
+// out of steps before HLT is an error. It returns the number of
+// instructions executed. It is RunUntil with no cycle target.
 func (c *CPU) Run(maxSteps uint64) (uint64, error) {
-	var steps uint64
-	// Tracers ride the superblocks. An injector is consulted before
-	// every fetch, so it holds Run to single steps; it is bound before
-	// Run and cannot appear mid-run, so the check is hoisted out of the
-	// loop.
-	if c.inject == nil {
-		for steps < maxSteps {
-			if c.halted {
-				return steps, nil
-			}
-			// stepFastN retires up to the remaining budget through a
-			// superblock (or exactly one instruction off the block path),
-			// so steps stays exact: a block never overshoots maxSteps and
-			// a faulting instruction is not counted, same as Step.
-			n, err := c.stepFastN(maxSteps - steps)
-			steps += n
-			if err != nil {
-				return steps, err
-			}
-		}
-	} else {
-		for steps < maxSteps {
-			if c.halted {
-				return steps, nil
-			}
-			if err := c.Step(); err != nil {
-				return steps, err
-			}
-			steps++
-		}
-	}
-	if !c.halted {
+	steps, err := c.RunUntil(math.MaxUint64, maxSteps)
+	if err == nil && !c.halted {
 		return steps, fmt.Errorf("cpu: exceeded %d steps without HLT (pc=%#x)", maxSteps, c.pc)
 	}
-	return steps, nil
+	return steps, err
 }

@@ -258,6 +258,8 @@ func importLine(ls *ICLineState) (*icLine, error) {
 // the first instruction boundary at or past target.
 func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 	var steps uint64
+	// An injector is bound before the run and cannot appear mid-run,
+	// so the check is hoisted out of the loop.
 	if c.inject == nil {
 		c.cycleStop = target
 		defer func() { c.cycleStop = 0 }()
@@ -265,6 +267,11 @@ func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 			if c.halted {
 				return steps, nil
 			}
+			// stepFastN retires up to the remaining budget through a
+			// superblock (or exactly one instruction off the block
+			// path), so steps stays exact: a block never overshoots
+			// maxSteps and a faulting instruction is not counted, same
+			// as Step.
 			n, err := c.stepFastN(maxSteps - steps)
 			steps += n
 			if err != nil {

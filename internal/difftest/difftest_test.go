@@ -13,7 +13,9 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -406,6 +408,12 @@ func TestOptimizerPreservesBehavior(t *testing.T) {
 
 func TestUnsignedExpressionsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	b2u := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
 	cases := []struct {
 		src  string
 		eval func(a, b uint64) uint64
@@ -413,28 +421,70 @@ func TestUnsignedExpressionsMatchReference(t *testing.T) {
 		{"a / (b | 1)", func(a, b uint64) uint64 { return a / (b | 1) }},
 		{"a % (b | 1)", func(a, b uint64) uint64 { return a % (b | 1) }},
 		{"a >> 7", func(a, b uint64) uint64 { return a >> 7 }},
-		{"(a > b)", func(a, b uint64) uint64 {
-			if a > b {
-				return 1
-			}
-			return 0
-		}},
-		{"(a <= b)", func(a, b uint64) uint64 {
-			if a <= b {
-				return 1
-			}
-			return 0
-		}},
+		{"(a > b)", func(a, b uint64) uint64 { return b2u(a > b) }},
+		{"(a <= b)", func(a, b uint64) uint64 { return b2u(a <= b) }},
 		{"a * b + (a ^ b)", func(a, b uint64) uint64 { return a*b + (a ^ b) }},
+		// Constant operands fold in their own types: int arithmetic
+		// wraps at 32 bits, a cast narrows, a comparison is an int.
+		{"2147483647 + 1", func(a, b uint64) uint64 {
+			n := int32(math.MaxInt32)
+			return uint64(int64(n + 1))
+		}},
+		{"(uchar)300", func(a, b uint64) uint64 {
+			n := 300
+			return uint64(uint8(n))
+		}},
+		{"(1 < 2)", func(a, b uint64) uint64 { return 1 }},
 	}
+	// Each case is also compiled with literal operands, three times
+	// over: as a function's return value, as a global's initializer and
+	// as a case label. All three must match the host's result.
+	operand := regexp.MustCompile(`\b[ab]\b`)
+	type literal struct {
+		a, b uint64
+		src  string
+	}
+	lits := make([][]literal, len(cases))
+	lrng := rand.New(rand.NewSource(4321))
 	var sb strings.Builder
 	for i, c := range cases {
 		fmt.Fprintf(&sb, "ulong g%d(ulong a, ulong b) { return %s; }\n", i, c.src)
+		forms := 1
+		if operand.MatchString(c.src) {
+			forms = 4
+		}
+		for j := 0; j < forms; j++ {
+			a, b := lrng.Uint64(), lrng.Uint64()
+			src := operand.ReplaceAllStringFunc(c.src, func(v string) string {
+				if v == "a" {
+					return fmt.Sprintf("((ulong)%#x)", a)
+				}
+				return fmt.Sprintf("((ulong)%#x)", b)
+			})
+			lits[i] = append(lits[i], literal{a, b, src})
+			fmt.Fprintf(&sb, "ulong f%d_%d(void) { return %s; }\n", i, j, src)
+			fmt.Fprintf(&sb, "ulong c%d_%d = %s;\n", i, j, src)
+			fmt.Fprintf(&sb, "int k%d_%d(ulong x) { switch (x) { case %s: return 1; } return 0; }\n", i, j, src)
+		}
 	}
 	sys, err := core.BuildSystem(core.GenOptions{}, nil,
 		core.Source{Name: "unsigned", Text: sb.String()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, c := range cases {
+		for j, l := range lits[i] {
+			want := c.eval(l.a, l.b)
+			if got, err := sys.Machine.CallNamed(fmt.Sprintf("f%d_%d", i, j)); err != nil || got != want {
+				t.Errorf("return %s = %#x (%v), want %#x", l.src, got, err, want)
+			}
+			if got, err := sys.Machine.ReadGlobal(fmt.Sprintf("c%d_%d", i, j), 8); err != nil || got != want {
+				t.Errorf("initializer %s = %#x (%v), want %#x", l.src, got, err, want)
+			}
+			if got, err := sys.Machine.CallNamed(fmt.Sprintf("k%d_%d", i, j), want); err != nil || got != 1 {
+				t.Errorf("case %s: does not match %#x (%v)", l.src, want, err)
+			}
+		}
 	}
 	for trial := 0; trial < 50; trial++ {
 		a, b := rng.Uint64(), rng.Uint64()

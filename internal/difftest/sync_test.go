@@ -13,15 +13,13 @@ import (
 // parked at commit time, a stop-machine rendezvous herds nobody and
 // the activeness scan sees no live stacks, so switching the runtime
 // from the legacy parked contract to ModeStopMachine must not change
-// a single simulated cycle. Likewise, attaching an inert StepHook
-// must not perturb execution — the hook is a scheduler observation
-// point, not a cycle consumer. These tests pin both properties on the
+// a single simulated cycle. These tests pin that property on the
 // paper's E1 and E4 workloads by requiring bit-identical bench
 // results.
 
 func TestStopMachineModeInvarianceSpin(t *testing.T) {
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(stopMachine, hook bool) map[string]bench.Result {
+	measure := func(stopMachine bool) map[string]bench.Result {
 		out := make(map[string]bench.Result)
 		for _, smp := range []bool{false, true} {
 			s, err := kernelsim.BuildSpin(kernelsim.SpinMultiverse)
@@ -30,9 +28,6 @@ func TestStopMachineModeInvarianceSpin(t *testing.T) {
 			}
 			if stopMachine {
 				s.System().RT.SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine})
-			}
-			if hook {
-				s.System().Machine.StepHook = func(cpuIdx int, pc, total uint64) {}
 			}
 			if err := s.SetSMP(smp); err != nil {
 				t.Fatalf("SetSMP(%v): %v", smp, err)
@@ -45,21 +40,17 @@ func TestStopMachineModeInvarianceSpin(t *testing.T) {
 		}
 		return out
 	}
-	parked := measure(false, false)
-	stop := measure(true, false)
-	hooked := measure(true, true)
+	parked := measure(false)
+	stop := measure(true)
 	for k, r := range parked {
 		if r != stop[k] {
 			t.Errorf("%s: results differ under ModeStopMachine:\nparked: %+v\nstop:   %+v", k, r, stop[k])
-		}
-		if r != hooked[k] {
-			t.Errorf("%s: results differ with inert StepHook:\nparked: %+v\nhooked: %+v", k, r, hooked[k])
 		}
 	}
 }
 
 func TestStopMachineModeInvarianceMusl(t *testing.T) {
-	measure := func(stopMachine, hook bool) map[muslsim.Func]bench.Result {
+	measure := func(stopMachine bool) map[muslsim.Func]bench.Result {
 		out := make(map[muslsim.Func]bench.Result)
 		m, err := muslsim.BuildMusl(muslsim.Multiverse)
 		if err != nil {
@@ -67,9 +58,6 @@ func TestStopMachineModeInvarianceMusl(t *testing.T) {
 		}
 		if stopMachine {
 			m.System().RT.SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine})
-		}
-		if hook {
-			m.System().Machine.StepHook = func(cpuIdx int, pc, total uint64) {}
 		}
 		if err := m.SetThreads(false); err != nil {
 			t.Fatalf("SetThreads: %v", err)
@@ -83,15 +71,11 @@ func TestStopMachineModeInvarianceMusl(t *testing.T) {
 		}
 		return out
 	}
-	parked := measure(false, false)
-	stop := measure(true, false)
-	hooked := measure(true, true)
+	parked := measure(false)
+	stop := measure(true)
 	for f, r := range parked {
 		if r != stop[f] {
 			t.Errorf("%v: results differ under ModeStopMachine:\nparked: %+v\nstop:   %+v", f, r, stop[f])
-		}
-		if r != hooked[f] {
-			t.Errorf("%v: results differ with inert StepHook:\nparked: %+v\nhooked: %+v", f, r, hooked[f])
 		}
 	}
 }

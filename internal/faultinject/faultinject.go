@@ -301,10 +301,6 @@ func (p *Plan) Attach(m *machine.Machine) {
 // hook-free fast paths.
 func Detach(m *machine.Machine) { m.SetInjector(nil) }
 
-// TextRanges reports the executable ranges the plan scopes write
-// tears to (set by Attach).
-func (p *Plan) TextRanges() int { return len(p.text) }
-
 func (p *Plan) inText(addr uint64) bool {
 	for _, r := range p.text {
 		if addr >= r.lo && addr < r.hi {

@@ -141,7 +141,7 @@ type Fleet struct {
 // boots every machine to its round-0 checkpoint.
 func New(cfg Config) (*Fleet, error) {
 	cfg.Defaults()
-	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "fleet.mvc", Text: workloadSrc})
+	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "fleet.mvc", Text: GuestSource})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: workload build: %w", err)
 	}

@@ -17,13 +17,13 @@
 // produces.
 package fleet
 
-// workloadSrc is the per-machine guest program: an E1/E4-style
+// GuestSource is the per-machine guest program: an E1/E4-style
 // request server with two multiverse-controlled feature flags. The
 // compression level selects the reply encoder variant; the tenant
 // isolation mode selects whether per-tenant state is partitioned or
 // shared. Both are classic fixed-after-reconfiguration switches: the
 // fleet's config-flip storms rebind them at runtime via Commit.
-const workloadSrc = `
+const GuestSource = `
 	multiverse(0, 1, 2) int compression;
 	multiverse int isolated;
 

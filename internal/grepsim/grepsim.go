@@ -121,6 +121,9 @@ func BuildGrep(b Build, obs ...core.Observers) (*Grep, error) {
 	return g, nil
 }
 
+// System exposes the underlying system.
+func (g *Grep) System() *core.System { return g.sys }
+
 // Corpus generates n bytes of hexadecimal-formatted random numbers,
 // one number per line — the paper's workload class. The generator is
 // seeded deterministically so every build sees identical input.

@@ -39,16 +39,9 @@ type Machine struct {
 	// each CPU added with AddCPU its own cycle-stamped event stream.
 	TraceCollector *trace.Collector
 
-	// StepHook, when non-nil, is invoked by Interleave at every quantum
-	// boundary with the CPU index just scheduled, its PC, and the total
-	// instructions executed so far. Concurrency harnesses use it to land
-	// runtime operations at deterministic interleaving points. Nil (the
-	// default) leaves Interleave's behavior and cost unchanged.
-	StepHook func(cpuIdx int, pc uint64, total uint64)
-
 	// PokeHook, when non-nil, observes each completed phase of a
-	// TextPoke (see NotePokePhase). Chaos harnesses use it to interleave
-	// victim-CPU steps between protocol phases.
+	// text poke (see NotePokePhase). Chaos harnesses use it to
+	// interleave victim-CPU steps between protocol phases.
 	PokeHook func(phase int, addr, n uint64)
 
 	// Observer, when non-nil, receives machine-level observability
@@ -124,13 +117,7 @@ func (m *Machine) ICacheStale(addr, n uint64) bool {
 type Option func(*options)
 
 type options struct {
-	cfg cpu.Config
-	wx  bool
-}
-
-// WithConfig selects a CPU cost model (default cpu.DefaultConfig).
-func WithConfig(cfg cpu.Config) Option {
-	return func(o *options) { o.cfg = cfg }
+	wx bool
 }
 
 // WithWX enables the strict W^X memory policy, under which no page may
@@ -141,7 +128,7 @@ func WithWX() Option {
 
 // New creates a machine and loads img into it.
 func New(img *link.Image, opts ...Option) (*Machine, error) {
-	o := options{cfg: cpu.DefaultConfig()}
+	var o options
 	for _, f := range opts {
 		f(&o)
 	}
@@ -167,7 +154,7 @@ func New(img *link.Image, opts ...Option) (*Machine, error) {
 		return nil, err
 	}
 
-	c := cpu.New(m, o.cfg)
+	c := cpu.New(m, cpu.DefaultConfig())
 	c.SetReg(isa.SP, stackTop)
 	mach := &Machine{Mem: m, CPU: c, Image: img, MaxSteps: 1 << 40,
 		cpus: []*cpu.CPU{c}, stackTops: []uint64{stackTop}}

@@ -83,10 +83,6 @@ func (m *Machine) StartCall(c *cpu.CPU, name string, args ...uint64) error {
 // Every quantum must be >= 1: a zero quantum would keep a non-halted
 // CPU "running" without ever stepping it, spinning the round-robin
 // loop forever.
-//
-// If m.StepHook is non-nil it is invoked at each quantum boundary —
-// a deterministic instruction-boundary point at which concurrency
-// harnesses inject runtime operations. A nil hook costs nothing.
 func (m *Machine) Interleave(cpus []*cpu.CPU, quanta []int, maxSteps uint64) (uint64, error) {
 	if len(cpus) != len(quanta) {
 		return 0, fmt.Errorf("machine: %d cpus but %d quanta", len(cpus), len(quanta))
@@ -114,9 +110,6 @@ func (m *Machine) Interleave(cpus []*cpu.CPU, quanta []int, maxSteps uint64) (ui
 					return total, fmt.Errorf("machine: cpu %d: %w", i, err)
 				}
 				total++
-			}
-			if m.StepHook != nil {
-				m.StepHook(i, c.PC(), total)
 			}
 		}
 		if !anyRunning {

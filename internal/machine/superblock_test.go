@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
@@ -16,68 +15,6 @@ func (inertInjector) ProtectFault(uint64, uint64, mem.Prot) error { return nil }
 func (inertInjector) WriteTear(uint64, int) (int, error)          { return 0, nil }
 func (inertInjector) FetchFault(int, uint64, uint64) error        { return nil }
 func (inertInjector) DropFlush(int, uint64, uint64) bool          { return false }
-
-// TestTextPokeInvalidatesSuperblocks drives the PR 5 cross-modifying
-// poke protocol over text that every CPU holds superblocks for: the
-// poke's phase flushes must kill the blocks on all CPUs (counted in
-// BlockInvalidates) and the next execution must run the patched bytes
-// — never a stale block.
-func TestTextPokeInvalidatesSuperblocks(t *testing.T) {
-	m, err := New(buildPokeImage(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := m.AddCPU()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm both CPUs to block steady state on the spin loop.
-	for i := 0; i < 2; i++ {
-		if _, err := m.Call(m.MustSymbol("spin")); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.StartCall(extra, "spin"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := extra.Run(1 << 40); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, c := range m.CPUs() {
-		if c.Stats().BlockBuilds == 0 {
-			t.Fatalf("cpu %d built no superblocks on the spin loop", i)
-		}
-	}
-
-	// Poke the 6-byte decrement from -1 to -2: the count starts even,
-	// so the loop still terminates, in half the iterations — stale
-	// block execution is observable as instruction count.
-	site := m.MustSymbol("site")
-	var a isa.Asm
-	a.AluI(isa.ADDI, 1, -2)
-	if err := m.TextPoke(site, a.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range m.CPUs() {
-		if c.Stats().BlockInvalidates == 0 {
-			t.Errorf("cpu %d: TextPoke invalidated no superblocks", i)
-		}
-	}
-
-	// The loop body is 100000 iterations of -1; patched to -2 it takes
-	// half the iterations. Count instructions to observe the patch.
-	before := m.CPU.Stats().Instructions
-	if _, err := m.Call(m.MustSymbol("spin")); err != nil {
-		t.Fatal(err)
-	}
-	ran := m.CPU.Stats().Instructions - before
-	// movi + 50000*(addi,cmpi,jcc) + ret ≈ 150002; stale -1 would run
-	// ~300002. Split the difference.
-	if ran > 200000 {
-		t.Errorf("post-poke spin retired %d instructions; stale pre-poke block still executing", ran)
-	}
-}
 
 // TestInterleaveSuperblockInvariance pins SMP interleaving semantics:
 // Interleave single-steps at instruction granularity whether or not

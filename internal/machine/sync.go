@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
-	"repro/internal/isa"
 )
 
 // Range is a half-open address range [Addr, Addr+Len) that a quiescing
@@ -87,9 +86,8 @@ type PokePhaser interface {
 // NotePokePhase announces a completed text-poke phase to the PokeHook
 // and to a PokePhaser fault injector. Phases: 1 = BRK planted over the
 // first byte, 2 = tail bytes written, 3 = first byte restored (poke
-// complete). Core's journaled poke path calls it so harness hooks see
-// the same phase stream whether the poke came from TextPoke or from a
-// transactional commit.
+// complete). The runtime's journaled breakpoint-protocol write (a
+// commit under core.ModeTextPoke) calls it after each phase's flush.
 func (m *Machine) NotePokePhase(phase int, addr, n uint64) {
 	if m.PokeHook != nil {
 		m.PokeHook(phase, addr, n)
@@ -97,54 +95,6 @@ func (m *Machine) NotePokePhase(phase int, addr, n uint64) {
 	if p, ok := m.injector.(PokePhaser); ok {
 		p.PokePhase(phase, addr, n)
 	}
-}
-
-// TextPoke rewrites [addr, addr+len(data)) in live text using the
-// breakpoint protocol (the kernel's text_poke_bp):
-//
-//  1. write BRK over the first byte, flush everywhere;
-//  2. write the tail bytes, flush;
-//  3. restore the first byte with its new value, flush.
-//
-// The first byte is the linchpin: until phase 3 lands, any CPU that
-// fetches the site either still sees the complete old instruction (its
-// icache snapshot predates phase 1) or sees BRK and traps resumably —
-// never a spliced old/new hybrid, because the old first byte is gone
-// before any new tail byte becomes visible. A trapping CPU spins
-// (cpu.PauseSpin) until phase 3, then re-steps the new instruction.
-//
-// Single-byte pokes are inherently atomic and skip the protocol.
-func (m *Machine) TextPoke(addr uint64, data []byte) error {
-	n := uint64(len(data))
-	if n == 0 {
-		return nil
-	}
-	if n == 1 {
-		if err := m.Mem.WriteForce(addr, data); err != nil {
-			return err
-		}
-		m.FlushICacheAll(addr, 1)
-		return nil
-	}
-	brk := [1]byte{byte(isa.BRK)}
-	if err := m.Mem.WriteForce(addr, brk[:]); err != nil {
-		return err
-	}
-	m.FlushICacheAll(addr, 1)
-	m.NotePokePhase(1, addr, n)
-
-	if err := m.Mem.WriteForce(addr+1, data[1:]); err != nil {
-		return err
-	}
-	m.FlushICacheAll(addr+1, n-1)
-	m.NotePokePhase(2, addr, n)
-
-	if err := m.Mem.WriteForce(addr, data[:1]); err != nil {
-		return err
-	}
-	m.FlushICacheAll(addr, 1)
-	m.NotePokePhase(3, addr, n)
-	return nil
 }
 
 // liveStackScanWords bounds the per-CPU stack walk of LiveCodeAddrs.

@@ -104,41 +104,6 @@ func TestInterleaveExactStepBound(t *testing.T) {
 	}
 }
 
-// TestInterleaveStepHook: the hook fires at quantum boundaries with
-// monotonic totals, and attaching it does not change execution.
-func TestInterleaveStepHook(t *testing.T) {
-	img := buildPokeImage(t)
-	m, err := New(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StartCall(m.CPU, "spin"); err != nil {
-		t.Fatal(err)
-	}
-	var fires int
-	var lastTotal uint64
-	m.StepHook = func(cpuIdx int, pc uint64, total uint64) {
-		if cpuIdx != 0 {
-			t.Errorf("hook cpu = %d, want 0", cpuIdx)
-		}
-		if total < lastTotal {
-			t.Errorf("hook total went backwards: %d -> %d", lastTotal, total)
-		}
-		lastTotal = total
-		fires++
-	}
-	total, err := m.Interleave([]*cpu.CPU{m.CPU}, []int{100}, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fires == 0 {
-		t.Fatal("StepHook never fired")
-	}
-	if lastTotal != total {
-		t.Errorf("final hook total = %d, want %d", lastTotal, total)
-	}
-}
-
 // TestAddCPUStackCollision: a mapping squatting where the next CPU
 // stack goes must fail AddCPU with a descriptive error and must not
 // leak the stack slot — after the squatter is unmapped, AddCPU places
@@ -174,80 +139,6 @@ func TestAddCPUStackCollision(t *testing.T) {
 	}
 	if got := c2.Reg(isa.SP); got != top {
 		t.Errorf("cpu 1 stack top = %#x, want %#x", got, top)
-	}
-}
-
-// TestTextPokeProtocol drives a poke over a 6-byte instruction while a
-// second CPU sits with its PC on the site: mid-window the bytes must
-// be BRK + transitioning tail, the racing CPU must trap resumably in
-// phases 1 and 2, and after completion it must execute the new
-// instruction.
-func TestTextPokeProtocol(t *testing.T) {
-	img := buildPokeImage(t)
-	m, err := New(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	site := m.MustSymbol("site")
-	c := m.CPU
-	if err := m.StartCall(c, "spin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Step(); err != nil { // movi; PC now at site, icache warm
-		t.Fatal(err)
-	}
-	if c.PC() != site {
-		t.Fatalf("pc = %#x, want site %#x", c.PC(), site)
-	}
-
-	var oldBytes [6]byte
-	if err := m.Mem.Read(site, oldBytes[:]); err != nil {
-		t.Fatal(err)
-	}
-	newBytes := isa.EncodeNop(6)
-
-	var phases []int
-	m.PokeHook = func(phase int, addr, n uint64) {
-		phases = append(phases, phase)
-		if addr != site || n != 6 {
-			t.Errorf("phase %d addr/n = %#x/%d, want %#x/6", phase, addr, n, site)
-		}
-		var cur [6]byte
-		if err := m.Mem.Read(site, cur[:]); err != nil {
-			t.Fatal(err)
-		}
-		if phase < 3 && cur[0] != byte(isa.BRK) {
-			t.Errorf("phase %d: first byte %#02x, want BRK", phase, cur[0])
-		}
-		if phase == 3 && cur != [6]byte(newBytes) {
-			t.Errorf("phase 3: site = %x, want %x", cur, newBytes)
-		}
-		if phase < 3 {
-			// The racing CPU must trap resumably, never decode a hybrid.
-			err := c.Step()
-			if tf := cpu.AsTrap(err); tf == nil || tf.PC != site {
-				t.Fatalf("phase %d: racing step = %v, want trap at site", phase, err)
-			}
-			c.PauseSpin()
-		}
-	}
-	if err := m.TextPoke(site, newBytes); err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != 3 || phases[0] != 1 || phases[1] != 2 || phases[2] != 3 {
-		t.Fatalf("phases = %v, want [1 2 3]", phases)
-	}
-	traps := c.Stats().Traps
-	if traps != 2 {
-		t.Errorf("Traps = %d, want 2", traps)
-	}
-	// Poke complete: the parked CPU re-steps and executes the new
-	// 6-byte NOP whole.
-	if err := c.Step(); err != nil {
-		t.Fatalf("post-poke step: %v", err)
-	}
-	if c.PC() != site+6 {
-		t.Errorf("post-poke pc = %#x, want %#x", c.PC(), site+6)
 	}
 }
 

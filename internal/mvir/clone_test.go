@@ -72,10 +72,11 @@ func TestCloneSharesGlobalsOnly(t *testing.T) {
 	// Globals referenced from both must be the same symbol objects.
 	var origGlobals, cloneGlobals []*cc.VarSym
 	collect := func(fd *cc.FuncDecl, out *[]*cc.VarSym) {
-		WalkExprs(fd, func(e cc.Expr) {
+		cc.Inspect(fd, func(e cc.Node) bool {
 			if vr, ok := e.(*cc.VarRef); ok && vr.Sym != nil && vr.Sym.IsGlobalData() {
 				*out = append(*out, vr.Sym)
 			}
+			return true
 		})
 	}
 	collect(f, &origGlobals)
@@ -90,19 +91,21 @@ func TestCloneSharesGlobalsOnly(t *testing.T) {
 	}
 	// Locals must all be distinct objects.
 	origLocals := map[*cc.VarSym]bool{}
-	WalkExprs(f, func(e cc.Expr) {
+	cc.Inspect(f, func(e cc.Node) bool {
 		if vr, ok := e.(*cc.VarRef); ok && vr.Sym != nil &&
 			(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
 			origLocals[vr.Sym] = true
 		}
+		return true
 	})
-	WalkExprs(clone, func(e cc.Expr) {
+	cc.Inspect(clone, func(e cc.Node) bool {
 		if vr, ok := e.(*cc.VarRef); ok && vr.Sym != nil &&
 			(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
 			if origLocals[vr.Sym] {
 				t.Fatalf("local %q shared between clone and original", vr.Sym.Name)
 			}
 		}
+		return true
 	})
 }
 
@@ -119,10 +122,6 @@ func TestHasSideEffects(t *testing.T) {
 		}
 	`)
 	probe := fn(t, u, "probe")
-	var exprs []cc.Expr
-	WalkExprs(probe, func(e cc.Expr) {
-		exprs = append(exprs, e)
-	})
 	// Find the top-level initializers by scanning DeclStmts.
 	decls := probe.Body.Stmts
 	pure := decls[0].(*cc.DeclStmt).Init

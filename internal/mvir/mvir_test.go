@@ -1,6 +1,7 @@
 package mvir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -542,5 +543,45 @@ func TestConstantSwitchWithContinueKept(t *testing.T) {
 	fp := Fingerprint(f)
 	if !strings.Contains(fp, "switch") {
 		t.Errorf("switch with continue was unsafely folded: %s", fp)
+	}
+}
+
+// TestOSRLabelsFollowInspectOrder: loops and calls are numbered in
+// cc.Inspect order, each kind from 1 — a loop before the loops in its
+// body, a call before the calls in its operands.
+func TestOSRLabelsFollowInspectOrder(t *testing.T) {
+	u := parse(t, `
+		long g(long x) { return x; }
+		long f(long n) {
+			long i;
+			long s = 0;
+			while (n > 0) { n--; do { s += g(g(n)); } while (0); }
+			for (i = 0; i < g(3); i++) { s++; }
+			return s;
+		}
+	`)
+	f := fn(t, u, "f")
+	AssignOSRLabels(f)
+	var loops, calls []int
+	var args []cc.Expr
+	cc.Inspect(f, func(n cc.Node) bool {
+		switch n := n.(type) {
+		case *cc.While:
+			loops = append(loops, n.OSR)
+		case *cc.DoWhile:
+			loops = append(loops, n.OSR)
+		case *cc.For:
+			loops = append(loops, n.OSR)
+		case *cc.Call:
+			calls = append(calls, n.OSR)
+			args = append(args, n.Args[0])
+		}
+		return true
+	})
+	if fmt.Sprint(loops) != "[1 2 3]" || fmt.Sprint(calls) != "[1 2 3]" {
+		t.Fatalf("loop labels %v, call labels %v; want [1 2 3] each", loops, calls)
+	}
+	if inner, ok := args[0].(*cc.Call); !ok || inner.OSR != 2 {
+		t.Errorf("the outer call's operand is not the call labelled 2")
 	}
 }

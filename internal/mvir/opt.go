@@ -86,25 +86,6 @@ func intLit(v int64, t *cc.Type, pos cc.Pos) *cc.IntLit {
 	return l
 }
 
-// truncate narrows v to the width and signedness of t.
-func truncate(v int64, t *cc.Type) int64 {
-	size := t.ByteSize()
-	if size >= 8 || size == 0 {
-		return v
-	}
-	shift := uint(64 - 8*size)
-	if t.IsSigned() {
-		return v << shift >> shift
-	}
-	if t.Kind == cc.KindBool {
-		if v != 0 {
-			return 1
-		}
-		return 0
-	}
-	return int64(uint64(v) << shift >> shift)
-}
-
 func (o *optimizer) expr(e cc.Expr, env env) cc.Expr {
 	switch e := e.(type) {
 	case nil:
@@ -123,16 +104,7 @@ func (o *optimizer) expr(e cc.Expr, env env) cc.Expr {
 			e.X = o.expr(e.X, env)
 		}
 		if v, ok := litOf(e.X); ok {
-			switch e.Op {
-			case "-":
-				return intLit(truncate(-v, e.Type()), e.Type(), e.Pos())
-			case "~":
-				return intLit(truncate(^v, e.Type()), e.Type(), e.Pos())
-			case "!":
-				r := int64(0)
-				if v == 0 {
-					r = 1
-				}
+			if r, ok := cc.FoldUnary(e, v); ok {
 				return intLit(r, e.Type(), e.Pos())
 			}
 		}
@@ -165,7 +137,7 @@ func (o *optimizer) expr(e cc.Expr, env env) cc.Expr {
 	case *cc.Cast:
 		e.X = o.expr(e.X, env)
 		if v, ok := litOf(e.X); ok && e.Type().IsInteger() {
-			return intLit(truncate(v, e.Type()), e.Type(), e.Pos())
+			return intLit(cc.Truncate(v, e.Type()), e.Type(), e.Pos())
 		}
 		return e
 
@@ -254,99 +226,12 @@ func (o *optimizer) binary(e *cc.Binary, env env) cc.Expr {
 	e.Y = o.expr(e.Y, env)
 	xv, xok := litOf(e.X)
 	yv, yok := litOf(e.Y)
-	if !xok || !yok {
-		return e
+	if xok && yok {
+		if r, ok := cc.FoldBinary(e, xv, yv); ok {
+			return intLit(r, e.Type(), e.Pos())
+		}
 	}
-	// Only pure integer arithmetic folds; pointer arithmetic keeps its
-	// relocations.
-	xt, yt := e.X.Type(), e.Y.Type()
-	if !xt.IsInteger() || !yt.IsInteger() {
-		return e
-	}
-	common := cc.Common(xt, yt)
-	unsigned := !common.IsSigned()
-	var r int64
-	switch e.Op {
-	case "+":
-		r = xv + yv
-	case "-":
-		r = xv - yv
-	case "*":
-		r = xv * yv
-	case "/":
-		if yv == 0 {
-			return e // leave the runtime fault in place
-		}
-		if unsigned {
-			r = int64(uint64(xv) / uint64(yv))
-		} else {
-			r = xv / yv
-		}
-	case "%":
-		if yv == 0 {
-			return e
-		}
-		if unsigned {
-			r = int64(uint64(xv) % uint64(yv))
-		} else {
-			r = xv % yv
-		}
-	case "&":
-		r = xv & yv
-	case "|":
-		r = xv | yv
-	case "^":
-		r = xv ^ yv
-	case "<<":
-		r = xv << (uint64(yv) & 63)
-	case ">>":
-		if unsigned {
-			r = int64(uint64(xv) >> (uint64(yv) & 63))
-		} else {
-			r = xv >> (uint64(yv) & 63)
-		}
-	case "==", "!=", "<", "<=", ">", ">=":
-		var b bool
-		if unsigned {
-			ux, uy := uint64(xv), uint64(yv)
-			switch e.Op {
-			case "==":
-				b = ux == uy
-			case "!=":
-				b = ux != uy
-			case "<":
-				b = ux < uy
-			case "<=":
-				b = ux <= uy
-			case ">":
-				b = ux > uy
-			case ">=":
-				b = ux >= uy
-			}
-		} else {
-			switch e.Op {
-			case "==":
-				b = xv == yv
-			case "!=":
-				b = xv != yv
-			case "<":
-				b = xv < yv
-			case "<=":
-				b = xv <= yv
-			case ">":
-				b = xv > yv
-			case ">=":
-				b = xv >= yv
-			}
-		}
-		if b {
-			r = 1
-		}
-		return intLit(r, e.Type(), e.Pos())
-	default:
-		return e
-	}
-	return intLit(truncate(r, e.Type()), e.Type(), e.Pos())
+	return e
 }
 
 // terminates reports whether the statement never falls through.
@@ -396,7 +281,7 @@ func (o *optimizer) stmt(s cc.Stmt, env env) cc.Stmt {
 	case *cc.DeclStmt:
 		s.Init = o.expr(s.Init, env)
 		if v, ok := litOf(s.Init); ok && !o.addrTaken[s.Sym] {
-			env[s.Sym] = truncate(v, s.Sym.Type)
+			env[s.Sym] = cc.Truncate(v, s.Sym.Type)
 		} else {
 			delete(env, s.Sym)
 		}
@@ -407,11 +292,9 @@ func (o *optimizer) stmt(s cc.Stmt, env env) cc.Stmt {
 		env.killAssigned(s)
 		// Track simple constant stores to locals.
 		if a, ok := s.X.(*cc.Assign); ok && a.Op == "=" {
-			if vr, ok := a.LHS.(*cc.VarRef); ok && vr.Sym != nil &&
-				(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) &&
-				!o.addrTaken[vr.Sym] {
+			if sym := localSym(a.LHS); sym != nil && !o.addrTaken[sym] {
 				if v, ok := litOf(a.RHS); ok {
-					env[vr.Sym] = truncate(v, vr.Sym.Type)
+					env[sym] = cc.Truncate(v, sym.Type)
 				}
 			}
 		}
@@ -576,51 +459,37 @@ func (o *optimizer) optimizeCaseStmts(cs *cc.SwitchCase, env env) {
 // containsLoopCtl reports whether s contains a break/continue that
 // binds to the enclosing loop (not to a nested one).
 func containsLoopCtl(s cc.Stmt) bool {
-	switch s := s.(type) {
-	case *cc.Break, *cc.Continue:
-		return true
-	case *cc.Block:
-		for _, st := range s.Stmts {
-			if containsLoopCtl(st) {
-				return true
-			}
+	found := false
+	cc.Inspect(s, func(n cc.Node) bool {
+		switch n := n.(type) {
+		case *cc.Break, *cc.Continue:
+			found = true
+		case *cc.Switch:
+			// break inside binds to the switch; only continue escapes.
+			found = found || containsContinue(n)
+			return false
+		case *cc.While, *cc.DoWhile, *cc.For:
+			return false // loops rebind break and continue
 		}
-	case *cc.If:
-		return containsLoopCtl(s.Then) || containsLoopCtl(s.Else)
-	case *cc.Switch:
-		// break inside binds to the switch; only continue escapes.
-		return containsContinue(s)
-	case nil:
-	}
-	// While/DoWhile/For rebind break/continue.
-	return false
+		return !found
+	})
+	return found
 }
 
 // containsContinue reports whether s contains a continue that binds to
 // the enclosing loop (nested loops rebind it; switches do not).
 func containsContinue(s cc.Stmt) bool {
-	switch s := s.(type) {
-	case *cc.Continue:
-		return true
-	case *cc.Block:
-		for _, st := range s.Stmts {
-			if containsContinue(st) {
-				return true
-			}
+	found := false
+	cc.Inspect(s, func(n cc.Node) bool {
+		switch n.(type) {
+		case *cc.Continue:
+			found = true
+		case *cc.While, *cc.DoWhile, *cc.For:
+			return false
 		}
-	case *cc.If:
-		return containsContinue(s.Then) || containsContinue(s.Else)
-	case *cc.Switch:
-		for _, cs := range s.Cases {
-			for _, st := range cs.Stmts {
-				if containsContinue(st) {
-					return true
-				}
-			}
-		}
-	case nil:
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // removeDeadLocals drops locals that are never read and whose address

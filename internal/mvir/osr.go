@@ -4,7 +4,7 @@ import "repro/internal/cc"
 
 // AssignOSRLabels stamps every loop and call in f's body with a
 // variant-invariant logical label (1..N for loops, 1..M for calls),
-// walking the body in deterministic source order. It must run on the
+// numbering each kind in cc.Inspect order. It must run on the
 // pristine declaration *before* variant cloning: CloneFunc copies the
 // label fields, so every clone — and the generic — carries the same
 // id for the same source construct. The optimizer only deletes or
@@ -12,90 +12,22 @@ import "repro/internal/cc"
 // surviving into two variants always names the same source point;
 // labels elided from a variant simply have no mapped OSR point there.
 func AssignOSRLabels(f *cc.FuncDecl) {
-	if f.Body == nil {
-		return
-	}
-	nextLoop, nextCall := 0, 0
-	var walkE func(e cc.Expr)
-	var walkS func(s cc.Stmt)
-	walkE = func(e cc.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *cc.Unary:
-			walkE(e.X)
-		case *cc.Binary:
-			walkE(e.X)
-			walkE(e.Y)
-		case *cc.Assign:
-			walkE(e.LHS)
-			walkE(e.RHS)
-		case *cc.IncDec:
-			walkE(e.X)
-		case *cc.Call:
-			walkE(e.Fn)
-			for _, a := range e.Args {
-				walkE(a)
-			}
-			nextCall++
-			e.OSR = nextCall
-		case *cc.Index:
-			walkE(e.Base)
-			walkE(e.Idx)
-		case *cc.Cast:
-			walkE(e.X)
-		case *cc.Cond:
-			walkE(e.C)
-			walkE(e.T)
-			walkE(e.F)
-		case *cc.Builtin:
-			for _, a := range e.Args {
-				walkE(a)
-			}
-		}
-	}
-	walkS = func(s cc.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *cc.Block:
-			for _, st := range s.Stmts {
-				walkS(st)
-			}
-		case *cc.DeclStmt:
-			walkE(s.Init)
-		case *cc.ExprStmt:
-			walkE(s.X)
-		case *cc.If:
-			walkE(s.Cond)
-			walkS(s.Then)
-			walkS(s.Else)
+	loops, calls := 0, 0
+	cc.Inspect(f, func(n cc.Node) bool {
+		switch n := n.(type) {
 		case *cc.While:
-			nextLoop++
-			s.OSR = nextLoop
-			walkE(s.Cond)
-			walkS(s.Body)
+			loops++
+			n.OSR = loops
 		case *cc.DoWhile:
-			nextLoop++
-			s.OSR = nextLoop
-			walkS(s.Body)
-			walkE(s.Cond)
+			loops++
+			n.OSR = loops
 		case *cc.For:
-			nextLoop++
-			s.OSR = nextLoop
-			walkS(s.Init)
-			walkE(s.Cond)
-			walkE(s.Post)
-			walkS(s.Body)
-		case *cc.Switch:
-			walkE(s.Cond)
-			for _, cs := range s.Cases {
-				for _, st := range cs.Stmts {
-					walkS(st)
-				}
-			}
-		case *cc.Return:
-			walkE(s.X)
-		case *cc.Break, *cc.Continue, *cc.Empty:
+			loops++
+			n.OSR = loops
+		case *cc.Call:
+			calls++
+			n.OSR = calls
 		}
-	}
-	walkS(f.Body)
+		return true
+	})
 }

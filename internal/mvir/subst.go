@@ -161,15 +161,12 @@ func (s *substituter) stmt(st cc.Stmt) {
 func ReferencedSwitches(f *cc.FuncDecl) []*cc.VarSym {
 	var order []*cc.VarSym
 	seen := make(map[*cc.VarSym]bool)
-	WalkExprs(f, func(e cc.Expr) {
-		vr, ok := e.(*cc.VarRef)
-		if !ok || vr.Sym == nil || !vr.Sym.Multiverse {
-			return
-		}
-		if !seen[vr.Sym] {
+	cc.Inspect(f, func(n cc.Node) bool {
+		if vr, ok := n.(*cc.VarRef); ok && vr.Sym != nil && vr.Sym.Multiverse && !seen[vr.Sym] {
 			seen[vr.Sym] = true
 			order = append(order, vr.Sym)
 		}
+		return true
 	})
 	return order
 }

@@ -2,123 +2,45 @@ package mvir
 
 import "repro/internal/cc"
 
-// WalkExprs calls fn for every expression node in f's body, in
-// evaluation order (parents after operands is not guaranteed; fn is
-// called on the node before its children).
-func WalkExprs(f *cc.FuncDecl, fn func(cc.Expr)) {
-	if f.Body == nil {
-		return
-	}
-	walkStmtExprs(f.Body, fn)
-}
-
-func walkStmtExprs(s cc.Stmt, fn func(cc.Expr)) {
-	switch s := s.(type) {
-	case nil:
-	case *cc.Block:
-		for _, st := range s.Stmts {
-			walkStmtExprs(st, fn)
-		}
-	case *cc.DeclStmt:
-		walkExpr(s.Init, fn)
-	case *cc.ExprStmt:
-		walkExpr(s.X, fn)
-	case *cc.If:
-		walkExpr(s.Cond, fn)
-		walkStmtExprs(s.Then, fn)
-		walkStmtExprs(s.Else, fn)
-	case *cc.While:
-		walkExpr(s.Cond, fn)
-		walkStmtExprs(s.Body, fn)
-	case *cc.DoWhile:
-		walkStmtExprs(s.Body, fn)
-		walkExpr(s.Cond, fn)
-	case *cc.For:
-		walkStmtExprs(s.Init, fn)
-		walkExpr(s.Cond, fn)
-		walkExpr(s.Post, fn)
-		walkStmtExprs(s.Body, fn)
-	case *cc.Switch:
-		walkExpr(s.Cond, fn)
-		for _, cs := range s.Cases {
-			for _, st := range cs.Stmts {
-				walkStmtExprs(st, fn)
-			}
-		}
-	case *cc.Return:
-		walkExpr(s.X, fn)
-	case *cc.Break, *cc.Continue, *cc.Empty:
-	}
-}
-
-func walkExpr(e cc.Expr, fn func(cc.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch e := e.(type) {
-	case *cc.Unary:
-		walkExpr(e.X, fn)
-	case *cc.Binary:
-		walkExpr(e.X, fn)
-		walkExpr(e.Y, fn)
-	case *cc.Assign:
-		walkExpr(e.LHS, fn)
-		walkExpr(e.RHS, fn)
-	case *cc.IncDec:
-		walkExpr(e.X, fn)
-	case *cc.Call:
-		walkExpr(e.Fn, fn)
-		for _, a := range e.Args {
-			walkExpr(a, fn)
-		}
-	case *cc.Index:
-		walkExpr(e.Base, fn)
-		walkExpr(e.Idx, fn)
-	case *cc.Cast:
-		walkExpr(e.X, fn)
-	case *cc.Cond:
-		walkExpr(e.C, fn)
-		walkExpr(e.T, fn)
-		walkExpr(e.F, fn)
-	case *cc.Builtin:
-		for _, a := range e.Args {
-			walkExpr(a, fn)
-		}
-	}
-}
-
 // HasSideEffects reports whether evaluating e can change program state
 // (assignments, calls, builtins, loads are considered pure; loads of
 // volatile state do not exist in MVC).
 func HasSideEffects(e cc.Expr) bool {
 	found := false
-	walkExpr(e, func(x cc.Expr) {
-		switch x.(type) {
+	cc.Inspect(e, func(n cc.Node) bool {
+		switch n.(type) {
 		case *cc.Assign, *cc.IncDec, *cc.Call, *cc.Builtin:
 			found = true
 		}
+		return !found
 	})
 	return found
+}
+
+// localSym returns the local or parameter symbol e names, or nil.
+func localSym(e cc.Expr) *cc.VarSym {
+	if vr, ok := e.(*cc.VarRef); ok && vr.Sym != nil &&
+		(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
+		return vr.Sym
+	}
+	return nil
 }
 
 // assignedLocals collects the local/param symbols assigned (or
 // inc/dec'ed) anywhere inside the statement.
 func assignedLocals(s cc.Stmt, out map[*cc.VarSym]bool) {
-	walkStmtExprs(s, func(e cc.Expr) {
-		var target cc.Expr
-		switch e := e.(type) {
+	cc.Inspect(s, func(n cc.Node) bool {
+		var sym *cc.VarSym
+		switch n := n.(type) {
 		case *cc.Assign:
-			target = e.LHS
+			sym = localSym(n.LHS)
 		case *cc.IncDec:
-			target = e.X
-		default:
-			return
+			sym = localSym(n.X)
 		}
-		if vr, ok := target.(*cc.VarRef); ok && vr.Sym != nil &&
-			(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
-			out[vr.Sym] = true
+		if sym != nil {
+			out[sym] = true
 		}
+		return true
 	})
 }
 
@@ -127,15 +49,13 @@ func assignedLocals(s cc.Stmt, out map[*cc.VarSym]bool) {
 // propagation must never track them.
 func addrTakenLocals(f *cc.FuncDecl) map[*cc.VarSym]bool {
 	out := make(map[*cc.VarSym]bool)
-	WalkExprs(f, func(e cc.Expr) {
-		u, ok := e.(*cc.Unary)
-		if !ok || u.Op != "&" {
-			return
+	cc.Inspect(f, func(n cc.Node) bool {
+		if u, ok := n.(*cc.Unary); ok && u.Op == "&" {
+			if sym := localSym(u.X); sym != nil {
+				out[sym] = true
+			}
 		}
-		if vr, ok := u.X.(*cc.VarRef); ok && vr.Sym != nil &&
-			(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
-			out[vr.Sym] = true
-		}
+		return true
 	})
 	return out
 }
@@ -145,97 +65,24 @@ func addrTakenLocals(f *cc.FuncDecl) map[*cc.VarSym]bool {
 // do).
 func localReads(f *cc.FuncDecl) map[*cc.VarSym]int {
 	counts := make(map[*cc.VarSym]int)
-	var countExpr func(e cc.Expr)
-	read := func(e cc.Expr) {
-		if vr, ok := e.(*cc.VarRef); ok && vr.Sym != nil &&
-			(vr.Sym.Storage == cc.StorageLocal || vr.Sym.Storage == cc.StorageParam) {
-			counts[vr.Sym]++
-		}
-	}
-	countExpr = func(e cc.Expr) {
-		switch e := e.(type) {
-		case nil:
-		case *cc.IntLit, *cc.StrLit:
-		case *cc.VarRef:
-			read(e)
-		case *cc.Unary:
-			countExpr(e.X)
-		case *cc.Binary:
-			countExpr(e.X)
-			countExpr(e.Y)
+	var store cc.Expr // the variable a plain store or inc/dec writes
+	cc.Inspect(f, func(n cc.Node) bool {
+		switch n := n.(type) {
 		case *cc.Assign:
-			if vr, ok := e.LHS.(*cc.VarRef); ok {
-				if e.Op != "=" {
-					read(vr) // compound assignment reads the target
-				}
-			} else {
-				countExpr(e.LHS)
+			store = nil
+			if n.Op == "=" {
+				store = n.LHS
 			}
-			countExpr(e.RHS)
 		case *cc.IncDec:
-			if _, ok := e.X.(*cc.VarRef); !ok {
-				countExpr(e.X)
-			}
-		case *cc.Call:
-			countExpr(e.Fn)
-			for _, a := range e.Args {
-				countExpr(a)
-			}
-		case *cc.Index:
-			countExpr(e.Base)
-			countExpr(e.Idx)
-		case *cc.Cast:
-			countExpr(e.X)
-		case *cc.Cond:
-			countExpr(e.C)
-			countExpr(e.T)
-			countExpr(e.F)
-		case *cc.Builtin:
-			for _, a := range e.Args {
-				countExpr(a)
+			store = n.X
+		case *cc.VarRef:
+			// A store target is the first child of its Assign or
+			// IncDec, so it is the next node after it.
+			if sym := localSym(n); sym != nil && n != store {
+				counts[sym]++
 			}
 		}
-	}
-	var walk func(s cc.Stmt)
-	walk = func(s cc.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *cc.Block:
-			for _, st := range s.Stmts {
-				walk(st)
-			}
-		case *cc.DeclStmt:
-			countExpr(s.Init)
-		case *cc.ExprStmt:
-			countExpr(s.X)
-		case *cc.If:
-			countExpr(s.Cond)
-			walk(s.Then)
-			walk(s.Else)
-		case *cc.While:
-			countExpr(s.Cond)
-			walk(s.Body)
-		case *cc.DoWhile:
-			walk(s.Body)
-			countExpr(s.Cond)
-		case *cc.For:
-			walk(s.Init)
-			countExpr(s.Cond)
-			countExpr(s.Post)
-			walk(s.Body)
-		case *cc.Switch:
-			countExpr(s.Cond)
-			for _, cs := range s.Cases {
-				for _, st := range cs.Stmts {
-					walk(st)
-				}
-			}
-		case *cc.Return:
-			countExpr(s.X)
-		}
-	}
-	if f.Body != nil {
-		walk(f.Body)
-	}
+		return true
+	})
 	return counts
 }

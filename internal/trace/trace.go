@@ -378,9 +378,6 @@ func (c *Collector) StreamStats() []StreamStat {
 	return out
 }
 
-// Profiling reports whether cycle-attribution profiling is enabled.
-func (c *Collector) Profiling() bool { return c.prof != nil }
-
 // Stream is one bounded, cycle-stamped event sequence, usually bound
 // to a single simulated CPU. It implements Tracer.
 type Stream struct {
