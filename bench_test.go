@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
+	"repro/internal/fleet"
 	"repro/internal/grepsim"
 	"repro/internal/isa"
 	"repro/internal/kernelsim"
@@ -422,6 +423,29 @@ func BenchmarkSnapshot(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := snapshot.Digest(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkBoot measures booting one fleet machine: machine.New loads
+// the fleet guest's image and maps its stack, then core.NewRuntime
+// binds the runtime to it. Every fleet restart and migration boots a
+// fresh machine this way before it applies a snapshot.
+func BenchmarkBoot(b *testing.B) {
+	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "fleet.mvc", Text: fleet.GuestSource})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("boot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := machine.New(img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.NewRuntime(img, &core.UserPlatform{M: m}); err != nil {
 				b.Fatal(err)
 			}
 		}

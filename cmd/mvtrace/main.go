@@ -9,7 +9,8 @@
 //
 // With -snap the argument is a deterministic machine snapshot (mvrun
 // -checkpoint / -flight-snap, mvstress artifacts) and mvtrace prints
-// its header — cycle, image hash, CPU/page/runtime inventory — and the
+// its header — cycle, image hash, CPU/page/runtime inventory (how many
+// pages carry bytes: only written ones do) — and the
 // canonical digest two byte-identical machine states share.
 //
 // The default view is a flat table — one row per event with its cycle,
@@ -89,8 +90,14 @@ func renderSnap(w io.Writer, path string) error {
 	fmt.Fprintf(w, "  digest   %s\n", digest)
 	fmt.Fprintf(w, "  cycle    %d\n", s.SimCycles)
 	fmt.Fprintf(w, "  image    %x\n", s.ImageSum)
-	fmt.Fprintf(w, "  pages    %d (%d KiB), console %d bytes\n",
-		len(s.Pages), len(s.Pages)*mem.PageSize/1024, len(s.Console))
+	written := 0
+	for _, p := range s.Pages {
+		if p.Version != 0 {
+			written++
+		}
+	}
+	fmt.Fprintf(w, "  pages    %d (%d written, %d KiB carried; the rest never written), console %d bytes\n",
+		len(s.Pages), written, written*mem.PageSize/1024, len(s.Console))
 	for i, c := range s.CPUs {
 		state := "running"
 		if c.Halted {

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mem"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -198,5 +202,37 @@ func TestRenderTimelineUnfinishedPhase(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "unfinished") {
 		t.Errorf("timeline did not flag the unfinished phase:\n%s", sb.String())
+	}
+}
+
+// TestRenderSnapCountsWrittenPages: -snap reports how many of the
+// mapped pages carry bytes. A machine that has only booted has written
+// its image's pages and none of its 64 stack pages.
+func TestRenderSnapCountsWrittenPages(t *testing.T) {
+	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+		core.Source{Name: "snap.mvc", Text: `long g; long f(void) { return g; }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := snapshot.Capture(nil, sys.Machine, sys.RT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "boot.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := renderSnap(&out, path); err != nil {
+		t.Fatal(err)
+	}
+	img := 0
+	for _, seg := range sys.Machine.Image.Segments {
+		img += int(mem.PageAlignUp(uint64(len(seg.Data))) / mem.PageSize)
+	}
+	want := fmt.Sprintf("  pages    %d (%d written, %d KiB carried; the rest never written)",
+		img+64, img, img*mem.PageSize/1024)
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("-snap output lacks %q:\n%s", want, out.String())
 	}
 }

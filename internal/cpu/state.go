@@ -38,7 +38,7 @@ package cpu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -116,7 +116,7 @@ func (c *CPU) ExportState() State {
 	for pn := range c.icache {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	for _, pn := range pns {
 		line := c.icache[pn]
 		ls := ICLineState{PN: pn, Version: line.version, Bytes: append([]byte(nil), line.bytes[:]...)}

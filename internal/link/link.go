@@ -9,8 +9,10 @@
 package link
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -63,6 +65,36 @@ type Image struct {
 	// HaltAddr is the address of the synthesized HLT stub. A harness
 	// calls a function by pushing HaltAddr as the return address.
 	HaltAddr uint64
+
+	sumOnce sync.Once
+	sum     [32]byte
+}
+
+// Sum returns the image's identity: the SHA-256 of its entry point,
+// halt stub address and every segment's address, protection and
+// bytes, which a machine snapshot must match to apply. It is computed
+// on the first call and kept, so an image must not change once summed;
+// concurrent callers share one computation.
+func (img *Image) Sum() [32]byte {
+	img.sumOnce.Do(func() {
+		h := sha256.New()
+		var b [8]byte
+		put := func(v uint64, n int) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:n])
+		}
+		put(img.Entry, 8)
+		put(img.HaltAddr, 8)
+		put(uint64(len(img.Segments)), 4)
+		for _, seg := range img.Segments {
+			put(seg.Addr, 8)
+			put(uint64(seg.Prot), 1)
+			put(uint64(len(seg.Data)), 4)
+			h.Write(seg.Data)
+		}
+		h.Sum(img.sum[:0])
+	})
+	return img.sum
 }
 
 // SymbolAt returns the name of the symbol covering addr, if any.

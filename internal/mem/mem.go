@@ -1,6 +1,7 @@
 // Package mem implements the paged physical memory of the simulated
-// machine: 4 KiB pages with R/W/X permissions, an mprotect-style
-// protection interface, and an optional strict W^X policy.
+// machine: 4 KiB demand-zero pages with R/W/X permissions, an
+// mprotect-style protection interface, and an optional strict W^X
+// policy.
 //
 // The multiverse runtime library depends on this layer behaving like a
 // real MMU: writing to a read-only text page faults, and under W^X a
@@ -11,7 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -95,9 +96,25 @@ func (f *Fault) Error() string {
 }
 
 type page struct {
-	data    []byte // always PageSize long
+	data    []byte // PageSize long: zeroPage until the first store
 	prot    Prot
 	version uint64 // incremented on every write; the icache keys on it
+}
+
+// zeroPage backs every page that has never been written, the way an OS
+// backs untouched stack and bss pages with one demand-zero frame.
+// Nothing writes it: a store gives its page its own bytes first (see
+// mutable). Every store bumps the page's version, so a page still
+// shares zeroPage exactly while its version is 0.
+var zeroPage [PageSize]byte
+
+// mutable returns the page's bytes for a store about to bump its
+// version, first giving a never-written page its own zeroed copy.
+func (pg *page) mutable() []byte {
+	if pg.version == 0 {
+		pg.data = make([]byte, PageSize)
+	}
+	return pg.data
 }
 
 // Stats counts the memory-system operations the paper's evaluation
@@ -191,7 +208,8 @@ func wraps(addr, n uint64) bool { return n > 0 && addr+n-1 < addr }
 
 // Map creates pages covering [addr, addr+length) with the given
 // protection. addr and length must be page-aligned, and the range must
-// not overlap an existing mapping.
+// not overlap an existing mapping. The new pages read zero and share
+// zeroPage until their first store.
 func (m *Memory) Map(addr, length uint64, prot Prot) error {
 	if addr%PageSize != 0 || length%PageSize != 0 {
 		return fmt.Errorf("mem: Map(%#x, %#x) not page-aligned", addr, length)
@@ -213,7 +231,7 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		m.pages[first+i] = &page{data: make([]byte, PageSize), prot: prot}
+		m.pages[first+i] = &page{data: zeroPage[:], prot: prot}
 	}
 	return nil
 }
@@ -437,7 +455,7 @@ func (m *Memory) writeBytes(addr uint64, buf []byte, need Prot) error {
 	}
 	for len(buf) > 0 {
 		pg := m.pageAt(addr, 0)
-		n := copy(pg.data[addr&(PageSize-1):], buf)
+		n := copy(pg.mutable()[addr&(PageSize-1):], buf)
 		pg.version++
 		buf = buf[n:]
 		addr += uint64(n)
@@ -480,7 +498,7 @@ func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) error {
 	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize && size > 0 && m.Inject == nil {
 		if pg := m.pageAt(addr, Write); pg != nil {
-			b := pg.data[off:]
+			b := pg.mutable()[off:]
 			switch size {
 			case 8:
 				binary.LittleEndian.PutUint64(b, v)
@@ -521,7 +539,7 @@ func (m *Memory) Regions() []Region {
 	for pn := range m.pages {
 		nums = append(nums, pn)
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
+	slices.Sort(nums)
 	var out []Region
 	for _, pn := range nums {
 		p := m.pages[pn]

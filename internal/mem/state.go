@@ -4,13 +4,15 @@
 // its write-version counter. The version matters as much as the data:
 // the CPUs' instruction caches key coherence checks (ICacheStale) on
 // it, so restoring data without versions would let a restored machine
-// disagree with the original about which icache lines are stale.
+// disagree with the original about which icache lines are stale. A
+// page whose version is 0 has never been written, so its data is all
+// zero and is not carried at all.
 
 package mem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageState is one exported page.
@@ -18,22 +20,27 @@ type PageState struct {
 	PN      uint64 // page number (addr >> PageShift)
 	Prot    Prot
 	Version uint64
-	Data    []byte // PageSize long
+	Data    []byte // PageSize long; nil when Version is 0 (never written, all zero)
 }
 
 // ExportPages returns every mapped page in page-number order. Each
 // Data is a view of the live page, not a copy, valid until the address
-// space next changes; a caller that keeps it longer must copy it.
+// space next changes; a caller that keeps it longer must copy it. A
+// never-written page (Version 0) has no Data.
 func (m *Memory) ExportPages() []PageState {
 	pns := make([]uint64, 0, len(m.pages))
 	for pn := range m.pages {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	out := make([]PageState, 0, len(pns))
 	for _, pn := range pns {
 		p := m.pages[pn]
-		out = append(out, PageState{PN: pn, Prot: p.prot, Version: p.version, Data: p.data})
+		ps := PageState{PN: pn, Prot: p.prot, Version: p.version}
+		if p.version != 0 {
+			ps.Data = p.data
+		}
+		out = append(out, ps)
 	}
 	return out
 }
@@ -42,16 +49,21 @@ func (m *Memory) ExportPages() []PageState {
 // wholesale, so the restored mapping is exactly the exported one
 // regardless of what the caller had mapped before (a freshly loaded
 // image, extra CPU stacks, anything). Every page is validated before
-// any is written, so a rejected import changes nothing; then a page
-// already mapped at an imported page number is overwritten in place
-// and only the others are allocated. The import copies each page's
-// data and keeps no reference to pages. Stats and policy flags are
-// left untouched; the snapshot layer restores Stats separately.
+// any is written, so a rejected import changes nothing. A
+// never-written page (Version 0) must carry no Data and shares
+// zeroPage again. Every other page is copied: over a page already
+// mapped at its page number that has bytes of its own, in place, and
+// into a fresh allocation otherwise. The import keeps no reference to
+// pages. Stats and policy flags are left untouched; the snapshot layer
+// restores Stats separately.
 func (m *Memory) ImportPages(pages []PageState) error {
 	fresh := make(map[uint64]*page, len(pages))
 	for i := range pages {
 		ps := &pages[i]
-		if len(ps.Data) != PageSize {
+		if ps.Version == 0 && len(ps.Data) != 0 {
+			return fmt.Errorf("mem: page %#x was never written (version 0) but carries %d bytes", ps.PN, len(ps.Data))
+		}
+		if ps.Version != 0 && len(ps.Data) != PageSize {
 			return fmt.Errorf("mem: page %#x holds %d bytes, want %d", ps.PN, len(ps.Data), PageSize)
 		}
 		if _, dup := fresh[ps.PN]; dup {
@@ -66,10 +78,17 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		ps := &pages[i]
 		pg := fresh[ps.PN]
 		if pg == nil {
-			pg = &page{data: make([]byte, PageSize)}
+			pg = &page{}
 			fresh[ps.PN] = pg
 		}
-		copy(pg.data, ps.Data)
+		switch {
+		case ps.Version == 0:
+			pg.data = zeroPage[:]
+		case pg.version == 0: // new, or sharing zeroPage
+			pg.data = slices.Clone(ps.Data)
+		default:
+			copy(pg.data, ps.Data)
+		}
 		pg.prot, pg.version = ps.Prot, ps.Version
 	}
 	m.pages = fresh

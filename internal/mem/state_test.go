@@ -125,6 +125,7 @@ func TestImportPagesRejectsMalformed(t *testing.T) {
 		{"short page", page(6, RW, PageSize-1)},
 		{"duplicate", page(1, RW, PageSize)},
 		{"W^X", page(6, RW|Exec, PageSize)},
+		{"never-written page with data", PageState{PN: 6, Prot: RW, Data: make([]byte, PageSize)}},
 	} {
 		pages := append(append([]PageState(nil), good...), tc.bad)
 		if err := m.ImportPages(pages); err == nil {

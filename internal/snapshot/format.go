@@ -4,7 +4,7 @@
 //
 //	offset  size  field
 //	0       8     magic "MVSNAP01"
-//	8       4     format version (currently 1)
+//	8       4     format version (currently 2)
 //	12      4     flags (must be zero)
 //	16      8     payload length
 //	24      n     payload
@@ -32,8 +32,10 @@ import (
 	"hash/crc32"
 )
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 2 carries a
+// page's bytes only once it has been written and spends one byte on an
+// empty BTB entry; no reader of version 1 is kept.
+const Version = 2
 
 var magic = [8]byte{'M', 'V', 'S', 'N', 'A', 'P', '0', '1'}
 

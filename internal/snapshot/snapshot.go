@@ -15,7 +15,6 @@
 package snapshot
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"slices"
@@ -51,24 +50,9 @@ type Snapshot struct {
 	Runtime *core.RuntimeState
 }
 
-// ImageSum computes the image-identity hash Capture embeds and Apply
-// checks.
-func ImageSum(img *link.Image) [32]byte {
-	h := sha256.New()
-	var w writer
-	w.u64(img.Entry)
-	w.u64(img.HaltAddr)
-	w.u32(uint32(len(img.Segments)))
-	for _, seg := range img.Segments {
-		w.u64(seg.Addr)
-		w.u8(uint8(seg.Prot))
-		w.bytes(seg.Data)
-	}
-	h.Write(w.b)
-	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
-}
+// ImageSum returns the image-identity hash Capture embeds and Apply
+// checks: img.Sum, computed once per image.
+func ImageSum(img *link.Image) [32]byte { return img.Sum() }
 
 // ErrNotQuiesced is the typed, retryable error Capture returns when
 // the runtime is inside an open commit/revert transaction. Commits
@@ -80,11 +64,12 @@ var ErrNotQuiesced = core.ErrNotQuiesced
 
 // Capture writes the sealed container holding the machine's complete
 // state into buf's storage and returns it; see Encode for how buf is
-// used. Pages are read straight from the address space and copied
-// once. rt may be nil when no runtime is attached; when present it
-// must be commit-quiesced — capturing inside an open transaction fails
-// with ErrNotQuiesced. Every export runs before the first byte of buf
-// is written, so on error buf still holds what it held.
+// used. Pages are read straight from the address space, and only
+// written ones are copied, once. rt may be nil when no runtime is
+// attached; when present it must be commit-quiesced — capturing inside
+// an open transaction fails with ErrNotQuiesced. Every export runs
+// before the first byte of buf is written, so on error buf still holds
+// what it held.
 func Capture(buf []byte, m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 	s := &Snapshot{
 		SimCycles: m.CPU.Cycles(),
@@ -181,7 +166,9 @@ func (s *Snapshot) put(w *writer) {
 		w.u64(p.PN)
 		w.u8(uint8(p.Prot))
 		w.u64(p.Version)
-		w.bytes(p.Data)
+		if p.Version != 0 { // a never-written page is all zero
+			w.bytes(p.Data)
+		}
 	}
 	putCounters(w, &s.MemStats)
 	w.u32(uint32(len(s.CPUs)))
@@ -212,8 +199,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.SimCycles = r.u64()
 	copy(s.ImageSum[:], r.take(32))
 	s.Console = r.bytes()
-	for i, n := 0, r.count(8+1+8+4); i < n && r.err == nil; i++ {
-		p := mem.PageState{PN: r.u64(), Prot: mem.Prot(r.u8()), Version: r.u64(), Data: r.bytes()}
+	for i, n := 0, r.count(8+1+8); i < n && r.err == nil; i++ {
+		p := mem.PageState{PN: r.u64(), Prot: mem.Prot(r.u8()), Version: r.u64()}
+		if p.Version != 0 {
+			p.Data = r.bytes()
+		}
 		s.Pages = append(s.Pages, p)
 	}
 	getCounters(r, &s.MemStats)
@@ -248,6 +238,11 @@ func putCPU(w *writer, s *cpu.State) {
 	w.u64(uint64(s.CmpB))
 	w.u32(uint32(len(s.BTB)))
 	for _, e := range s.BTB {
+		if e == (cpu.BTBState{}) {
+			w.u8(0)
+			continue
+		}
+		w.u8(1)
 		putBool(w, e.Valid)
 		w.u64(e.Tag)
 		w.u8(e.Counter)
@@ -293,8 +288,21 @@ func getCPU(r *reader, s *cpu.State) {
 	s.Halted = getBool(r)
 	s.CmpA = int64(r.u64())
 	s.CmpB = int64(r.u64())
-	for i, n := 0, r.count(1+8+1+8); i < n && r.err == nil; i++ {
-		s.BTB = append(s.BTB, cpu.BTBState{Valid: getBool(r), Tag: r.u64(), Counter: r.u8(), Target: r.u64()})
+	n := r.count(1)
+	s.BTB = make([]cpu.BTBState, 0, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		var e cpu.BTBState
+		switch r.u8() {
+		case 0: // the zero entry
+		case 1:
+			e = cpu.BTBState{Valid: getBool(r), Tag: r.u64(), Counter: r.u8(), Target: r.u64()}
+			if e == (cpu.BTBState{}) && r.err == nil {
+				r.fail("BTB entry %d before offset %d is marked present but is the zero entry", i, r.off)
+			}
+		default:
+			r.fail("BTB entry %d presence byte out of range at offset %d", i, r.off-1)
+		}
+		s.BTB = append(s.BTB, e)
 	}
 	for i, n := 0, r.count(8); i < n && r.err == nil; i++ {
 		s.RAS = append(s.RAS, r.u64())

@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
+	"repro/internal/mem"
 )
 
 // testSrc exercises every serialized subsystem: two switches and a
@@ -391,6 +393,105 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestRefusesVersion1 pins the format bump: a version-1 container,
+// whose pages and BTB entries were dense, is refused by name.
+func TestRefusesVersion1(t *testing.T) {
+	a, _ := buildPair(t)
+	data, err := Capture(nil, a.m, a.rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	_, decodeErr := Decode(data)
+	_, digestErr := Digest(data)
+	for what, err := range map[string]error{"Decode": decodeErr, "Digest": digestErr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
+			t.Errorf("%s of a version-1 container: err = %v, want one naming versions 1 and 2", what, err)
+		}
+	}
+}
+
+// TestFreshBootCarriesNoZeros: a machine that has only booted has
+// never written its stack and has run no branch, so its container must
+// spend no bytes on those pages' data or on the empty BTB entries: each
+// never-written page costs its 17-byte header and each empty entry one
+// presence byte.
+func TestFreshBootCarriesNoZeros(t *testing.T) {
+	a, _ := buildPair(t)
+	data, err := Capture(nil, a.m, a.rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written []mem.PageState
+	for _, p := range s.Pages {
+		if p.Version != 0 {
+			written = append(written, p)
+		} else if p.Data != nil {
+			t.Errorf("never-written page %#x decodes with %d bytes of data", p.PN, len(p.Data))
+		}
+	}
+	zero := len(s.Pages) - len(written)
+	if zero == 0 {
+		t.Fatal("a fresh machine has no never-written page")
+	}
+	lines := 0
+	for _, c := range s.CPUs {
+		lines += len(c.ICache)
+	}
+	if limit := (len(written)+lines)*mem.PageSize + 16<<10; len(data) >= limit {
+		t.Errorf("fresh container is %d bytes, want under %d (%d written pages, %d icache lines)",
+			len(data), limit, len(written), lines)
+	}
+
+	all := s.Pages
+	s.Pages = written
+	if d := len(data) - len(s.Encode(nil)); d != 17*zero {
+		t.Errorf("%d never-written pages cost %d bytes, want %d", zero, d, 17*zero)
+	}
+	s.Pages = all
+	btb := s.CPUs[0].BTB
+	for i, e := range btb {
+		if e != (cpu.BTBState{}) {
+			t.Fatalf("BTB entry %d of a fresh machine is %+v, want empty", i, e)
+		}
+	}
+	s.CPUs[0].BTB = nil
+	if d := len(data) - len(s.Encode(nil)); d != len(btb) {
+		t.Errorf("%d empty BTB entries cost %d bytes, want %d", len(btb), d, len(btb))
+	}
+}
+
+// TestDecodeRejectsNonCanonicalBTB: an empty BTB entry has one
+// encoding, a 0 presence byte. A presence byte other than 0 or 1, and
+// a present entry whose fields are all zero, are refused.
+func TestDecodeRejectsNonCanonicalBTB(t *testing.T) {
+	a, _ := buildPair(t)
+	a.warm(t)
+	s := decodeCapture(t, a.m, a.rt)
+	// The BTB count follows CmpB, and entry 0 is made empty.
+	const marker = 0x0b7b_c0de_5eed_f00d
+	s.CPUs[0].CmpB = marker
+	s.CPUs[0].BTB[0] = cpu.BTBState{}
+	enc := s.Encode(nil)
+	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8 + 4
+	if at < 12 || enc[at] != 0 {
+		t.Fatalf("empty BTB entry 0 not found after CmpB (at %d)", at)
+	}
+	body := append([]byte(nil), enc[:len(enc)-4]...) // unsealed: header and payload
+	body[at] = 2
+	if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), "presence byte") {
+		t.Errorf("BTB presence byte 2: err = %v, want a presence-byte error", err)
+	}
+	body = slices.Concat(enc[:at], []byte{1}, make([]byte, 1+8+1+8), enc[at+1:len(enc)-4])
+	if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), "zero entry") {
+		t.Errorf("present all-zero BTB entry: err = %v, want a zero-entry error", err)
+	}
+}
+
 func FuzzSnapshotDecode(f *testing.F) {
 	s, err := core.BuildSystem(core.GenOptions{}, nil, core.Source{Name: "snap.mvc", Text: testSrc})
 	if err != nil {
@@ -402,6 +503,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	valid, err := Capture(nil, s.Machine, s.RT)
 	if err != nil {
 		f.Fatal(err)
+	}
+	// The seed must carry present BTB entries beside empty ones, so the
+	// fuzzer mutates both encodings.
+	if got, err := Decode(valid); err != nil || !slices.ContainsFunc(got.CPUs[0].BTB, func(e cpu.BTBState) bool {
+		return e != (cpu.BTBState{})
+	}) {
+		f.Fatalf("seed container has no non-empty BTB entry (decode err %v)", err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
