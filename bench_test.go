@@ -11,6 +11,8 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -452,6 +454,41 @@ func BenchmarkBoot(b *testing.B) {
 	})
 }
 
+// BenchmarkFleet measures one supervised fleet per op, built and run
+// to the end with a fixed seed, in the shape of an op of mvperf's
+// fleet workload: 8 machines over 24 rounds on min(2, NumCPU) shards,
+// with chaos kills and two fault points per machine ("chaos").
+// requests/op is the requests the fleet served.
+func BenchmarkFleet(b *testing.B) {
+	cfg := fleet.Config{
+		Seed:        1,
+		Shards:      min(2, runtime.NumCPU()),
+		Machines:    8,
+		Rounds:      24,
+		Chaos:       true,
+		FaultPoints: 2,
+	}
+	b.Run("chaos", func(b *testing.B) {
+		b.ReportAllocs()
+		var served uint64
+		for i := 0; i < b.N; i++ {
+			fl, err := fleet.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := fl.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Served != res.Scheduled || res.Failed != 0 {
+				b.Fatalf("served %d of %d requests; %d machines failed", res.Served, res.Scheduled, res.Failed)
+			}
+			served = res.Served
+		}
+		b.ReportMetric(float64(served), "requests/op")
+	})
+}
+
 // --- E5: grep end-to-end ---
 
 func BenchmarkGrep(b *testing.B) {
@@ -533,8 +570,9 @@ func BenchmarkCommitManyCallsites(b *testing.B) {
 // the E7 kernel: each iteration flushes the whole text segment on every
 // CPU, as a commit's flushes drop the lines it patched, then calls four
 // subsys_* functions, which refill their icache lines and rebuild the
-// superblocks ("superblocks") or, with an inert fault plan holding the
-// CPUs to single steps, the decode cache alone ("step"). fills/op
+// superblocks ("superblocks") or, with a fault plan arming on every
+// CPU a fetch fault that never fires, which holds them to single
+// steps, the decode cache alone ("step"). fills/op
 // counts the line fills per iteration; B/op and allocs/op are what
 // those refills cost the host.
 func BenchmarkICacheRefill(b *testing.B) {
@@ -555,7 +593,11 @@ func BenchmarkICacheRefill(b *testing.B) {
 				}
 			}
 			if mode.step {
-				faultinject.Exact().Attach(m)
+				var pts []faultinject.Point
+				for i := range m.CPUs() {
+					pts = append(pts, faultinject.Point{Kind: faultinject.KindFetchFault, CPU: i, Cycle: math.MaxUint64})
+				}
+				faultinject.Exact(pts...).Attach(m)
 			}
 			var fns []string
 			for k := 0; k < 4; k++ {
@@ -577,6 +619,9 @@ func BenchmarkICacheRefill(b *testing.B) {
 				sweep()
 			}
 			b.StopTimer()
+			if blocks := m.TotalStats().BlockInsts > 0; blocks == mode.step {
+				b.Fatalf("instructions ran in blocks: %v", blocks)
+			}
 			b.ReportMetric(float64(m.TotalStats().ICacheFills-fills)/float64(b.N), "fills/op")
 		})
 	}

@@ -57,12 +57,18 @@ type Hypervisor interface {
 
 // Injector is the CPU-side fault-injection hook (see
 // internal/faultinject, which implements it together with the
-// mem-side hooks). An injector is the one hook that keeps Run and
-// RunUntil off superblocks: it is consulted before every fetch, so an
-// attached one holds them to single steps. A nil injector costs one
-// pointer check per Step and per flush. Implementations must be
+// mem-side hooks). Only an armed fetch fault keeps Run and RunUntil
+// off superblocks: FetchFault is consulted before every fetch, so
+// while FetchArmed reports one they hold the CPU to single steps, and
+// otherwise they run blocks as with no injector. A nil injector costs
+// one pointer check per Step and per flush. Implementations must be
 // deterministic.
 type Injector interface {
+	// FetchArmed reports whether FetchFault can still fail a fetch on
+	// this CPU. Run and RunUntil ask once per call, so the answer may
+	// change only between runs: arming a point, or a point firing,
+	// which ends the run with its fault.
+	FetchArmed(cpu int) bool
 	// FetchFault is consulted once per Step before fetch; a non-nil
 	// error models a spurious instruction-fetch fault. The PC does not
 	// advance, so re-stepping retries the same instruction.
@@ -241,7 +247,7 @@ type CPU struct {
 	hypervisor Hypervisor
 	tracer     trace.Tracer
 
-	inject Injector // nil = no fault injection (Run keeps to blocks)
+	inject Injector // nil = no fault injection
 	id     int      // hardware-thread index the injector keys faults on
 
 	intrPeriod uint64 // perturbation period in cycles; 0 = off

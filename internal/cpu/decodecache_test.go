@@ -171,8 +171,8 @@ func TestStraddleWithOnlyFirstPageCached(t *testing.T) {
 }
 
 // TestLineRefillBytes gates what a flushed line costs to refill: a
-// one-page loop is flushed and re-run, through blocks and, with an
-// inert injector attached, through Step, and the bytes allocated per
+// one-page loop is flushed and re-run, through blocks and, with a
+// fetch fault armed that never fires, through Step, and the bytes allocated per
 // refill — the line with its page bytes and offset index (about
 // 13 KB), its entries and any superblocks — must stay under 24 KB.
 // Commits flush the lines they patch, so every commit pays this once
@@ -182,7 +182,7 @@ func TestLineRefillBytes(t *testing.T) {
 	for _, sb := range []bool{false, true} {
 		c := newVM(t, hotLoop(100))
 		if !sb {
-			c.SetInjector(inertInjector{}, 0)
+			c.SetInjector(stepInjector{}, 0)
 		}
 		run(t, c)
 		fills := c.Stats().ICacheFills
@@ -201,6 +201,9 @@ func TestLineRefillBytes(t *testing.T) {
 		}
 		if per := (after.TotalAlloc - before.TotalAlloc) / refills; per >= limit {
 			t.Errorf("superblocks=%v: %d bytes allocated per line refill, want < %d", sb, per, limit)
+		}
+		if blocks := c.Stats().BlockInsts > 0; blocks != sb {
+			t.Errorf("superblocks=%v: instructions ran in blocks: %v", sb, blocks)
 		}
 	}
 }

@@ -80,8 +80,10 @@ type refusingHV struct{}
 
 func (refusingHV) Hypercall(*CPU, uint8) error { return errors.New("hypervisor refused") }
 
+// fetchFaulter fails every fetch: its fetch fault stays armed.
 type fetchFaulter struct{}
 
+func (fetchFaulter) FetchArmed(int) bool                  { return true }
 func (fetchFaulter) FetchFault(int, uint64, uint64) error { return errors.New("injected fetch fault") }
 func (fetchFaulter) DropFlush(int, uint64, uint64) bool   { return false }
 
@@ -692,13 +694,23 @@ func TestFaultingStackWriteRetiresNothing(t *testing.T) {
 	}
 }
 
+// inertInjector arms nothing and never fires: Run keeps to blocks, as
+// with no injector.
 type inertInjector struct{}
 
+func (inertInjector) FetchArmed(int) bool                  { return false }
 func (inertInjector) FetchFault(int, uint64, uint64) error { return nil }
 func (inertInjector) DropFlush(int, uint64, uint64) bool   { return false }
 
+// stepInjector arms a fetch fault that never fires: it holds Run to
+// single steps and changes nothing else, so it is the Step arm of the
+// comparisons against blocks.
+type stepInjector struct{ inertInjector }
+
+func (stepInjector) FetchArmed(int) bool { return true }
+
 // TestStepAllocatesNothing pins Step's dispatch as allocation-free.
-// An inert injector keeps Run on Step for every instruction, and the
+// A step injector keeps Run on Step for every instruction, and the
 // loop's ADDI r2 lies in the last 9 bytes of its page, where the
 // decode cache never holds it, so every pass also takes the decode-miss
 // path. Handlers take the instruction by pointer; a pointer to a value
@@ -726,7 +738,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 	code := make([]byte, start+a.Len())
 	copy(code[start:], a.Bytes())
 	c := newVM(t, code)
-	c.SetInjector(inertInjector{}, 0)
+	c.SetInjector(stepInjector{}, 0)
 	entry := textBase + uint64(start)
 	misses := c.Stats().DecodeMisses
 	allocs := testing.AllocsPerRun(20, func() {
@@ -742,6 +754,6 @@ func TestStepAllocatesNothing(t *testing.T) {
 		t.Errorf("%d decode misses over 21 runs, want the late ADDI to miss on each of its %d passes", got, 21*iters)
 	}
 	if c.Stats().BlockInsts != 0 {
-		t.Error("an injector is attached, yet instructions ran in blocks")
+		t.Error("a fetch fault is armed, yet instructions ran in blocks")
 	}
 }

@@ -19,11 +19,13 @@
 // ascending order; ImportState rebuilds those entries from the line's
 // byte snapshot (a pure, deterministic derivation) and then overwrites
 // the stats with the snapshot's values, so the rebuild itself leaves
-// no trace. ImportState accepts only the canonical form ExportState
-// writes — every offset list strictly ascending and inside the page,
-// no offset both a head and a reject, every entry rebuilding as
-// exported — and checks all of it before it changes any CPU field, so
-// a rejected state leaves the CPU as it was.
+// no trace. The BTB is exported sparsely: its size and its non-zero
+// entries, which a running CPU has few of. ImportState accepts only
+// the canonical form ExportState writes — BTB entries non-zero, inside
+// the BTB and strictly ascending by index, every offset list strictly
+// ascending and inside the page, no offset both a head and a reject,
+// every entry rebuilding as exported — and checks all of it before it
+// changes any CPU field, so a rejected state leaves the CPU as it was.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
 // injectors, device callbacks, the icache line memo and Step's
@@ -44,8 +46,10 @@ import (
 	"repro/internal/mem"
 )
 
-// BTBState is one exported branch-target-buffer entry.
+// BTBState is one exported branch-target-buffer entry that is not the
+// zero entry, with its index in the BTB.
 type BTBState struct {
+	Index   int
 	Valid   bool
 	Tag     uint64
 	Counter uint8
@@ -75,9 +79,10 @@ type State struct {
 	CmpA   int64
 	CmpB   int64
 
-	BTB  []BTBState
-	RAS  []uint64
-	RASN int
+	BTBSize int        // entries in the BTB
+	BTB     []BTBState // its non-zero entries, by ascending Index
+	RAS     []uint64
+	RASN    int
 
 	Mode       uint8
 	IntrOn     bool
@@ -107,10 +112,12 @@ func (c *CPU) ExportState() State {
 		IntrCost:   c.intrCost,
 		NextIntr:   c.nextIntr,
 		Stats:      c.stats,
+		BTBSize:    len(c.btb),
 	}
-	s.BTB = make([]BTBState, len(c.btb))
 	for i, e := range c.btb {
-		s.BTB[i] = BTBState{Valid: e.valid, Tag: e.tag, Counter: e.counter, Target: e.target}
+		if e != (btbEntry{}) {
+			s.BTB = append(s.BTB, BTBState{Index: i, Valid: e.valid, Tag: e.tag, Counter: e.counter, Target: e.target})
+		}
 	}
 	pns := make([]uint64, 0, len(c.icache))
 	for pn := range c.icache {
@@ -148,8 +155,18 @@ func (c *CPU) ExportState() State {
 // a restored CPU's counters evolve bit-identically to the exporting
 // run. On error the CPU is unchanged.
 func (c *CPU) ImportState(s State) error {
-	if len(s.BTB) != len(c.btb) {
-		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", len(s.BTB), len(c.btb))
+	if s.BTBSize != len(c.btb) {
+		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", s.BTBSize, len(c.btb))
+	}
+	for i, e := range s.BTB {
+		switch {
+		case e.Index < 0 || e.Index >= s.BTBSize:
+			return fmt.Errorf("cpu: snapshot BTB entry index %d lies outside the %d-entry BTB", e.Index, s.BTBSize)
+		case i > 0 && e.Index <= s.BTB[i-1].Index:
+			return fmt.Errorf("cpu: snapshot BTB entry indices are not strictly ascending at %d", e.Index)
+		case e == BTBState{Index: e.Index}:
+			return fmt.Errorf("cpu: snapshot BTB entry %d is listed but is the zero entry", e.Index)
+		}
 	}
 	if len(s.RAS) != len(c.ras) {
 		return fmt.Errorf("cpu: snapshot RAS depth %d, this CPU %d (different Config)", len(s.RAS), len(c.ras))
@@ -171,8 +188,9 @@ func (c *CPU) ImportState(s State) error {
 	c.cycles = s.Cycles
 	c.halted = s.Halted
 	c.cmpA, c.cmpB = s.CmpA, s.CmpB
-	for i, e := range s.BTB {
-		c.btb[i] = btbEntry{valid: e.Valid, tag: e.Tag, counter: e.Counter, target: e.Target}
+	clear(c.btb)
+	for _, e := range s.BTB {
+		c.btb[e.Index] = btbEntry{valid: e.Valid, tag: e.Tag, counter: e.Counter, target: e.Target}
 	}
 	copy(c.ras, s.RAS)
 	c.rasN = s.RASN
@@ -253,14 +271,16 @@ func importLine(ls *ICLineState) (*icLine, error) {
 // the BlockHits accounting), so a run paused by RunUntil and then
 // continued retires the same instructions, cycles and statistics as
 // one uninterrupted Run — the invariant the checkpoint difftests pin.
-// A tracer rides the blocks and so never moves the pause; only an
-// attached injector, which holds the CPU to single steps, pauses at
-// the first instruction boundary at or past target.
+// A tracer rides the blocks and so never moves the pause, and so does
+// an injector with no fetch fault armed on this CPU; only an armed
+// fetch fault, which holds the CPU to single steps, pauses at the
+// first instruction boundary at or past target.
 func (c *CPU) RunUntil(target, maxSteps uint64) (uint64, error) {
 	var steps uint64
-	// An injector is bound before the run and cannot appear mid-run,
-	// so the check is hoisted out of the loop.
-	if c.inject == nil {
+	// An injector is bound, and its fetch faults armed, between runs; a
+	// fetch fault that fires ends the run. So the check is hoisted out
+	// of the loop.
+	if c.inject == nil || !c.inject.FetchArmed(c.id) {
 		c.cycleStop = target
 		defer func() { c.cycleStop = 0 }()
 		for steps < maxSteps && c.cycles < target {

@@ -154,11 +154,14 @@ func TestExportOffsetsGolden(t *testing.T) {
 }
 
 // TestImportRejectsMalformedLines: ImportState accepts only the
-// canonical offset lists ExportState writes, and checks them before
-// it changes anything, so every malformed form errors and leaves the
-// importing CPU's state as it was.
+// canonical offset lists and sparse BTB ExportState writes, and checks
+// them before it changes anything, so every malformed form errors and
+// leaves the importing CPU's state as it was.
 func TestImportRejectsMalformedLines(t *testing.T) {
 	c := stateVM(t)
+	if n := len(c.ExportState().BTB); n == 0 || n > 8 {
+		t.Fatalf("stateVM exports %d BTB entries, want a few", n)
+	}
 	for _, tc := range []struct {
 		name   string
 		mangle func(s *State)
@@ -177,6 +180,13 @@ func TestImportRejectsMalformedLines(t *testing.T) {
 		{"head and reject share an offset", func(s *State) { s.ICache[0].SBRject = []uint16{43, 44} }},
 		{"short line bytes", func(s *State) { s.ICache[0].Bytes = s.ICache[0].Bytes[:100] }},
 		{"repeated line", func(s *State) { s.ICache = append(s.ICache, s.ICache[0]) }},
+		{"BTB entry past the end", func(s *State) { s.BTB = append(s.BTB, BTBState{Index: s.BTBSize, Valid: true}) }},
+		{"negative BTB index", func(s *State) { s.BTB = append([]BTBState{{Index: -1, Valid: true}}, s.BTB...) }},
+		{"repeated BTB entry", func(s *State) { s.BTB = append(s.BTB, s.BTB[len(s.BTB)-1]) }},
+		{"unsorted BTB entries", func(s *State) {
+			s.BTB = append([]BTBState{{Index: s.BTB[len(s.BTB)-1].Index + 1, Valid: true}}, s.BTB...)
+		}},
+		{"zero BTB entry", func(s *State) { s.BTB = append(s.BTB, BTBState{Index: s.BTBSize - 1}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := c.ExportState()
@@ -207,19 +217,21 @@ func TestImportRejectsConfigMismatch(t *testing.T) {
 // TestRunUntilPauseInvariance pins the checkpoint property: a run
 // paused at arbitrary cycle thresholds and continued retires exactly
 // the cycles, registers and statistics of one uninterrupted run — on
-// single steps (an inert injector attached) and on blocks (where the
-// pause must land between block dispatches, never inside one). A
-// tracer rides the blocks, so a traced run must also pause at exactly
-// the untraced run's cycles.
+// single steps (a fetch fault armed that never fires) and on blocks
+// (where the pause must land between block dispatches, never inside
+// one). A tracer and an inert injector ride the blocks, so traced and
+// inert runs must also pause at exactly the plain run's cycles.
 func TestRunUntilPauseInvariance(t *testing.T) {
-	var pauses [3][]uint64
-	for mode, name := range []string{"step", "blocks", "traced"} {
+	var pauses [4][]uint64
+	for mode, name := range []string{"step", "blocks", "traced", "inert"} {
 		attach := func(c *CPU) {
 			switch name {
 			case "step":
-				c.SetInjector(inertInjector{}, 0)
+				c.SetInjector(stepInjector{}, 0)
 			case "traced":
 				c.SetTracer(&recTracer{})
+			case "inert":
+				c.SetInjector(inertInjector{}, 0)
 			}
 		}
 		var a isa.Asm
@@ -270,8 +282,14 @@ func TestRunUntilPauseInvariance(t *testing.T) {
 			t.Fatalf("%s: stats diverged\nstraight: %+v\npaused:   %+v",
 				name, straight.Stats(), paused.Stats())
 		}
+		if blocks := paused.Stats().BlockInsts > 0; blocks != (name != "step") {
+			t.Errorf("%s: instructions ran in blocks: %v", name, blocks)
+		}
 	}
 	if !slices.Equal(pauses[1], pauses[2]) {
 		t.Errorf("a tracer moves the pauses:\nplain:  %v\ntraced: %v", pauses[1], pauses[2])
+	}
+	if !slices.Equal(pauses[1], pauses[3]) {
+		t.Errorf("an inert injector moves the pauses:\nplain: %v\ninert: %v", pauses[1], pauses[3])
 	}
 }

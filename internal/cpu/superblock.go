@@ -47,8 +47,8 @@
 // epilogue (retire), so a block differs from single-stepping only in
 // what it skips: per-instruction decode cache probes, and the host-side
 // stats it batches per block (DecodeHits, Block*). Blocks are always
-// on; only a fault injector, consulted before every fetch, holds Run
-// to Step. A tracer rides the blocks: it gets Step's calls with every
+// on; only an armed fetch fault, consulted before every fetch, holds
+// Run to Step. A tracer rides the blocks: it gets Step's calls with every
 // architectural counter as Step shows it (no block holds HCALL, the
 // one instruction that runs host code), so observing a run moves
 // neither its dispatch nor where RunUntil pauses. TestOpcodeSemantics
@@ -221,8 +221,8 @@ func (c *CPU) blockDone(done uint64, err error) (uint64, error) {
 	return done, err
 }
 
-// stepFastN is the dispatcher Run and RunUntil drive when no fault
-// injector is attached: it executes up to budget instructions (at
+// stepFastN is the dispatcher Run and RunUntil drive when no fetch
+// fault is armed: it executes up to budget instructions (at
 // least one), chaining block to block — a terminator whose target
 // heads another resident or buildable block continues dispatching
 // without re-entering Run (HLT never lives inside a block, so the

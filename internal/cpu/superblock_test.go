@@ -47,27 +47,35 @@ func TestSuperblockHotLoop(t *testing.T) {
 	}
 }
 
-// TestSuperblockStateInvariance runs the same program through blocks
-// and, with an inert injector attached, through Step, and requires
-// identical architectural outcomes: registers, pc, cycles and every
-// stat that is not a host-side accelerator counter.
+// TestSuperblockStateInvariance runs the same program through blocks,
+// through blocks with an inert injector attached, and, with a fetch
+// fault armed that never fires, through Step. The inert run must match
+// the bare one exactly, host-side counters included; the stepped run
+// must reach identical architectural outcomes: registers, pc, cycles
+// and every stat that is not a host-side accelerator counter.
 func TestSuperblockStateInvariance(t *testing.T) {
-	exec := func(blocks bool) *CPU {
+	exec := func(inj Injector) *CPU {
 		c := newVM(t, hotLoopProgram(1000))
-		if !blocks {
-			c.SetInjector(inertInjector{}, 0)
+		if inj != nil {
+			c.SetInjector(inj, 0)
 		}
 		c.SetInterruptPerturbation(997, 13)
 		c.SetInterruptsEnabled(true)
 		run(t, c)
 		return c
 	}
-	a, b := exec(true), exec(false)
+	a, inert, b := exec(nil), exec(inertInjector{}), exec(stepInjector{})
+	if inert.Stats().BlockInsts == 0 {
+		t.Error("an inert injector is attached, yet no instruction ran in a block")
+	}
+	if diff := stateDiff(a.ExportState(), inert.ExportState()); diff != "" {
+		t.Errorf("an inert injector changes the run: %s", diff)
+	}
 	if a.Cycles() != b.Cycles() {
 		t.Errorf("cycles differ: blocks %d, Step %d", a.Cycles(), b.Cycles())
 	}
 	if b.Stats().BlockInsts != 0 {
-		t.Error("an injector is attached, yet instructions ran in blocks")
+		t.Error("a fetch fault is armed, yet instructions ran in blocks")
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		if a.Reg(isa.Reg(r)) != b.Reg(isa.Reg(r)) {

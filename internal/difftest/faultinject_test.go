@@ -1,52 +1,101 @@
 package difftest
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
+	"repro/internal/machine"
 	"repro/internal/muslsim"
 )
 
 // The fault injector is a host-side instrument: attaching a plan whose
-// points never fire must not change a single simulated cycle. An
-// attached injector is also the one thing that holds Run and RunUntil
-// to single steps (it is consulted before every fetch), so these tests
-// are the end-to-end comparison of Step against the superblock
-// interpreter too: blocks and single steps run the same handlers, and
-// chaining, budget clamping, batched statistics and the shared
-// epilogue must not move a cycle across the E1 kernels (commits, icache
-// flushes, BRK text pokes, SMP) and E4. They run each workload with no
-// injector and with an inert (empty) plan attached and require the
-// bench.Result structs (mean, std, min, max, sample and drop counts)
-// to be bit-identical. Together with the unit tests this pins the
-// acceptance property that un-instrumented runs are unperturbed: the
-// hooks are nil-checked on the hot paths and the retry/backoff
-// machinery only advances cycles after a fault fires.
+// points never fire must not change a single simulated cycle. These
+// tests run each workload in three arms and require the bench.Result
+// structs (mean, std, min, max, sample and drop counts) bit-identical
+// across them:
+//
+//   - bare, with no injector;
+//   - inert, with an empty plan attached. It arms no fetch fault, so
+//     Run keeps to superblocks exactly as in the bare arm;
+//   - step, with a plan arming on every CPU a fetch fault that never
+//     fires. An armed fetch fault is the one thing that holds Run and
+//     RunUntil to single steps (it is consulted before every fetch),
+//     so this arm is the end-to-end comparison of Step against the
+//     superblock interpreter: blocks and single steps run the same
+//     handlers, and chaining, budget clamping, batched statistics and
+//     the shared epilogue must not move a cycle across the E1 kernels
+//     (commits, icache flushes, BRK text pokes, SMP) and E4.
+//
+// Together with the unit tests this pins the acceptance property that
+// un-instrumented runs are unperturbed: the hooks are nil-checked on
+// the hot paths and the retry/backoff machinery only advances cycles
+// after a fault fires.
+
+// arm is one way to run a workload in the comparisons.
+type arm int
+
+const (
+	armBare arm = iota
+	armInert
+	armStep
+)
+
+var arms = []arm{armBare, armInert, armStep}
+
+func (a arm) String() string { return [...]string{"bare", "inert", "step"}[a] }
+
+// attach wires the arm's plan, if any, into m.
+func (a arm) attach(m *machine.Machine) {
+	switch a {
+	case armInert:
+		faultinject.Exact().Attach(m)
+	case armStep:
+		// No run reaches cycle MaxUint64, so these points never fire.
+		var pts []faultinject.Point
+		for i := range m.CPUs() {
+			pts = append(pts, faultinject.Point{Kind: faultinject.KindFetchFault, CPU: i, Cycle: math.MaxUint64})
+		}
+		faultinject.Exact(pts...).Attach(m)
+	}
+}
+
+// checkDispatch requires the step arm to have run no instruction in a
+// block and the other two to have run some.
+func (a arm) checkDispatch(t *testing.T, s cpu.Stats, what string) {
+	t.Helper()
+	if blocks := s.BlockInsts > 0; blocks != (a != armStep) {
+		t.Errorf("%s, %v arm: %d of %d instructions ran in blocks", what, a, s.BlockInsts, s.Instructions)
+	}
+}
 
 // smpLabel names a measurement's UP/SMP configuration.
 var smpLabel = map[bool]string{false: "up", true: "smp"}
 
-// compareInert reports every measurement that differs between the
-// bare and inert-plan runs.
-func compareInert(t *testing.T, bare, inert map[string]bench.Result) {
+// compareArms measures the workload in every arm and reports each
+// measurement that differs between the bare arm and another.
+func compareArms(t *testing.T, measure func(a arm) map[string]bench.Result) {
 	t.Helper()
-	if len(bare) == 0 || len(bare) != len(inert) {
-		t.Fatalf("measured %d/%d cells", len(bare), len(inert))
-	}
-	for k, r := range bare {
-		if r != inert[k] {
-			t.Errorf("%s: results differ with inert injector attached:\nbare:  %+v\ninert: %+v",
-				k, r, inert[k])
+	bare := measure(armBare)
+	for _, a := range arms[1:] {
+		other := measure(a)
+		if len(bare) == 0 || len(bare) != len(other) {
+			t.Fatalf("%v arm: measured %d/%d cells", a, len(bare), len(other))
+		}
+		for k, r := range bare {
+			if r != other[k] {
+				t.Errorf("%s: results differ in the %v arm:\nbare: %+v\n%v: %+v", k, a, r, a, other[k])
+			}
 		}
 	}
 }
 
 func TestSuperblockInvarianceFig1(t *testing.T) {
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(attach bool) map[string]bench.Result {
+	compareArms(t, func(a arm) map[string]bench.Result {
 		out := make(map[string]bench.Result)
 		for _, b := range []kernelsim.Fig1Binding{
 			kernelsim.Fig1Static, kernelsim.Fig1Dynamic, kernelsim.Fig1Multiverse,
@@ -56,33 +105,30 @@ func TestSuperblockInvarianceFig1(t *testing.T) {
 				if err != nil {
 					t.Fatalf("BuildFig1(%v, %v): %v", b, smp, err)
 				}
-				if attach {
-					faultinject.Exact().Attach(sys.System().Machine)
-				}
+				a.attach(sys.System().Machine)
 				r, err := sys.Measure(opts)
 				if err != nil {
 					t.Fatalf("Measure(%v, %v): %v", b, smp, err)
 				}
-				out[b.String()+"/"+smpLabel[smp]] = r
+				key := b.String() + "/" + smpLabel[smp]
+				a.checkDispatch(t, sys.System().Machine.TotalStats(), key)
+				out[key] = r
 			}
 		}
 		return out
-	}
-	compareInert(t, measure(false), measure(true))
+	})
 }
 
 func TestFaultInjectorInvarianceSpin(t *testing.T) {
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
-	measure := func(attach bool) map[string]bench.Result {
+	compareArms(t, func(a arm) map[string]bench.Result {
 		out := make(map[string]bench.Result)
 		for _, smp := range []bool{false, true} {
 			s, err := kernelsim.BuildSpin(kernelsim.SpinMultiverse)
 			if err != nil {
 				t.Fatalf("BuildSpin: %v", err)
 			}
-			if attach {
-				faultinject.Exact().Attach(s.System().Machine)
-			}
+			a.attach(s.System().Machine)
 			if err := s.SetSMP(smp); err != nil {
 				t.Fatalf("SetSMP(%v): %v", smp, err)
 			}
@@ -90,80 +136,80 @@ func TestFaultInjectorInvarianceSpin(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Measure(smp=%v): %v", smp, err)
 			}
+			a.checkDispatch(t, s.System().Machine.TotalStats(), smpLabel[smp])
 			out[smpLabel[smp]] = r
 		}
 		return out
-	}
-	compareInert(t, measure(false), measure(true))
+	})
 }
 
-// measureMusl measures every muslsim.Funcs() entry on each build, with
-// an inert plan attached when attach is set.
-func measureMusl(t *testing.T, builds []muslsim.Build, samples int, iters uint64, attach bool) map[string]bench.Result {
-	t.Helper()
-	out := make(map[string]bench.Result)
-	for _, build := range builds {
-		m, err := muslsim.BuildMusl(build)
-		if err != nil {
-			t.Fatalf("BuildMusl(%v): %v", build, err)
-		}
-		if attach {
-			faultinject.Exact().Attach(m.System().Machine)
-		}
-		if err := m.SetThreads(false); err != nil {
-			t.Fatalf("SetThreads: %v", err)
-		}
-		for _, f := range muslsim.Funcs() {
-			r, err := m.Measure(f, samples, iters)
+// measureMusl measures every muslsim.Funcs() entry on each build in
+// the given arm.
+func measureMusl(t *testing.T, builds []muslsim.Build, samples int, iters uint64) func(a arm) map[string]bench.Result {
+	return func(a arm) map[string]bench.Result {
+		t.Helper()
+		out := make(map[string]bench.Result)
+		for _, build := range builds {
+			m, err := muslsim.BuildMusl(build)
 			if err != nil {
-				t.Fatalf("Measure(%v): %v", f, err)
+				t.Fatalf("BuildMusl(%v): %v", build, err)
 			}
-			out[build.String()+"/"+f.String()] = r
+			a.attach(m.System().Machine)
+			if err := m.SetThreads(false); err != nil {
+				t.Fatalf("SetThreads: %v", err)
+			}
+			for _, f := range muslsim.Funcs() {
+				r, err := m.Measure(f, samples, iters)
+				if err != nil {
+					t.Fatalf("Measure(%v): %v", f, err)
+				}
+				out[build.String()+"/"+f.String()] = r
+			}
+			a.checkDispatch(t, m.System().Machine.TotalStats(), build.String())
 		}
+		return out
 	}
-	return out
 }
 
 func TestSuperblockInvarianceMusl(t *testing.T) {
-	builds := []muslsim.Build{muslsim.Plain, muslsim.Multiverse}
-	compareInert(t, measureMusl(t, builds, 8, 20, false), measureMusl(t, builds, 8, 20, true))
+	compareArms(t, measureMusl(t, []muslsim.Build{muslsim.Plain, muslsim.Multiverse}, 8, 20))
 }
 
 func TestFaultInjectorInvarianceMusl(t *testing.T) {
-	builds := []muslsim.Build{muslsim.Multiverse}
-	compareInert(t, measureMusl(t, builds, 6, 40, false), measureMusl(t, builds, 6, 40, true))
+	compareArms(t, measureMusl(t, []muslsim.Build{muslsim.Multiverse}, 6, 40))
 }
 
-// TestSuperblockArchStatsInvariance pins the architectural statistics
-// — instruction, branch, load/store, mispredict, interrupt and trap
-// counts — bit-identical through blocks and, with an inert plan
-// attached, through Step, on the E1 workload. Host-side accelerator
-// stats (Decode*, Block*) legitimately differ between the two dispatch
-// strategies and are zeroed before comparison.
+// TestSuperblockArchStatsInvariance pins the statistics of the E1
+// workload across the arms: the inert arm's, host-side counters
+// included, equal the bare arm's; the step arm's architectural
+// statistics — instruction, branch, load/store, mispredict, interrupt
+// and trap counts — do too. Host-side accelerator stats (Decode*,
+// Block*) legitimately differ between the two dispatch strategies and
+// are zeroed before that comparison.
 func TestSuperblockArchStatsInvariance(t *testing.T) {
-	stats := func(attach bool) cpu.Stats {
+	stats := func(a arm) cpu.Stats {
 		sys, err := kernelsim.BuildFig1(kernelsim.Fig1Multiverse, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if attach {
-			faultinject.Exact().Attach(sys.System().Machine)
-		}
+		a.attach(sys.System().Machine)
 		if _, err := sys.Measure(kernelsim.MeasureOpts{Samples: 5, Iters: 20, Warmup: 1}); err != nil {
 			t.Fatal(err)
 		}
-		return sys.System().Machine.TotalStats()
+		s := sys.System().Machine.TotalStats()
+		a.checkDispatch(t, s, "e1")
+		return s
 	}
-	bare, inert := stats(false), stats(true)
-	if inert.BlockInsts != 0 {
-		t.Errorf("%d instructions ran in blocks with an injector attached", inert.BlockInsts)
+	bare, inert, step := stats(armBare), stats(armInert), stats(armStep)
+	if bare != inert {
+		t.Errorf("stats differ with an inert plan attached:\nbare:  %+v\ninert: %+v", bare, inert)
 	}
-	for _, s := range []*cpu.Stats{&bare, &inert} {
+	for _, s := range []*cpu.Stats{&bare, &step} {
 		s.DecodeHits, s.DecodeMisses = 0, 0
 		s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0
 	}
-	if bare != inert {
-		t.Errorf("architectural stats differ with an inert plan attached:\nbare:  %+v\ninert: %+v", bare, inert)
+	if bare != step {
+		t.Errorf("architectural stats differ on single steps:\nbare: %+v\nstep: %+v", bare, step)
 	}
 }
 
@@ -213,4 +259,5 @@ func TestExhaustedPlanIsInert(t *testing.T) {
 	if got != base {
 		t.Errorf("results differ with exhausted plan attached:\nbare:      %+v\nexhausted: %+v", base, got)
 	}
+	armInert.checkDispatch(t, s2.System().Machine.TotalStats(), "exhausted plan")
 }

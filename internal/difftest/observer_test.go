@@ -102,7 +102,7 @@ func checkObserversMoveNothing(t *testing.T, img *link.Image, configure func(*co
 	}
 	var ref run
 	for _, name := range []string{"none", "profile", "itrace", "sample", "all"} {
-		sys := snapSystem(t, img, false)
+		sys := snapSystem(t, img, armBare)
 		configure(sys)
 		recorded := observe(t, sys, name)
 		if err := sys.Machine.StartCall(sys.Machine.CPU, entry, args...); err != nil {

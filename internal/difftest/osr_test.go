@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
 	"repro/internal/muslsim"
 )
@@ -17,9 +16,10 @@ import (
 // OnActive: ActiveOSR versus ActiveRefuse — the two policies differ
 // only in what happens to an active function, and the CPUs are halted
 // at every commit, so every bench.Result must be bit-identical. The
-// cross with an inert fault plan attached (which holds the CPUs to
-// single steps) and without guards the interaction between the block
-// interpreter and the OSR-instrumented commit path.
+// cross with the fault-plan arms of faultinject_test.go (bare, an
+// inert plan on blocks, and a plan arming an unreachable fetch fault,
+// which holds the CPUs to single steps) guards the interaction between
+// both interpreters and the OSR-instrumented commit path.
 
 // osrPolicies are the two arms under comparison.
 var osrPolicies = []struct {
@@ -43,7 +43,7 @@ func requireUntriggered(t *testing.T, rt *core.Runtime, what string) {
 	}
 }
 
-func measureSpinE1(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result {
+func measureSpinE1(t *testing.T, p core.OnActivePolicy, check bool, a arm) map[string]bench.Result {
 	t.Helper()
 	opts := kernelsim.MeasureOpts{Samples: 10, Iters: 30, Warmup: 2}
 	out := make(map[string]bench.Result)
@@ -51,9 +51,7 @@ func measureSpinE1(t *testing.T, p core.OnActivePolicy, check, inert bool) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inert {
-		faultinject.Exact().Attach(s.System().Machine)
-	}
+	a.attach(s.System().Machine)
 	s.Runtime().SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine, OnActive: p})
 	for _, smp := range []bool{false, true} {
 		if err := s.SetSMP(smp); err != nil {
@@ -65,13 +63,14 @@ func measureSpinE1(t *testing.T, p core.OnActivePolicy, check, inert bool) map[s
 		}
 		out[map[bool]string{false: "up", true: "smp"}[smp]] = r
 	}
+	a.checkDispatch(t, s.System().Machine.TotalStats(), "e1")
 	if check {
 		requireUntriggered(t, s.Runtime(), "e1")
 	}
 	return out
 }
 
-func measureMuslE4(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result {
+func measureMuslE4(t *testing.T, p core.OnActivePolicy, check bool, a arm) map[string]bench.Result {
 	t.Helper()
 	const samples, iters = 8, 20
 	out := make(map[string]bench.Result)
@@ -79,9 +78,7 @@ func measureMuslE4(t *testing.T, p core.OnActivePolicy, check, inert bool) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inert {
-		faultinject.Exact().Attach(m.System().Machine)
-	}
+	a.attach(m.System().Machine)
 	m.System().RT.SetCommitOptions(core.CommitOptions{Mode: core.ModeStopMachine, OnActive: p})
 	for _, multi := range []bool{false, true} {
 		if err := m.SetThreads(multi); err != nil {
@@ -95,27 +92,28 @@ func measureMuslE4(t *testing.T, p core.OnActivePolicy, check, inert bool) map[s
 			out[map[bool]string{false: "st", true: "mt"}[multi]+"/"+f.String()] = r
 		}
 	}
+	a.checkDispatch(t, m.System().Machine.TotalStats(), "e4")
 	if check {
 		requireUntriggered(t, m.System().RT, "e4")
 	}
 	return out
 }
 
-func comparePolicies(t *testing.T, measure func(t *testing.T, p core.OnActivePolicy, check, inert bool) map[string]bench.Result) {
+func comparePolicies(t *testing.T, measure func(t *testing.T, p core.OnActivePolicy, check bool, a arm) map[string]bench.Result) {
 	t.Helper()
-	for _, inert := range []bool{false, true} {
+	for _, a := range arms {
 		got := map[string]map[string]bench.Result{}
-		for _, arm := range osrPolicies {
-			got[arm.name] = measure(t, arm.p, arm.p == core.ActiveOSR, inert)
+		for _, pol := range osrPolicies {
+			got[pol.name] = measure(t, pol.p, pol.p == core.ActiveOSR, a)
 		}
 		ref, osr := got["refuse"], got["osr"]
 		if len(ref) == 0 || len(ref) != len(osr) {
-			t.Fatalf("inert plan=%v: measured %d/%d cells", inert, len(ref), len(osr))
+			t.Fatalf("%v arm: measured %d/%d cells", a, len(ref), len(osr))
 		}
 		for k, r := range ref {
 			if r != osr[k] {
-				t.Errorf("inert plan=%v %s: cycles differ with OSR configured:\nrefuse: %+v\nosr:    %+v",
-					inert, k, r, osr[k])
+				t.Errorf("%v arm %s: cycles differ with OSR configured:\nrefuse: %+v\nosr:    %+v",
+					a, k, r, osr[k])
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/faultinject"
 	"repro/internal/kernelsim"
 	"repro/internal/link"
 	"repro/internal/machine"
@@ -19,8 +18,10 @@ import (
 // retire bit-identical simulated cycles, statistics, state reports,
 // console output and final-state digests as the uninterrupted run.
 // These difftests pin that over the paper's E1 (Figure 1 spinlock) and
-// E4 (musl) workloads, on blocks and, with an inert fault plan
-// attached to every machine, on single steps.
+// E4 (musl) workloads in each fault-plan arm of faultinject_test.go:
+// on blocks bare, on blocks with an inert plan attached to every
+// machine (whose outcome must also equal the bare arm's), and on
+// single steps under a plan arming an unreachable fetch fault.
 
 // runOutcome is everything observable about a finished run.
 type runOutcome struct {
@@ -34,17 +35,14 @@ type runOutcome struct {
 
 // snapSystem builds a machine+runtime pair manually from a shared
 // image, so every run in a comparison carries identical (absent)
-// observability attachments. With inert set, an empty fault plan
-// holds the machine's CPUs to single steps.
-func snapSystem(t *testing.T, img *link.Image, inert bool) *core.System {
+// observability attachments, and attaches the arm's fault plan.
+func snapSystem(t *testing.T, img *link.Image, a arm) *core.System {
 	t.Helper()
 	m, err := machine.New(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inert {
-		faultinject.Exact().Attach(m)
-	}
+	a.attach(m)
 	rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
 	if err != nil {
 		t.Fatal(err)
@@ -87,18 +85,19 @@ func finish(t *testing.T, sys *core.System) runOutcome {
 //	B — paused mid-call at cycle C by RunUntil, snapshotted, continued,
 //	C — a fresh machine restored from B's snapshot and run to the end,
 //
-// and requires all three outcomes bit-identical.
-func checkRestoreInvariance(t *testing.T, img *link.Image, inert bool, configure func(*core.System), entry string, args ...uint64) {
+// and requires all three outcomes bit-identical. It returns A's.
+func checkRestoreInvariance(t *testing.T, img *link.Image, ar arm, configure func(*core.System), entry string, args ...uint64) runOutcome {
 	t.Helper()
 
-	sysA := snapSystem(t, img, inert)
+	sysA := snapSystem(t, img, ar)
 	configure(sysA)
 	if err := sysA.Machine.StartCall(sysA.Machine.CPU, entry, args...); err != nil {
 		t.Fatal(err)
 	}
 	a := finish(t, sysA)
+	ar.checkDispatch(t, a.stats, entry)
 
-	sysB := snapSystem(t, img, inert)
+	sysB := snapSystem(t, img, ar)
 	configure(sysB)
 	if err := sysB.Machine.StartCall(sysB.Machine.CPU, entry, args...); err != nil {
 		t.Fatal(err)
@@ -123,7 +122,7 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, inert bool, configure
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysC := snapSystem(t, img, inert) // pristine: Apply replaces memory, CPUs and bindings
+	sysC := snapSystem(t, img, ar) // pristine: Apply replaces memory, CPUs and bindings
 	if err := snapshot.Apply(restored, sysC.Machine, sysC.RT); err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +132,21 @@ func checkRestoreInvariance(t *testing.T, img *link.Image, inert bool, configure
 	c := finish(t, sysC)
 	if a != c {
 		t.Fatalf("restore-then-run diverged from the uninterrupted run:\nuninterrupted %+v\nrestored      %+v", a, c)
+	}
+	return a
+}
+
+// checkRestoreArms runs checkRestoreInvariance in every arm and
+// requires the inert arm's outcome, digest included, to equal the
+// bare arm's.
+func checkRestoreArms(t *testing.T, img *link.Image, configure func(*core.System), entry string, args ...uint64) {
+	t.Helper()
+	got := make(map[arm]runOutcome)
+	for _, a := range arms {
+		got[a] = checkRestoreInvariance(t, img, a, configure, entry, args...)
+	}
+	if got[armInert] != got[armBare] {
+		t.Errorf("an inert plan changed the run:\nbare  %+v\ninert %+v", got[armBare], got[armInert])
 	}
 }
 
@@ -156,9 +170,7 @@ func fig1Image(t *testing.T) (*link.Image, func(*core.System)) {
 
 func TestSnapshotRestoreInvarianceFig1(t *testing.T) {
 	img, configure := fig1Image(t)
-	for _, inert := range []bool{false, true} {
-		checkRestoreInvariance(t, img, inert, configure, "bench_fig1", 400)
-	}
+	checkRestoreArms(t, img, configure, "bench_fig1", 400)
 }
 
 func TestSnapshotRestoreInvarianceMusl(t *testing.T) {
@@ -175,7 +187,5 @@ func TestSnapshotRestoreInvarianceMusl(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, inert := range []bool{false, true} {
-		checkRestoreInvariance(t, img, inert, configure, "bench_fputc", 300)
-	}
+	checkRestoreArms(t, img, configure, "bench_fputc", 300)
 }

@@ -154,9 +154,8 @@ type Plan struct {
 	ops    map[opKey]uint64
 	text   []textRange
 
-	// fetchPoints counts the KindFetchFault points, so FetchFault, which
-	// runs on every step of an injected CPU, returns at once for a plan
-	// without any.
+	// fetchPoints counts the KindFetchFault points, so FetchArmed and
+	// FetchFault return at once for a plan without any.
 	fetchPoints int
 
 	// pokeOpen tracks whether a text-poke breakpoint window is open
@@ -398,6 +397,21 @@ func (p *Plan) PokePhase(phase int, addr, n uint64) {
 	if p.OnPokeStep != nil {
 		p.OnPokeStep(phase, addr, n)
 	}
+}
+
+// FetchArmed implements cpu.Injector: it reports whether an unfired
+// KindFetchFault point is bound to cpu. A CPU without one runs
+// superblocks, since FetchFault could not fail any of its fetches.
+func (p *Plan) FetchArmed(cpu int) bool {
+	if p.fetchPoints == 0 {
+		return false
+	}
+	for i, pt := range p.points {
+		if !p.fired[i] && pt.Kind == KindFetchFault && pt.CPU == cpu {
+			return true
+		}
+	}
+	return false
 }
 
 // FetchFault implements cpu.Injector.

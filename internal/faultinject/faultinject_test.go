@@ -116,6 +116,38 @@ func TestFetchFaultFiresAtCycleThreshold(t *testing.T) {
 	}
 }
 
+// TestFetchArmedPerCPU: a CPU reports an armed fetch fault exactly
+// while an unfired KindFetchFault point is bound to it — not before
+// its cycle matters, not after it fires, and again once Import rewinds
+// the plan to before it fired.
+func TestFetchArmedPerCPU(t *testing.T) {
+	if Exact(Point{Kind: KindProtect}, Point{Kind: KindDropFlush, CPU: 0}).FetchArmed(0) {
+		t.Fatal("a plan without fetch points arms a fetch fault")
+	}
+	p := Exact(
+		Point{Kind: KindFetchFault, CPU: 1, Cycle: 100},
+		Point{Kind: KindFetchFault, CPU: 2, Cycle: 100},
+		Point{Kind: KindProtect},
+	)
+	armed := func() [3]bool { return [3]bool{p.FetchArmed(0), p.FetchArmed(1), p.FetchArmed(2)} }
+	if got := armed(); got != [3]bool{false, true, true} {
+		t.Fatalf("armed per CPU = %v, want [false true true]", got)
+	}
+	before := p.Export()
+	if err := p.FetchFault(1, 0x400000, 100); err == nil {
+		t.Fatal("cpu 1's fetch fault did not fire")
+	}
+	if got := armed(); got != [3]bool{false, false, true} {
+		t.Fatalf("after cpu 1's point fired, armed = %v, want [false false true]", got)
+	}
+	if err := p.Import(before); err != nil {
+		t.Fatal(err)
+	}
+	if got := armed(); got != [3]bool{false, true, true} {
+		t.Fatalf("after Import, armed = %v, want [false true true]", got)
+	}
+}
+
 func TestPokeOptsDoNotPerturbLegacySeeds(t *testing.T) {
 	// The Poke knob must not change what a legacy seed generates: a
 	// fixed CI seed's fault plan stays byte-for-byte stable.

@@ -7,28 +7,30 @@ import (
 	"repro/internal/mem"
 )
 
-// inertInjector attaches to a machine and never fires: it holds every
-// CPU to single steps and changes nothing else.
-type inertInjector struct{}
+// inertInjector attaches to a machine and never fires. With armed set
+// it holds every CPU's Run to single steps; without, it arms nothing
+// and Run keeps to blocks.
+type inertInjector struct{ armed bool }
 
 func (inertInjector) ProtectFault(uint64, uint64, mem.Prot) error { return nil }
 func (inertInjector) WriteTear(uint64, int) (int, error)          { return 0, nil }
+func (i inertInjector) FetchArmed(int) bool                       { return i.armed }
 func (inertInjector) FetchFault(int, uint64, uint64) error        { return nil }
 func (inertInjector) DropFlush(int, uint64, uint64) bool          { return false }
 
 // TestInterleaveSuperblockInvariance pins SMP interleaving semantics:
 // Interleave single-steps at instruction granularity whether or not
-// an injector holds the CPUs to Step, so quantum boundaries, step
-// budgets and final state are identical with an inert injector
-// attached and without.
+// an injector is attached and whether or not it arms a fetch fault,
+// so quantum boundaries, step budgets, final state and every counter
+// are identical across the three arms.
 func TestInterleaveSuperblockInvariance(t *testing.T) {
-	runOnce := func(inert bool) (uint64, uint64, cpu.Stats) {
+	runOnce := func(inj Injector) (uint64, uint64, cpu.Stats) {
 		m, err := New(buildPokeImage(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inert {
-			m.SetInjector(inertInjector{})
+		if inj != nil {
+			m.SetInjector(inj)
 		}
 		extra, err := m.AddCPU()
 		if err != nil {
@@ -45,14 +47,17 @@ func TestInterleaveSuperblockInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats := m.TotalStats()
-		stats.DecodeHits, stats.DecodeMisses = 0, 0
-		stats.BlockBuilds, stats.BlockHits, stats.BlockInsts, stats.BlockInvalidates = 0, 0, 0, 0
+		if stats.BlockInsts != 0 {
+			t.Errorf("injector %+v: Interleave dispatched %d instructions in blocks", inj, stats.BlockInsts)
+		}
 		return steps, m.CPU.Cycles() + extra.Cycles(), stats
 	}
-	onSteps, onCycles, onStats := runOnce(false)
-	offSteps, offCycles, offStats := runOnce(true)
-	if onSteps != offSteps || onCycles != offCycles || onStats != offStats {
-		t.Errorf("Interleave diverges with an inert injector attached:\nbare:  steps %d cycles %d %+v\ninert: steps %d cycles %d %+v",
-			onSteps, onCycles, onStats, offSteps, offCycles, offStats)
+	bareSteps, bareCycles, bareStats := runOnce(nil)
+	for _, inj := range []Injector{inertInjector{}, inertInjector{armed: true}} {
+		steps, cycles, stats := runOnce(inj)
+		if steps != bareSteps || cycles != bareCycles || stats != bareStats {
+			t.Errorf("Interleave diverges with injector %+v attached:\nbare:     steps %d cycles %d %+v\ninjector: steps %d cycles %d %+v",
+				inj, bareSteps, bareCycles, bareStats, steps, cycles, stats)
+		}
 	}
 }

@@ -188,6 +188,13 @@ type Memory struct {
 	// (see Injector). Left nil, the write and protect paths cost one
 	// pointer check.
 	Inject Injector
+
+	// order holds the page numbers of pages in ascending order. Map,
+	// Unmap and ImportPages keep it so, and ExportPages and Regions
+	// walk it instead of sorting the map's keys on every call. It
+	// stays behind cache: placed between pages and cache, which moved
+	// the page cache's offset, it made mvperf's reconfigure ops slower.
+	order []uint64
 }
 
 // New returns an empty address space.
@@ -233,6 +240,14 @@ func (m *Memory) Map(addr, length uint64, prot Prot) error {
 	for i := uint64(0); i < n; i++ {
 		m.pages[first+i] = &page{data: zeroPage[:], prot: prot}
 	}
+	// No mapped page lies inside the new range, so its page numbers
+	// go in as one run.
+	at, _ := slices.BinarySearch(m.order, first)
+	m.order = slices.Grow(m.order, int(n))[:len(m.order)+int(n)]
+	copy(m.order[at+int(n):], m.order[at:])
+	for i := range m.order[at : at+int(n)] {
+		m.order[at+i] = first + uint64(i)
+	}
 	return nil
 }
 
@@ -260,6 +275,9 @@ func (m *Memory) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(m.pages, first+i)
 	}
+	// Every page of the range was mapped, so its numbers form one run.
+	at, _ := slices.BinarySearch(m.order, first)
+	m.order = slices.Delete(m.order, at, at+int(n))
 	m.cache = [pageCacheSlots]cachedPage{}
 	return nil
 }
@@ -491,12 +509,19 @@ func (m *Memory) ReadUint(addr uint64, size int) (uint64, error) {
 }
 
 // WriteUint writes a little-endian unsigned integer of the given size
-// (1, 2, 4 or 8 bytes; at most 8) at addr. A non-empty access within
-// one page encodes in place; page-straddling or faulting accesses take
-// the byte path, Write, as does every access while an injector is
-// attached, since it must see each write first.
+// (1, 2, 4 or 8 bytes; at most 8) at addr. An attached injector sees
+// the write first, once, exactly as Write shows it. A non-empty access
+// within one page then encodes in place; page-straddling or faulting
+// accesses take the byte path.
 func (m *Memory) WriteUint(addr uint64, size int, v uint64) error {
-	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize && size > 0 && m.Inject == nil {
+	if m.Inject != nil {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		if err := m.tornWrite(addr, buf[:size], Write); err != nil {
+			return err
+		}
+	}
+	if off := addr & (PageSize - 1); off+uint64(size) <= PageSize && size > 0 {
 		if pg := m.pageAt(addr, Write); pg != nil {
 			b := pg.mutable()[off:]
 			switch size {
@@ -519,7 +544,7 @@ func (m *Memory) WriteUint(addr uint64, size int, v uint64) error {
 	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	return m.Write(addr, buf[:size])
+	return m.writeBytes(addr, buf[:size], Write)
 }
 
 // Region describes one mapped protection-homogeneous address range.
@@ -532,16 +557,8 @@ type Region struct {
 // Regions returns the mapped regions in address order, coalescing
 // adjacent pages with equal protection.
 func (m *Memory) Regions() []Region {
-	if len(m.pages) == 0 {
-		return nil
-	}
-	nums := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		nums = append(nums, pn)
-	}
-	slices.Sort(nums)
 	var out []Region
-	for _, pn := range nums {
+	for _, pn := range m.order {
 		p := m.pages[pn]
 		if n := len(out); n > 0 {
 			prev := &out[n-1]

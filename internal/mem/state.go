@@ -28,13 +28,8 @@ type PageState struct {
 // space next changes; a caller that keeps it longer must copy it. A
 // never-written page (Version 0) has no Data.
 func (m *Memory) ExportPages() []PageState {
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	slices.Sort(pns)
-	out := make([]PageState, 0, len(pns))
-	for _, pn := range pns {
+	out := make([]PageState, 0, len(m.order))
+	for _, pn := range m.order {
 		p := m.pages[pn]
 		ps := PageState{PN: pn, Prot: p.prot, Version: p.version}
 		if p.version != 0 {
@@ -74,8 +69,10 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		}
 		fresh[ps.PN] = m.pages[ps.PN] // nil when unmapped; allocated below
 	}
+	order := m.order[:0]
 	for i := range pages {
 		ps := &pages[i]
+		order = append(order, ps.PN)
 		pg := fresh[ps.PN]
 		if pg == nil {
 			pg = &page{}
@@ -91,7 +88,8 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		}
 		pg.prot, pg.version = ps.Prot, ps.Version
 	}
-	m.pages = fresh
+	slices.Sort(order) // pages from ExportPages arrive sorted already
+	m.pages, m.order = fresh, order
 	m.cache = [pageCacheSlots]cachedPage{}
 	return nil
 }

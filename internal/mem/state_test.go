@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -13,6 +15,7 @@ import (
 func TestMemoryFieldsClassifiedForSnapshot(t *testing.T) {
 	serialized := map[string]bool{
 		"pages": true, // ExportPages/ImportPages
+		"order": true, // the pages' numbers in ExportPages' order; ImportPages rebuilds it
 		"Stats": true, // carried separately; the snapshot layer calls SetStats
 	}
 	hostWiring := map[string]bool{
@@ -133,6 +136,52 @@ func TestImportPagesRejectsMalformed(t *testing.T) {
 		}
 		if got := m.ExportPages(); !reflect.DeepEqual(got, before) {
 			t.Errorf("%s: rejected import changed the address space", tc.name)
+		}
+	}
+}
+
+// TestPageOrderFollowsMapping drives a seeded mix of Map, Unmap and
+// ImportPages calls, some failing, and requires ExportPages to list
+// exactly the mapped pages in ascending page-number order after each.
+func TestPageOrderFollowsMapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m := New()
+	check := func(step int, what string) {
+		t.Helper()
+		var want, got []uint64
+		for pn := range m.pages {
+			want = append(want, pn)
+		}
+		slices.Sort(want)
+		for _, ps := range m.ExportPages() {
+			got = append(got, ps.PN)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d (%s): ExportPages lists pages %v, mapped %v", step, what, got, want)
+		}
+	}
+	for step := 0; step < 400; step++ {
+		addr := uint64(rng.Intn(48)) * PageSize
+		length := uint64(1+rng.Intn(4)) * PageSize
+		switch rng.Intn(5) {
+		case 0, 1:
+			m.Map(addr, length, RW)
+			check(step, "Map")
+		case 2, 3:
+			m.Unmap(addr, length)
+			check(step, "Unmap")
+		case 4:
+			// Re-import the pages in shuffled order, sometimes with one
+			// page dropped.
+			pages := m.ExportPages()
+			rng.Shuffle(len(pages), func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
+			if len(pages) > 0 && rng.Intn(2) == 0 {
+				pages = pages[1:]
+			}
+			if err := m.ImportPages(pages); err != nil {
+				t.Fatal(err)
+			}
+			check(step, "ImportPages")
 		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Version is the current snapshot format version. Version 2 carries a
@@ -135,6 +136,15 @@ func (w *writer) u32(v uint32) {
 func (w *writer) u64(v uint64) {
 	if w.count(8) {
 		w.b = binary.LittleEndian.AppendUint64(w.b, v)
+	}
+}
+
+// zeros appends n zero bytes; n <= 0 appends none.
+func (w *writer) zeros(n int) {
+	if n > 0 && w.count(n) {
+		k := len(w.b)
+		w.b = slices.Grow(w.b, n)[:k+n]
+		clear(w.b[k:])
 	}
 }
 

@@ -236,18 +236,21 @@ func putCPU(w *writer, s *cpu.State) {
 	putBool(w, s.Halted)
 	w.u64(uint64(s.CmpA))
 	w.u64(uint64(s.CmpB))
-	w.u32(uint32(len(s.BTB)))
-	for _, e := range s.BTB {
-		if e == (cpu.BTBState{}) {
-			w.u8(0)
-			continue
-		}
+	// Every BTB entry is one presence byte: 0 for the zero entry, or 1
+	// followed by its fields. s.BTB lists only the present ones.
+	w.u32(uint32(s.BTBSize))
+	next := 0
+	for i := range s.BTB {
+		e := &s.BTB[i]
+		w.zeros(e.Index - next)
 		w.u8(1)
 		putBool(w, e.Valid)
 		w.u64(e.Tag)
 		w.u8(e.Counter)
 		w.u64(e.Target)
+		next = e.Index + 1
 	}
+	w.zeros(s.BTBSize - next)
 	w.u32(uint32(len(s.RAS)))
 	for _, v := range s.RAS {
 		w.u64(v)
@@ -288,21 +291,19 @@ func getCPU(r *reader, s *cpu.State) {
 	s.Halted = getBool(r)
 	s.CmpA = int64(r.u64())
 	s.CmpB = int64(r.u64())
-	n := r.count(1)
-	s.BTB = make([]cpu.BTBState, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		var e cpu.BTBState
+	s.BTBSize = r.count(1)
+	for i := 0; i < s.BTBSize && r.err == nil; i++ {
 		switch r.u8() {
 		case 0: // the zero entry
 		case 1:
-			e = cpu.BTBState{Valid: getBool(r), Tag: r.u64(), Counter: r.u8(), Target: r.u64()}
-			if e == (cpu.BTBState{}) && r.err == nil {
+			e := cpu.BTBState{Index: i, Valid: getBool(r), Tag: r.u64(), Counter: r.u8(), Target: r.u64()}
+			if e == (cpu.BTBState{Index: i}) && r.err == nil {
 				r.fail("BTB entry %d before offset %d is marked present but is the zero entry", i, r.off)
 			}
+			s.BTB = append(s.BTB, e)
 		default:
 			r.fail("BTB entry %d presence byte out of range at offset %d", i, r.off-1)
 		}
-		s.BTB = append(s.BTB, e)
 	}
 	for i, n := 0, r.count(8); i < n && r.err == nil; i++ {
 		s.RAS = append(s.RAS, r.u64())

@@ -453,15 +453,13 @@ func TestFreshBootCarriesNoZeros(t *testing.T) {
 		t.Errorf("%d never-written pages cost %d bytes, want %d", zero, d, 17*zero)
 	}
 	s.Pages = all
-	btb := s.CPUs[0].BTB
-	for i, e := range btb {
-		if e != (cpu.BTBState{}) {
-			t.Fatalf("BTB entry %d of a fresh machine is %+v, want empty", i, e)
-		}
+	if btb := s.CPUs[0].BTB; len(btb) != 0 {
+		t.Fatalf("a fresh machine has non-zero BTB entries %+v, want none", btb)
 	}
-	s.CPUs[0].BTB = nil
-	if d := len(data) - len(s.Encode(nil)); d != len(btb) {
-		t.Errorf("%d empty BTB entries cost %d bytes, want %d", len(btb), d, len(btb))
+	size := s.CPUs[0].BTBSize
+	s.CPUs[0].BTBSize = 0
+	if d := len(data) - len(s.Encode(nil)); d != size {
+		t.Errorf("%d empty BTB entries cost %d bytes, want %d", size, d, size)
 	}
 }
 
@@ -475,7 +473,7 @@ func TestDecodeRejectsNonCanonicalBTB(t *testing.T) {
 	// The BTB count follows CmpB, and entry 0 is made empty.
 	const marker = 0x0b7b_c0de_5eed_f00d
 	s.CPUs[0].CmpB = marker
-	s.CPUs[0].BTB[0] = cpu.BTBState{}
+	s.CPUs[0].BTB = slices.DeleteFunc(s.CPUs[0].BTB, func(e cpu.BTBState) bool { return e.Index == 0 })
 	enc := s.Encode(nil)
 	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8 + 4
 	if at < 12 || enc[at] != 0 {
@@ -506,10 +504,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	// The seed must carry present BTB entries beside empty ones, so the
 	// fuzzer mutates both encodings.
-	if got, err := Decode(valid); err != nil || !slices.ContainsFunc(got.CPUs[0].BTB, func(e cpu.BTBState) bool {
-		return e != (cpu.BTBState{})
-	}) {
-		f.Fatalf("seed container has no non-empty BTB entry (decode err %v)", err)
+	if got, err := Decode(valid); err != nil || len(got.CPUs[0].BTB) == 0 || len(got.CPUs[0].BTB) == got.CPUs[0].BTBSize {
+		f.Fatalf("seed container does not mix present and empty BTB entries (decode err %v)", err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
