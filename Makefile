@@ -32,9 +32,9 @@ mvperf:
 # once under -trace: the two tables must be identical apart from the
 # line that reports the trace file. A tracer rides the superblocks, so
 # this pins, end to end, that observing a run moves no simulated cycle.
-# (Step against blocks is compared end to end by the step arms of the
-# fault-plan tests in internal/difftest, whose plans arm a fetch fault
-# that never fires.)
+# (Step against blocks is compared end to end by the step row of
+# internal/difftest's attachment table, invariance_test.go, whose
+# plan arms a fetch fault that never fires.)
 smoke:
 	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 fig1 > /tmp/mv-smoke-plain.txt
 	@$(GO) run ./cmd/mvbench -samples 20 -iters 20 -trace /tmp/mv-smoke.json fig1 > /tmp/mv-smoke-traced.txt

@@ -315,7 +315,7 @@ func (r *runner) doOp(op int) error {
 	}
 	abortsBefore := rt.Stats.CommitAborts
 
-	atomic, opErr := r.w.mutate(rng, rt)
+	atomic, opErr := mutate(r.w, rng, rt)
 	r.res.Ops++
 	if opErr != nil {
 		if !errors.Is(opErr, core.ErrCommitAborted) {
@@ -338,7 +338,7 @@ func (r *runner) doOp(op int) error {
 			// the harness does what an operator would: retry the
 			// revert until it goes through (the fault plan is finite,
 			// so it must).
-			if err := revertUntilClean(rt); err != nil {
+			if err := retryAborted("revert", rt.Revert); err != nil {
 				return fmt.Errorf("seed %d op %d: recovering from partial revert: %w", seed, op, err)
 			}
 		}
@@ -412,13 +412,8 @@ func (r *runner) finish() error {
 // workload abstracts the two chaos targets.
 type workload interface {
 	system() *core.System
-	// mutate performs one random runtime operation (switch flip +
-	// commit, revert, refs-scoped commit, ...). atomic reports whether
-	// the operation ran as a single transaction, i.e. whether an abort
-	// guarantees a byte-identical image (Revert deliberately keeps
-	// per-function progress past failures, so it is not whole-image
-	// atomic).
-	mutate(rng *rand.Rand, rt *core.Runtime) (atomic bool, err error)
+	// switchName names the configuration switch mutate flips.
+	switchName() string
 	// startSecondary points an idle secondary CPU at workload code.
 	startSecondary(m *machine.Machine, c *cpu.CPU, rng *rand.Rand) error
 	// check runs the workload on the primary CPU and compares the
@@ -466,19 +461,17 @@ func buildWorkload(name string) (workload, error) {
 	return nil, fmt.Errorf("chaos: unknown workload %q (want e1 or e4)", name)
 }
 
-// --- E1: spinlock kernel -------------------------------------------------
-
-type e1Workload struct {
-	ks *kernelsim.SpinSystem
-}
-
-func (w *e1Workload) system() *core.System { return w.ks.System() }
-
-func (w *e1Workload) mutate(rng *rand.Rand, rt *core.Runtime) (bool, error) {
-	sys := w.ks.System()
+// mutate performs one random runtime operation on w's switch (switch
+// flip + commit, revert, refs-scoped commit, ...). atomic reports
+// whether the operation ran as a single transaction, i.e. whether an
+// abort guarantees a byte-identical image (Revert deliberately keeps
+// per-function progress past failures, so it is not whole-image
+// atomic).
+func mutate(w workload, rng *rand.Rand, rt *core.Runtime) (atomic bool, err error) {
+	sys, name := w.system(), w.switchName()
 	switch rng.Intn(4) {
 	case 0: // flip the switch and commit everything
-		if err := sys.SetSwitch("config_smp", int64(rng.Intn(2))); err != nil {
+		if err := sys.SetSwitch(name, int64(rng.Intn(2))); err != nil {
 			return true, err
 		}
 		_, err := rt.Commit()
@@ -486,11 +479,11 @@ func (w *e1Workload) mutate(rng *rand.Rand, rt *core.Runtime) (bool, error) {
 	case 1: // revert everything (per-function transactions)
 		return false, rt.Revert()
 	case 2: // refs-scoped commit on the switch
-		addr, ok := rt.VarByName("config_smp")
+		addr, ok := rt.VarByName(name)
 		if !ok {
-			return true, fmt.Errorf("chaos: no config_smp switch")
+			return true, fmt.Errorf("chaos: no %s switch", name)
 		}
-		if err := sys.SetSwitch("config_smp", int64(rng.Intn(2))); err != nil {
+		if err := sys.SetSwitch(name, int64(rng.Intn(2))); err != nil {
 			return true, err
 		}
 		_, err := rt.CommitRefs(addr)
@@ -500,6 +493,16 @@ func (w *e1Workload) mutate(rng *rand.Rand, rt *core.Runtime) (bool, error) {
 		return true, err
 	}
 }
+
+// --- E1: spinlock kernel -------------------------------------------------
+
+type e1Workload struct {
+	ks *kernelsim.SpinSystem
+}
+
+func (w *e1Workload) system() *core.System { return w.ks.System() }
+
+func (w *e1Workload) switchName() string { return "config_smp" }
 
 func (w *e1Workload) startSecondary(m *machine.Machine, c *cpu.CPU, rng *rand.Rand) error {
 	return m.StartCall(c, "bench_spin", uint64(10+rng.Intn(40)))
@@ -567,32 +570,7 @@ type e4Workload struct {
 
 func (w *e4Workload) system() *core.System { return w.ms.System() }
 
-func (w *e4Workload) mutate(rng *rand.Rand, rt *core.Runtime) (bool, error) {
-	sys := w.ms.System()
-	switch rng.Intn(4) {
-	case 0:
-		if err := sys.SetSwitch("threads_minus_1", int64(rng.Intn(2))); err != nil {
-			return true, err
-		}
-		_, err := rt.Commit()
-		return true, err
-	case 1:
-		return false, rt.Revert()
-	case 2:
-		addr, ok := rt.VarByName("threads_minus_1")
-		if !ok {
-			return true, fmt.Errorf("chaos: no threads_minus_1 switch")
-		}
-		if err := sys.SetSwitch("threads_minus_1", int64(rng.Intn(2))); err != nil {
-			return true, err
-		}
-		_, err := rt.CommitRefs(addr)
-		return true, err
-	default:
-		_, err := rt.Commit()
-		return true, err
-	}
-}
+func (w *e4Workload) switchName() string { return "threads_minus_1" }
 
 // startSecondary runs the lock-free baseline loop: the chaos driver
 // re-binds lock elision between operations, and only the primary's
@@ -786,21 +764,23 @@ func stepSome(c *cpu.CPU, n int) error {
 	return nil
 }
 
-// revertUntilClean retries Revert until it completes without error.
-// Each failed attempt consumes at least one armed fault point and
-// plans are finite, so the loop terminates; the bound is a backstop
-// against runtime regressions that fail persistently without faults.
-func revertUntilClean(rt *core.Runtime) error {
+// retryAborted retries op until it completes without error; what
+// names the operation in the error reported when it never does. Each
+// aborted attempt consumes at least one armed fault point and plans
+// are finite, so the loop terminates; the bound is a backstop against
+// runtime regressions that fail persistently without faults. An error
+// other than ErrCommitAborted returns at once.
+func retryAborted(what string, op func() error) error {
 	var err error
 	for i := 0; i < 64; i++ {
-		if err = rt.Revert(); err == nil {
+		if err = op(); err == nil {
 			return nil
 		}
 		if !errors.Is(err, core.ErrCommitAborted) {
 			return err
 		}
 	}
-	return fmt.Errorf("chaos: revert still failing after 64 attempts: %w", err)
+	return fmt.Errorf("chaos: %s still failing after 64 attempts: %w", what, err)
 }
 
 // IsInjectedFetchFault reports whether err is (or wraps) a spurious

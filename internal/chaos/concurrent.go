@@ -193,16 +193,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 	// drainDeferred retries DrainDeferred across injected aborts; the
 	// plan is finite, so a bounded retry loop must converge.
 	drainDeferred := func() error {
-		var err error
-		for i := 0; i < 64; i++ {
-			if _, err = rt.DrainDeferred(); err == nil {
-				return nil
-			}
-			if !errors.Is(err, core.ErrCommitAborted) {
-				return err
-			}
-		}
-		return fmt.Errorf("chaos: deferred drain still failing after 64 attempts: %w", err)
+		return retryAborted("deferred drain", func() error { _, err := rt.DrainDeferred(); return err })
 	}
 
 	// drainCPU runs one worker to halt in chunks, rescuing protocol
@@ -238,27 +229,6 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 		return nil
 	}
 
-	// recommit re-applies the current configuration once the machine is
-	// quiet. It plays the operator's retry: an aborted commit leaves
-	// the switch ahead of the bindings, and the deferred drain then
-	// upgrades only the functions that happened to be queued — each
-	// per-function operation is correct in isolation (deferred patches
-	// apply against the latest configuration, as in kernel livepatch),
-	// but only a fresh whole-image commit restores the cross-function
-	// consistency the semantic checks assume.
-	recommit := func() error {
-		var err error
-		for i := 0; i < 64; i++ {
-			if _, err = rt.Commit(); err == nil {
-				return nil
-			}
-			if !errors.Is(err, core.ErrCommitAborted) {
-				return err
-			}
-		}
-		return fmt.Errorf("chaos: re-commit still failing after 64 attempts: %w", err)
-	}
-
 	// quiesce runs every CPU to halt, applies the deferred queue,
 	// re-commits the current configuration and re-normalizes protocol
 	// state (racy non-atomic counters, leaked lock words) before a
@@ -278,7 +248,14 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 		if n := rt.DeferredCount(); n != 0 {
 			return fmt.Errorf("chaos: %d deferred ops still queued with all CPUs halted", n)
 		}
-		if err := recommit(); err != nil {
+		// Re-commit plays the operator's retry: an aborted commit leaves
+		// the switch ahead of the bindings, and the deferred drain then
+		// upgrades only the functions that happened to be queued — each
+		// per-function operation is correct in isolation (deferred
+		// patches apply against the latest configuration, as in kernel
+		// livepatch), but only a fresh whole-image commit restores the
+		// cross-function consistency the semantic checks assume.
+		if err := retryAborted("re-commit", func() error { _, err := rt.Commit(); return err }); err != nil {
 			return err
 		}
 		if err := rt.Audit(); err != nil {
@@ -315,7 +292,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 		}
 		abortsBefore := rt.Stats.CommitAborts
 
-		atomic, opErr := w.mutate(rng, rt)
+		atomic, opErr := mutate(w, rng, rt)
 		res.Ops++
 		if hookErr != nil {
 			return res, fmt.Errorf("seed %d op %d: %w", seed, op, hookErr)
@@ -331,7 +308,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 				if err := assertExecEqual(m, pre); err != nil {
 					return res, fmt.Errorf("seed %d op %d: aborted operation left a modified image: %w", seed, op, err)
 				}
-			} else if err := revertUntilClean(rt); err != nil {
+			} else if err := retryAborted("revert", rt.Revert); err != nil {
 				return res, fmt.Errorf("seed %d op %d: recovering from partial revert: %w", seed, op, err)
 			}
 		} else if rt.Stats.CommitAborts != abortsBefore {

@@ -35,29 +35,7 @@ type chromeTrace struct {
 }
 
 // cat groups kinds into Perfetto categories.
-func (k Kind) cat() string {
-	switch k {
-	case KindCommitBegin, KindCommitEnd, KindRevertBegin, KindRevertEnd, KindSwitchValue:
-		return "runtime"
-	case KindPatchSite, KindProloguePatch, KindPrologueRestore:
-		return "patch"
-	case KindProtect, KindFlushICache:
-		return "mem"
-	case KindInterrupt, KindMispredict:
-		return "cpu"
-	case KindFaultInjected:
-		return "fault"
-	case KindCommitRetry, KindCommitAbort, KindRollback, KindFlushRetry:
-		return "txn"
-	case KindTrap, KindPokePhase, KindRendezvous, KindDeferred, KindDrainBegin, KindDrainEnd:
-		return "xmod"
-	case KindPhaseBegin, KindPhaseEnd:
-		return "runtime"
-	case KindWatchdogAlert:
-		return "watchdog"
-	}
-	return "other"
-}
+func (k Kind) cat() string { return k.info().cat }
 
 // hex renders an address the way the rest of the tooling prints them.
 func hex(v uint64) string { return fmt.Sprintf("%#x", v) }
@@ -187,23 +165,16 @@ func protString(p uint8) string {
 
 // spanBegin reports whether k opens a span and which kind closes it.
 func (k Kind) spanBegin() (Kind, bool) {
-	switch k {
-	case KindCommitBegin:
-		return KindCommitEnd, true
-	case KindRevertBegin:
-		return KindRevertEnd, true
-	case KindDrainBegin:
-		return KindDrainEnd, true
-	case KindPhaseBegin:
-		return KindPhaseEnd, true
-	}
-	return 0, false
+	end := k.info().end
+	return end, end != 0
 }
 
+// spanEnd reports whether k closes a span.
 func (k Kind) spanEnd() bool {
-	switch k {
-	case KindCommitEnd, KindRevertEnd, KindDrainEnd, KindPhaseEnd:
-		return true
+	for _, in := range kinds {
+		if in.end != 0 && in.end == k {
+			return true
+		}
 	}
 	return false
 }

@@ -19,33 +19,15 @@ import (
 // The recorder is deliberately cheap: it implements Tracer with no-op
 // Step/Call/Ret (it never attaches to a CPU's hot path — doing so
 // would add a call per instruction), filters to the flight kinds
-// below, and allocates nothing per event once the ring is warm.
+// (FlightRecorded), and allocates nothing per event once the ring is
+// warm.
 
 // FlightLimit is the default flight-recorder ring bound.
 const FlightLimit = 256
 
-// flightKinds selects the kinds the recorder keeps: the commit
-// lifecycle (begin/end, phases, drains), the cross-modifying protocol
-// (rendezvous, poke phases, traps, deferred ops), and every
-// fault/recovery event. High-rate kinds (per-instruction, per-site,
-// per-flush) are excluded so the ring's history window stays long
-// enough to cover a whole failing operation.
-var flightKinds = func() [KindCount]bool {
-	var m [KindCount]bool
-	for _, k := range []Kind{
-		KindCommitBegin, KindCommitEnd, KindRevertBegin, KindRevertEnd,
-		KindFaultInjected, KindCommitRetry, KindCommitAbort, KindRollback,
-		KindTrap, KindPokePhase, KindRendezvous, KindDeferred,
-		KindFlushRetry, KindDrainBegin, KindDrainEnd,
-		KindPhaseBegin, KindPhaseEnd, KindWatchdogAlert,
-	} {
-		m[k] = true
-	}
-	return m
-}()
-
-// FlightRecorded reports whether the flight recorder keeps this kind.
-func FlightRecorded(k Kind) bool { return int(k) < KindCount && flightKinds[k] }
+// FlightRecorded reports whether the flight recorder keeps this kind
+// (see kindInfo.flight).
+func FlightRecorded(k Kind) bool { return k.info().flight }
 
 // Recorder is the always-on flight recorder. It implements Tracer and
 // SpanCarrier; attach it as core.Observers.Flight so it sees the

@@ -91,52 +91,75 @@ const (
 // Chrome-export category and a flight-recorder JSON encoding.
 const KindCount = int(kindSentinel)
 
-// kindNames gives each kind a unique, stable wire name — the encoding
-// used by flight-recorder dumps, where Begin/End pairs must stay
-// distinguishable (unlike String, which folds them for Chrome span
-// display).
-var kindNames = [KindCount]string{
-	KindCommitBegin:     "CommitBegin",
-	KindCommitEnd:       "CommitEnd",
-	KindRevertBegin:     "RevertBegin",
-	KindRevertEnd:       "RevertEnd",
-	KindSwitchValue:     "SwitchValue",
-	KindPatchSite:       "PatchSite",
-	KindProloguePatch:   "ProloguePatch",
-	KindPrologueRestore: "PrologueRestore",
-	KindProtect:         "Protect",
-	KindFlushICache:     "FlushICache",
-	KindInterrupt:       "Interrupt",
-	KindMispredict:      "Mispredict",
-	KindFaultInjected:   "FaultInjected",
-	KindCommitRetry:     "CommitRetry",
-	KindCommitAbort:     "CommitAbort",
-	KindRollback:        "Rollback",
-	KindTrap:            "Trap",
-	KindPokePhase:       "PokePhase",
-	KindRendezvous:      "Rendezvous",
-	KindDeferred:        "Deferred",
-	KindFlushRetry:      "FlushRetry",
-	KindDrainBegin:      "DrainBegin",
-	KindDrainEnd:        "DrainEnd",
-	KindPhaseBegin:      "PhaseBegin",
-	KindPhaseEnd:        "PhaseEnd",
-	KindWatchdogAlert:   "WatchdogAlert",
+// kindInfo is everything the tooling renders of one event kind.
+type kindInfo struct {
+	// name is the kind's unique, stable wire name: the flight-dump
+	// encoding, where Begin/End pairs must stay distinguishable.
+	name string
+	// chrome is the name in Chrome traces, where a Begin/End pair
+	// shares one span name.
+	chrome string
+	// cat is the Perfetto category.
+	cat string
+	// flight reports whether the flight recorder keeps the kind: the
+	// commit lifecycle (begin/end, phases, drains), the cross-modifying
+	// protocol (rendezvous, poke phases, traps, deferred ops) and every
+	// fault/recovery event. High-rate kinds (per-instruction, per-site,
+	// per-flush) are left out so the ring's history window stays long
+	// enough to cover a whole failing operation.
+	flight bool
+	// end is the kind that closes a span this kind opens. It is zero
+	// for a kind that opens none; no span ends with KindCommitBegin.
+	end Kind
+}
+
+// kinds describes every kind; Name, ParseKind, String, the Chrome
+// exporter and the flight recorder all read it.
+var kinds = [KindCount]kindInfo{
+	KindCommitBegin:     {"CommitBegin", "Commit", "runtime", true, KindCommitEnd},
+	KindCommitEnd:       {"CommitEnd", "Commit", "runtime", true, 0},
+	KindRevertBegin:     {"RevertBegin", "Revert", "runtime", true, KindRevertEnd},
+	KindRevertEnd:       {"RevertEnd", "Revert", "runtime", true, 0},
+	KindSwitchValue:     {"SwitchValue", "SwitchValue", "runtime", false, 0},
+	KindPatchSite:       {"PatchSite", "PatchSite", "patch", false, 0},
+	KindProloguePatch:   {"ProloguePatch", "ProloguePatch", "patch", false, 0},
+	KindPrologueRestore: {"PrologueRestore", "PrologueRestore", "patch", false, 0},
+	KindProtect:         {"Protect", "Protect", "mem", false, 0},
+	KindFlushICache:     {"FlushICache", "FlushICache", "mem", false, 0},
+	KindInterrupt:       {"Interrupt", "Interrupt", "cpu", false, 0},
+	KindMispredict:      {"Mispredict", "Mispredict", "cpu", false, 0},
+	KindFaultInjected:   {"FaultInjected", "FaultInjected", "fault", true, 0},
+	KindCommitRetry:     {"CommitRetry", "CommitRetry", "txn", true, 0},
+	KindCommitAbort:     {"CommitAbort", "CommitAbort", "txn", true, 0},
+	KindRollback:        {"Rollback", "Rollback", "txn", true, 0},
+	KindTrap:            {"Trap", "Trap", "xmod", true, 0},
+	KindPokePhase:       {"PokePhase", "PokePhase", "xmod", true, 0},
+	KindRendezvous:      {"Rendezvous", "Rendezvous", "xmod", true, 0},
+	KindDeferred:        {"Deferred", "Deferred", "xmod", true, 0},
+	KindFlushRetry:      {"FlushRetry", "FlushRetry", "txn", true, 0},
+	KindDrainBegin:      {"DrainBegin", "Drain", "xmod", true, KindDrainEnd},
+	KindDrainEnd:        {"DrainEnd", "Drain", "xmod", true, 0},
+	KindPhaseBegin:      {"PhaseBegin", "Phase", "runtime", true, KindPhaseEnd},
+	KindPhaseEnd:        {"PhaseEnd", "Phase", "runtime", true, 0},
+	KindWatchdogAlert:   {"WatchdogAlert", "WatchdogAlert", "watchdog", true, 0},
+}
+
+// info returns the kind's row, or an Unknown one outside the table.
+func (k Kind) info() kindInfo {
+	if int(k) < KindCount {
+		return kinds[k]
+	}
+	return kindInfo{name: "Unknown", chrome: "Unknown", cat: "other"}
 }
 
 // Name returns the kind's unique wire name (flight-dump encoding).
-func (k Kind) Name() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return "Unknown"
-}
+func (k Kind) Name() string { return k.info().name }
 
 // ParseKind resolves a wire name produced by Kind.Name back to the
 // kind, so flight dumps round-trip through JSON.
 func ParseKind(name string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == name {
+	for i := range kinds {
+		if kinds[i].name == name {
 			return Kind(i), true
 		}
 	}
@@ -144,55 +167,7 @@ func ParseKind(name string) (Kind, bool) {
 }
 
 // String names the kind as exported to Chrome traces.
-func (k Kind) String() string {
-	switch k {
-	case KindCommitBegin, KindCommitEnd:
-		return "Commit"
-	case KindRevertBegin, KindRevertEnd:
-		return "Revert"
-	case KindSwitchValue:
-		return "SwitchValue"
-	case KindPatchSite:
-		return "PatchSite"
-	case KindProloguePatch:
-		return "ProloguePatch"
-	case KindPrologueRestore:
-		return "PrologueRestore"
-	case KindProtect:
-		return "Protect"
-	case KindFlushICache:
-		return "FlushICache"
-	case KindInterrupt:
-		return "Interrupt"
-	case KindMispredict:
-		return "Mispredict"
-	case KindFaultInjected:
-		return "FaultInjected"
-	case KindCommitRetry:
-		return "CommitRetry"
-	case KindCommitAbort:
-		return "CommitAbort"
-	case KindRollback:
-		return "Rollback"
-	case KindTrap:
-		return "Trap"
-	case KindPokePhase:
-		return "PokePhase"
-	case KindRendezvous:
-		return "Rendezvous"
-	case KindDeferred:
-		return "Deferred"
-	case KindFlushRetry:
-		return "FlushRetry"
-	case KindDrainBegin, KindDrainEnd:
-		return "Drain"
-	case KindPhaseBegin, KindPhaseEnd:
-		return "Phase"
-	case KindWatchdogAlert:
-		return "WatchdogAlert"
-	}
-	return "Unknown"
-}
+func (k Kind) String() string { return k.info().chrome }
 
 // Event is one recorded occurrence. The meaning of Addr, A and B is
 // per Kind (see the constants above).
