@@ -298,12 +298,12 @@ func run(path string) (err error) {
 			return derr
 		}
 		fmt.Fprintf(os.Stderr, "mvrun: restored %s: cycle %d, %d CPU(s), digest %s\n",
-			*restorePath, snap.SimCycles, len(snap.CPUs), digest)
+			*restorePath, m.CPU.Cycles(), len(snap.CPUs), digest)
 		if reg != nil {
 			// The cycle counter resumes at the checkpoint, not 0; stamp
 			// the base so samplers and mvtop label the first window's
 			// rates against the cycles this run actually executed.
-			reg.SetBaseCycle(snap.SimCycles)
+			reg.SetBaseCycle(m.CPU.Cycles())
 		}
 		restored = snap
 	}

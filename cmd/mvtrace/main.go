@@ -10,7 +10,8 @@
 // With -snap the argument is a deterministic machine snapshot (mvrun
 // -checkpoint / -flight-snap, mvstress artifacts) and mvtrace prints
 // its header — cycle, image hash, CPU/page/runtime inventory (how many
-// pages carry bytes: only written ones do) — and the
+// pages carry bytes: only written ones do), each CPU's resident icache
+// lines, marking stale every line older than its page — and the
 // canonical digest two byte-identical machine states share.
 //
 // The default view is a flat table — one row per event with its cycle,
@@ -72,7 +73,10 @@ func main() {
 // renderSnap prints a machine snapshot's header and canonical digest —
 // the quick "what state is this, and is it the same state as that one"
 // view (two snapshots of the same simulated machine state print the
-// same digest, byte for byte).
+// same digest, byte for byte). A resident icache line whose version
+// differs from its page's is stale: its CPU still executes the bytes
+// the page held before a write no flush followed, which is what a
+// dropped shootdown leaves in a -flight-snap failure snapshot.
 func renderSnap(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -88,13 +92,17 @@ func renderSnap(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "snapshot: %s\n", path)
 	fmt.Fprintf(w, "  digest   %s\n", digest)
-	fmt.Fprintf(w, "  cycle    %d\n", s.SimCycles)
+	if len(s.CPUs) > 0 {
+		fmt.Fprintf(w, "  cycle    %d\n", s.CPUs[0].Cycles)
+	}
 	fmt.Fprintf(w, "  image    %x\n", s.ImageSum)
 	written := 0
+	versions := make(map[uint64]uint64, len(s.Pages))
 	for _, p := range s.Pages {
 		if p.Version != 0 {
 			written++
 		}
+		versions[p.PN] = p.Version
 	}
 	fmt.Fprintf(w, "  pages    %d (%d written, %d KiB carried; the rest never written), console %d bytes\n",
 		len(s.Pages), written, written*mem.PageSize/1024, len(s.Console))
@@ -104,6 +112,15 @@ func renderSnap(w io.Writer, path string) error {
 			state = "halted"
 		}
 		fmt.Fprintf(w, "  cpu%-4d  pc=%#x cycles=%d %s\n", i, c.PC, c.Cycles, state)
+		for _, l := range c.ICache {
+			fmt.Fprintf(w, "           line %#x version %d", l.PN<<mem.PageShift, l.Version)
+			if v, mapped := versions[l.PN]; !mapped {
+				fmt.Fprint(w, "  stale: page unmapped")
+			} else if v != l.Version {
+				fmt.Fprintf(w, "  stale: page at version %d", v)
+			}
+			fmt.Fprintln(w)
+		}
 	}
 	if s.Runtime == nil {
 		fmt.Fprintf(w, "  runtime  none (machine-only snapshot)\n")

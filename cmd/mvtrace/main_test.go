@@ -236,3 +236,54 @@ func TestRenderSnapCountsWrittenPages(t *testing.T) {
 		t.Errorf("-snap output lacks %q:\n%s", want, out.String())
 	}
 }
+
+// TestRenderSnapMarksStaleLines: -snap lists each CPU's resident icache
+// lines, and marks a line stale once its page is written with no flush
+// after it; the header's cycle is the primary CPU's.
+func TestRenderSnapMarksStaleLines(t *testing.T) {
+	sys, err := core.BuildSystem(core.GenOptions{}, nil,
+		core.Source{Name: "stale.mvc", Text: `long g; long f(void) { return g; }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sys.Machine
+	if _, err := m.CallNamed("f"); err != nil {
+		t.Fatal(err)
+	}
+	render := func(name string) string {
+		t.Helper()
+		data, err := snapshot.Capture(nil, m, sys.RT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if err := renderSnap(&out, path); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	f := m.MustSymbol("f")
+	line := fmt.Sprintf("           line %#x version 1", f&^(mem.PageSize-1))
+	out := render("fresh.snap")
+	for _, want := range []string{fmt.Sprintf("  cycle    %d\n", m.CPU.Cycles()), line + "\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-snap output lacks %q:\n%s", want, out)
+		}
+	}
+
+	var b [1]byte
+	if err := m.Mem.Read(f, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Mem.WriteForce(f, b[:]); err != nil { // rewrites the text, flushes nothing
+		t.Fatal(err)
+	}
+	out = render("stale.snap")
+	if want := line + "  stale: page at version 2\n"; !strings.Contains(out, want) {
+		t.Errorf("-snap output lacks %q:\n%s", want, out)
+	}
+}

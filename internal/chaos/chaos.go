@@ -538,7 +538,7 @@ func (w *e1Workload) importModel([]uint64)  {}
 // always-true invariants of every consistent binding: the preemption
 // counter balances back to zero and the lock word ends released.
 func (w *e1Workload) check(m *machine.Machine, rng *rand.Rand) error {
-	if _, err := CallResumed(m, "bench_spin", uint64(20+rng.Intn(30))); err != nil {
+	if _, err := callResumed(m, "bench_spin", uint64(20+rng.Intn(30))); err != nil {
 		return err
 	}
 	lw, err := w.ks.LockWord()
@@ -634,12 +634,12 @@ const (
 func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	// Reseed and advance the LCG a known number of steps.
 	seed := rng.Uint64()
-	if _, err := CallResumed(m, "srandom_", seed); err != nil {
+	if _, err := callResumed(m, "srandom_", seed); err != nil {
 		return err
 	}
 	w.randState = seed
 	n := uint64(10 + rng.Intn(30))
-	if _, err := CallResumed(m, "bench_random", n); err != nil {
+	if _, err := callResumed(m, "bench_random", n); err != nil {
 		return err
 	}
 	for i := uint64(0); i < n; i++ {
@@ -654,7 +654,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	}
 	// One direct draw returns the model's next output.
 	w.randState = w.randState*lcgMul + lcgAdd
-	r, err := CallResumed(m, "random_")
+	r, err := callResumed(m, "random_")
 	if err != nil {
 		return err
 	}
@@ -664,7 +664,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 
 	// Stream position model for the buffered fputc.
 	k := uint64(100 + rng.Intn(400))
-	if _, err := CallResumed(m, "bench_fputc", k); err != nil {
+	if _, err := callResumed(m, "bench_fputc", k); err != nil {
 		return err
 	}
 	for i := uint64(0); i < k; i++ {
@@ -688,7 +688,7 @@ func (w *e4Workload) check(m *machine.Machine, rng *rand.Rand) error {
 	}
 
 	// Exercise malloc/free and require the lock released afterwards.
-	if _, err := CallResumed(m, "bench_malloc", 20, 16); err != nil {
+	if _, err := callResumed(m, "bench_malloc", 20, 16); err != nil {
 		return err
 	}
 	if lock, err := m.ReadGlobal("malloc_lock", 8); err != nil {
@@ -719,19 +719,17 @@ func sabotageText(m *machine.Machine, rt *core.Runtime) error {
 	return m.Mem.WriteForce(addr, b[:])
 }
 
-// CallResumed invokes a guest function on the primary CPU, transparently
+// callResumed invokes a guest function on the primary CPU, transparently
 // re-stepping across injected spurious fetch faults (the PC holds, so
-// resuming the run retries the same fetch). Exported for harnesses
-// layered above chaos — the fleet supervisor serves requests under
-// fault plans and must ride out spurious faults the same way.
-func CallResumed(m *machine.Machine, name string, args ...uint64) (uint64, error) {
+// resuming the run retries the same fetch).
+func callResumed(m *machine.Machine, name string, args ...uint64) (uint64, error) {
 	c := m.CPU
 	if err := m.StartCall(c, name, args...); err != nil {
 		return 0, err
 	}
 	for {
 		if _, err := c.Run(m.MaxSteps); err != nil {
-			if IsInjectedFetchFault(err) {
+			if isInjectedFetchFault(err) {
 				continue
 			}
 			return 0, err
@@ -744,7 +742,7 @@ func CallResumed(m *machine.Machine, name string, args ...uint64) (uint64, error
 // faults.
 func stepToHalt(c *cpu.CPU, limit int) error {
 	for i := 0; i < limit && !c.Halted(); i++ {
-		if err := c.Step(); err != nil && !IsInjectedFetchFault(err) {
+		if err := c.Step(); err != nil && !isInjectedFetchFault(err) {
 			return err
 		}
 	}
@@ -757,7 +755,7 @@ func stepToHalt(c *cpu.CPU, limit int) error {
 // stepSome executes up to n instructions (stopping early at halt).
 func stepSome(c *cpu.CPU, n int) error {
 	for i := 0; i < n && !c.Halted(); i++ {
-		if err := c.Step(); err != nil && !IsInjectedFetchFault(err) {
+		if err := c.Step(); err != nil && !isInjectedFetchFault(err) {
 			return err
 		}
 	}
@@ -783,10 +781,10 @@ func retryAborted(what string, op func() error) error {
 	return fmt.Errorf("chaos: %s still failing after 64 attempts: %w", what, err)
 }
 
-// IsInjectedFetchFault reports whether err is (or wraps) a spurious
+// isInjectedFetchFault reports whether err is (or wraps) a spurious
 // injected instruction-fetch fault — transient by definition: the PC
 // does not advance, so re-running the CPU retries the fetch.
-func IsInjectedFetchFault(err error) bool {
+func isInjectedFetchFault(err error) bool {
 	var inj *faultinject.Fault
 	return errors.As(err, &inj) && inj.Point.Kind == faultinject.KindFetchFault
 }

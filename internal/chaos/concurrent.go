@@ -122,7 +122,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 			if err == nil {
 				continue
 			}
-			if IsInjectedFetchFault(err) {
+			if isInjectedFetchFault(err) {
 				continue
 			}
 			if tf := cpu.AsTrap(err); tf != nil {
@@ -213,7 +213,7 @@ func runConcurrent(seed int64, cfg Config) (res Result, err error) {
 				if err == nil {
 					continue
 				}
-				if IsInjectedFetchFault(err) {
+				if isInjectedFetchFault(err) {
 					continue
 				}
 				if tf := cpu.AsTrap(err); tf != nil {

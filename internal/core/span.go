@@ -4,28 +4,30 @@ import "repro/internal/trace"
 
 // Commit-causality spans. Every public runtime operation — Commit,
 // Revert, the single-function and by-switch forms, and DrainDeferred —
-// gets a monotonic id that beginOpSpan installs into the attached
-// tracer for the operation's duration. Because collector streams share
+// gets a monotonic id, whether or not anything observes it, so the
+// count a snapshot carries does not depend on what is attached.
+// beginOpSpan installs the id into the attached tracer for the
+// operation's duration. Because collector streams share
 // the span collector-wide (trace.Stream.SetSpan), the id reaches every
 // event the operation causes on every CPU: the victim thread's BRK
 // trap, a secondary's icache shootdown, the memory system's protection
 // flip. The Chrome exporter turns shared span ids into flow arrows;
 // mvtrace groups flight-dump rows by them.
 
-// beginOpSpan opens a new span for a public operation and returns the
-// closure that clears it, or nil when no attached sink carries spans.
-// Nested operations (a drain's per-function transactions, say) reuse
-// the enclosing span: the span follows the outermost public call the
-// way the transaction does.
+// beginOpSpan numbers a public operation and opens its span, and
+// returns the closure that clears the span, or nil when no attached
+// sink carries spans. Nested operations (a drain's per-function
+// transactions, say) reuse the enclosing number and span: both follow
+// the outermost public call the way the transaction does.
 func (rt *Runtime) beginOpSpan() func() {
-	sc, ok := rt.Tracer.(trace.SpanCarrier)
-	if !ok {
-		return nil
-	}
 	if rt.tx != nil {
 		return nil // joined an enclosing operation; its span stands
 	}
 	rt.opSeq++
+	sc, ok := rt.Tracer.(trace.SpanCarrier)
+	if !ok {
+		return nil
+	}
 	sc.SetSpan(rt.opSeq)
 	return func() { sc.SetSpan(0) }
 }

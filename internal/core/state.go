@@ -13,11 +13,11 @@ import (
 // each function is bound to, whether its generic prologue is
 // redirected (and the saved pre-patch bytes), which pointer switches
 // are committed to which targets, the deferred-operation queue, the
-// operation counters and the causality-span sequence. Everything else
-// is either re-derived from the descriptor tables at construction, or
-// re-read from restored memory at import: per-site "current" bytes are
-// recovered from the snapshot's memory image itself, which cannot
-// disagree with it.
+// operation counters and the number of public operations run.
+// Everything else is either re-derived from the descriptor tables at
+// construction, or re-read from restored memory at import: per-site
+// "current" bytes are recovered from the snapshot's memory image
+// itself, which cannot disagree with it.
 //
 // Export refuses to run inside an open transaction — a mid-commit
 // snapshot would capture a state the runtime itself considers
@@ -99,10 +99,12 @@ func (rt *Runtime) ExportState() (RuntimeState, error) {
 }
 
 // ImportState restores a previously exported runtime state. The
-// runtime must have been constructed against the same image (the
-// function names and addresses are matched; a mismatch is an error,
-// not silent corruption), and the platform's memory must already hold
-// the snapshot's restored image: per-site current bytes and patch
+// runtime must have been constructed against the same image, and the
+// state must list functions in image order and pointer switches in
+// address order, as ExportState does: each record is matched by name
+// and address against the runtime's at its index, and a mismatch is an
+// error, not silent corruption. The platform's memory must already
+// hold the snapshot's restored image: per-site current bytes and patch
 // status are recovered by re-reading the call-site windows.
 func (rt *Runtime) ImportState(s RuntimeState) error {
 	if rt.tx != nil {
@@ -114,14 +116,11 @@ func (rt *Runtime) ImportState(s RuntimeState) error {
 	if len(s.FnPtrs) != len(rt.ptrOrder) {
 		return fmt.Errorf("core: snapshot has %d pointer switches, image has %d", len(s.FnPtrs), len(rt.ptrOrder))
 	}
-	for _, fb := range s.Funcs {
-		fs, ok := rt.byName[fb.Name]
-		if !ok {
-			return fmt.Errorf("core: snapshot binds unknown function %q", fb.Name)
-		}
-		if fs.fd.Generic != fb.Generic {
-			return fmt.Errorf("core: snapshot places %q at %#x, image at %#x (different image?)",
-				fb.Name, fb.Generic, fs.fd.Generic)
+	for i, fb := range s.Funcs {
+		fs := rt.funcs[i]
+		if fb.Name != fs.fd.Name || fb.Generic != fs.fd.Generic {
+			return fmt.Errorf("core: snapshot function %d is %q at %#x, image's is %q at %#x",
+				i, fb.Name, fb.Generic, fs.fd.Name, fs.fd.Generic)
 		}
 		if fb.CommittedAddr == 0 {
 			fs.committed = nil
@@ -141,10 +140,10 @@ func (rt *Runtime) ImportState(s RuntimeState) error {
 		fs.prologueOn = fb.PrologueOn
 		fs.savedPrologue = fb.SavedPrologue
 	}
-	for _, pb := range s.FnPtrs {
-		ps, ok := rt.fnptrs[pb.Addr]
-		if !ok {
-			return fmt.Errorf("core: snapshot binds unknown pointer switch %#x", pb.Addr)
+	for i, pb := range s.FnPtrs {
+		ps := rt.ptrOrder[i]
+		if pb.Addr != ps.vd.Addr {
+			return fmt.Errorf("core: snapshot pointer switch %d is at %#x, image's at %#x", i, pb.Addr, ps.vd.Addr)
 		}
 		ps.committed = pb.Committed
 		ps.target = pb.Target

@@ -149,6 +149,36 @@ func TestRuntimeStateImportRejectsMismatch(t *testing.T) {
 	if err := sys.RT.ImportState(bad); err == nil {
 		t.Fatal("imported a binding to an unknown variant address")
 	}
+
+	// The right records in another order than ExportState's are refused
+	// too: one runtime state has one encoding.
+	two, err := BuildSystem(GenOptions{}, nil, Source{Name: "two.mvc", Text: `
+		multiverse int X;
+		multiverse void f(void) { if (X) {} }
+		multiverse void g(void) { if (X) {} }
+		multiverse void (*p)(void);
+		multiverse void (*q)(void);
+		void use(void) { f(); g(); p(); q(); }
+	`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = two.RT.ExportState(); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Funcs) != 2 || len(st.FnPtrs) != 2 {
+		t.Fatalf("exported %d functions and %d pointer switches, want 2 of each", len(st.Funcs), len(st.FnPtrs))
+	}
+	swapped := st
+	swapped.Funcs = []FuncBindingState{st.Funcs[1], st.Funcs[0]}
+	if err := two.RT.ImportState(swapped); err == nil {
+		t.Error("imported functions out of image order")
+	}
+	swapped = st
+	swapped.FnPtrs = []FnPtrBindingState{st.FnPtrs[1], st.FnPtrs[0]}
+	if err := two.RT.ImportState(swapped); err == nil {
+		t.Error("imported pointer switches out of address order")
+	}
 }
 
 // TestExportStateNotQuiescedIsTyped pins the supervisor contract: a

@@ -155,6 +155,14 @@ type btbEntry struct {
 // (internal/metrics via core.Observers.Metrics) reads them through
 // closures at export time, so observability never adds work here.
 type Stats struct {
+	RunStats
+	CacheStats
+}
+
+// RunStats counts what the CPU retired and how it dispatched it. A
+// restored run repeats every one of them exactly, so a snapshot
+// carries them (State.Stats).
+type RunStats struct {
 	Instructions uint64
 	Branches     uint64
 	Mispredicts  uint64
@@ -163,13 +171,19 @@ type Stats struct {
 	Calls        uint64
 	ICacheFills  uint64
 	Interrupts   uint64
-	DecodeHits   uint64 // instructions dispatched from the decode cache
-	DecodeMisses uint64 // instructions decoded from raw bytes (cache enabled)
 	Traps        uint64 // BRK breakpoint traps taken (text-poke windows)
+	BlockHits    uint64 // superblock dispatches (one per block entry/re-entry)
+	BlockInsts   uint64 // instructions dispatched through superblocks
+}
 
+// CacheStats counts how the caches derived from icache lines (decoded
+// instructions and superblocks) served the CPU. No simulated cycle
+// depends on them, so a snapshot carries none of them, and a restored
+// CPU starts them at zero as it refills those caches.
+type CacheStats struct {
+	DecodeHits       uint64 // instructions dispatched from the decode cache
+	DecodeMisses     uint64 // instructions decoded from raw bytes
 	BlockBuilds      uint64 // superblocks chained from icache-line snapshots
-	BlockHits        uint64 // superblock dispatches (one per block entry/re-entry)
-	BlockInsts       uint64 // instructions dispatched through superblocks
 	BlockInvalidates uint64 // superblocks dropped by FlushICache
 }
 
@@ -177,22 +191,25 @@ type Stats struct {
 // aggregate across an SMP machine.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
-		Instructions: s.Instructions + o.Instructions,
-		Branches:     s.Branches + o.Branches,
-		Mispredicts:  s.Mispredicts + o.Mispredicts,
-		Loads:        s.Loads + o.Loads,
-		Stores:       s.Stores + o.Stores,
-		Calls:        s.Calls + o.Calls,
-		ICacheFills:  s.ICacheFills + o.ICacheFills,
-		Interrupts:   s.Interrupts + o.Interrupts,
-		DecodeHits:   s.DecodeHits + o.DecodeHits,
-		DecodeMisses: s.DecodeMisses + o.DecodeMisses,
-		Traps:        s.Traps + o.Traps,
-
-		BlockBuilds:      s.BlockBuilds + o.BlockBuilds,
-		BlockHits:        s.BlockHits + o.BlockHits,
-		BlockInsts:       s.BlockInsts + o.BlockInsts,
-		BlockInvalidates: s.BlockInvalidates + o.BlockInvalidates,
+		RunStats: RunStats{
+			Instructions: s.Instructions + o.Instructions,
+			Branches:     s.Branches + o.Branches,
+			Mispredicts:  s.Mispredicts + o.Mispredicts,
+			Loads:        s.Loads + o.Loads,
+			Stores:       s.Stores + o.Stores,
+			Calls:        s.Calls + o.Calls,
+			ICacheFills:  s.ICacheFills + o.ICacheFills,
+			Interrupts:   s.Interrupts + o.Interrupts,
+			Traps:        s.Traps + o.Traps,
+			BlockHits:    s.BlockHits + o.BlockHits,
+			BlockInsts:   s.BlockInsts + o.BlockInsts,
+		},
+		CacheStats: CacheStats{
+			DecodeHits:       s.DecodeHits + o.DecodeHits,
+			DecodeMisses:     s.DecodeMisses + o.DecodeMisses,
+			BlockBuilds:      s.BlockBuilds + o.BlockBuilds,
+			BlockInvalidates: s.BlockInvalidates + o.BlockInvalidates,
+		},
 	}
 }
 

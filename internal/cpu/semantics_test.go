@@ -114,11 +114,10 @@ const (
 // dispatched adds the counters every instruction the CPU dispatches
 // leaves on a fresh CPU: one icache fill, one decode miss and one
 // instruction (counted even when the instruction then faults).
-func dispatched(s Stats) Stats {
+func dispatched(s RunStats) Stats {
 	s.ICacheFills++
-	s.DecodeMisses++
 	s.Instructions++
-	return s
+	return Stats{RunStats: s, CacheStats: CacheStats{DecodeMisses: 1}}
 }
 
 func poke(c *CPU, addr, v uint64) {
@@ -190,7 +189,7 @@ func opCases() []opCase {
 			asm:    func(a *isa.Asm) { a.Alu(op, 1, 2) },
 			setup:  setRegs(map[isa.Reg]uint64{1: r1, 2: r2}),
 			regs:   map[isa.Reg]uint64{1: want},
-			cycles: cost, stats: dispatched(Stats{}), events: []string{stepEv},
+			cycles: cost, stats: dispatched(RunStats{}), events: []string{stepEv},
 		}
 	}
 	aluI := func(op isa.Op, r1 uint64, imm int32, want uint64, cost uint64) opCase {
@@ -199,12 +198,12 @@ func opCases() []opCase {
 			asm:    func(a *isa.Asm) { a.AluI(op, 1, imm) },
 			setup:  setRegs(map[isa.Reg]uint64{1: r1}),
 			regs:   map[isa.Reg]uint64{1: want},
-			cycles: cost, stats: dispatched(Stats{}), events: []string{stepEv},
+			cycles: cost, stats: dispatched(RunStats{}), events: []string{stepEv},
 		}
 	}
 	fault := func(name string, asm func(a *isa.Asm), setup func(c *CPU), err string) opCase {
 		return opCase{name: name, asm: asm, setup: setup, err: "cpu: at pc=0x400000: " + err,
-			stats: dispatched(Stats{}), events: []string{stepEv}}
+			stats: dispatched(RunStats{}), events: []string{stepEv}}
 	}
 	divZero := func(op isa.Op) opCase {
 		asm := func(a *isa.Asm) { a.Alu(op, 1, 2) }
@@ -214,7 +213,7 @@ func opCases() []opCase {
 		return fault(op.String()+" by zero", asm, setRegs(map[isa.Reg]uint64{1: 7, 2: 0}), "division by zero")
 	}
 	plain := func(name string, asm func(a *isa.Asm), cycles uint64) opCase {
-		return opCase{name: name, asm: asm, cycles: cycles, stats: dispatched(Stats{}), events: []string{stepEv}}
+		return opCase{name: name, asm: asm, cycles: cycles, stats: dispatched(RunStats{}), events: []string{stepEv}}
 	}
 	ptr := func(c *CPU) { poke(c, dataBase+0x40, 0x400100) }
 	cllm := func(a *isa.Asm) { a.CallM(dataBase + 0x40) }
@@ -230,7 +229,7 @@ func opCases() []opCase {
 
 	cases := []opCase{
 		{name: "HLT", asm: (*isa.Asm).Hlt, halted: true,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "HLT interrupt due", asm: (*isa.Asm).Hlt,
 			setup: func(c *CPU) {
 				c.SetInterruptPerturbation(1, 100)
@@ -238,14 +237,14 @@ func opCases() []opCase {
 				c.AddCycles(5)
 			},
 			halted: true, intrOn: true, cycles: 105,
-			stats:  dispatched(Stats{Interrupts: 1}),
+			stats:  dispatched(RunStats{Interrupts: 1}),
 			events: []string{"Step 0x400000 5", "Interrupt 0x400000 0x64 0"}},
 		plain("NOP", func(a *isa.Asm) { a.Nop(1) }, 0),
 		plain("NOPN", func(a *isa.Asm) { a.Nop(6) }, 0),
 		{name: "NOPN length 1", asm: func(a *isa.Asm) { a.Nop(2); a.Bytes()[1] = 1 },
-			err: "cpu: at pc=0x400000: NOPN length 1", stats: Stats{ICacheFills: 1}},
+			err: "cpu: at pc=0x400000: NOPN length 1", stats: Stats{RunStats: RunStats{ICacheFills: 1}}},
 		{name: "unknown opcode", asm: func(a *isa.Asm) { a.Nop(1); a.Bytes()[0] = 0x04 },
-			err: "cpu: at pc=0x400000: isa: unknown opcode 0x04", stats: Stats{ICacheFills: 1}},
+			err: "cpu: at pc=0x400000: isa: unknown opcode 0x04", stats: Stats{RunStats: RunStats{ICacheFills: 1}}},
 		{name: "fetch from data page", asm: (*isa.Asm).Pause,
 			setup: func(c *CPU) { c.SetPC(dataBase) },
 			err:   "cpu: at pc=0x600000: mem: exec fault at 0x600000: page protection rw-", pc: dataBase},
@@ -255,31 +254,31 @@ func opCases() []opCase {
 			events: []string{"FaultInjected 0x400000 0x0 3"}},
 		{name: "BRK", asm: (*isa.Asm).Brk,
 			err:    "cpu: at pc=0x400000: breakpoint trap at 0x400000",
-			stats:  Stats{ICacheFills: 1, DecodeMisses: 1, Traps: 1},
+			stats:  Stats{RunStats: RunStats{ICacheFills: 1, Traps: 1}, CacheStats: CacheStats{DecodeMisses: 1}},
 			events: []string{stepEv, "Trap 0x400000 0x0 0"}},
 
 		{name: "MOVI", asm: func(a *isa.Asm) { a.Movi(3, 0x1122334455667788) },
 			regs: map[isa.Reg]uint64{3: 0x1122334455667788}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "MOV", asm: func(a *isa.Asm) { a.Mov(3, 4) }, setup: setRegs(map[isa.Reg]uint64{4: 42}),
 			regs: map[isa.Reg]uint64{3: 42}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "LEA", asm: func(a *isa.Asm) { a.Lea(3, 4, -8) }, setup: setRegs(map[isa.Reg]uint64{4: 100}),
 			regs: map[isa.Reg]uint64{3: 92}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "LD", asm: func(a *isa.Asm) { a.Ld(3, 4, 4, 8) },
 			setup: chain(setRegs(map[isa.Reg]uint64{4: dataBase}), func(c *CPU) { poke(c, dataBase+8, 0xffffffff80000001) }),
 			regs:  map[isa.Reg]uint64{3: 0x80000001}, cycles: 4,
-			stats: dispatched(Stats{Loads: 1}), events: []string{stepEv}},
+			stats: dispatched(RunStats{Loads: 1}), events: []string{stepEv}},
 		{name: "LDS", asm: func(a *isa.Asm) { a.Lds(3, 4, 4, 8) },
 			setup: chain(setRegs(map[isa.Reg]uint64{4: dataBase}), func(c *CPU) { poke(c, dataBase+8, 0x80000001) }),
 			regs:  map[isa.Reg]uint64{3: 0xffffffff80000001}, cycles: 4,
-			stats: dispatched(Stats{Loads: 1}), events: []string{stepEv}},
+			stats: dispatched(RunStats{Loads: 1}), events: []string{stepEv}},
 		fault("LD unmapped", func(a *isa.Asm) { a.Ld(3, 4, 8, 8) }, setRegs(map[isa.Reg]uint64{4: unmapped}),
 			"mem: read fault at 0x900008: page not mapped"),
 		{name: "ST", asm: func(a *isa.Asm) { a.St(4, 5, 2, 16) },
 			setup: setRegs(map[isa.Reg]uint64{4: dataBase, 5: 0xaabbccdd}), cycles: 1,
-			stats: dispatched(Stats{Stores: 1}), events: []string{stepEv},
+			stats: dispatched(RunStats{Stores: 1}), events: []string{stepEv},
 			check: wantWord(dataBase+16, 0xccdd)},
 		fault("ST unmapped", func(a *isa.Asm) { a.St(4, 5, 8, 16) }, setRegs(map[isa.Reg]uint64{4: unmapped}),
 			"mem: write fault at 0x900010: page not mapped"),
@@ -316,46 +315,46 @@ func opCases() []opCase {
 		divZero(isa.DIVI), divZero(isa.MODI),
 
 		{name: "CMP", asm: func(a *isa.Asm) { a.Cmp(1, 2) }, setup: setRegs(map[isa.Reg]uint64{1: 3, 2: neg(-5)}),
-			cycles: 1, stats: dispatched(Stats{}), events: []string{stepEv}, check: wantCmp(3, -5)},
+			cycles: 1, stats: dispatched(RunStats{}), events: []string{stepEv}, check: wantCmp(3, -5)},
 		{name: "CMPI", asm: func(a *isa.Asm) { a.CmpI(1, -5) }, setup: setRegs(map[isa.Reg]uint64{1: 3}),
-			cycles: 1, stats: dispatched(Stats{}), events: []string{stepEv}, check: wantCmp(3, -5)},
+			cycles: 1, stats: dispatched(RunStats{}), events: []string{stepEv}, check: wantCmp(3, -5)},
 		{name: "SETCC true", asm: func(a *isa.Asm) { a.SetCC(3, isa.LT) },
 			setup: func(c *CPU) { c.cmpA, c.cmpB = -1, 2 },
-			regs:  map[isa.Reg]uint64{3: 1}, cycles: 1, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs:  map[isa.Reg]uint64{3: 1}, cycles: 1, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "SETCC false", asm: func(a *isa.Asm) { a.SetCC(3, isa.GE) },
 			setup: chain(setRegs(map[isa.Reg]uint64{3: 9}), func(c *CPU) { c.cmpA, c.cmpB = -1, 2 }),
-			regs:  map[isa.Reg]uint64{3: 0}, cycles: 1, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs:  map[isa.Reg]uint64{3: 0}, cycles: 1, stats: dispatched(RunStats{}), events: []string{stepEv}},
 
 		{name: "JCC taken mispredicted", asm: func(a *isa.Asm) { a.Jcc(isa.EQ, 0x20) },
 			pc: 0x400026, cycles: 17,
-			stats:  dispatched(Stats{Branches: 1, Mispredicts: 1}),
+			stats:  dispatched(RunStats{Branches: 1, Mispredicts: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x1 0"}, check: wantBTB(2, 0)},
 		{name: "JCC taken predicted", asm: func(a *isa.Asm) { a.Jcc(isa.EQ, 0x20) }, setup: trainBTB(3, 0),
 			pc: 0x400026, cycles: 1,
-			stats: dispatched(Stats{Branches: 1}), events: []string{stepEv}, check: wantBTB(3, 0)},
+			stats: dispatched(RunStats{Branches: 1}), events: []string{stepEv}, check: wantBTB(3, 0)},
 		{name: "JCC not taken predicted", asm: func(a *isa.Asm) { a.Jcc(isa.NE, 0x20) },
-			cycles: 1, stats: dispatched(Stats{Branches: 1}), events: []string{stepEv}, check: wantBTB(0, 0)},
+			cycles: 1, stats: dispatched(RunStats{Branches: 1}), events: []string{stepEv}, check: wantBTB(0, 0)},
 		{name: "JCC not taken mispredicted", asm: func(a *isa.Asm) { a.Jcc(isa.NE, 0x20) }, setup: trainBTB(3, 0),
-			cycles: 17, stats: dispatched(Stats{Branches: 1, Mispredicts: 1}),
+			cycles: 17, stats: dispatched(RunStats{Branches: 1, Mispredicts: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x0 0"}, check: wantBTB(2, 0)},
 		{name: "JMP", asm: func(a *isa.Asm) { a.Jmp(0x30) }, pc: 0x400035, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 
 		{name: "CALL", asm: func(a *isa.Asm) { a.Call(0x40) },
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, pc: 0x400045, cycles: 2,
-			stats:  dispatched(Stats{Calls: 1}),
+			stats:  dispatched(RunStats{Calls: 1}),
 			events: []string{stepEv, "Call 0x400000 0x400045"},
 			ras:    []uint64{0x400005}, check: wantWord(top-8, 0x400005)},
 		{name: "CALL stack fault", asm: func(a *isa.Asm) { a.Call(0x40) }, setup: farStack,
-			err: "cpu: at pc=0x400000: " + pushFault, stats: dispatched(Stats{}), events: []string{stepEv}},
+			err: "cpu: at pc=0x400000: " + pushFault, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "CLLM mispredicted", asm: cllm, setup: ptr,
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, pc: 0x400100, cycles: 24,
-			stats:  dispatched(Stats{Loads: 1, Branches: 1, Mispredicts: 1, Calls: 1}),
+			stats:  dispatched(RunStats{Loads: 1, Branches: 1, Mispredicts: 1, Calls: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x400100 1", "Call 0x400000 0x400100"},
 			ras:    []uint64{0x400009}, check: wantWord(top-8, 0x400009)},
 		{name: "CLLM predicted", asm: cllm, setup: chain(ptr, trainBTB(1, 0x400100)),
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, pc: 0x400100, cycles: 8,
-			stats:  dispatched(Stats{Loads: 1, Branches: 1, Calls: 1}),
+			stats:  dispatched(RunStats{Loads: 1, Branches: 1, Calls: 1}),
 			events: []string{stepEv, "Call 0x400000 0x400100"},
 			ras:    []uint64{0x400009}, check: wantWord(top-8, 0x400009)},
 		fault("CLLM null pointer", cllm, nil, "call through null function pointer at 0x600040"),
@@ -363,51 +362,51 @@ func opCases() []opCase {
 			"mem: read fault at 0x900000: page not mapped"),
 		{name: "CLLM stack fault", asm: cllm, setup: chain(ptr, farStack),
 			err:    "cpu: at pc=0x400000: " + pushFault,
-			stats:  dispatched(Stats{Loads: 1, Branches: 1, Mispredicts: 1}),
+			stats:  dispatched(RunStats{Loads: 1, Branches: 1, Mispredicts: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x400100 1"}, check: wantBTB(1, 0x400100)},
 		{name: "CLLR mispredicted", asm: cllr, setup: cllrTarget,
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, pc: 0x400200, cycles: 20,
-			stats:  dispatched(Stats{Branches: 1, Mispredicts: 1, Calls: 1}),
+			stats:  dispatched(RunStats{Branches: 1, Mispredicts: 1, Calls: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x400200 1", "Call 0x400000 0x400200"},
 			ras:    []uint64{0x400005}, check: wantWord(top-8, 0x400005)},
 		{name: "CLLR predicted", asm: cllr, setup: chain(cllrTarget, trainBTB(1, 0x400200)),
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, pc: 0x400200, cycles: 4,
-			stats:  dispatched(Stats{Branches: 1, Calls: 1}),
+			stats:  dispatched(RunStats{Branches: 1, Calls: 1}),
 			events: []string{stepEv, "Call 0x400000 0x400200"},
 			ras:    []uint64{0x400005}, check: wantWord(top-8, 0x400005)},
 		{name: "CLLR stack fault", asm: cllr, setup: chain(cllrTarget, farStack),
 			err:    "cpu: at pc=0x400000: " + pushFault,
-			stats:  dispatched(Stats{Branches: 1, Mispredicts: 1}),
+			stats:  dispatched(RunStats{Branches: 1, Mispredicts: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x400200 1"}, check: wantBTB(1, 0x400200)},
 		{name: "RET mispredicted", asm: (*isa.Asm).Ret, setup: retFrame,
 			regs: map[isa.Reg]uint64{isa.SP: top}, pc: 0x400300, cycles: 18,
-			stats:  dispatched(Stats{Mispredicts: 1}),
+			stats:  dispatched(RunStats{Mispredicts: 1}),
 			events: []string{stepEv, "Mispredict 0x400000 0x400300 2", "Ret 0x400000 0x400300"}},
 		{name: "RET predicted", asm: (*isa.Asm).Ret, setup: chain(retFrame, func(c *CPU) { c.rasPush(0x400300) }),
 			regs: map[isa.Reg]uint64{isa.SP: top}, pc: 0x400300, cycles: 2,
-			stats:  dispatched(Stats{}),
+			stats:  dispatched(RunStats{}),
 			events: []string{stepEv, "Ret 0x400000 0x400300"}},
 		fault("RET unmapped stack", (*isa.Asm).Ret, farStack, "mem: read fault at 0x900000: page not mapped"),
 
 		{name: "PUSH", asm: func(a *isa.Asm) { a.Push(7) }, setup: setRegs(map[isa.Reg]uint64{7: 0xfeed}),
 			regs: map[isa.Reg]uint64{isa.SP: top - 8}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}, check: wantWord(top-8, 0xfeed)},
+			stats: dispatched(RunStats{}), events: []string{stepEv}, check: wantWord(top-8, 0xfeed)},
 		{name: "PUSH stack fault", asm: func(a *isa.Asm) { a.Push(7) }, setup: farStack,
-			err: "cpu: at pc=0x400000: " + pushFault, stats: dispatched(Stats{}), events: []string{stepEv}},
+			err: "cpu: at pc=0x400000: " + pushFault, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "POP", asm: func(a *isa.Asm) { a.Pop(7) },
 			setup: chain(setRegs(map[isa.Reg]uint64{isa.SP: top - 8}), func(c *CPU) { poke(c, top-8, 0xbeef) }),
 			regs:  map[isa.Reg]uint64{7: 0xbeef, isa.SP: top}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		fault("POP unmapped stack", func(a *isa.Asm) { a.Pop(7) }, farStack,
 			"mem: read fault at 0x900000: page not mapped"),
 		{name: "SPAD", asm: func(a *isa.Asm) { a.SpAdd(-32) },
 			regs: map[isa.Reg]uint64{isa.SP: top - 32}, cycles: 1,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 
 		{name: "XCHG", asm: func(a *isa.Asm) { a.Xchg(4, 5) },
 			setup: chain(setRegs(map[isa.Reg]uint64{4: dataBase, 5: 9}), func(c *CPU) { poke(c, dataBase, 5) }),
 			regs:  map[isa.Reg]uint64{5: 5}, cycles: 18,
-			stats: dispatched(Stats{Loads: 1, Stores: 1}), events: []string{stepEv},
+			stats: dispatched(RunStats{Loads: 1, Stores: 1}), events: []string{stepEv},
 			check: wantWord(dataBase, 9)},
 		fault("XCHG unmapped", func(a *isa.Asm) { a.Xchg(4, 5) }, setRegs(map[isa.Reg]uint64{4: unmapped, 5: 9}),
 			"mem: read fault at 0x900000: page not mapped"),
@@ -416,24 +415,24 @@ func opCases() []opCase {
 
 		plain("PAUSE", (*isa.Asm).Pause, 1),
 		{name: "STI native", asm: (*isa.Asm).Sti, intrOn: true, cycles: 3,
-			stats: dispatched(Stats{}), events: []string{stepEv}},
+			stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "CLI native", asm: (*isa.Asm).Cli, setup: func(c *CPU) { c.SetInterruptsEnabled(true) },
-			cycles: 3, stats: dispatched(Stats{}), events: []string{stepEv}},
+			cycles: 3, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "STI guest", asm: (*isa.Asm).Sti, setup: func(c *CPU) { c.SetMode(Guest) },
-			intrOn: true, cycles: 250, stats: dispatched(Stats{}), events: []string{stepEv}},
+			intrOn: true, cycles: 250, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "CLI guest", asm: (*isa.Asm).Cli,
 			setup:  func(c *CPU) { c.SetMode(Guest); c.SetInterruptsEnabled(true) },
-			cycles: 250, stats: dispatched(Stats{}), events: []string{stepEv}},
+			cycles: 250, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "HCALL", asm: func(a *isa.Asm) { a.Hcall(1) }, setup: func(c *CPU) { c.SetHypervisor(&fakeHV{}) },
-			intrOn: true, cycles: 5, stats: dispatched(Stats{}), events: []string{stepEv}},
+			intrOn: true, cycles: 5, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		fault("HCALL no hypervisor", func(a *isa.Asm) { a.Hcall(1) }, nil, "HCALL 1 with no hypervisor"),
 		fault("HCALL hypervisor fails", func(a *isa.Asm) { a.Hcall(1) },
 			func(c *CPU) { c.SetHypervisor(refusingHV{}) }, "hypervisor refused"),
 		{name: "RDTSC", asm: func(a *isa.Asm) { a.Rdtsc(3) },
-			regs: map[isa.Reg]uint64{3: 24}, cycles: 24, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs: map[isa.Reg]uint64{3: 24}, cycles: 24, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "RDTSC interrupt due", asm: func(a *isa.Asm) { a.Rdtsc(3) }, setup: interruptDue,
 			regs: map[isa.Reg]uint64{3: 24}, cycles: 124, intrOn: true,
-			stats:  dispatched(Stats{Interrupts: 1}),
+			stats:  dispatched(RunStats{Interrupts: 1}),
 			events: []string{stepEv, "Interrupt 0x400000 0x64 0"}},
 		{name: "ADD interrupt due", asm: func(a *isa.Asm) { a.Alu(isa.ADD, 1, 2) },
 			setup: chain(setRegs(map[isa.Reg]uint64{1: 7, 2: 5}), func(c *CPU) {
@@ -441,24 +440,24 @@ func opCases() []opCase {
 				c.SetInterruptsEnabled(true)
 			}),
 			regs: map[isa.Reg]uint64{1: 12}, cycles: 101, intrOn: true,
-			stats:  dispatched(Stats{Interrupts: 1}),
+			stats:  dispatched(RunStats{Interrupts: 1}),
 			events: []string{stepEv, "Interrupt 0x400000 0x64 0"}},
 		{name: "ADD interrupt masked", asm: func(a *isa.Asm) { a.Alu(isa.ADD, 1, 2) },
 			setup: chain(setRegs(map[isa.Reg]uint64{1: 7, 2: 5}), func(c *CPU) { c.SetInterruptPerturbation(1, 100) }),
-			regs:  map[isa.Reg]uint64{1: 12}, cycles: 1, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs:  map[isa.Reg]uint64{1: 12}, cycles: 1, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "OUTB", asm: func(a *isa.Asm) { a.OutB(3, 5) },
 			setup: chain(setRegs(map[isa.Reg]uint64{5: 0x41}), func(c *CPU) {
 				// The device records (port, byte) in r9, where the
 				// register comparison sees it.
 				c.OutB = func(port uint8, b byte) { c.regs[9] = uint64(port)<<8 | uint64(b) }
 			}),
-			regs: map[isa.Reg]uint64{9: 0x341}, cycles: 40, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs: map[isa.Reg]uint64{9: 0x341}, cycles: 40, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		plain("OUTB no device", func(a *isa.Asm) { a.OutB(3, 5) }, 40),
 		{name: "INB", asm: func(a *isa.Asm) { a.InB(3, 7) },
 			setup: func(c *CPU) { c.InB = func(port uint8) byte { return 0x50 + port } },
-			regs:  map[isa.Reg]uint64{3: 0x57}, cycles: 40, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs:  map[isa.Reg]uint64{3: 0x57}, cycles: 40, stats: dispatched(RunStats{}), events: []string{stepEv}},
 		{name: "INB no device", asm: func(a *isa.Asm) { a.InB(3, 7) }, setup: setRegs(map[isa.Reg]uint64{3: 9}),
-			regs: map[isa.Reg]uint64{3: 0}, cycles: 40, stats: dispatched(Stats{}), events: []string{stepEv}},
+			regs: map[isa.Reg]uint64{3: 0}, cycles: 40, stats: dispatched(RunStats{}), events: []string{stepEv}},
 	}
 	return cases
 }
@@ -615,9 +614,7 @@ func stateDiff(a, b State) string {
 func archState(c *CPU) State {
 	s := c.ExportState()
 	s.ICache = nil
-	st := &s.Stats
-	st.ICacheFills, st.DecodeHits, st.DecodeMisses = 0, 0, 0
-	st.BlockBuilds, st.BlockHits, st.BlockInsts, st.BlockInvalidates = 0, 0, 0, 0
+	s.Stats.ICacheFills, s.Stats.BlockHits, s.Stats.BlockInsts = 0, 0, 0
 	return s
 }
 

@@ -10,22 +10,18 @@
 // machines with identical memory but different resident lines can
 // diverge.
 //
-// The derived caches layered on each line (predecoded instructions,
-// superblocks) never change simulated behavior, but they do change the
-// Decode*/Block* statistics, and snapshot determinism demands that a
-// restored machine's stats evolve bit-identically to the uninterrupted
-// run. ExportState therefore records *which* offsets were decoded and
-// which headed superblocks, walking each line's offset index in
-// ascending order; ImportState rebuilds those entries from the line's
-// byte snapshot (a pure, deterministic derivation) and then overwrites
-// the stats with the snapshot's values, so the rebuild itself leaves
-// no trace. The BTB is exported sparsely: its size and its non-zero
-// entries, which a running CPU has few of. ImportState accepts only
-// the canonical form ExportState writes — BTB entries non-zero, inside
-// the BTB and strictly ascending by index, every offset list strictly
-// ascending and inside the page, no offset both a head and a reject,
-// every entry rebuilding as exported — and checks all of it before it
-// changes any CPU field, so a rejected state leaves the CPU as it was.
+// A line is exported as its page number, page version and bytes, and
+// nothing else: the caches derived from it (decoded instructions,
+// superblocks) and the CacheStats that count their work change no
+// simulated cycle, so an imported line starts with empty derived
+// caches, which refill from its bytes as the CPU runs, and the
+// CacheStats start at zero. The BTB is exported sparsely: its size and
+// its non-zero entries, which a running CPU has few of. ImportState
+// accepts only the canonical form ExportState writes — BTB entries
+// non-zero, inside the BTB and strictly ascending by index, lines
+// strictly ascending by page number and a page long — and checks all
+// of it before it changes any CPU field, so a rejected state leaves
+// the CPU as it was.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
 // injectors, device callbacks, the icache line memo and Step's
@@ -39,6 +35,7 @@
 package cpu
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -56,18 +53,15 @@ type BTBState struct {
 	Target  uint64
 }
 
-// ICLineState is one exported instruction-cache line: the page-byte
-// snapshot plus the offsets of its derived decode cache and superblock
-// entries (offsets only — the entries rebuild deterministically from
-// Bytes at import).
+// ICLineState is one exported instruction-cache line.
 type ICLineState struct {
 	PN      uint64 // page number
 	Version uint64 // page write-version at fill time
-	Bytes   []byte // PageSize-long snapshot
-
-	Decoded []uint16 // in-page offsets with a predecoded instruction
-	SBHeads []uint16 // in-page offsets heading a real superblock
-	SBRject []uint16 // in-page offsets caching the reject sentinel
+	// Bytes is the PageSize-long snapshot of the page at fill time. From
+	// ExportState it is a view of the line, not a copy: a line's bytes
+	// are written only when it is filled or imported, so the view stays
+	// valid for good, and it must not be written through.
+	Bytes []byte
 }
 
 // State is the complete serializable state of one CPU.
@@ -90,12 +84,12 @@ type State struct {
 	IntrCost   uint64
 	NextIntr   uint64
 
-	ICache []ICLineState // sorted by PN
-	Stats  Stats
+	ICache []ICLineState // by ascending PN
+	Stats  RunStats
 }
 
 // ExportState captures this CPU's complete state. The result shares no
-// memory with the CPU: mutating either afterwards is safe.
+// memory with the CPU but the lines' read-only Bytes views.
 func (c *CPU) ExportState() State {
 	s := State{
 		Regs:       c.regs,
@@ -111,7 +105,7 @@ func (c *CPU) ExportState() State {
 		IntrPeriod: c.intrPeriod,
 		IntrCost:   c.intrCost,
 		NextIntr:   c.nextIntr,
-		Stats:      c.stats,
+		Stats:      c.stats.RunStats,
 		BTBSize:    len(c.btb),
 	}
 	for i, e := range c.btb {
@@ -119,41 +113,20 @@ func (c *CPU) ExportState() State {
 			s.BTB = append(s.BTB, BTBState{Index: i, Valid: e.valid, Tag: e.tag, Counter: e.counter, Target: e.target})
 		}
 	}
-	pns := make([]uint64, 0, len(c.icache))
-	for pn := range c.icache {
-		pns = append(pns, pn)
+	for pn, line := range c.icache {
+		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: line.version, Bytes: line.bytes[:]})
 	}
-	slices.Sort(pns)
-	for _, pn := range pns {
-		line := c.icache[pn]
-		ls := ICLineState{PN: pn, Version: line.version, Bytes: append([]byte(nil), line.bytes[:]...)}
-		for off, i := range line.slot[:] {
-			if i == 0 {
-				continue
-			}
-			e := &line.ents[i]
-			if e.in.Len != 0 {
-				ls.Decoded = append(ls.Decoded, uint16(off))
-			}
-			switch {
-			case len(e.sb) > 0:
-				ls.SBHeads = append(ls.SBHeads, uint16(off))
-			case e.sb != nil:
-				ls.SBRject = append(ls.SBRject, uint16(off))
-			}
-		}
-		s.ICache = append(s.ICache, ls)
-	}
+	slices.SortFunc(s.ICache, func(a, b ICLineState) int { return cmp.Compare(a.PN, b.PN) })
 	return s
 }
 
 // ImportState restores a previously exported state onto this CPU. The
 // CPU must have been constructed with the same Config the exporting
 // CPU used (the predictor geometry is checked; the cost model is the
-// caller's contract). Derived caches are rebuilt from the line byte
-// snapshots and the statistics then overwritten from the snapshot, so
-// a restored CPU's counters evolve bit-identically to the exporting
-// run. On error the CPU is unchanged.
+// caller's contract). Each line is restored as its bytes and version,
+// with empty derived caches, and the CacheStats start at zero; every
+// other counter continues from the snapshot's. On error the CPU is
+// unchanged.
 func (c *CPU) ImportState(s State) error {
 	if s.BTBSize != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", s.BTBSize, len(c.btb))
@@ -172,15 +145,16 @@ func (c *CPU) ImportState(s State) error {
 		return fmt.Errorf("cpu: snapshot RAS depth %d, this CPU %d (different Config)", len(s.RAS), len(c.ras))
 	}
 	icache := make(map[uint64]*icLine, len(s.ICache))
-	for i := range s.ICache {
-		ls := &s.ICache[i]
-		if _, dup := icache[ls.PN]; dup {
-			return fmt.Errorf("cpu: snapshot repeats icache line %#x", ls.PN)
+	for i, ls := range s.ICache {
+		switch {
+		case i > 0 && ls.PN <= s.ICache[i-1].PN:
+			return fmt.Errorf("cpu: snapshot icache lines are not strictly ascending at %#x", ls.PN)
+		case len(ls.Bytes) != mem.PageSize:
+			return fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
 		}
-		line, err := importLine(ls)
-		if err != nil {
-			return err
-		}
+		line := newLine(lineEntsInit)
+		line.version = ls.Version
+		copy(line.bytes[:], ls.Bytes)
 		icache[ls.PN] = line
 	}
 	c.regs = s.Regs
@@ -202,63 +176,8 @@ func (c *CPU) ImportState(s State) error {
 	c.icache = icache
 	c.lastPN, c.lastLine = 0, nil // memo points at dropped lines
 	c.cycleStop = 0
-	c.stats = s.Stats
+	c.stats = Stats{RunStats: s.Stats}
 	return nil
-}
-
-// importLine rebuilds one exported icache line: its bytes, then its
-// decoded instructions and superblocks, through the derivations the
-// exporting run used (decodeInst, formBlock). It rejects offset lists
-// ExportState cannot have written and entries that do not rebuild as
-// exported, and touches no CPU state.
-func importLine(ls *ICLineState) (*icLine, error) {
-	if len(ls.Bytes) != mem.PageSize {
-		return nil, fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
-	}
-	for _, l := range []struct {
-		what string
-		offs []uint16
-	}{{"decode", ls.Decoded}, {"superblock head", ls.SBHeads}, {"reject sentinel", ls.SBRject}} {
-		for i, off := range l.offs {
-			if off >= mem.PageSize {
-				return nil, fmt.Errorf("cpu: snapshot %s offset %#x on line %#x lies outside the page", l.what, off, ls.PN)
-			}
-			if i > 0 && off <= l.offs[i-1] {
-				return nil, fmt.Errorf("cpu: snapshot %s offsets on line %#x are not strictly ascending at %#x", l.what, ls.PN, off)
-			}
-		}
-	}
-	line := newLine(len(ls.Decoded) + len(ls.SBHeads) + len(ls.SBRject))
-	line.version = ls.Version
-	copy(line.bytes[:], ls.Bytes)
-	for _, off := range ls.Decoded {
-		if int(off)+maxInstLen > mem.PageSize {
-			return nil, fmt.Errorf("cpu: snapshot decode offset %#x too close to the line end", off)
-		}
-		in, err := decodeInst(line.bytes[off:])
-		if err != nil {
-			return nil, fmt.Errorf("cpu: rebuilding decode cache for line %#x at offset %#x: %w", ls.PN, off, err)
-		}
-		line.addEntry(uint64(off)).in = in
-	}
-	base := ls.PN << mem.PageShift
-	for _, off := range ls.SBHeads {
-		b := line.formBlock(base | uint64(off))
-		if len(b) == 0 {
-			return nil, fmt.Errorf("cpu: snapshot superblock head %#x rebuilds empty", base|uint64(off))
-		}
-		line.addEntry(uint64(off)).sb = b
-		line.nsb++
-	}
-	// An offset listed both as a head and as a reject fails one of the
-	// two rebuild checks, since formBlock's result is fixed by the bytes.
-	for _, off := range ls.SBRject {
-		if len(line.formBlock(base|uint64(off))) != 0 {
-			return nil, fmt.Errorf("cpu: snapshot reject sentinel %#x rebuilds non-empty", base|uint64(off))
-		}
-		line.addEntry(uint64(off)).sb = sbReject
-	}
-	return line, nil
 }
 
 // RunUntil executes until the cycle counter reaches target, the CPU

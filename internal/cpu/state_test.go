@@ -37,14 +37,10 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 	}
 	checkFields(t, reflect.TypeOf(CPU{}), serialized, hostWiring)
 
-	lineSerialized := map[string]bool{
-		"bytes": true, "version": true,
-		// slot, ents and nsb are serialized as offset lists (ICLineState
-		// Decoded/SBHeads/SBRject) and rebuilt deterministically from
-		// bytes at import; nsb is re-counted as the heads rebuild.
-		"slot": true, "ents": true, "nsb": true,
-	}
-	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, nil)
+	lineSerialized := map[string]bool{"bytes": true, "version": true}
+	// The derived caches refill from bytes as the CPU runs.
+	lineDerived := map[string]bool{"slot": true, "ents": true, "nsb": true}
+	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, lineDerived)
 }
 
 func checkFields(t *testing.T, typ reflect.Type, serialized, hostWiring map[string]bool) {
@@ -103,12 +99,13 @@ func stateVM(t *testing.T) *CPU {
 }
 
 // TestExportImportRoundTrip: importing an exported state onto a fresh
-// CPU (same config) reproduces it exactly, including the rebuilt
-// derived caches and the overwritten statistics.
+// CPU (same config) reproduces it exactly. An imported line holds no
+// decoded instruction or block until the CPU executes it, and the
+// CacheStats start at zero; run again, the two CPUs retire the same
+// cycles, registers and simulated counters.
 func TestExportImportRoundTrip(t *testing.T) {
 	c := stateVM(t)
 	s := c.ExportState()
-
 	fresh := New(c.Mem, c.Config())
 	if err := fresh.ImportState(s); err != nil {
 		t.Fatal(err)
@@ -117,69 +114,50 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, again) {
 		t.Fatalf("re-export diverged\nfirst:  %+v\nsecond: %+v", s, again)
 	}
-	// The rebuilt superblock caches must carry the same line
-	// structure, not just the same export view.
-	for pn, line := range c.icache {
-		fl, ok := fresh.icache[pn]
-		if !ok {
-			t.Fatalf("line %#x missing after import", pn)
-		}
-		if fl.nsb != line.nsb {
-			t.Fatalf("line %#x: rebuilt nsb %d, original %d", pn, fl.nsb, line.nsb)
+	for pn, line := range fresh.icache {
+		if len(line.ents) != 1 || line.nsb != 0 {
+			t.Fatalf("line %#x imported with %d cached entries, %d blocks", pn, len(line.ents)-1, line.nsb)
 		}
 	}
-}
+	if fresh.Stats().CacheStats != (CacheStats{}) {
+		t.Fatalf("imported cache counters %+v, want zero", fresh.Stats().CacheStats)
+	}
 
-// TestExportOffsetsGolden pins the offset lists stateVM exports. They
-// are snapshot bytes: a different order or classification of the same
-// cache changes every digest of a machine that holds it.
-func TestExportOffsetsGolden(t *testing.T) {
-	s := stateVM(t).ExportState()
-	if len(s.ICache) != 1 {
-		t.Fatalf("exported %d icache lines, want 1", len(s.ICache))
+	for _, cpu := range []*CPU{c, fresh} {
+		cpu.SetPC(textBase)
+		run(t, cpu)
 	}
-	ls := s.ICache[0]
-	want := ICLineState{
-		PN:      textBase >> mem.PageShift,
-		Version: ls.Version,
-		Bytes:   ls.Bytes,
-		Decoded: []uint16{0, 43},
-		SBHeads: []uint16{10, 20, 25, 44},
-		SBRject: []uint16{43},
+	if c.Cycles() != fresh.Cycles() || c.regs != fresh.regs {
+		t.Fatalf("rerun diverged: cycles %d vs %d, regs %v vs %v", c.Cycles(), fresh.Cycles(), c.regs, fresh.regs)
 	}
-	if !reflect.DeepEqual(ls, want) {
-		t.Fatalf("line %#x exports Decoded %v, SBHeads %v, SBRject %v; want %v, %v, %v",
-			ls.PN, ls.Decoded, ls.SBHeads, ls.SBRject, want.Decoded, want.SBHeads, want.SBRject)
+	if cs, fs := c.Stats().RunStats, fresh.Stats().RunStats; cs != fs {
+		t.Fatalf("rerun stats diverged\nexporter: %+v\nimporter: %+v", cs, fs)
+	}
+	for pn, line := range fresh.icache {
+		if line.nsb == 0 {
+			t.Fatalf("line %#x formed no block as the imported CPU ran", pn)
+		}
 	}
 }
 
 // TestImportRejectsMalformedLines: ImportState accepts only the
-// canonical offset lists and sparse BTB ExportState writes, and checks
-// them before it changes anything, so every malformed form errors and
+// canonical lines and sparse BTB ExportState writes, and checks them
+// before it changes anything, so every malformed form errors and
 // leaves the importing CPU's state as it was.
 func TestImportRejectsMalformedLines(t *testing.T) {
 	c := stateVM(t)
 	if n := len(c.ExportState().BTB); n == 0 || n > 8 {
 		t.Fatalf("stateVM exports %d BTB entries, want a few", n)
 	}
+	// A second line, below stateVM's, to put out of order.
+	below := ICLineState{PN: textBase>>mem.PageShift - 1, Bytes: make([]byte, mem.PageSize)}
 	for _, tc := range []struct {
 		name   string
 		mangle func(s *State)
 	}{
-		{"head past the page", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 25, 44, 0x100a} }},
-		{"duplicated head", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 20, 25, 44} }},
-		{"unsorted heads", func(s *State) { s.ICache[0].SBHeads = []uint16{20, 10, 25, 44} }},
-		{"head rebuilds empty", func(s *State) { s.ICache[0].SBHeads = []uint16{10, 20, 25, 43, 44} }},
-		{"decode past the page", func(s *State) { s.ICache[0].Decoded = []uint16{0, 43, 0x1000} }},
-		{"decode too close to the line end", func(s *State) { s.ICache[0].Decoded = []uint16{0, 43, 0xff8} }},
-		{"duplicated decode", func(s *State) { s.ICache[0].Decoded = []uint16{0, 0, 43} }},
-		{"unsorted decodes", func(s *State) { s.ICache[0].Decoded = []uint16{43, 0} }},
-		{"reject past the page", func(s *State) { s.ICache[0].SBRject = []uint16{43, 0x102b} }},
-		{"duplicated reject", func(s *State) { s.ICache[0].SBRject = []uint16{43, 43} }},
-		{"reject rebuilds non-empty", func(s *State) { s.ICache[0].SBRject = []uint16{0, 43} }},
-		{"head and reject share an offset", func(s *State) { s.ICache[0].SBRject = []uint16{43, 44} }},
 		{"short line bytes", func(s *State) { s.ICache[0].Bytes = s.ICache[0].Bytes[:100] }},
 		{"repeated line", func(s *State) { s.ICache = append(s.ICache, s.ICache[0]) }},
+		{"lines out of order", func(s *State) { s.ICache = append(s.ICache, below) }},
 		{"BTB entry past the end", func(s *State) { s.BTB = append(s.BTB, BTBState{Index: s.BTBSize, Valid: true}) }},
 		{"negative BTB index", func(s *State) { s.BTB = append([]BTBState{{Index: -1, Valid: true}}, s.BTB...) }},
 		{"repeated BTB entry", func(s *State) { s.BTB = append(s.BTB, s.BTB[len(s.BTB)-1]) }},

@@ -9,27 +9,32 @@ import (
 // TestStatsAddCoversAllFields fails whenever a field is added to Stats
 // but forgotten in Add — the silent-drop bug class where a new per-CPU
 // counter never reaches machine.TotalStats on SMP machines. Every
-// field is seeded with a distinct value pair and the sum is checked
-// field by field via reflection, so the test needs no updating when
-// Stats grows.
+// counter, the embedded CacheStats' included, is seeded with a distinct
+// value pair and the sum is checked counter by counter via reflection,
+// so the test needs no updating when Stats grows.
 func TestStatsAddCoversAllFields(t *testing.T) {
 	var a, b Stats
 	va := reflect.ValueOf(&a).Elem()
 	vb := reflect.ValueOf(&b).Elem()
-	for i := 0; i < va.NumField(); i++ {
-		if va.Field(i).Kind() != reflect.Uint64 {
-			t.Fatalf("Stats.%s is %s; extend this test for non-uint64 fields",
-				va.Type().Field(i).Name, va.Field(i).Kind())
+	var counters []reflect.StructField
+	for _, f := range reflect.VisibleFields(va.Type()) {
+		switch {
+		case f.Anonymous && f.Type.Kind() == reflect.Struct: // its fields are visited too
+		case f.Type.Kind() != reflect.Uint64:
+			t.Fatalf("Stats.%s is %s; extend this test for non-uint64 fields", f.Name, f.Type.Kind())
+		default:
+			counters = append(counters, f)
 		}
-		va.Field(i).SetUint(uint64(i + 1))
-		vb.Field(i).SetUint(uint64(1000 * (i + 1)))
+	}
+	for i, f := range counters {
+		va.FieldByIndex(f.Index).SetUint(uint64(i + 1))
+		vb.FieldByIndex(f.Index).SetUint(uint64(1000 * (i + 1)))
 	}
 	sum := reflect.ValueOf(a.Add(b))
-	for i := 0; i < sum.NumField(); i++ {
+	for i, f := range counters {
 		want := uint64(i+1) + uint64(1000*(i+1))
-		if got := sum.Field(i).Uint(); got != want {
-			t.Errorf("Stats.Add drops field %s: got %d, want %d",
-				sum.Type().Field(i).Name, got, want)
+		if got := sum.FieldByIndex(f.Index).Uint(); got != want {
+			t.Errorf("Stats.Add drops field %s: got %d, want %d", f.Name, got, want)
 		}
 	}
 }
@@ -49,7 +54,7 @@ func TestRatiosZeroSampleGuard(t *testing.T) {
 }
 
 func TestBlockHitRatio(t *testing.T) {
-	s := Stats{Instructions: 200, BlockInsts: 150}
+	s := Stats{RunStats: RunStats{Instructions: 200, BlockInsts: 150}}
 	if got := s.BlockHitRatio(); got != 0.75 {
 		t.Errorf("BlockHitRatio = %v, want 0.75", got)
 	}

@@ -71,6 +71,10 @@ func TestSuperblockStateInvariance(t *testing.T) {
 	if diff := stateDiff(a.ExportState(), inert.ExportState()); diff != "" {
 		t.Errorf("an inert injector changes the run: %s", diff)
 	}
+	// ExportState leaves out the cache counters; compare them here.
+	if a.Stats() != inert.Stats() {
+		t.Errorf("an inert injector changes the stats:\nbare:  %+v\ninert: %+v", a.Stats(), inert.Stats())
+	}
 	if a.Cycles() != b.Cycles() {
 		t.Errorf("cycles differ: blocks %d, Step %d", a.Cycles(), b.Cycles())
 	}

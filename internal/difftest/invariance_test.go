@@ -295,16 +295,12 @@ func (e *env) finish(entry string, arg uint64) {
 	must(t, err)
 }
 
-// capture snapshots m and rt with RuntimeState.OpSeq zeroed: the runtime
-// numbers its operations only for a sink that carries commit-causality
-// spans.
 func capture(t *testing.T, m *machine.Machine, rt *core.Runtime) *snapshot.Snapshot {
 	t.Helper()
 	raw, err := snapshot.Capture(nil, m, rt)
 	must(t, err)
 	s, err := snapshot.Decode(raw)
 	must(t, err)
-	s.Runtime.OpSeq = 0
 	return s
 }
 
@@ -566,8 +562,10 @@ func compare(t *testing.T, set []row, ref map[string][]cell, got []cell) {
 			switch r.name {
 			case "step": // single steps and superblocks differ in Decode* and Block*
 				for _, s := range []*cpu.Stats{&c.stats, &b.stats} {
-					s.DecodeHits, s.DecodeMisses, s.BlockBuilds, s.BlockHits, s.BlockInsts, s.BlockInvalidates = 0, 0, 0, 0, 0, 0
+					s.CacheStats, s.BlockHits, s.BlockInsts = cpu.CacheStats{}, 0, 0
 				}
+			case "restored": // a restored CPU refills its caches
+				c.stats.CacheStats, b.stats.CacheStats = cpu.CacheStats{}, cpu.CacheStats{}
 			case "retried": // the retry's backoff
 				c.cycles, b.cycles = nil, nil
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
@@ -342,14 +341,9 @@ func (mb *member) batchWithStorm(k int) bool {
 	if !mb.storm(k) {
 		return false
 	}
-	for !c.Halted() {
-		if _, err := c.Run(mb.m.MaxSteps); err != nil {
-			if chaos.IsInjectedFetchFault(err) {
-				continue
-			}
-			mb.fault(fmt.Errorf("serve_batch round %d: %w", k, err))
-			return false
-		}
+	if _, err := c.Run(mb.m.MaxSteps); err != nil {
+		mb.fault(fmt.Errorf("serve_batch round %d: %w", k, err))
+		return false
 	}
 	mb.syncLedger()
 	mb.sh.cRequests.Add(n)
@@ -365,9 +359,6 @@ func (mb *member) parkInPatchable() error {
 	c := mb.m.CPU
 	for i := 0; i < parkBudget && !c.Halted(); i++ {
 		if err := c.Step(); err != nil {
-			if chaos.IsInjectedFetchFault(err) {
-				continue
-			}
 			return fmt.Errorf("fleet: machine %d parking mid-batch: %w", mb.id, err)
 		}
 		if mb.inPatchable(c.PC()) {
@@ -393,14 +384,14 @@ func (mb *member) inPatchable(pc uint64) bool {
 	return false
 }
 
-// batch serves one load-generator batch. Spurious injected fetch
-// faults are ridden out (the PC holds); any other error — including a
-// blown step budget, the cycle-domain wedge deadline — faults the
-// member into supervision.
+// batch serves one load-generator batch. Any error — including a blown
+// step budget, the cycle-domain wedge deadline — faults the member into
+// supervision; a fleet's fault plans arm no fetch fault, so no error is
+// spurious.
 func (mb *member) batch(k int) bool {
 	n := mb.fl.cfg.batchSize(mb.id, k)
 	arg := mb.fl.cfg.batchArg(mb.id, k)
-	if _, err := chaos.CallResumed(mb.m, "serve_batch", n, arg); err != nil {
+	if _, err := mb.m.CallNamed("serve_batch", n, arg); err != nil {
 		mb.fault(fmt.Errorf("serve_batch round %d: %w", k, err))
 		return false
 	}
@@ -412,7 +403,7 @@ func (mb *member) batch(k int) bool {
 // probe is the supervisor's liveness check: a guest call that must
 // come back with the magic value within the step budget.
 func (mb *member) probe() bool {
-	v, err := chaos.CallResumed(mb.m, "health")
+	v, err := mb.m.CallNamed("health")
 	if err != nil {
 		mb.fault(fmt.Errorf("health probe: %w", err))
 		return false
@@ -488,7 +479,7 @@ func (mb *member) dieMidBatch(k int) {
 	arg := mb.fl.cfg.batchArg(mb.id, k)
 	if err := mb.m.StartCall(mb.m.CPU, "serve_batch", n, arg); err == nil {
 		for i := 0; i < midBatchSteps && !mb.m.CPU.Halted(); i++ {
-			if err := mb.m.CPU.Step(); err != nil && !chaos.IsInjectedFetchFault(err) {
+			if err := mb.m.CPU.Step(); err != nil {
 				break
 			}
 		}

@@ -214,39 +214,20 @@ func (m *Machine) MustSymbol(name string) uint64 {
 	return a
 }
 
-// Call invokes the function at addr with up to 6 integer arguments in
-// r0..r5 and runs until it returns (to the halt stub). It returns r0.
+// CallNamed invokes the named function on the primary CPU with up to 6
+// integer arguments in r0..r5 (StartCall) and runs it until it returns
+// to the halt stub. It returns r0.
 //
-// The stack pointer is preserved across calls, so successive Calls
+// The stack pointer is preserved across calls, so successive calls
 // compose like successive calls from a C main.
-func (m *Machine) Call(addr uint64, args ...uint64) (uint64, error) {
-	if len(args) > 6 {
-		return 0, fmt.Errorf("machine: at most 6 arguments, got %d", len(args))
-	}
-	c := m.CPU
-	for i, v := range args {
-		c.SetReg(isa.Reg(i), v)
-	}
-	// Simulate CALL: push the halt stub as the return address.
-	sp := c.Reg(isa.SP) - 8
-	if err := m.Mem.WriteUint(sp, 8, m.Image.HaltAddr); err != nil {
-		return 0, err
-	}
-	c.SetReg(isa.SP, sp)
-	c.SetPC(addr)
-	if _, err := c.Run(m.MaxSteps); err != nil {
-		return 0, err
-	}
-	return c.Reg(0), nil
-}
-
-// CallNamed is Call with symbol resolution.
 func (m *Machine) CallNamed(name string, args ...uint64) (uint64, error) {
-	addr, err := m.Symbol(name)
-	if err != nil {
+	if err := m.StartCall(m.CPU, name, args...); err != nil {
 		return 0, err
 	}
-	return m.Call(addr, args...)
+	if _, err := m.CPU.Run(m.MaxSteps); err != nil {
+		return 0, err
+	}
+	return m.CPU.Reg(0), nil
 }
 
 // ReadGlobal reads size bytes of the global at the symbol as a

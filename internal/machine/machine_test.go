@@ -158,7 +158,7 @@ func TestTooManyArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Call(m.MustSymbol("add2"), 1, 2, 3, 4, 5, 6, 7); err == nil {
+	if _, err := m.CallNamed("add2", 1, 2, 3, 4, 5, 6, 7); err == nil {
 		t.Error("7-argument call succeeded")
 	}
 }

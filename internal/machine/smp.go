@@ -54,8 +54,8 @@ func (m *Machine) AddCPU() (*cpu.CPU, error) {
 
 // StartCall prepares a CPU to execute the named function with the
 // given arguments, without running it: the PC points at the function
-// and the return address is the halt stub. Drive it with Step or
-// Interleave.
+// and the return address is the halt stub. Drive it with Run, Step or
+// Interleave; CallNamed is StartCall on the primary CPU, then Run.
 func (m *Machine) StartCall(c *cpu.CPU, name string, args ...uint64) error {
 	addr, err := m.Symbol(name)
 	if err != nil {

@@ -43,7 +43,9 @@ func (m *Memory) ExportPages() []PageState {
 // ImportPages replaces the entire address space with the given pages —
 // wholesale, so the restored mapping is exactly the exported one
 // regardless of what the caller had mapped before (a freshly loaded
-// image, extra CPU stacks, anything). Every page is validated before
+// image, extra CPU stacks, anything). The pages must come as
+// ExportPages returns them, strictly ascending by page number, so one
+// address space has one page list. Every page is validated before
 // any is written, so a rejected import changes nothing. A
 // never-written page (Version 0) must carry no Data and shares
 // zeroPage again. Every other page is copied: over a page already
@@ -55,14 +57,14 @@ func (m *Memory) ImportPages(pages []PageState) error {
 	fresh := make(map[uint64]*page, len(pages))
 	for i := range pages {
 		ps := &pages[i]
+		if i > 0 && ps.PN <= pages[i-1].PN {
+			return fmt.Errorf("mem: imported pages are not strictly ascending at %#x", ps.PN)
+		}
 		if ps.Version == 0 && len(ps.Data) != 0 {
 			return fmt.Errorf("mem: page %#x was never written (version 0) but carries %d bytes", ps.PN, len(ps.Data))
 		}
 		if ps.Version != 0 && len(ps.Data) != PageSize {
 			return fmt.Errorf("mem: page %#x holds %d bytes, want %d", ps.PN, len(ps.Data), PageSize)
-		}
-		if _, dup := fresh[ps.PN]; dup {
-			return fmt.Errorf("mem: duplicate page %#x in import", ps.PN)
 		}
 		if err := m.checkWX(ps.Prot); err != nil {
 			return fmt.Errorf("mem: page %#x: %w", ps.PN, err)
@@ -88,7 +90,6 @@ func (m *Memory) ImportPages(pages []PageState) error {
 		}
 		pg.prot, pg.version = ps.Prot, ps.Version
 	}
-	slices.Sort(order) // pages from ExportPages arrive sorted already
 	m.pages, m.order = fresh, order
 	m.cache = [pageCacheSlots]cachedPage{}
 	return nil

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -126,7 +127,8 @@ func TestImportPagesRejectsMalformed(t *testing.T) {
 		bad  PageState
 	}{
 		{"short page", page(6, RW, PageSize-1)},
-		{"duplicate", page(1, RW, PageSize)},
+		{"duplicate", page(5, RW, PageSize)},
+		{"out of order", page(3, RW, PageSize)},
 		{"W^X", page(6, RW|Exec, PageSize)},
 		{"never-written page with data", PageState{PN: 6, Prot: RW, Data: make([]byte, PageSize)}},
 	} {
@@ -143,6 +145,7 @@ func TestImportPagesRejectsMalformed(t *testing.T) {
 // TestPageOrderFollowsMapping drives a seeded mix of Map, Unmap and
 // ImportPages calls, some failing, and requires ExportPages to list
 // exactly the mapped pages in ascending page-number order after each.
+// ImportPages takes only that order: a shuffled list is refused.
 func TestPageOrderFollowsMapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := New()
@@ -171,13 +174,19 @@ func TestPageOrderFollowsMapping(t *testing.T) {
 			m.Unmap(addr, length)
 			check(step, "Unmap")
 		case 4:
-			// Re-import the pages in shuffled order, sometimes with one
-			// page dropped.
+			// Re-import the pages, sometimes with one page dropped, after
+			// trying them shuffled.
 			pages := m.ExportPages()
-			rng.Shuffle(len(pages), func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
 			if len(pages) > 0 && rng.Intn(2) == 0 {
 				pages = pages[1:]
 			}
+			shuffled := slices.Clone(pages)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			sorted := slices.IsSortedFunc(shuffled, func(a, b PageState) int { return cmp.Compare(a.PN, b.PN) })
+			if err := m.ImportPages(shuffled); (err == nil) != sorted {
+				t.Fatalf("step %d: ImportPages of pages in ascending order %v: err = %v", step, sorted, err)
+			}
+			check(step, "shuffled ImportPages")
 			if err := m.ImportPages(pages); err != nil {
 				t.Fatal(err)
 			}

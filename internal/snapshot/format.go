@@ -4,7 +4,7 @@
 //
 //	offset  size  field
 //	0       8     magic "MVSNAP01"
-//	8       4     format version (currently 2)
+//	8       4     format version (currently 3)
 //	12      4     flags (must be zero)
 //	16      8     payload length
 //	24      n     payload
@@ -33,10 +33,12 @@ import (
 	"slices"
 )
 
-// Version is the current snapshot format version. Version 2 carries a
-// page's bytes only once it has been written and spends one byte on an
-// empty BTB entry; no reader of version 1 is kept.
-const Version = 2
+// Version is the current snapshot format version. Version 3 holds only
+// simulated state: a line record is its page number, version and
+// bytes, and a CPU record carries no cache counter. Version 2 also
+// held each line's derived-cache offsets and those counters, and
+// version 1 dense pages and BTBs; no reader of either is kept.
+const Version = 3
 
 var magic = [8]byte{'M', 'V', 'S', 'N', 'A', 'P', '0', '1'}
 
@@ -121,12 +123,6 @@ func (w *writer) u8(v uint8) {
 	}
 }
 
-func (w *writer) u16(v uint16) {
-	if w.count(2) {
-		w.b = binary.LittleEndian.AppendUint16(w.b, v)
-	}
-}
-
 func (w *writer) u32(v uint32) {
 	if w.count(4) {
 		w.b = binary.LittleEndian.AppendUint32(w.b, v)
@@ -202,14 +198,6 @@ func (r *reader) u8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-
-func (r *reader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 
 func (r *reader) u32() uint32 {

@@ -1,17 +1,16 @@
 // Package snapshot serializes complete simulated-machine state —
 // memory pages with protections and write-versions, per-CPU
 // architectural and microarchitectural state (including resident
-// icache lines and their derived-cache offsets), the console, and the
-// runtime's binding/deferred/span state — into a versioned,
-// CRC-protected binary container.
+// icache lines), the console, and the runtime's binding/deferred/span
+// state — into a versioned, CRC-protected binary container.
 //
 // The format is deterministic: capturing the same simulated instant
 // twice yields byte-identical files, so Digest (SHA-256 of the
 // payload) identifies a machine state. Restoring a snapshot and
-// running to completion retires bit-identical cycles, statistics and
-// state reports as the uninterrupted run — the property the
-// checkpoint/restore difftests pin and the time-travel debugger
-// (cmd/mvdbg) is built on.
+// running to completion retires bit-identical cycles, statistics (but
+// cpu.CacheStats) and state reports as the uninterrupted run — the
+// property the checkpoint/restore difftests pin and the time-travel
+// debugger (cmd/mvdbg) is built on.
 package snapshot
 
 import (
@@ -31,10 +30,6 @@ import (
 // get one only from Decode, and it aliases the container it was
 // decoded from (see Decode).
 type Snapshot struct {
-	// SimCycles is the primary CPU's cycle counter at capture — the
-	// simulated instant this snapshot names.
-	SimCycles uint64
-
 	// ImageSum ties the snapshot to the loaded image (entry point,
 	// halt stub, and every segment's address, protection and bytes).
 	// Apply refuses a snapshot taken from a different image.
@@ -43,7 +38,7 @@ type Snapshot struct {
 	Console  []byte
 	Pages    []mem.PageState
 	MemStats mem.Stats
-	CPUs     []cpu.State // primary first, AddCPU threads in creation order
+	CPUs     []cpu.State // primary first, AddCPU threads in creation order; CPUs[0].Cycles names the instant
 
 	// Runtime is nil when the snapshot was captured without a
 	// multiverse runtime attached.
@@ -72,11 +67,10 @@ var ErrNotQuiesced = core.ErrNotQuiesced
 // what it held.
 func Capture(buf []byte, m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 	s := &Snapshot{
-		SimCycles: m.CPU.Cycles(),
-		ImageSum:  ImageSum(m.Image),
-		Console:   m.Console(),
-		Pages:     m.Mem.ExportPages(),
-		MemStats:  m.Mem.Stats,
+		ImageSum: ImageSum(m.Image),
+		Console:  m.Console(),
+		Pages:    m.Mem.ExportPages(),
+		MemStats: m.Mem.Stats,
 	}
 	for _, c := range m.CPUs() {
 		s.CPUs = append(s.CPUs, c.ExportState())
@@ -95,8 +89,9 @@ func Capture(buf []byte, m *machine.Machine, rt *core.Runtime) ([]byte, error) {
 // the same image (and, when the snapshot carries runtime state, a
 // runtime freshly constructed against that machine). Secondary
 // hardware threads are added as needed; the address space is replaced
-// wholesale; the runtime's binding state is imported last so its
-// per-site byte windows are re-read from the restored memory.
+// wholesale; each CPU's derived caches start empty; the runtime's
+// binding state is imported last so its per-site byte windows are
+// re-read from the restored memory.
 func Apply(s *Snapshot, m *machine.Machine, rt *core.Runtime) error {
 	if got := ImageSum(m.Image); got != s.ImageSum {
 		return fmt.Errorf("snapshot: taken from a different image (segment/entry hash mismatch)")
@@ -157,7 +152,6 @@ func (s *Snapshot) Encode(buf []byte) []byte {
 
 // put writes the payload.
 func (s *Snapshot) put(w *writer) {
-	w.u64(s.SimCycles)
 	w.raw(s.ImageSum[:])
 	w.bytes(s.Console)
 	w.u32(uint32(len(s.Pages)))
@@ -196,7 +190,6 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	r := &reader{b: payload}
 	s := &Snapshot{}
-	s.SimCycles = r.u64()
 	copy(s.ImageSum[:], r.take(32))
 	s.Console = r.bytes()
 	for i, n := 0, r.count(8+1+8); i < n && r.err == nil; i++ {
@@ -256,8 +249,6 @@ func putCPU(w *writer, s *cpu.State) {
 		w.u64(v)
 	}
 	w.u64(uint64(s.RASN))
-	w.u8(1) // DecodeCache: the decode cache is always on
-	w.u8(1) // Superblocks: blocks are always on
 	w.u8(s.Mode)
 	putBool(w, s.IntrOn)
 	w.u64(s.IntrPeriod)
@@ -269,9 +260,6 @@ func putCPU(w *writer, s *cpu.State) {
 		w.u64(ls.PN)
 		w.u64(ls.Version)
 		w.bytes(ls.Bytes)
-		putU16s(w, ls.Decoded)
-		putU16s(w, ls.SBHeads)
-		putU16s(w, ls.SBRject)
 	}
 	putCounters(w, &s.Stats)
 }
@@ -309,25 +297,13 @@ func getCPU(r *reader, s *cpu.State) {
 		s.RAS = append(s.RAS, r.u64())
 	}
 	s.RASN = int(r.u64())
-	for _, name := range []string{"DecodeCache", "Superblocks"} {
-		if v := r.u8(); v != 1 && r.err == nil {
-			// Taken with the decode cache or superblocks off: its Decode*
-			// or Block* counters could never match a restored run, where
-			// both are always on.
-			r.fail("cpu state %s byte %d at offset %d, want 1 (it can no longer be off)", name, v, r.off-1)
-		}
-	}
 	s.Mode = r.u8()
 	s.IntrOn = getBool(r)
 	s.IntrPeriod = r.u64()
 	s.IntrCost = r.u64()
 	s.NextIntr = r.u64()
 	for i, n := 0, r.count(8+8+4); i < n && r.err == nil; i++ {
-		ls := cpu.ICLineState{PN: r.u64(), Version: r.u64(), Bytes: r.bytes()}
-		ls.Decoded = getU16s(r)
-		ls.SBHeads = getU16s(r)
-		ls.SBRject = getU16s(r)
-		s.ICache = append(s.ICache, ls)
+		s.ICache = append(s.ICache, cpu.ICLineState{PN: r.u64(), Version: r.u64(), Bytes: r.bytes()})
 	}
 	getCounters(r, &s.Stats)
 }
@@ -378,25 +354,6 @@ func getRuntime(r *reader, s *core.RuntimeState) {
 	s.OpSeq = r.u64()
 }
 
-func putU16s(w *writer, v []uint16) {
-	w.u32(uint32(len(v)))
-	for _, x := range v {
-		w.u16(x)
-	}
-}
-
-func getU16s(r *reader) []uint16 {
-	n := r.count(2)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint16, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.u16())
-	}
-	return out
-}
-
 func putBool(w *writer, v bool) {
 	if v {
 		w.u8(1)
@@ -419,9 +376,9 @@ func getBool(r *reader) bool {
 
 // putCounters serializes a flat statistics struct (all int or uint64
 // fields, passed by pointer) by reflection, field-count-prefixed: a
-// counter added to cpu.Stats, mem.Stats or core.RuntimeStats is picked
-// up automatically, and a reader built for a different field count
-// reports format drift instead of silently misparsing.
+// counter added to cpu.RunStats, mem.Stats or core.RuntimeStats is
+// picked up automatically, and a reader built for a different field
+// count reports format drift instead of silently misparsing.
 func putCounters(w *writer, v any) {
 	rv := reflect.ValueOf(v).Elem()
 	w.u32(uint32(rv.NumField()))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -128,12 +129,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Snapshot{
-		SimCycles: a.m.CPU.Cycles(),
-		ImageSum:  ImageSum(a.m.Image),
-		Console:   a.m.Console(),
-		Pages:     a.m.Mem.ExportPages(),
-		MemStats:  a.m.Mem.Stats,
-		Runtime:   &rs,
+		ImageSum: ImageSum(a.m.Image),
+		Console:  a.m.Console(),
+		Pages:    a.m.Mem.ExportPages(),
+		MemStats: a.m.Mem.Stats,
+		Runtime:  &rs,
 	}
 	for _, c := range a.m.CPUs() {
 		want.CPUs = append(want.CPUs, c.ExportState())
@@ -236,7 +236,8 @@ func TestDigestNamesMachineState(t *testing.T) {
 // TestApplyResumesBitIdentical is the package-local restore difftest:
 // state captured between calls, applied to a fresh machine from the
 // same image, and both continued identically must agree on every
-// observable — cycles, statistics, state report, console, results.
+// observable — cycles, statistics but the CacheStats (the restored
+// CPU refills its caches as it runs), state report, console, results.
 // The container is overwritten right after Apply, so the restored
 // machine must not alias it: the decoded snapshot's byte fields are
 // views of the container, and every importer must copy what it keeps.
@@ -284,7 +285,9 @@ func TestApplyResumesBitIdentical(t *testing.T) {
 	if ac, bc := a.m.CPU.Cycles(), b.m.CPU.Cycles(); ac != bc {
 		t.Fatalf("cycles diverged: uninterrupted %d restored %d", ac, bc)
 	}
-	if as, bs := a.m.TotalStats(), b.m.TotalStats(); as != bs {
+	as, bs := a.m.TotalStats(), b.m.TotalStats()
+	as.CacheStats, bs.CacheStats = cpu.CacheStats{}, cpu.CacheStats{}
+	if as != bs {
 		t.Fatalf("stats diverged:\nuninterrupted %+v\nrestored      %+v", as, bs)
 	}
 	if ar, br := a.rt.StateReport(), b.rt.StateReport(); ar != br {
@@ -368,45 +371,26 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(append(append([]byte(nil), data...), 0xee)); err == nil {
 		t.Error("decoded snapshot with trailing garbage")
 	}
-
-	// A CPU captured with the decode cache off (its byte 0, the one
-	// after RASN) or with superblocks off (0 in the byte after that) is
-	// validly sealed but not restorable: neither can be turned off any
-	// more, so its DecodeHits or Block* counters could never match.
-	s, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const marker = 0x5a17_c0de_d00d_feed
-	s.CPUs[0].RASN = marker
-	enc := s.Encode(nil)
-	at := bytes.Index(enc, binary.LittleEndian.AppendUint64(nil, marker)) + 8
-	if at < 8 || enc[at] != 1 || enc[at+1] != 1 {
-		t.Fatalf("DecodeCache and Superblocks bytes not found after RASN (at %d)", at)
-	}
-	for i, name := range []string{"DecodeCache", "Superblocks"} {
-		body := append([]byte(nil), enc[:len(enc)-4]...) // unsealed: header and payload
-		body[at+i] = 0
-		if _, err := Decode(seal(body)); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("decoding a CPU captured with its %s byte 0: err = %v, want one naming %s", name, err, name)
-		}
-	}
 }
 
-// TestRefusesVersion1 pins the format bump: a version-1 container,
-// whose pages and BTB entries were dense, is refused by name.
+// TestRefusesVersion1 pins the format bumps: a version-1 container,
+// whose pages and BTB entries were dense, and a version-2 one, whose
+// lines carried derived-cache offsets and whose CPUs carried cache
+// counters, are refused by name.
 func TestRefusesVersion1(t *testing.T) {
 	a, _ := buildPair(t)
 	data, err := Capture(nil, a.m, a.rt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[8:], 1)
-	_, decodeErr := Decode(data)
-	_, digestErr := Digest(data)
-	for what, err := range map[string]error{"Decode": decodeErr, "Digest": digestErr} {
-		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "want 2") {
-			t.Errorf("%s of a version-1 container: err = %v, want one naming versions 1 and 2", what, err)
+	for _, old := range []uint32{1, 2} {
+		binary.LittleEndian.PutUint32(data[8:], old)
+		_, decodeErr := Decode(data)
+		_, digestErr := Digest(data)
+		for what, err := range map[string]error{"Decode": decodeErr, "Digest": digestErr} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", old)) || !strings.Contains(err.Error(), "want 3") {
+				t.Errorf("%s of a version-%d container: err = %v, want one naming versions %d and 3", what, old, err, old)
+			}
 		}
 	}
 }
@@ -490,36 +474,68 @@ func TestDecodeRejectsNonCanonicalBTB(t *testing.T) {
 	}
 }
 
+// FuzzSnapshotDecode seals each input as a payload, so mutations reach
+// the field parser rather than the CRC. Decode must never panic, and a
+// snapshot it accepts and Apply restores onto a fresh machine must
+// capture back to the input byte for byte: one machine state, one
+// container.
 func FuzzSnapshotDecode(f *testing.F) {
-	s, err := core.BuildSystem(core.GenOptions{}, nil, core.Source{Name: "snap.mvc", Text: testSrc})
+	img, _, err := core.BuildImage(core.GenOptions{}, core.Source{Name: "snap.mvc", Text: testSrc})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := s.Machine.CallNamed("spin", 50); err != nil {
+	fresh := func(tb testing.TB) (*machine.Machine, *core.Runtime) {
+		m, err := machine.New(img)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rt, err := core.NewRuntime(img, &core.UserPlatform{M: m})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return m, rt
+	}
+	m, rt := fresh(f)
+	if _, err := m.CallNamed("spin", 50); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := Capture(nil, s.Machine, s.RT)
-	if err != nil {
-		f.Fatal(err)
+	payloadOf := func(rt *core.Runtime) []byte {
+		c, err := Capture(nil, m, rt)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return c[headerLen : len(c)-4]
 	}
+	valid := payloadOf(rt)
 	// The seed must carry present BTB entries beside empty ones, so the
 	// fuzzer mutates both encodings.
-	if got, err := Decode(valid); err != nil || len(got.CPUs[0].BTB) == 0 || len(got.CPUs[0].BTB) == got.CPUs[0].BTBSize {
+	if got, err := Decode(seal(append(make([]byte, headerLen), valid...))); err != nil ||
+		len(got.CPUs[0].BTB) == 0 || len(got.CPUs[0].BTB) == got.CPUs[0].BTBSize {
 		f.Fatalf("seed container does not mix present and empty BTB entries (decode err %v)", err)
 	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("MVSNAP01"))
+	f.Add(payloadOf(nil))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode must never panic, and anything it accepts must be
-		// canonical: re-encoding reproduces the input byte-for-byte.
-		got, err := Decode(data)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := seal(append(make([]byte, headerLen), payload...))
+		s, err := Decode(data)
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(got.Encode(nil), data) {
-			t.Fatal("accepted a non-canonical encoding")
+		m, rt := fresh(t)
+		if s.Runtime == nil {
+			rt = nil
+		}
+		if err := Apply(s, m, rt); err != nil {
+			return
+		}
+		again, err := Capture(nil, m, rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatal("a restored snapshot captures back to another container")
 		}
 	})
 }
