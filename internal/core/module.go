@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/link"
@@ -83,7 +85,12 @@ func (rt *Runtime) AddModule(mod *link.Image) error {
 		nv := &rt.desc.Vars[len(rt.desc.Vars)-1]
 		rt.varsByAddr[nv.Addr] = nv
 		if nv.FnPtr {
-			rt.fnptrs[nv.Addr] = &fnptrState{vd: nv}
+			ps := &fnptrState{vd: nv}
+			rt.fnptrs[nv.Addr] = ps
+			// Commit, Revert, Audit and ExportState walk ptrOrder, in
+			// address order.
+			i := sort.Search(len(rt.ptrOrder), func(i int) bool { return rt.ptrOrder[i].vd.Addr > nv.Addr })
+			rt.ptrOrder = slices.Insert(rt.ptrOrder, i, ps)
 		}
 	}
 	for i := range desc.Funcs {

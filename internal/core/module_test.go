@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -294,6 +295,81 @@ func TestModuleCatchesUpCommittedPointer(t *testing.T) {
 	call(t, sys, "moduleHook")
 	if got := call(t, sys, "hookHits"); got != 2 {
 		t.Errorf("hits = %d, want 2", got)
+	}
+}
+
+// ownPtrModuleSrc is a module with a pointer switch of its own, and
+// the one call site through it.
+const ownPtrModuleSrc = `
+	long mhits;
+	void mimpl(void) { mhits++; }
+	multiverse void (*mhook)(void);
+	void mcall(void) { mhook(); }
+	long mhookHits(void) { return mhits; }
+`
+
+// TestModuleOwnPointerSwitch: a module's own pointer switch joins the
+// runtime's pointer switches in address order, so Commit binds its
+// call site, Audit checks it, Revert unbinds it, ExportState carries
+// it, and the state restores onto a runtime with the same module
+// loaded.
+func TestModuleOwnPointerSwitch(t *testing.T) {
+	build := func() *System {
+		sys, err := BuildSystem(GenOptions{}, nil, Source{Name: "kernel", Text: mainKernelSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadModule(t, sys, ownPtrModuleSrc)
+		return sys
+	}
+	sys := build()
+	if err := sys.SetFnPtr("mhook", "mimpl"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RT.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	mhook, _ := sys.RT.VarByName("mhook")
+	sites := sys.RT.sites[mhook]
+	if len(sites) != 1 {
+		t.Fatalf("mhook has %d call sites, want 1", len(sites))
+	}
+	if !sites[0].patched {
+		t.Fatalf("the commit left the call through mhook at %#x unbound", sites[0].desc.Addr)
+	}
+	if err := sys.RT.Audit(); err != nil {
+		t.Fatalf("audit after the commit: %v", err)
+	}
+	call(t, sys, "mcall")
+	if got := call(t, sys, "mhookHits"); got != 1 {
+		t.Fatalf("hits = %d, want 1", got)
+	}
+	if err := sys.RT.Revert(); err != nil {
+		t.Fatal(err)
+	}
+	if sites[0].patched {
+		t.Fatal("the revert left the call through mhook bound")
+	}
+	if err := sys.RT.Audit(); err != nil {
+		t.Fatalf("audit after the revert: %v", err)
+	}
+	s, err := sys.RT.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.FnPtrs) != 1 || s.FnPtrs[0].Addr != mhook {
+		t.Fatalf("exported pointer switches %+v, want mhook's at %#x", s.FnPtrs, mhook)
+	}
+	other := build()
+	if err := other.RT.ImportState(s); err != nil {
+		t.Fatalf("restoring onto a runtime with the same module: %v", err)
+	}
+	again, err := other.RT.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, again) {
+		t.Fatalf("re-export diverged\nfirst:  %+v\nsecond: %+v", s, again)
 	}
 }
 

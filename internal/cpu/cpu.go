@@ -250,9 +250,10 @@ type CPU struct {
 	ras  []uint64
 	rasN int
 
-	icache   map[uint64]*icLine // page number -> cached line
+	icache   map[uint64]icEntry // page number -> resident line
 	lastPN   uint64             // page number memo for residentLine
 	lastLine *icLine            // line memo; nil = invalid, cleared by FlushICache
+	lines    *LineTable         // nil: every fill makes a private line
 
 	// missed holds the instruction decode last read from raw bytes, on
 	// a decode cache miss. Handlers take the instruction by pointer,
@@ -286,6 +287,17 @@ type CPU struct {
 	stats Stats
 }
 
+// icEntry is one resident icache line with the write-version its page
+// had when this CPU filled it, which ICacheStale compares. The version
+// belongs to the CPU, not the line: CPUs sharing a line (LineTable)
+// may have filled it at different versions of equal bytes.
+type icEntry struct {
+	line    *icLine
+	version uint64
+}
+
+// icLine is a function of its page number and bytes alone: bytes never
+// change once filled, and everything else derives from them.
 type icLine struct {
 	// ents and slot are the line's derived caches (decodecache.go):
 	// slot maps each in-page offset to the index in ents of its decoded
@@ -299,8 +311,7 @@ type icLine struct {
 	nsb  int
 	slot [mem.PageSize]uint16
 
-	version uint64             // page version at fill time; ICacheStale compares it
-	bytes   [mem.PageSize]byte // snapshot of the page at fill time
+	bytes [mem.PageSize]byte // snapshot of the page at fill time
 }
 
 // New returns a CPU executing from m with the given cost model.
@@ -313,9 +324,15 @@ func New(m *mem.Memory, cfg Config) *CPU {
 		cfg:    cfg,
 		btb:    make([]btbEntry, cfg.BTBSize),
 		ras:    make([]uint64, cfg.RASDepth),
-		icache: make(map[uint64]*icLine),
+		icache: make(map[uint64]icEntry),
 	}
 }
+
+// SetLineTable makes this CPU's later fills and imports go through t,
+// so it adopts the lines of other CPUs filled through t instead of
+// decoding and forming blocks again; nil restores private lines. Every
+// CPU sharing a table must run on the goroutine that owns it.
+func (c *CPU) SetLineTable(t *LineTable) { c.lines = t }
 
 // SetTracer installs (or, with nil, removes) the event/profiling
 // tracer (see internal/trace). Safe at any point; tracing is passive:
@@ -414,8 +431,8 @@ func (c *CPU) FlushICache(addr, n uint64) {
 	first := addr >> mem.PageShift
 	last := (addr + n - 1) >> mem.PageShift
 	for pn := first; pn <= last; pn++ {
-		if line, ok := c.icache[pn]; ok {
-			c.stats.BlockInvalidates += uint64(line.nsb)
+		if e, ok := c.icache[pn]; ok {
+			c.stats.BlockInvalidates += uint64(e.line.nsb)
 			delete(c.icache, pn)
 		}
 	}
@@ -426,11 +443,12 @@ func (c *CPU) FlushICache(addr, n uint64) {
 // ICacheStale reports whether this CPU holds an instruction-cache line
 // overlapping [addr, addr+n) whose snapshot predates the newest write
 // to its page — i.e. whether a patch has not yet reached this CPU's
-// frontend. Each line records the page's write-version at fill time;
-// comparing it against the current version is exactly the check a
-// shootdown-acknowledge protocol performs. The crash-consistency layer
-// (core) uses it after commits and rollbacks to verify that no SMP
-// thread lost its invalidation to an injected dropped-IPI fault.
+// frontend. Each resident line records the page's write-version at
+// this CPU's fill; comparing it against the current version is exactly
+// the check a shootdown-acknowledge protocol performs. The
+// crash-consistency layer (core) uses it after commits and rollbacks to
+// verify that no SMP thread lost its invalidation to an injected
+// dropped-IPI fault.
 func (c *CPU) ICacheStale(addr, n uint64) bool {
 	if n == 0 {
 		return false
@@ -440,22 +458,22 @@ func (c *CPU) ICacheStale(addr, n uint64) bool {
 	// Wide queries (a whole-address-space coherence sweep) walk the
 	// cached lines instead of every page of the range.
 	if last-first >= uint64(len(c.icache)) {
-		for pn, line := range c.icache {
+		for pn, e := range c.icache {
 			if pn < first || pn > last {
 				continue
 			}
-			if ver, mapped := c.Mem.PageVersion(pn << mem.PageShift); mapped && ver != line.version {
+			if ver, mapped := c.Mem.PageVersion(pn << mem.PageShift); mapped && ver != e.version {
 				return true
 			}
 		}
 		return false
 	}
 	for pn := first; pn <= last; pn++ {
-		line, ok := c.icache[pn]
+		e, ok := c.icache[pn]
 		if !ok {
 			continue // next fetch refills from memory: coherent
 		}
-		if ver, mapped := c.Mem.PageVersion(pn << mem.PageShift); mapped && ver != line.version {
+		if ver, mapped := c.Mem.PageVersion(pn << mem.PageShift); mapped && ver != e.version {
 			return true
 		}
 	}
@@ -479,8 +497,8 @@ func (c *CPU) icFetch(addr uint64, buf []byte) (int, error) {
 	got := 0
 	for got < len(buf) {
 		pn := addr >> mem.PageShift
-		line, ok := c.icache[pn]
-		if !ok {
+		line := c.icache[pn].line
+		if line == nil {
 			prot, mapped := c.Mem.ProtOf(addr)
 			if !mapped || prot&mem.Exec == 0 {
 				if got > 0 {
@@ -488,12 +506,13 @@ func (c *CPU) icFetch(addr uint64, buf []byte) (int, error) {
 				}
 				return 0, &mem.Fault{Addr: addr, Kind: mem.AccessExec, Prot: prot, Mapped: mapped}
 			}
-			line = newLine(lineEntsInit)
+			line = c.lines.blank()
 			if err := c.Mem.Fetch(pn<<mem.PageShift, line.bytes[:]); err != nil {
 				return got, err
 			}
-			line.version, _ = c.Mem.PageVersion(addr)
-			c.icache[pn] = line
+			line = c.lines.share(pn, line)
+			ver, _ := c.Mem.PageVersion(addr)
+			c.icache[pn] = icEntry{line, ver}
 			c.stats.ICacheFills++
 		}
 		off := int(addr & (mem.PageSize - 1))

@@ -10,16 +10,22 @@
 // follows, so the decode cache simply lives inside the icache line:
 //
 //   - Entries are derived exclusively from the line's byte snapshot
-//     and die with the line in FlushICache. Patching without a flush
-//     therefore keeps executing the stale *decoded* instruction, just
-//     as the raw interpreter keeps executing the stale bytes.
+//     and leave with the line when FlushICache drops it. Patching
+//     without a flush therefore keeps executing the stale *decoded*
+//     instruction, just as the raw interpreter keeps executing the
+//     stale bytes.
 //   - An instruction is cached only when its whole fetch window lies
 //     within one page. A window that straddles a page boundary draws
 //     bytes from two lines with independent lifetimes (the second page
 //     can be flushed while the first stays cached), so those always
 //     take the fetch-and-decode path.
-//   - Each CPU owns its icache, so each SMP hardware thread keeps a
-//     private decode cache, mirroring real per-core frontends.
+//   - Each CPU owns its icache: which lines are resident, and the page
+//     version each was filled at. A line, though, is a function of its
+//     page number and bytes alone, so CPUs filled through one
+//     LineTable share a line whenever their pages hold equal bytes,
+//     and with it the decodes and blocks any of them formed. A flush
+//     drops the line from one CPU's icache only. Without a table every
+//     fill makes a private line, mirroring real per-core frontends.
 //
 // Layout. A line caches a few dozen instructions and blocks out of
 // 4096 possible offsets, and every flush throws the line away, so the
@@ -79,6 +85,50 @@ func newLine(n int) *icLine {
 	return &icLine{ents: make([]lineEnt, 1, 1+n)}
 }
 
+// LineTable shares icache lines among the CPUs whose fills and imports
+// go through it (SetLineTable). It keeps one line per page: the last
+// one filled or imported through it. A fill whose page holds the same
+// 4 KB adopts that line, decodes and blocks included; any other fill
+// makes a new line, which becomes the table's. Lines are keyed by
+// their exact bytes, so a table line is never stale, only replaced.
+// The table has no lock: every CPU using it must run on one goroutine.
+type LineTable struct {
+	lines map[uint64]*icLine // page number -> last line filled through the table
+	spare *icLine            // an empty line a fill adopted past, for the next fill
+}
+
+// NewLineTable returns an empty line table.
+func NewLineTable() *LineTable {
+	return &LineTable{lines: make(map[uint64]*icLine)}
+}
+
+// blank returns an empty line for a fill to write its bytes into: the
+// table's spare when it has one. A nil table always makes a new line.
+func (t *LineTable) blank() *icLine {
+	if t == nil || t.spare == nil {
+		return newLine(lineEntsInit)
+	}
+	l := t.spare
+	t.spare = nil
+	return l
+}
+
+// share returns the line a CPU should hold for page pn once fresh, a
+// blank line, holds the page's bytes: the table's line when its bytes
+// are equal (fresh then becomes the spare), else fresh, which becomes
+// the table's line. A nil table returns fresh.
+func (t *LineTable) share(pn uint64, fresh *icLine) *icLine {
+	if t == nil {
+		return fresh
+	}
+	if l := t.lines[pn]; l != nil && l.bytes == fresh.bytes {
+		t.spare = fresh
+		return l
+	}
+	t.lines[pn] = fresh
+	return fresh
+}
+
 // entry returns the line's entry at in-page offset off — ents[0], with
 // no instruction and no block, when nothing is cached there. It is the
 // one way to an entry: lookups call it directly and inline it into the
@@ -107,7 +157,7 @@ func (c *CPU) residentLine(pc uint64) *icLine {
 	if line := c.lastLine; line != nil && c.lastPN == pn {
 		return line
 	}
-	line := c.icache[pn]
+	line := c.icache[pn].line
 	if line != nil {
 		c.lastPN, c.lastLine = pn, line
 	}

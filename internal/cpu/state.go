@@ -24,13 +24,13 @@
 // the CPU as it was.
 //
 // Host wiring — the memory reference, the cost model, tracers, fault
-// injectors, device callbacks, the icache line memo and Step's
-// decode-miss slot — is deliberately not state: it belongs to the
-// constructing harness, the memo is rebuilt lazily, and the slot is
-// scratch space each decode miss overwrites. state_test.go enumerates
-// every CPU field and fails compilation of a lie: adding a field
-// without classifying it as serialized or host-wiring breaks the build
-// gate.
+// injectors, device callbacks, the line table, the icache line memo
+// and Step's decode-miss slot — is deliberately not state: it belongs
+// to the constructing harness, the memo is rebuilt lazily, and the
+// slot is scratch space each decode miss overwrites. state_test.go
+// enumerates every CPU field and fails compilation of a lie: adding a
+// field without classifying it as serialized or host-wiring breaks the
+// build gate.
 
 package cpu
 
@@ -113,8 +113,8 @@ func (c *CPU) ExportState() State {
 			s.BTB = append(s.BTB, BTBState{Index: i, Valid: e.valid, Tag: e.tag, Counter: e.counter, Target: e.target})
 		}
 	}
-	for pn, line := range c.icache {
-		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: line.version, Bytes: line.bytes[:]})
+	for pn, e := range c.icache {
+		s.ICache = append(s.ICache, ICLineState{PN: pn, Version: e.version, Bytes: e.line.bytes[:]})
 	}
 	slices.SortFunc(s.ICache, func(a, b ICLineState) int { return cmp.Compare(a.PN, b.PN) })
 	return s
@@ -124,9 +124,11 @@ func (c *CPU) ExportState() State {
 // CPU must have been constructed with the same Config the exporting
 // CPU used (the predictor geometry is checked; the cost model is the
 // caller's contract). Each line is restored as its bytes and version,
-// with empty derived caches, and the CacheStats start at zero; every
-// other counter continues from the snapshot's. On error the CPU is
-// unchanged.
+// with empty derived caches — or, on a CPU with a LineTable, as the
+// table's line for its page when that holds the same bytes, derived
+// caches and all — and the CacheStats start at zero; every other
+// counter continues from the snapshot's. On error the CPU and its
+// table are unchanged.
 func (c *CPU) ImportState(s State) error {
 	if s.BTBSize != len(c.btb) {
 		return fmt.Errorf("cpu: snapshot BTB has %d entries, this CPU %d (different Config)", s.BTBSize, len(c.btb))
@@ -144,7 +146,6 @@ func (c *CPU) ImportState(s State) error {
 	if len(s.RAS) != len(c.ras) {
 		return fmt.Errorf("cpu: snapshot RAS depth %d, this CPU %d (different Config)", len(s.RAS), len(c.ras))
 	}
-	icache := make(map[uint64]*icLine, len(s.ICache))
 	for i, ls := range s.ICache {
 		switch {
 		case i > 0 && ls.PN <= s.ICache[i-1].PN:
@@ -152,10 +153,12 @@ func (c *CPU) ImportState(s State) error {
 		case len(ls.Bytes) != mem.PageSize:
 			return fmt.Errorf("cpu: snapshot icache line %#x holds %d bytes, want %d", ls.PN, len(ls.Bytes), mem.PageSize)
 		}
-		line := newLine(lineEntsInit)
-		line.version = ls.Version
+	}
+	icache := make(map[uint64]icEntry, len(s.ICache))
+	for _, ls := range s.ICache {
+		line := c.lines.blank()
 		copy(line.bytes[:], ls.Bytes)
-		icache[ls.PN] = line
+		icache[ls.PN] = icEntry{c.lines.share(ls.PN, line), ls.Version}
 	}
 	c.regs = s.Regs
 	c.pc = s.PC

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCPUFieldsClassifiedForSnapshot is the snapshot-completeness
-// gate: every field of CPU and icLine must be explicitly classified as
+// gate: every field of CPU, icEntry and icLine must be explicitly classified as
 // serialized (captured by ExportState) or host wiring (reconstructed
 // by the harness, not state). Adding a field without deciding its
 // disposition fails this test — the bug class where new machine state
@@ -32,12 +32,16 @@ func TestCPUFieldsClassifiedForSnapshot(t *testing.T) {
 		"inject":     true, "id": true, // fault-injection wiring
 		"OutB": true, "InB": true, // device callbacks
 		"lastPN": true, "lastLine": true, // icache line memo, rebuilt lazily
+		"lines":     true, // line table: the constructing harness's sharing scope
 		"missed":    true, // Step's decode-miss scratch slot, overwritten per miss
 		"cycleStop": true, // transient RunUntil pause mark, zero at capture
 	}
 	checkFields(t, reflect.TypeOf(CPU{}), serialized, hostWiring)
 
-	lineSerialized := map[string]bool{"bytes": true, "version": true}
+	// A resident line is exported as its page number (the icache key),
+	// this CPU's fill version and the line's bytes.
+	checkFields(t, reflect.TypeOf(icEntry{}), map[string]bool{"line": true, "version": true}, nil)
+	lineSerialized := map[string]bool{"bytes": true}
 	// The derived caches refill from bytes as the CPU runs.
 	lineDerived := map[string]bool{"slot": true, "ents": true, "nsb": true}
 	checkFields(t, reflect.TypeOf(icLine{}), lineSerialized, lineDerived)
@@ -61,6 +65,23 @@ func checkFields(t *testing.T, typ reflect.Type, serialized, hostWiring map[stri
 // perturbation — everything ExportState claims to capture.
 func stateVM(t *testing.T) *CPU {
 	t.Helper()
+	c := newVM(t, callLoopProgram())
+	c.SetInterruptsEnabled(true)
+	c.SetInterruptPerturbation(997, 30)
+	if _, err := c.Run(10_000); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Halted() {
+		t.Fatal("program did not halt")
+	}
+	if c.Stats().Calls == 0 || len(c.icache) == 0 {
+		t.Fatal("warmup did not exercise the caches")
+	}
+	return c
+}
+
+// callLoopProgram calls a function 300 times from a loop, then halts.
+func callLoopProgram() []byte {
 	var a isa.Asm
 	// A call in a loop keeps the RAS and BTB busy; the loop body is
 	// long enough to head a superblock.
@@ -82,20 +103,7 @@ func stateVM(t *testing.T) *CPU {
 	var fix isa.Asm
 	fix.Call(int32(fn - (callAt + 5)))
 	copy(code[callAt:], fix.Bytes())
-
-	c := newVM(t, code)
-	c.SetInterruptsEnabled(true)
-	c.SetInterruptPerturbation(997, 30)
-	if _, err := c.Run(10_000); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Halted() {
-		t.Fatal("program did not halt")
-	}
-	if c.Stats().Calls == 0 || len(c.icache) == 0 {
-		t.Fatal("warmup did not exercise the caches")
-	}
-	return c
+	return code
 }
 
 // TestExportImportRoundTrip: importing an exported state onto a fresh
@@ -114,9 +122,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, again) {
 		t.Fatalf("re-export diverged\nfirst:  %+v\nsecond: %+v", s, again)
 	}
-	for pn, line := range fresh.icache {
-		if len(line.ents) != 1 || line.nsb != 0 {
-			t.Fatalf("line %#x imported with %d cached entries, %d blocks", pn, len(line.ents)-1, line.nsb)
+	for pn, e := range fresh.icache {
+		if len(e.line.ents) != 1 || e.line.nsb != 0 {
+			t.Fatalf("line %#x imported with %d cached entries, %d blocks", pn, len(e.line.ents)-1, e.line.nsb)
 		}
 	}
 	if fresh.Stats().CacheStats != (CacheStats{}) {
@@ -133,8 +141,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if cs, fs := c.Stats().RunStats, fresh.Stats().RunStats; cs != fs {
 		t.Fatalf("rerun stats diverged\nexporter: %+v\nimporter: %+v", cs, fs)
 	}
-	for pn, line := range fresh.icache {
-		if line.nsb == 0 {
+	for pn, e := range fresh.icache {
+		if e.line.nsb == 0 {
 			t.Fatalf("line %#x formed no block as the imported CPU ran", pn)
 		}
 	}

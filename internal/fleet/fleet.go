@@ -175,12 +175,14 @@ func New(cfg Config) (*Fleet, error) {
 		sh.members = append(sh.members, mb)
 	}
 	errs := make([]error, cfg.Machines)
-	fl.eachShard(func(sh *shard) {
+	c := fl.startCrew()
+	c.each(func(sh *shard) {
 		for _, mb := range sh.members {
 			errs[mb.id] = mb.boot()
 		}
 		sh.refreshGauges()
 	})
+	c.stop()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -241,17 +243,20 @@ func (fl *Fleet) takeKill(id, round int) (int, int) {
 // of every shard behind a barrier, with the coordinator running the
 // migration policy between rounds. It ends with a drain (restarting
 // any still-down machines so their timelines complete) and a final
-// per-machine capture for the report.
+// per-machine capture for the report. Each shard runs on one goroutine
+// from the first round to the report, and none outlives Run.
 func (fl *Fleet) Run() (*Result, error) {
 	start := time.Now()
+	c := fl.startCrew()
+	defer c.stop()
 	for r := 1; r <= fl.cfg.Rounds; r++ {
-		fl.stepShards(r)
+		c.stepShards(r)
 		if fl.cfg.MigrateEvery > 0 && fl.cfg.Shards > 1 && r%fl.cfg.MigrateEvery == 0 {
 			fl.migrate(r)
 		}
 	}
-	fl.drain()
-	res, err := fl.report()
+	fl.drain(c)
+	res, err := fl.report(c)
 	if err != nil {
 		return nil, err
 	}
@@ -259,23 +264,55 @@ func (fl *Fleet) Run() (*Result, error) {
 	return res, nil
 }
 
-func (fl *Fleet) stepShards(r int) {
-	fl.eachShard(func(sh *shard) { sh.runRound(r) })
+// crew runs each shard on one goroutine of its own from startCrew to
+// stop, so a shard's stack grows once per crew, not once per round.
+// each hands every shard one job and waits for all of them: that wait
+// is the round barrier, and between two calls the coordinator may
+// touch any shard.
+type crew struct {
+	jobs []chan func(*shard) // one per shard, in shard order
+	busy sync.WaitGroup      // jobs handed out and not yet done
+	done sync.WaitGroup      // shard goroutines not yet exited
 }
 
-// eachShard runs f once per shard, each on its own goroutine, and
-// returns when every call has. f may touch only its shard and that
-// shard's members, plus per-member slots of caller-owned slices.
-func (fl *Fleet) eachShard(f func(sh *shard)) {
-	var wg sync.WaitGroup
-	for _, sh := range fl.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			f(sh)
-		}(sh)
+func (fl *Fleet) startCrew() *crew {
+	c := &crew{jobs: make([]chan func(*shard), len(fl.shards))}
+	c.done.Add(len(fl.shards))
+	for i, sh := range fl.shards {
+		jobs := make(chan func(*shard))
+		c.jobs[i] = jobs
+		go func() {
+			defer c.done.Done()
+			for f := range jobs {
+				f(sh)
+				c.busy.Done()
+			}
+		}()
 	}
-	wg.Wait()
+	return c
+}
+
+// each runs f once on every shard's goroutine and returns when every
+// call has. f may touch only its shard and that shard's members, plus
+// per-member slots of caller-owned slices.
+func (c *crew) each(f func(sh *shard)) {
+	c.busy.Add(len(c.jobs))
+	for _, jobs := range c.jobs {
+		jobs <- f
+	}
+	c.busy.Wait()
+}
+
+func (c *crew) stepShards(r int) {
+	c.each(func(sh *shard) { sh.runRound(r) })
+}
+
+// stop ends every shard goroutine and returns once all have exited.
+func (c *crew) stop() {
+	for _, jobs := range c.jobs {
+		close(jobs)
+	}
+	c.done.Wait()
 }
 
 // migrate runs between rounds, with every shard goroutine parked at
@@ -375,7 +412,7 @@ func (fl *Fleet) moveMember(mb *member, src, dst *shard) {
 // drain gives still-down machines bounded extra supervision rounds to
 // restart and replay up to the final round, so the report compares
 // complete timelines. Simulated time keeps ticking so backoffs expire.
-func (fl *Fleet) drain() {
+func (fl *Fleet) drain(c *crew) {
 	const maxDrainRounds = 64
 	for i := 0; i < maxDrainRounds; i++ {
 		pending := false
@@ -392,7 +429,7 @@ func (fl *Fleet) drain() {
 		if !pending {
 			return
 		}
-		fl.stepShards(fl.cfg.Rounds)
+		c.stepShards(fl.cfg.Rounds)
 	}
 }
 
@@ -454,10 +491,10 @@ type Result struct {
 // The captures run on the shard goroutines, each shard reusing one
 // container, into per-machine slots; the aggregation and the choice of
 // the error to return then walk shards and members in order.
-func (fl *Fleet) report() (*Result, error) {
+func (fl *Fleet) report(c *crew) (*Result, error) {
 	res := &Result{Machines: make([]MachineResult, fl.cfg.Machines)}
 	errs := make([]error, fl.cfg.Machines)
-	fl.eachShard(func(sh *shard) {
+	c.each(func(sh *shard) {
 		var buf []byte
 		for _, mb := range sh.members {
 			mr := &res.Machines[mb.id]

@@ -369,9 +369,11 @@ func TestCheckpointReusesContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := fl.startCrew()
 	for r := 1; r <= 4; r++ {
-		fl.stepShards(r)
+		c.stepShards(r)
 	}
+	c.stop()
 	mb := fl.shards[0].members[0]
 	if mb.state != stateHealthy || mb.ckpt.round != 4 {
 		t.Fatalf("member is %s with its checkpoint at round %d, want healthy at round 4", mb.state, mb.ckpt.round)

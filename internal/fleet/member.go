@@ -102,9 +102,10 @@ func (mb *member) boot() error {
 }
 
 // incarnate builds a fresh machine+runtime pair from the fleet image
-// with the member's commit options, tracer and step budget.
+// with the member's commit options, tracer and step budget, its CPU
+// sharing lines through the shard's table.
 func (mb *member) incarnate() error {
-	m, err := machine.New(mb.fl.img)
+	m, err := machine.New(mb.fl.img, machine.WithLines(mb.sh.lines))
 	if err != nil {
 		return fmt.Errorf("fleet: machine %d: %w", mb.id, err)
 	}

@@ -1,21 +1,25 @@
 package fleet
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 )
 
 // shard is one host goroutine's worth of fleet: a set of members, a
-// simulated-cycle ledger (the clock restart backoff waits on), and a
-// private metrics registry the fleet root merges under a shard label.
+// simulated-cycle ledger (the clock restart backoff waits on), a line
+// table its members' CPUs share decoded code through, and a private
+// metrics registry the fleet root merges under a shard label.
 //
-// A shard's state is only ever touched by the goroutine executing its
-// current round; the coordinator's round barrier is the only
-// cross-shard synchronisation, so there are no locks in the data
-// path and per-shard execution is bit-reproducible.
+// A shard's state is only ever touched by its goroutine (crew), or by
+// the coordinator while every shard goroutine waits at the round
+// barrier, which is the only cross-shard synchronisation. So there
+// are no locks in the data path, the line table included, and
+// per-shard execution is bit-reproducible.
 type shard struct {
 	idx     int
 	fl      *Fleet
 	members []*member
+	lines   *cpu.LineTable
 
 	// cycles is the shard's simulated-cycle ledger: the sum of cycles
 	// its members' CPUs have consumed, plus a per-round baseline tick
@@ -54,7 +58,7 @@ type shard struct {
 const baselineTick = 512
 
 func newShard(idx int, fl *Fleet) *shard {
-	sh := &shard{idx: idx, fl: fl, reg: metrics.New()}
+	sh := &shard{idx: idx, fl: fl, lines: cpu.NewLineTable(), reg: metrics.New()}
 	sh.cRequests = sh.reg.Counter("fleet_requests_total", "requests served (including replayed rounds)")
 	sh.cBatches = sh.reg.Counter("fleet_batches_total", "load-generator batches completed")
 	sh.cStormFlips = sh.reg.Counter("fleet_storm_flips_total", "config-flip storms attempted on a machine")

@@ -5,13 +5,15 @@ import (
 	"fmt"
 )
 
-// Inst is a decoded m64 instruction.
+// Inst is a decoded m64 instruction. The one-byte fields lead, so the
+// struct packs into 32 bytes: every cached instruction and superblock
+// entry (internal/cpu) holds one.
 type Inst struct {
 	Op   Op
-	Len  int   // encoded length in bytes
 	Rd   Reg   // destination / first register operand
 	Rs   Reg   // source / second register operand
 	Cond Cond  // for JCC
+	Len  int   // encoded length in bytes
 	Size int   // for LD/LDS/ST
 	Imm  int64 // immediate / displacement / port number
 }

@@ -52,10 +52,11 @@ type Machine struct {
 	// on here without adding a per-instruction call.
 	Observer trace.Tracer
 
-	extraCPUs int        // secondary hardware threads added via AddCPU
-	cpus      []*cpu.CPU // every hardware thread, primary first
-	stackTops []uint64   // per-CPU stack top, parallel to cpus
-	injector  Injector   // propagated to CPUs added after SetInjector
+	extraCPUs int            // secondary hardware threads added via AddCPU
+	cpus      []*cpu.CPU     // every hardware thread, primary first
+	stackTops []uint64       // per-CPU stack top, parallel to cpus
+	injector  Injector       // propagated to CPUs added after SetInjector
+	lines     *cpu.LineTable // every CPU's line table (WithLines); nil: private lines
 }
 
 // Injector is the union of the memory-side and CPU-side fault
@@ -117,13 +118,22 @@ func (m *Machine) ICacheStale(addr, n uint64) bool {
 type Option func(*options)
 
 type options struct {
-	wx bool
+	wx    bool
+	lines *cpu.LineTable
 }
 
 // WithWX enables the strict W^X memory policy, under which no page may
 // be writable and executable at once.
 func WithWX() Option {
 	return func(o *options) { o.wx = true }
+}
+
+// WithLines makes every CPU of the machine, AddCPU's included, fill
+// and import its icache lines through t (cpu.CPU.SetLineTable), sharing
+// them with every other CPU that uses t. Machines sharing a table must
+// run on one goroutine.
+func WithLines(t *cpu.LineTable) Option {
+	return func(o *options) { o.lines = t }
 }
 
 // New creates a machine and loads img into it.
@@ -156,8 +166,9 @@ func New(img *link.Image, opts ...Option) (*Machine, error) {
 
 	c := cpu.New(m, cpu.DefaultConfig())
 	c.SetReg(isa.SP, stackTop)
+	c.SetLineTable(o.lines)
 	mach := &Machine{Mem: m, CPU: c, Image: img, MaxSteps: 1 << 40,
-		cpus: []*cpu.CPU{c}, stackTops: []uint64{stackTop}}
+		cpus: []*cpu.CPU{c}, stackTops: []uint64{stackTop}, lines: o.lines}
 	c.OutB = func(port uint8, b byte) {
 		if port == ConsolePort {
 			mach.console.WriteByte(b)

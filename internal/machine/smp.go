@@ -10,10 +10,10 @@ import (
 
 // AddCPU attaches another hardware thread to the machine. The new CPU
 // shares the memory (and therefore sees all binary patching) but has
-// its own registers, branch predictors and instruction cache — and,
-// layered on the icache, its own private predecoded-instruction cache,
-// so one thread's flush never invalidates another's decodes — and its
-// own stack. Instruction-level interleaving of CPUs is up to the
+// its own registers, branch predictors and instruction cache — so one
+// thread's flush never invalidates another's decodes, even where a
+// machine's line table (WithLines) lets them share lines — and its own
+// stack. Instruction-level interleaving of CPUs is up to the
 // caller (see Interleave); each instruction executes atomically, so
 // XCHG retains its locked semantics across CPUs.
 func (m *Machine) AddCPU() (*cpu.CPU, error) {
@@ -48,6 +48,7 @@ func (m *Machine) AddCPU() (*cpu.CPU, error) {
 	// A machine-wide injector covers late-added threads too, under the
 	// hardware-thread index the fault plan keys on.
 	c.SetInjector(m.injector, len(m.cpus))
+	c.SetLineTable(m.lines)
 	m.cpus = append(m.cpus, c)
 	return c, nil
 }
